@@ -3,15 +3,18 @@
     contactpairs <verb> <fixture.json> [--out report.json] [--tol 1e-9]
                  [--samples N] [--seed S]
 
-``theorems`` runs every applicable check in dependency order; ``report``
-does the same and emits the JSON document to stdout.  Exit codes: 0 all
-Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
+Every verdict comes from one check of the registry ``CHECKS``.  A verb names
+the checks it reports (``VERBS``); a run evaluates those checks and their
+prerequisites only, and the report keeps what the named checks wrote plus
+every failed prerequisite.  ``theorems`` runs every check that applies;
+``report`` does the same and emits the JSON document to stdout.  Exit codes:
+0 all Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
 3 parse/schema/usage errors.
 
 Fixture data is checked exactly (tolerance plays no role for it); the
 --tol value applies to the numeric, polarization-produced instances.
 --samples appends N extra random rational sample points (seeded by --seed)
-to the fixture's declared ones.
+to the fixture's declared ones; they are validated like the declared ones.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
-from .algebra import RatFun
-from .connection import christoffel, numeric_geodesic_residual, reeb_geodesy
-from .exterior import MetricField, bracket
-from .fixtures import FixtureDoc, FixtureError, load_fixture
+from .connection import numeric_geodesic_residual, reeb_geodesy
+from .exterior import MetricField
+from .fixtures import FixtureDoc, FixtureError, load_fixture, load_fixture_dict
 from .metric import (
     LeafContactMetric,
     LeafMCP,
@@ -46,7 +51,6 @@ from .metric import (
     verify_restricted_contact_metric,
 )
 from .pair import (
-    ContactPair,
     FrameRankError,
     PairValidationError,
     ReebSolveError,
@@ -55,450 +59,427 @@ from .pair import (
     verify_contact_pair,
     verify_splittings,
 )
-from .report import Report, render_report
+from .report import Report, format_float, render_report
 from .structure import (
     ContactPairStructure,
     PreconditionError,
     StructureValidationError,
-    is_decomposable,
     verify_induced_almost_contact,
     verify_structure,
 )
-from .verdicts import Verdict, residual_verdict
+from .verdicts import Verdict
 
-__all__ = ["VERBS", "run", "main", "VerbUsageError"]
+__all__ = ["CHECKS", "VERBS", "run", "main", "VerbUsageError"]
 
 RK4_TOLERANCE = 1e-8
 RK4_DT = 1e-3
 RK4_T_END = 1.0
-
-VERBS = (
-    "verify-pair",
-    "reeb",
-    "verify-structure",
-    "decomposable",
-    "compatible",
-    "associated",
-    "orthogonal",
-    "build-compatible",
-    "polarize",
-    "geodesy",
-    "killing",
-    "leaves",
-    "theorems",
-    "report",
-)
-
-_PHI_VERBS = {
-    "verify-structure",
-    "decomposable",
-    "compatible",
-    "associated",
-    "killing",
-    "leaves",
-    "build-compatible",
-}
-_METRIC_VERBS = {"compatible", "associated", "orthogonal", "geodesy", "killing", "leaves"}
-
-_VERB_FILTER = {
-    "verify-pair": ("volume_form", "dalpha1_power_zero", "dalpha2_power_zero"),
-    "reeb": ("reeb_", "splittings"),
-    "verify-structure": ("structure_",),
-    "decomposable": ("decomposable", "induced_almost_contact_"),
-    "compatible": ("compatible",),
-    "associated": ("compatible", "associated"),
-    "orthogonal": ("orthogonal",),
-    "build-compatible": ("built_",),
-    "polarize": ("polarized",),
-    "geodesy": ("geodesic", "totally_geodesic", "geodesy_rk4"),
-    "killing": ("killing_",),
-    "leaves": ("leaf_",),
-}
 
 
 class VerbUsageError(ValueError):
     """The fixture lacks a field the requested verb needs."""
 
 
-class _Runner:
+class _NotApplicable(Exception):
+    """Raised by a check that does not apply to the fixture; the message says why."""
+
+
+class _Context:
+    """One run: the fixture, the report, and the intermediates the checks
+    share, each computed at most once.  ``d alpha_i`` is memoised on the pair,
+    the decomposable verdict on the structure, and each metric's Christoffel
+    symbols travel inside its geodesy report."""
+
     def __init__(self, doc: FixtureDoc, verb: str, tol: float):
         self.doc = doc
-        self.verb = verb
         self.tol = tol
         self.report = Report(doc.fixture_id, verb)
-        self.pair_ok = False
-        self.vp = None
-        self.cps = None
-        self.decomposable_ok = False
 
-    # -- stages ---------------------------------------------------------------
+    @cached_property
+    def vp(self):
+        return verified_pair(self.doc.pair)
 
-    def pair_stage(self) -> None:
-        verdicts = verify_contact_pair(self.doc.pair)
-        self.report.verdicts.update(verdicts)
-        self.pair_ok = all(v.ok for v in verdicts.values())
-        if not self.pair_ok:
-            self.report.skipped["reeb"] = "contact pair conditions failed"
+    @cached_property
+    def cps(self):
+        return ContactPairStructure(self.vp, self.doc.phi)
 
-    def reeb_stage(self) -> None:
-        try:
-            self.vp = verified_pair(self.doc.pair)
-        except (ReebSolveError, FrameRankError, PairValidationError) as exc:
-            self.report.verdicts["reeb_solve"] = Verdict.failed(str(exc))
-            return
-        vp = self.vp
-        names = vp.space.names
-        normalization = []
-        contraction = []
-        for i in (1, 2):
-            alpha = vp.alpha(i)
-            dalpha = vp.pair.dalpha(i)
-            for j in (1, 2):
-                z = vp.z(j)
-                expected = vp.space.one() if i == j else vp.space.zero()
-                normalization.append(
-                    (f"alpha{i}(Z{j}) - {int(i == j)}", alpha(z) - expected)
-                )
-                contracted = dalpha.contract(z)
-                contraction.extend(
-                    (f"(i_Z{j} d alpha{i})[{names[b]}]", c)
-                    for (b,), c in contracted.coeffs.items()
-                )
-        points = vp.sample_points
-        self.report.verdicts["reeb_normalization"] = residual_verdict(
-            normalization, points, detail="alpha_i(Z_j) = delta_ij"
+    @cached_property
+    def associated(self):
+        return is_associated(self.cps, self.doc.metric)
+
+    @cached_property
+    def mcp(self):
+        return MetricContactPair(self.cps, self.doc.metric, associated=self.associated)
+
+    @cached_property
+    def aux(self):
+        return self.doc.aux_metric or MetricField.euclidean(self.vp.space)
+
+
+# --- the checks ----------------------------------------------------------------------
+# Each writes its verdicts into ctx.report and returns None when the checks
+# built on it may run, else the reason they may not.
+
+
+def _pair(ctx: _Context) -> str | None:
+    verdicts = verify_contact_pair(ctx.doc.pair)
+    ctx.report.verdicts.update(verdicts)
+    return None if all(v.ok for v in verdicts.values()) else "contact pair conditions failed"
+
+
+def _reeb(ctx: _Context) -> str | None:
+    try:
+        vp = ctx.vp
+    except (ReebSolveError, FrameRankError, PairValidationError) as exc:
+        ctx.report.verdicts["reeb_solve"] = Verdict.failed(str(exc))
+        return str(exc)
+    # reeb_fields, inside verified_pair, has proved these identities exactly
+    for key, detail in (
+        ("reeb_normalization", "alpha_i(Z_j) = delta_ij"),
+        ("reeb_contraction", "i_{Z_j} d alpha_i = 0"),
+        ("reeb_commutation", "[Z1, Z2] = 0"),
+    ):
+        ctx.report.verdicts[key] = Verdict.verified(detail)
+    names = vp.space.names
+    ctx.report.outputs["reeb_fields"] = {
+        f"Z{i}": [c.format(names) for c in vp.z(i).components] for i in (1, 2)
+    }
+    ctx.report.verdicts["splittings"] = verify_splittings(vp)
+    return None
+
+
+def _structure(ctx: _Context) -> str | None:
+    verdicts = verify_structure(ctx.vp, ctx.doc.phi)
+    ctx.report.verdicts.update({f"structure_{k}": v for k, v in verdicts.items()})
+    failed = [f"structure_{k}" for k in ("phi_squared", "phi_reeb") if not verdicts[k].ok]
+    if failed:
+        return f"structure identities failed: {', '.join(failed)}"
+    return None
+
+
+def _decomposable(ctx: _Context) -> str | None:
+    verdict = ctx.cps.decomposable
+    ctx.report.verdicts["decomposable"] = verdict
+    if not verdict.ok:
+        ctx.report.skipped["induced_almost_contact"] = "requires decomposable phi"
+        return "requires decomposable phi"
+    for i in (1, 2):
+        ctx.report.verdicts[f"induced_almost_contact_{i}"] = verify_induced_almost_contact(
+            ctx.cps, ctx.vp.tf(2 if i == 1 else 1), i
         )
-        self.report.verdicts["reeb_contraction"] = residual_verdict(
-            contraction, points, detail="i_{Z_j} d alpha_i = 0"
+    return None
+
+
+def _compatible(ctx: _Context) -> str | None:
+    verdict = is_compatible(ctx.cps, ctx.doc.metric)
+    ctx.report.verdicts["compatible"] = verdict
+    if not verdict.ok:
+        return "requires a compatible metric"
+    for key, corollary in compatible_corollaries(ctx.cps, ctx.doc.metric).items():
+        ctx.report.verdicts[f"compatible_{key}"] = corollary
+    return None
+
+
+def _associated(ctx: _Context) -> str | None:
+    ctx.report.verdicts["associated"] = ctx.associated.verdict
+    ctx.report.verdicts["associated_skew"] = ctx.associated.verdicts["skew"]
+    return None if ctx.associated.ok else "requires an associated metric"
+
+
+def _orthogonal(ctx: _Context) -> None:
+    ctx.report.verdicts["orthogonal"] = are_foliations_orthogonal(ctx.vp, ctx.doc.metric)
+
+
+def _agreement(ctx: _Context) -> None:
+    ctx.report.verdicts["decomposable_orthogonal_agreement"] = (
+        decomposability_orthogonality_agreement(ctx.cps, ctx.doc.metric)
+    )
+
+
+def _killing(ctx: _Context) -> None:
+    for i in (1, 2):
+        ctx.report.verdicts[f"killing_{i}"] = killing_agreement(killing_check(ctx.mcp, i))
+
+
+def _leaves(ctx: _Context) -> None:
+    mcp, vp, verdicts = ctx.mcp, ctx.vp, ctx.report.verdicts
+    for i in (1, 2):
+        verdicts[f"leaf_contact_metric_{i}"] = verify_restricted_contact_metric(
+            mcp, vp.tf(2 if i == 1 else 1), LeafContactMetric(i)
         )
-        commutator = bracket(vp.z1, vp.z2)
-        self.report.verdicts["reeb_commutation"] = residual_verdict(
-            [(f"[Z1, Z2][{names[a]}]", c) for a, c in enumerate(commutator.components)],
-            points,
-            detail="[Z1, Z2] = 0",
+        verdicts[f"leaf_mcp_{i}"] = verify_restricted_contact_metric(
+            mcp, kernel_frame(vp.pair, i), LeafMCP(i)
         )
-        self.report.outputs["reeb_fields"] = {
-            f"Z{i}": [c.format(names) for c in vp.z(i).components] for i in (1, 2)
-        }
-        self.report.verdicts["splittings"] = verify_splittings(vp)
 
-    def structure_stage(self) -> None:
-        verdicts = verify_structure(self.vp, self.doc.phi)
-        self.report.verdicts.update({f"structure_{k}": v for k, v in verdicts.items()})
-        if verdicts["phi_squared"].ok and verdicts["phi_reeb"].ok:
-            self.cps = ContactPairStructure(self.vp, self.doc.phi)
-        else:
-            self.report.skipped["decomposable"] = "structure identities failed"
 
-    def decomposable_stage(self) -> None:
-        verdict = is_decomposable(self.cps)
-        self.report.verdicts["decomposable"] = verdict
-        self.decomposable_ok = verdict.ok
-        if verdict.ok:
-            for i in (1, 2):
-                leaf = self.vp.tf(2 if i == 1 else 1)
-                self.report.verdicts[f"induced_almost_contact_{i}"] = (
-                    verify_induced_almost_contact(self.cps, leaf, i)
-                )
-        else:
-            self.report.skipped["induced_almost_contact"] = "requires decomposable phi"
+def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
+    """Exact Reeb geodesy of ``g`` and the RK4 cross-check on the same
+    Christoffel symbols."""
+    report = ctx.report
+    try:
+        geo = reeb_geodesy(ctx.vp, g)
+    except PreconditionError as exc:
+        report.verdicts[f"{prefix}geodesic"] = Verdict.failed(str(exc))
+        return
+    report.verdicts[f"{prefix}geodesic"] = geo.verdicts["geodesic"]
+    report.verdicts[f"{prefix}totally_geodesic"] = geo.verdicts["totally_geodesic"]
+    worst = 0.0
+    start = ctx.vp.sample_points[0]
+    for i in (1, 2):
+        residual = numeric_geodesic_residual(
+            g, ctx.vp.z(i), start, t_end=RK4_T_END, dt=RK4_DT, data=geo.christoffel
+        )
+        report.residuals[f"{prefix}geodesy_rk4_z{i}"] = residual
+        worst = max(worst, residual)
+    report.verdicts[f"{prefix}geodesy_rk4"] = (
+        Verdict.verified(
+            f"max residual {worst:.3e} < {RK4_TOLERANCE:.0e} "
+            f"(RK4, dt={RK4_DT:g}, t in [0, {RK4_T_END:g}])"
+        )
+        if worst < RK4_TOLERANCE
+        else Verdict.failed(f"max residual {worst:.3e}", f"exceeds the {RK4_TOLERANCE:.0e} budget")
+    )
 
-    def metric_stage(self) -> None:
-        g = self.doc.metric
-        compatible_ok = False
-        associated_ok = False
-        if self.cps is not None:
-            compatible = is_compatible(self.cps, g)
-            self.report.verdicts["compatible"] = compatible
-            compatible_ok = compatible.ok
-            if compatible_ok:
-                for key, verdict in compatible_corollaries(self.cps, g).items():
-                    self.report.verdicts[f"compatible_{key}"] = verdict
-            assoc = is_associated(self.cps, g)
-            self.report.verdicts["associated"] = assoc.verdict
-            self.report.verdicts["associated_skew"] = assoc.verdicts["skew"]
-            associated_ok = assoc.ok
-        else:
-            self.report.skipped["compatible"] = "fixture has no phi"
-            self.report.skipped["associated"] = "fixture has no phi"
 
-        self.report.verdicts["orthogonal"] = are_foliations_orthogonal(self.vp, g)
+def _built(ctx: _Context) -> None:
+    try:
+        built = build_compatible(ctx.cps, ctx.aux)
+    except (MetricValidationError, PreconditionError) as exc:
+        ctx.report.verdicts["built_compatible"] = Verdict.failed(str(exc))
+        return
+    ctx.report.verdicts["built_compatible"] = is_compatible(ctx.cps, built)
+    names, n = ctx.vp.space.names, ctx.vp.dim
+    ctx.report.outputs["built_metric"] = [
+        [built.matrix.at(i, j).format(names) for j in range(n)] for i in range(n)
+    ]
+    _geodesy_of(ctx, built, "built_")
 
-        if associated_ok:
-            self.report.verdicts["decomposable_orthogonal_agreement"] = (
-                decomposability_orthogonality_agreement(self.cps, g)
-            )
-            for i in (1, 2):
-                results = killing_check(self.cps, g, i)
-                agreement = killing_agreement(results)
-                self.report.verdicts[f"killing_{i}"] = agreement
-        else:
-            reason = (
-                "requires an associated metric"
-                if self.cps is not None
-                else "fixture has no phi"
-            )
-            self.report.skipped["killing"] = reason
-            self.report.skipped["decomposable_orthogonal_agreement"] = reason
 
-        if associated_ok and self.decomposable_ok:
-            mcp = MetricContactPair(self.cps, g)
-            vp = self.vp
-            self.report.verdicts["leaf_contact_metric_1"] = (
-                verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1))
-            )
-            self.report.verdicts["leaf_contact_metric_2"] = (
-                verify_restricted_contact_metric(mcp, vp.tf1, LeafContactMetric(2))
-            )
-            for i in (1, 2):
-                frame = kernel_frame(vp.pair, i)
-                self.report.verdicts[f"leaf_mcp_{i}"] = verify_restricted_contact_metric(
-                    mcp, frame, LeafMCP(i)
-                )
-        else:
-            self.report.skipped["leaves"] = (
-                "requires an associated metric and decomposable phi"
-            )
-
-        if compatible_ok or (self.cps is None and self.verb == "geodesy"):
-            self.geodesy_stage(g, prefix="")
-        else:
-            self.report.skipped["geodesy"] = "requires a compatible metric"
-
-    def geodesy_stage(self, g: MetricField, prefix: str) -> None:
+def _polarized(ctx: _Context) -> None:
+    vp, tol, report = ctx.vp, ctx.tol, ctx.report
+    violation = polarization_precondition_violation(vp, ctx.aux)
+    if violation:
+        raise _NotApplicable(violation)
+    for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
         try:
-            geo = reeb_geodesy(self.vp, g)
-        except PreconditionError as exc:
-            self.report.verdicts[f"{prefix}geodesic"] = Verdict.failed(str(exc))
-            return
-        self.report.verdicts[f"{prefix}geodesic"] = geo.verdicts["geodesic"]
-        self.report.verdicts[f"{prefix}totally_geodesic"] = geo.verdicts["totally_geodesic"]
-        data = christoffel(g, validate=False)
-        worst = 0.0
-        start = self.vp.sample_points[0]
-        for i in (1, 2):
-            residual = numeric_geodesic_residual(
-                g, self.vp.z(i), start, t_end=RK4_T_END, dt=RK4_DT, data=data
+            phi, g = build_associated_by_polarization(vp, ctx.aux, decomposable=flag)
+            cps = ContactPairStructure(vp, phi, tol=tol)
+        except (PolarizationError, StructureValidationError) as exc:
+            report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
+            continue
+        assoc = is_associated(cps, g, tol)
+        report.verdicts[f"{prefix}_associated"] = assoc.verdict
+        report.residuals[f"{prefix}_associated_max"] = _max_abs_at_samples(
+            assoc, vp.sample_points
+        )
+        spd_failures = [tuple(p) for p in vp.sample_points if not g.is_positive_definite_at(p)]
+        report.verdicts[f"{prefix}_spd"] = (
+            Verdict.failed(f"not positive definite at {spd_failures[0]}")
+            if spd_failures
+            else Verdict.verified("positive definite at all sample points")
+        )
+        if flag:
+            report.verdicts["polarized_decomposable_check"] = cps.decomposable
+            report.verdicts["polarized_decomposable_orthogonal"] = (
+                are_foliations_orthogonal(vp, g, tol)
             )
-            self.report.residuals[f"{prefix}geodesy_rk4_z{i}"] = residual
-            worst = max(worst, residual)
-        if worst < RK4_TOLERANCE:
-            self.report.verdicts[f"{prefix}geodesy_rk4"] = Verdict.verified(
-                f"max residual {worst:.3e} < {RK4_TOLERANCE:.0e} "
-                f"(RK4, dt={RK4_DT:g}, t in [0, {RK4_T_END:g}])"
-            )
-        else:
-            self.report.verdicts[f"{prefix}geodesy_rk4"] = Verdict.failed(
-                f"max residual {worst:.3e}", f"exceeds the {RK4_TOLERANCE:.0e} budget"
-            )
-
-    def built_stage(self) -> None:
-        aux = self.doc.aux_metric or MetricField.euclidean(self.vp.space)
-        try:
-            built = build_compatible(self.cps, aux)
-        except (MetricValidationError, PreconditionError) as exc:
-            self.report.verdicts["built_compatible"] = Verdict.failed(str(exc))
-            return
-        self.report.verdicts["built_compatible"] = is_compatible(self.cps, built)
-        names = self.vp.space.names
-        self.report.outputs["built_metric"] = [
-            [built.matrix.at(i, j).format(names) for j in range(self.vp.dim)]
-            for i in range(self.vp.dim)
-        ]
-        self.geodesy_stage(built, prefix="built_")
-
-    def polarize_stage(self) -> None:
-        aux = self.doc.aux_metric or MetricField.euclidean(self.vp.space)
-        reason = polarization_precondition_violation(self.vp, aux)
-        if reason:
-            self.report.skipped["polarized"] = f"polarization not applicable: {reason}"
-            return
-        for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
-            try:
-                phi, g = build_associated_by_polarization(self.vp, aux, decomposable=flag)
-                cps_new = ContactPairStructure(self.vp, phi, tol=self.tol)
-            except (PolarizationError, StructureValidationError) as exc:
-                self.report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
-                continue
-            assoc = is_associated(cps_new, g, self.tol)
-            self.report.verdicts[f"{prefix}_associated"] = assoc.verdict
-            entries = [
-                e
-                for _, e in _associated_entries(assoc)
-            ]
-            self.report.residuals[f"{prefix}_associated_max"] = _max_abs_at_samples(
-                entries, self.vp.sample_points
-            )
-            spd_failures = [
-                tuple(p)
-                for p in self.vp.sample_points
-                if not g.is_positive_definite_at(p)
-            ]
-            if spd_failures:
-                self.report.verdicts[f"{prefix}_spd"] = Verdict.failed(
-                    f"not positive definite at {spd_failures[0]}"
-                )
-            else:
-                self.report.verdicts[f"{prefix}_spd"] = Verdict.verified(
-                    "positive definite at all sample points"
-                )
-            if flag:
-                self.report.verdicts["polarized_decomposable_check"] = is_decomposable(
-                    cps_new, self.tol
-                )
-                self.report.verdicts["polarized_decomposable_orthogonal"] = (
-                    are_foliations_orthogonal(self.vp, g, self.tol)
-                )
-            self.report.verdicts[f"{prefix}_agreement"] = (
-                decomposability_orthogonality_agreement(cps_new, g, self.tol)
-            )
-            # the numeric products, evaluated at the base sample point
-            base = self.vp.sample_points[0]
-            self.report.outputs[f"{prefix}_phi_at_base"] = _float_grid(phi.matrix, base)
-            self.report.outputs[f"{prefix}_metric_at_base"] = _float_grid(g.matrix, base)
+        report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
+            cps, g, tol
+        )
+        # the numeric products, evaluated at the base sample point
+        base = vp.sample_points[0]
+        report.outputs[f"{prefix}_phi_at_base"] = _float_grid(phi.matrix, base)
+        report.outputs[f"{prefix}_metric_at_base"] = _float_grid(g.matrix, base)
 
 
 def _float_grid(matrix, point) -> list[list[str]]:
-    from .report import format_float
-
-    return [
-        [format_float(float(matrix.at(i, j).eval(point))) for j in range(matrix.cols)]
-        for i in range(matrix.rows)
-    ]
+    return [[format_float(float(x)) for x in row] for row in matrix.eval_at(point)]
 
 
-def _associated_entries(report) -> list[tuple[str, RatFun]]:
-    entries = [("pairing", e) for row in report.pairing_residual.entries for e in row]
-    entries += [("skew", e) for row in report.skew_residual.entries for e in row]
-    for i, res in report.reeb_residuals.items():
-        entries += [(f"reeb{i}", e) for e in res]
-    return entries
+def _max_abs_at_samples(assoc, points) -> float:
+    """The largest |residual| of the associated-metric identities at the points."""
+    matrices = (assoc.pairing_residual, assoc.skew_residual)
+    entries = [e for m in matrices for row in m.entries for e in row]
+    entries += [e for residuals in assoc.reeb_residuals.values() for e in residuals]
+    values = (abs(float(e.eval(p))) for e in entries if not e.is_zero() for p in points)
+    return max(values, default=0.0)
 
 
-def _max_abs_at_samples(entries, points) -> float:
-    worst = 0.0
-    for e in entries:
-        if e.is_zero():
-            continue
-        for p in points:
-            worst = max(worst, abs(float(e.eval(p))))
-    return worst
+# --- the registry --------------------------------------------------------------------
 
 
-def _execute(doc: FixtureDoc, verb: str, tol: float) -> Report:
-    runner = _Runner(doc, verb, tol)
-    runner.pair_stage()
-    if verb == "verify-pair":
-        return runner.report
+@dataclass(frozen=True)
+class Check:
+    """One node of the check graph; its name in ``CHECKS`` keys its skip record.
 
-    if verb in _PHI_VERBS and not doc.has_phi:
-        raise VerbUsageError(f"verb {verb!r} needs a phi entry in the fixture")
-    if verb in _METRIC_VERBS and not doc.has_metric:
-        raise VerbUsageError(f"verb {verb!r} needs a metric entry in the fixture")
+    A check that cannot run is skipped.  Behind a ``gate`` that did not pass
+    it leaves no record, since the gate's verdicts or skip say why.  Otherwise
+    it records "fixture has no <field>" for a missing field it ``needs``, else
+    its ``reason`` ("{}" is filled with the cause), else the reason its first
+    failed prerequisite gave; a prerequisite that was itself skipped gives none.
+    """
 
-    if runner.pair_ok:
-        runner.reeb_stage()
-    if runner.vp is None:
-        return runner.report
-    if verb == "reeb":
-        return runner.report
-
-    if doc.has_phi and (verb in _PHI_VERBS or verb in ("theorems", "report")):
-        runner.structure_stage()
-        if runner.cps is not None:
-            runner.decomposable_stage()
-    elif verb in ("theorems", "report"):
-        runner.report.skipped["structure"] = "fixture has no phi"
-
-    if verb in ("verify-structure", "decomposable"):
-        return runner.report
-
-    if doc.has_metric and (verb in _METRIC_VERBS or verb in ("theorems", "report")):
-        runner.metric_stage()
-    elif verb in ("theorems", "report"):
-        runner.report.skipped["metric"] = "fixture has no metric"
-
-    if verb == "polarize":
-        aux = doc.aux_metric or MetricField.euclidean(runner.vp.space)
-        reason = polarization_precondition_violation(runner.vp, aux)
-        if reason:
-            raise VerbUsageError(f"polarize is not applicable: {reason}")
-
-    run_constructions = verb in ("build-compatible", "polarize") or (
-        verb in ("theorems", "report") and not doc.has_metric
-    )
-    if run_constructions:
-        if verb != "polarize":
-            if runner.cps is not None:
-                runner.built_stage()
-            elif verb == "build-compatible":
-                raise VerbUsageError("build-compatible needs a valid phi")
-            else:
-                runner.report.skipped["built_compatible"] = "fixture has no phi"
-        if verb != "build-compatible":
-            runner.polarize_stage()
-    return runner.report
+    keys: tuple[str, ...]  # the report names it writes, each a name or a prefix
+    run: Callable[[_Context], str | None]
+    after: tuple[str, ...] = ()  # prerequisites: evaluated first, must pass
+    needs: tuple[str, ...] = ()  # fixture fields; a verb naming the check requires them
+    reason: str | None = None
+    gate: bool = False
+    gated_by: tuple[str, ...] = ()  # prerequisites only when the run has them anyway
+    instead_of: str | None = None  # every-check runs include it only without this field
+    refusal: str | None = None  # a verb naming it raises this instead of a skip record
 
 
-_BASE_PREREQS = (
-    "volume_form",
-    "dalpha1_power_zero",
-    "dalpha2_power_zero",
-    "reeb_solve",
-    "reeb_normalization",
-    "reeb_contraction",
-    "reeb_commutation",
-    "splittings",
-)
-_EXTRA_PREREQS = {
-    "verify-structure": ("structure_",),
-    "decomposable": ("structure_",),
-    "compatible": ("structure_",),
-    "associated": ("structure_",),
-    "build-compatible": ("structure_",),
-    "killing": ("structure_", "associated", "compatible"),
-    "leaves": ("structure_", "associated", "compatible", "decomposable"),
+# Check(keys, run, after, needs, ...), in dependency order: every prerequisite
+# precedes the checks that name it.
+CHECKS: dict[str, Check] = {
+    "pair": Check(("volume_form", "dalpha1_power_zero", "dalpha2_power_zero"), _pair),
+    "reeb": Check(("reeb_", "splittings"), _reeb, ("pair",), gate=True),
+    "structure": Check(("structure_",), _structure, ("reeb",), ("phi",)),
+    "decomposable": Check(
+        ("decomposable", "induced_almost_contact_"), _decomposable, ("structure",)
+    ),
+    "metric": Check((), lambda ctx: None, ("reeb",), ("metric",), gate=True),
+    "compatible": Check(("compatible",), _compatible, ("structure", "metric"), ("phi",)),
+    "associated": Check(("associated",), _associated, ("structure", "metric"), ("phi",)),
+    "orthogonal": Check(("orthogonal",), _orthogonal, ("metric",)),
+    "decomposable_orthogonal_agreement": Check(
+        ("decomposable_orthogonal_agreement",), _agreement, ("structure", "associated"), ("phi",)
+    ),
+    "killing": Check(("killing_",), _killing, ("structure", "associated", "compatible"), ("phi",)),
+    "leaves": Check(
+        ("leaf_",),
+        _leaves,
+        ("associated", "compatible", "decomposable"),
+        reason="requires an associated metric and decomposable phi",
+    ),
+    "geodesy": Check(
+        ("geodesic", "totally_geodesic", "geodesy_rk4"),
+        lambda ctx: _geodesy_of(ctx, ctx.doc.metric, ""),
+        ("metric",),
+        gated_by=("compatible",),
+        reason="requires a compatible metric",
+    ),
+    "built_compatible": Check(
+        ("built_",),
+        _built,
+        ("structure",),
+        ("phi",),
+        instead_of="metric",
+        refusal="build-compatible needs a valid phi",
+    ),
+    "polarized": Check(
+        ("polarized",),
+        _polarized,
+        ("reeb",),
+        reason="polarization not applicable: {}",
+        instead_of="metric",
+        refusal="polarize is not applicable: {}",
+    ),
+}
+
+# verb -> the checks it reports; None: every check that applies.
+VERBS: dict[str, tuple[str, ...] | None] = {
+    "verify-pair": ("pair",),
+    "reeb": ("reeb",),
+    "verify-structure": ("structure",),
+    "decomposable": ("decomposable",),
+    "compatible": ("compatible",),
+    "associated": ("compatible", "associated"),
+    "orthogonal": ("orthogonal",),
+    "build-compatible": ("built_compatible",),
+    "polarize": ("polarized",),
+    "geodesy": ("geodesy",),
+    "killing": ("killing",),
+    "leaves": ("leaves",),
+    "theorems": None,
+    "report": None,
 }
 
 
+def _checks_to_run(doc: FixtureDoc, targets: tuple[str, ...] | None) -> list[str]:
+    """The targets and their transitive prerequisites, in registry order."""
+    if targets is None:
+        return [n for n, c in CHECKS.items() if not (c.instead_of and getattr(doc, c.instead_of))]
+    wanted = set(targets)
+    for name in reversed(CHECKS):  # backwards, a check comes before its prerequisites
+        if name in wanted:
+            wanted.update(CHECKS[name].after)
+    return [name for name in CHECKS if name in wanted]
+
+
+def _evaluate(ctx: _Context, verb: str) -> None:
+    """Run the verb's checks into ``ctx.report``, recording why a check that
+    cannot run was skipped."""
+    targets = VERBS[verb]
+    names = _checks_to_run(ctx.doc, targets)
+    if targets is not None:
+        for name in names:
+            for field in CHECKS[name].needs:
+                if getattr(ctx.doc, field) is None:
+                    raise VerbUsageError(f"verb {verb!r} needs a {field} entry in the fixture")
+    passed: set[str] = set()
+    failed: dict[str, str] = {}  # check -> the reason its dependents are skipped
+    silenced: set[str] = set()  # checks behind a gate that did not pass
+    for name in names:
+        check = CHECKS[name]
+        prereqs = check.after + tuple(p for p in check.gated_by if p in names)
+        if any(p in silenced or (CHECKS[p].gate and p not in passed) for p in prereqs):
+            silenced.add(name)
+            continue
+        missing = next((f for f in check.needs if getattr(ctx.doc, f) is None), None)
+        if missing:
+            ctx.report.skipped[name] = f"fixture has no {missing}"
+            continue
+        blocker = next((p for p in prereqs if p not in passed), None)
+        if blocker is None:
+            try:
+                why = check.run(ctx)
+            except _NotApplicable as exc:
+                cause = str(exc)
+            else:
+                if why is None:
+                    passed.add(name)
+                else:
+                    failed[name] = why
+                continue
+        else:
+            cause = failed.get(blocker)
+        record = check.reason.format(cause) if check.reason else cause
+        if record is None:
+            continue  # the prerequisite's own skip record says why
+        if targets is not None and name in targets and check.refusal:
+            raise VerbUsageError(check.refusal.format(cause))
+        ctx.report.skipped[name] = record
+
+
 def _filter_report(report: Report, verb: str) -> Report:
-    """Keep the verdicts the verb asked about, plus failed prerequisites
-    (a verb cannot exit 0 when the checks it builds on are broken)."""
-    prefixes = _VERB_FILTER.get(verb)
-    if prefixes is None:
+    """Keep what the verb's checks wrote, plus the failed verdicts of the
+    prerequisites the run evaluated (a verb cannot exit 0 when the checks it
+    builds on are broken)."""
+    targets = VERBS[verb]
+    if targets is None:
         return report
-    prereqs = _BASE_PREREQS + _EXTRA_PREREQS.get(verb, ())
-
-    def matches(name: str, patterns) -> bool:
-        return any(name == p or name.startswith(p) for p in patterns)
-
+    keys = tuple(key for name in targets for key in CHECKS[name].keys)
     report.verdicts = {
-        name: v
-        for name, v in report.verdicts.items()
-        if matches(name, prefixes) or (not v.ok and matches(name, prereqs))
+        name: v for name, v in report.verdicts.items() if name.startswith(keys) or not v.ok
     }
-    report.residuals = {
-        name: value for name, value in report.residuals.items() if matches(name, prefixes)
-    }
-    report.skipped = {
-        name: why for name, why in report.skipped.items() if matches(name, prefixes)
-    }
-    report.outputs = {
-        name: value for name, value in report.outputs.items() if matches(name, prefixes)
-    }
+    report.residuals = {n: x for n, x in report.residuals.items() if n.startswith(keys)}
+    report.skipped = {n: why for n, why in report.skipped.items() if n.startswith(keys)}
+    report.outputs = {n: x for n, x in report.outputs.items() if n.startswith(keys)}
     return report
 
 
-def _augment_samples(doc: FixtureDoc, count: int, seed: int) -> None:
+def _with_samples(doc: FixtureDoc, count: int, seed: int) -> FixtureDoc:
+    """The fixture reloaded with ``count`` seeded random rational sample
+    points appended to the declared ones, so that they pass the same
+    validation."""
     rng = random.Random(seed)
-    extra = tuple(
-        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(doc.space.dim))
+    extra = [
+        [str(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(doc.space.dim)]
         for _ in range(count)
-    )
-    pair = doc.pair
-    doc.pair = ContactPair(
-        pair.space, pair.alpha1, pair.alpha2, pair.h, pair.k, pair.sample_points + extra
-    )
+    ]
+    return load_fixture_dict(dict(doc.raw, sample_points=[*doc.raw["sample_points"], *extra]))
 
 
 def run(
@@ -513,10 +494,11 @@ def run(
         raise VerbUsageError(f"unknown verb {verb!r}; choose from {', '.join(VERBS)}")
     doc = load_fixture(fixture)
     if samples:
-        _augment_samples(doc, samples, seed)
+        doc = _with_samples(doc, samples, seed)
     started = time.perf_counter()
-    report = _execute(doc, verb, tol)
-    report = _filter_report(report, verb)
+    ctx = _Context(doc, verb, tol)
+    _evaluate(ctx, verb)
+    report = _filter_report(ctx.report, verb)
     report.timings["total_s"] = time.perf_counter() - started
     return report
 

@@ -200,12 +200,13 @@ def covariant_derivative(
 @dataclass(frozen=True)
 class GeodesyReport:
     """Covariant derivatives of the Reeb fields along each other, their
-    second-fundamental-form residuals with respect to span{Z1, Z2}, and the
-    corresponding verdicts."""
+    second-fundamental-form residuals with respect to span{Z1, Z2}, the
+    corresponding verdicts, and the validated connection they came from."""
 
     derivatives: dict[tuple[int, int], VectorField]
     second_fundamental: dict[tuple[int, int], VectorField]
     verdicts: dict[str, Verdict]
+    christoffel: ChristoffelData
 
     @property
     def ok(self) -> bool:
@@ -273,6 +274,7 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyR
         derivatives,
         second,
         {"geodesic": geodesic, "totally_geodesic": totally_geodesic},
+        data,
     )
 
 

@@ -60,6 +60,36 @@ def _merge_indices(a: Index, b: Index) -> tuple[int, Index]:
     return sign, tuple(out)
 
 
+def _wedge_coeffs(
+    a: Mapping[Index, RatFun], b: Mapping[Index, RatFun], zero: RatFun
+) -> dict[Index, RatFun]:
+    """Coefficients of the wedge product of two alternating tensors, each
+    given by its nonzero coefficients on strictly increasing index tuples."""
+    coeffs: dict[Index, RatFun] = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            sign, key = _merge_indices(ia, ib)
+            if sign == 0:
+                continue
+            term = ca * cb if sign > 0 else -(ca * cb)
+            s = coeffs.get(key, zero) + term
+            if s.is_zero():
+                coeffs.pop(key, None)
+            else:
+                coeffs[key] = s
+    return coeffs
+
+
+def _wedge_power(tensor, unit, power: int):
+    """``unit`` wedged ``power`` times with ``tensor``."""
+    if power < 0:
+        raise ValueError("negative wedge power")
+    result = unit
+    for _ in range(power):
+        result = result.wedge(tensor)
+    return result
+
+
 class Space:
     """A coordinate chart or a constant-coefficient Lie frame.
 
@@ -294,28 +324,13 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         _check_same_space(self, other)
         degree = self.degree + other.degree
-        coeffs: dict[Index, RatFun] = {}
+        coeffs = {}
         if degree <= self.space.dim:
-            for ia, ca in self.coeffs.items():
-                for ib, cb in other.coeffs.items():
-                    sign, key = _merge_indices(ia, ib)
-                    if sign == 0:
-                        continue
-                    term = ca * cb if sign > 0 else -(ca * cb)
-                    s = coeffs.get(key, self.space.zero()) + term
-                    if s.is_zero():
-                        coeffs.pop(key, None)
-                    else:
-                        coeffs[key] = s
+            coeffs = _wedge_coeffs(self.coeffs, other.coeffs, self.space.zero())
         return Form(self.space, degree, coeffs)
 
     def wedge_power(self, power: int) -> "Form":
-        if power < 0:
-            raise ValueError("negative wedge power")
-        result = Form.function(self.space, 1)
-        for _ in range(power):
-            result = result.wedge(self)
-        return result
+        return _wedge_power(self, Form.function(self.space, 1), power)
 
     def d(self) -> "Form":
         """Exterior derivative: coordinate rule on charts, the structure-
@@ -758,26 +773,13 @@ class FrameForm:
         if self.size != other.size:
             raise ValueError("frame size mismatch")
         degree = self.degree + other.degree
-        coeffs: dict[Index, RatFun] = {}
+        coeffs = {}
         if degree <= self.size:
-            for ia, ca in self.coeffs.items():
-                for ib, cb in other.coeffs.items():
-                    sign, key = _merge_indices(ia, ib)
-                    if sign == 0:
-                        continue
-                    term = ca * cb if sign > 0 else -(ca * cb)
-                    s = coeffs.get(key, RatFun.zero(self.nvars)) + term
-                    if s.is_zero():
-                        coeffs.pop(key, None)
-                    else:
-                        coeffs[key] = s
+            coeffs = _wedge_coeffs(self.coeffs, other.coeffs, RatFun.zero(self.nvars))
         return FrameForm(self.size, degree, coeffs, self.nvars)
 
     def wedge_power(self, power: int) -> "FrameForm":
-        result = FrameForm.unit(self.size, self.nvars)
-        for _ in range(power):
-            result = result.wedge(self)
-        return result
+        return _wedge_power(self, FrameForm.unit(self.size, self.nvars), power)
 
     def top_coefficient(self) -> RatFun:
         if self.degree != self.size:

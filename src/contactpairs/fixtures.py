@@ -235,43 +235,36 @@ def load_fixture_dict(data: dict, source: str = "<dict>") -> FixtureDoc:
     except PairValidationError as exc:
         raise FixtureError(str(exc), "$") from exc
 
-    phi = None
-    if "phi" in data:
-        try:
-            phi = EndoField(space, _parse_matrix(data["phi"], space, "$.phi"))
-        except ValueError as exc:
-            raise FixtureError(str(exc), "$.phi") from exc
+    tensors = {}
+    for key, kind in (("phi", EndoField), ("metric", MetricField), ("aux_metric", MetricField)):
+        if key in data:
+            try:
+                tensors[key] = kind(space, _parse_matrix(data[key], space, f"$.{key}"))
+            except ValueError as exc:
+                raise FixtureError(str(exc), f"$.{key}") from exc
 
-    metric = None
-    if "metric" in data:
+    metric = tensors.get("metric")
+    for p, point in enumerate(pair.sample_points if metric else ()):
         try:
-            metric = MetricField(space, _parse_matrix(data["metric"], space, "$.metric"))
-        except ValueError as exc:
-            raise FixtureError(str(exc), "$.metric") from exc
-        for p, point in enumerate(pair.sample_points):
-            if not metric.is_positive_definite_at(point):
-                raise FixtureError(
-                    f"metric is not positive definite at sample point {tuple(point)}",
-                    f"$.sample_points[{p}]",
-                )
-
-    aux_metric = None
-    if "aux_metric" in data:
-        try:
-            aux_metric = MetricField(
-                space, _parse_matrix(data["aux_metric"], space, "$.aux_metric")
+            positive = metric.is_positive_definite_at(point)
+        except ZeroDivisionError as exc:
+            raise FixtureError(
+                f"metric has a pole at sample point {tuple(point)}", f"$.sample_points[{p}]"
+            ) from exc
+        if not positive:
+            raise FixtureError(
+                f"metric is not positive definite at sample point {tuple(point)}",
+                f"$.sample_points[{p}]",
             )
-        except ValueError as exc:
-            raise FixtureError(str(exc), "$.aux_metric") from exc
 
     return FixtureDoc(
         fixture_id=data["id"],
         backend=data["backend"],
         space=space,
         pair=pair,
-        phi=phi,
+        phi=tensors.get("phi"),
         metric=metric,
-        aux_metric=aux_metric,
+        aux_metric=tensors.get("aux_metric"),
         raw=data,
     )
 

@@ -20,7 +20,7 @@ variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,12 +28,12 @@ import numpy as np
 
 from .algebra import RatFun, RfMatrix, solve_linear_exact
 from .exterior import EndoField, FrameForm, MetricField, VectorField, lie_derivative
-from .pair import DistributionFrame, VerifiedPair, two_form_matrix
-from .structure import ContactPairStructure, PreconditionError, is_decomposable
+from .pair import DistributionFrame, VerifiedPair, column_matrix, two_form_matrix
+from .structure import ContactPairStructure, PreconditionError
 from .verdicts import (
     Status,
     Verdict,
-    combine_status,
+    combine_verdicts,
     matrix_residual_entries,
     nonvanishing_verdict,
     residual_verdict,
@@ -67,10 +67,6 @@ class PolarizationError(RuntimeError):
     """The numeric polarization could not be carried out."""
 
 
-def _outer(column: Sequence[RatFun], row: Sequence[RatFun], nvars: int) -> RfMatrix:
-    return RfMatrix(nvars, [[c * r for r in row] for c in column])
-
-
 def is_compatible(cps: ContactPairStructure, g: MetricField, tol: float = 0.0) -> Verdict:
     """Exact check of  phi^T G phi = G - a1 a1^T - a2 a2^T."""
     vp = cps.vp
@@ -83,8 +79,8 @@ def is_compatible(cps: ContactPairStructure, g: MetricField, tol: float = 0.0) -
     residual = (
         phi_t @ g.matrix @ cps.phi.matrix
         - g.matrix
-        + _outer(a1, a1, n)
-        + _outer(a2, a2, n)
+        + RfMatrix.outer(a1, a1, n)
+        + RfMatrix.outer(a2, a2, n)
     )
     return residual_verdict(
         matrix_residual_entries(residual),
@@ -94,20 +90,26 @@ def is_compatible(cps: ContactPairStructure, g: MetricField, tol: float = 0.0) -
     )
 
 
+def _reeb_duality(vp: VerifiedPair, g: MetricField) -> dict[int, list[tuple[str, RatFun]]]:
+    """The labelled residuals g(Z_i, e_b) - alpha_i(e_b) for i = 1, 2."""
+    out = {}
+    for i in (1, 2):
+        image = g.matrix.apply(vp.z(i).components)
+        row = vp.alpha_row(i)
+        out[i] = [
+            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", image[b] - row[b])
+            for b in range(vp.dim)
+        ]
+    return out
+
+
 def compatible_corollaries(
     cps: ContactPairStructure, g: MetricField, tol: float = 0.0
 ) -> dict[str, Verdict]:
     """Consequences every compatible metric must satisfy: g(Z_i, ·) = alpha_i
     and g(Z_i, Z_j) = delta_ij."""
     vp = cps.vp
-    duality = []
-    for i in (1, 2):
-        image = g.matrix.apply(vp.z(i).components)
-        row = vp.alpha_row(i)
-        duality.extend(
-            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", image[b] - row[b])
-            for b in range(vp.dim)
-        )
+    duality = [r for residuals in _reeb_duality(vp, g).values() for r in residuals]
     gram = []
     for i in (1, 2):
         for j in (1, 2):
@@ -140,13 +142,7 @@ class AssociatedCheckReport:
 
     @property
     def verdict(self) -> Verdict:
-        status = combine_status(self.verdicts.values())
-        if status is Status.FAILED:
-            first = next(v for v in self.verdicts.values() if not v.ok)
-            return Verdict(status, first.detail, witness=first.witness)
-        details = "; ".join(v.detail for v in self.verdicts.values() if v.detail)
-        points = max((v.points_checked for v in self.verdicts.values()), default=0)
-        return Verdict(status, details, points_checked=points)
+        return combine_verdicts(self.verdicts.values())
 
     @property
     def ok(self) -> bool:
@@ -160,21 +156,13 @@ def is_associated(
     vp = cps.vp
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
-    n = vp.dim
     a_matrix = two_form_matrix(vp.pair.dalpha(1)) + two_form_matrix(vp.pair.dalpha(2))
     pairing = g.matrix @ cps.phi.matrix - a_matrix
     skew = cps.phi.matrix.transpose() @ g.matrix + g.matrix @ cps.phi.matrix
 
-    reeb: dict[int, tuple[RatFun, ...]] = {}
-    reeb_labelled = []
-    for i in (1, 2):
-        image = g.matrix.apply(vp.z(i).components)
-        row = vp.alpha_row(i)
-        res = tuple(image[b] - row[b] for b in range(n))
-        reeb[i] = res
-        reeb_labelled.extend(
-            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", res[b]) for b in range(n)
-        )
+    duality = _reeb_duality(vp, g)
+    reeb = {i: tuple(r for _, r in residuals) for i, residuals in duality.items()}
+    reeb_labelled = duality[1] + duality[2]
 
     points = vp.sample_points
     verdicts = {
@@ -200,14 +188,20 @@ def is_associated(
 @dataclass(frozen=True)
 class MetricContactPair:
     """Contact pair structure plus an associated metric (enforced within
-    ``tol`` at construction)."""
+    ``tol`` at construction).  ``associated`` is the :func:`is_associated`
+    report of (cps, g, tol); a caller that has it already passes it in, and
+    it is computed otherwise."""
 
     cps: ContactPairStructure
     g: MetricField
     tol: float = 0.0
+    associated: AssociatedCheckReport | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        report = is_associated(self.cps, self.g, self.tol)
+        report = self.associated
+        if report is None:
+            report = is_associated(self.cps, self.g, self.tol)
+            object.__setattr__(self, "associated", report)
         if not report.ok:
             raise MetricValidationError(
                 f"metric is not associated: {report.verdict.witness}"
@@ -242,7 +236,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
     n = vp.dim
     a1 = vp.alpha_row(1)
     a2 = vp.alpha_row(2)
-    alpha_term = _outer(a1, a1, n) + _outer(a2, a2, n)
+    alpha_term = RfMatrix.outer(a1, a1, n) + RfMatrix.outer(a2, a2, n)
     phi = cps.phi.matrix
     phi2 = phi @ phi
     k_matrix = phi2.transpose() @ h_aux.matrix @ phi2 + alpha_term
@@ -371,8 +365,7 @@ def build_associated_by_polarization(
         g_blocks.append(g_block)
 
     ordered = [v for vectors in block_frames for v in vectors]
-    basis_cols = [v.components for v in ordered] + [vp.z1.components, vp.z2.components]
-    basis = RfMatrix(n, [[basis_cols[j][i] for j in range(n)] for i in range(n)])
+    basis = column_matrix(vp.space, [*ordered, vp.z1, vp.z2])
     basis_inv = basis.inverse()
 
     zero = RatFun.zero(n)
@@ -416,21 +409,14 @@ def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0
     )
 
 
-def killing_check(
-    cps: ContactPairStructure, g: MetricField, i: int, tol: float = 0.0
-) -> dict[str, Verdict]:
-    """Zero-ness of L_{Z_i} g and L_{Z_i} phi.  Defined for associated
-    metrics, where the two vanishing statements are equivalent: phi is
-    Z_i-invariant exactly when Z_i is a Killing field."""
-    report = is_associated(cps, g, tol)
-    if not report.ok:
-        raise PreconditionError(
-            f"killing_check requires an associated metric: {report.verdict.witness}"
-        )
-    vp = cps.vp
+def killing_check(mcp: MetricContactPair, i: int, tol: float = 0.0) -> dict[str, Verdict]:
+    """Zero-ness of L_{Z_i} g and L_{Z_i} phi.  For an associated metric,
+    which ``mcp`` guarantees, the two vanishing statements are equivalent:
+    phi is Z_i-invariant exactly when Z_i is a Killing field."""
+    vp = mcp.vp
     z = vp.z(i)
-    lie_g = lie_derivative(z, g)
-    lie_phi = lie_derivative(z, cps.phi)
+    lie_g = lie_derivative(z, mcp.g)
+    lie_phi = lie_derivative(z, mcp.phi)
     return {
         "lie_g_zero": residual_verdict(
             matrix_residual_entries(lie_g.matrix),
@@ -464,8 +450,9 @@ def decomposability_orthogonality_agreement(
     cps: ContactPairStructure, g: MetricField, tol: float = 0.0
 ) -> Verdict:
     """For an associated metric, phi is decomposable iff the characteristic
-    foliations are orthogonal; the two verdicts must match."""
-    dec = is_decomposable(cps, tol)
+    foliations are orthogonal; the two verdicts must match.  Decomposability
+    is the structure's own verdict (:attr:`ContactPairStructure.decomposable`)."""
+    dec = cps.decomposable
     orth = are_foliations_orthogonal(cps.vp, g, tol)
     if dec.ok == orth.ok:
         value = "both hold" if dec.ok else "both fail"
@@ -542,9 +529,10 @@ def verify_restricted_contact_metric(
     (j != i) and checks g(u, phi v) = d alpha_i(u, v), g(u, Z_i) = alpha_i(u)
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
-    contact pair of the induced type with the restricted metric associated."""
-    decomposable = is_decomposable(mcp.cps, tol)
-    if not decomposable.ok:
+    contact pair of the induced type with the restricted metric associated.
+    Decomposability is the structure's own verdict
+    (:attr:`ContactPairStructure.decomposable`)."""
+    if not mcp.cps.decomposable.ok:
         raise PreconditionError(
             "restriction to the characteristic leaves needs decomposable phi"
         )
@@ -637,13 +625,14 @@ def verify_restricted_contact_metric(
             verdicts.append(residual_verdict(residuals, points, tol))
 
         m = frame.size
+        dsum = vp.pair.dalpha(1) + vp.pair.dalpha(2)
         associated_residuals = []
         for p in range(m):
             for q in range(m):
                 lhs = vp.space.zero()
                 for r in range(m):
                     lhs = lhs + g.value(vectors[p], vectors[r]) * phi_rest[r][q]
-                rhs = (vp.pair.dalpha(1) + vp.pair.dalpha(2))(vectors[p], vectors[q])
+                rhs = dsum(vectors[p], vectors[q])
                 associated_residuals.append(
                     (f"(G phi - d alpha)|{frame.label} ({p},{q})", lhs - rhs)
                 )
@@ -664,12 +653,9 @@ def verify_restricted_contact_metric(
             )
         )
 
-        status = combine_status(verdicts)
-        if status is Status.FAILED:
-            first = next(v for v in verdicts if not v.ok)
-            return Verdict(status, first.detail, witness=first.witness)
-        detail = f"metric contact pair of type ({h_ind}, {k_ind}) induced on {frame.label}"
-        pts = max(v.points_checked for v in verdicts)
-        return Verdict(status, detail, points_checked=pts)
+        return combine_verdicts(
+            verdicts,
+            detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {frame.label}",
+        )
 
     raise TypeError(f"unknown restriction mode {mode!r}")

@@ -11,6 +11,7 @@ alpha_i(Z_j) = delta_ij and i_{Z_j} d alpha_i = 0; they commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -73,6 +74,11 @@ def two_form_matrix(form: Form) -> RfMatrix:
     return RfMatrix(n, mat)
 
 
+def column_matrix(space: Space, vectors: Sequence[VectorField]) -> RfMatrix:
+    """The dim x len(vectors) matrix whose columns are the given fields."""
+    return RfMatrix(space.dim, [[v.components[a] for v in vectors] for a in range(space.dim)])
+
+
 @dataclass(frozen=True)
 class ContactPair:
     """Candidate contact pair of type (h, k) with mandatory sample points."""
@@ -115,7 +121,12 @@ class ContactPair:
         return self.alpha1 if i == 1 else self.alpha2
 
     def dalpha(self, i: int) -> Form:
-        return ext_d(self.alpha(i))
+        """d alpha_i; both differentials are computed once, on first use."""
+        return self._dalphas[0 if i == 1 else 1]
+
+    @cached_property
+    def _dalphas(self) -> tuple[Form, Form]:
+        return ext_d(self.alpha1), ext_d(self.alpha2)
 
     def degree_of(self, i: int) -> int:
         """The wedge exponent attached to d alpha_i by the pair type."""
@@ -233,10 +244,7 @@ class DistributionFrame:
 
     def matrix(self) -> RfMatrix:
         """n x size matrix whose columns are the frame vectors."""
-        n = self.space.dim
-        return RfMatrix(
-            n, [[v.components[i] for v in self.vectors] for i in range(n)]
-        )
+        return column_matrix(self.space, self.vectors)
 
     def rank(self) -> int:
         if not self.vectors:
@@ -249,15 +257,7 @@ class DistributionFrame:
             return True
         if not self.vectors:
             return False
-        n = self.space.dim
-        extended = RfMatrix(
-            n,
-            [
-                [v.components[i] for v in self.vectors] + [field.components[i]]
-                for i in range(n)
-            ],
-        )
-        return generic_rank(extended) == self.size
+        return generic_rank(column_matrix(self.space, [*self.vectors, field])) == self.size
 
 
 def _kernel_frame_from_rows(
@@ -383,13 +383,7 @@ def verify_splittings(vp: VerifiedPair) -> Verdict:
     """TM = TF1 ⊕ TF2 and TF_i = TG_i ⊕ R·Z_j (j != i), generically,
     by rank and membership checks on the frames."""
     n = vp.dim
-    combined = RfMatrix(
-        n,
-        [
-            [v.components[i] for v in vp.tf1.vectors + vp.tf2.vectors]
-            for i in range(n)
-        ],
-    )
+    combined = column_matrix(vp.space, vp.tf1.vectors + vp.tf2.vectors)
     if generic_rank(combined) != n:
         return Verdict.failed(
             f"rank(TF1 ∪ TF2) = {generic_rank(combined)} != {n}",
@@ -398,24 +392,12 @@ def verify_splittings(vp: VerifiedPair) -> Verdict:
     for i in (1, 2):
         j = 2 if i == 1 else 1
         tf, tg, z = vp.tf(i), vp.tg(i), vp.z(j)
-        direct_sum = RfMatrix(
-            n,
-            [
-                [v.components[a] for v in tg.vectors + (z,)]
-                for a in range(n)
-            ],
-        )
+        direct_sum = column_matrix(vp.space, tg.vectors + (z,))
         if generic_rank(direct_sum) != tf.size:
             return Verdict.failed(
                 f"rank(TG{i} + Z{j}) = {generic_rank(direct_sum)} != rank(TF{i}) = {tf.size}"
             )
-        everything = RfMatrix(
-            n,
-            [
-                [v.components[a] for v in tf.vectors + tg.vectors + (z,)]
-                for a in range(n)
-            ],
-        )
+        everything = column_matrix(vp.space, tf.vectors + tg.vectors + (z,))
         if generic_rank(everything) != tf.size:
             return Verdict.failed(
                 f"TG{i} ⊕ R·Z{j} and TF{i} span different subbundles"

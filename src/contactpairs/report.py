@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .verdicts import Status, Verdict
+from .verdicts import Status, Verdict, combine_status
 
 __all__ = ["Report", "format_float", "render_report"]
 
@@ -36,13 +36,7 @@ class Report:
         return {"contactpairs": __version__}
 
     def status(self) -> Status:
-        worst = Status.VERIFIED
-        for v in self.verdicts.values():
-            if v.status is Status.FAILED:
-                return Status.FAILED
-            if v.status is Status.SAMPLE_VERIFIED:
-                worst = Status.SAMPLE_VERIFIED
-        return worst
+        return combine_status(self.verdicts.values())
 
     def exit_code(self) -> int:
         """0: all Verified; 2: SampleVerified present, nothing Failed;

@@ -12,10 +12,11 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import RatFun, RfMatrix, generic_rank
 from .exterior import EndoField
-from .pair import DistributionFrame, VerifiedPair
+from .pair import DistributionFrame, VerifiedPair, column_matrix
 from .verdicts import Verdict, matrix_residual_entries, residual_verdict
 
 __all__ = [
@@ -38,10 +39,6 @@ class PreconditionError(RuntimeError):
     """An operation was invoked outside its stated hypotheses."""
 
 
-def _outer(column: tuple[RatFun, ...], row: tuple[RatFun, ...], nvars: int) -> RfMatrix:
-    return RfMatrix(nvars, [[c * r for r in row] for c in column])
-
-
 def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict[str, Verdict]:
     """Check the defining and derived identities of (alpha1, alpha2, phi).
 
@@ -56,8 +53,8 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
     points = vp.sample_points
 
     eye = RfMatrix.identity(n, nvars)
-    reeb_outer = _outer(vp.z1.components, vp.alpha_row(1), nvars) + _outer(
-        vp.z2.components, vp.alpha_row(2), nvars
+    reeb_outer = RfMatrix.outer(vp.z1.components, vp.alpha_row(1), nvars) + (
+        RfMatrix.outer(vp.z2.components, vp.alpha_row(2), nvars)
     )
     squared_residual = (phi.matrix @ phi.matrix) + eye - reeb_outer
     out = {
@@ -125,6 +122,11 @@ class ContactPairStructure:
     def sample_points(self):
         return self.vp.sample_points
 
+    @cached_property
+    def decomposable(self) -> Verdict:
+        """:func:`is_decomposable` at the structure's own ``tol``, computed once."""
+        return is_decomposable(self, self.tol)
+
 
 def is_decomposable(cps: ContactPairStructure, tol: float = 0.0) -> Verdict:
     """phi preserves both characteristic subbundles: for every frame vector v
@@ -183,21 +185,11 @@ def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoF
         raise StructureValidationError(
             f"frame has {frame.size} vectors; TG1 ⊕ TG2 needs {m}"
         )
-    span_check = RfMatrix(
-        n,
-        [
-            [v.components[a] for v in vp.tg1.vectors + vp.tg2.vectors + frame.vectors]
-            for a in range(n)
-        ],
-    )
+    span_check = column_matrix(vp.space, vp.tg1.vectors + vp.tg2.vectors + frame.vectors)
     if generic_rank(span_check) != m:
         raise StructureValidationError("frame does not span TG1 ⊕ TG2 generically")
 
-    basis_cols = [v.components for v in frame.vectors] + [
-        vp.z1.components,
-        vp.z2.components,
-    ]
-    basis = RfMatrix(n, [[basis_cols[j][i] for j in range(n)] for i in range(n)])
+    basis = column_matrix(vp.space, [*frame.vectors, vp.z1, vp.z2])
     block = [
         [
             j_structure.matrix.at(i, j) if i < m and j < m else RatFun.zero(n)
@@ -222,8 +214,9 @@ def verify_induced_almost_contact(
     """On the leaves tangent to ``leaf_frame`` (the characteristic frame of
     alpha_j, j != i), (alpha_i, Z_i, phi) restricts to an almost contact
     structure: phi^2 v = -v + alpha_i(v) Z_i for every frame vector v, with
-    Z_i inside the frame's generic span."""
-    decomposable = is_decomposable(cps, tol)
+    Z_i inside the frame's generic span.  Decomposability is the structure's
+    own verdict (:attr:`ContactPairStructure.decomposable`)."""
+    decomposable = cps.decomposable
     if not decomposable.ok:
         raise PreconditionError(
             f"phi is not decomposable ({decomposable.witness}); "

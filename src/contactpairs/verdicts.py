@@ -66,6 +66,22 @@ def combine_status(verdicts: Iterable[Verdict]) -> Status:
     return worst
 
 
+def combine_verdicts(verdicts: Iterable[Verdict], detail: str | None = None) -> Verdict:
+    """One verdict for a conjunction.  Failed: the first failed member's
+    detail and witness.  Otherwise the worst status, with ``detail`` (by
+    default the members' details joined by "; ") and the most points any
+    member checked."""
+    verdicts = list(verdicts)
+    status = combine_status(verdicts)
+    if status is Status.FAILED:
+        first = next(v for v in verdicts if not v.ok)
+        return Verdict(status, first.detail, witness=first.witness)
+    if detail is None:
+        detail = "; ".join(v.detail for v in verdicts if v.detail)
+    points = max((v.points_checked for v in verdicts), default=0)
+    return Verdict(status, detail, points_checked=points)
+
+
 def residual_verdict(
     residuals: Sequence[tuple[str, RatFun]],
     sample_points: Sequence[Sequence],

@@ -256,3 +256,8 @@ def test_numeric_residual_rejects_bad_step():
         numeric_geodesic_residual(
             MetricField.euclidean(s), VectorField.basis(s, 0), [0, 0], dt=0.0
         )
+
+
+def test_reeb_geodesy_carries_its_christoffel_symbols(r6):
+    vp, g = r6
+    assert reeb_geodesy(vp, g).christoffel.symbols == christoffel(g).symbols

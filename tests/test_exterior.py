@@ -355,3 +355,10 @@ def test_frame_form_wedge_and_top_coefficient():
     top = beta1.wedge(beta2).wedge(d)
     assert top.top_coefficient() == one
     assert d.wedge_power(2).is_zero()
+
+
+def test_frame_form_wedge_power_rejects_negative_exponent():
+    d = FrameForm.two_form([[RatFun.zero(2), RatFun.one(2)], [-RatFun.one(2), RatFun.zero(2)]])
+    assert d.wedge_power(1).top_coefficient() == RatFun.one(2)
+    with pytest.raises(ValueError):
+        d.wedge_power(-1)

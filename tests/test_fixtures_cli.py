@@ -210,6 +210,51 @@ def test_extra_samples_option():
     assert report.exit_code() == 0
 
 
+def test_failed_structure_is_the_skip_reason(capsys):
+    """phi is present but phi(Z2) != 0: the checks built on the structure
+    say so instead of claiming the fixture has no phi."""
+    reason = "structure identities failed: structure_phi_reeb"
+    report = run("theorems", fixture_path("bad_phi.json"))
+    assert report.verdicts["structure_phi_reeb"].status is Status.FAILED
+    for key in (
+        "decomposable",
+        "compatible",
+        "associated",
+        "killing",
+        "decomposable_orthogonal_agreement",
+    ):
+        assert report.skipped[key] == reason, key
+    assert main(["compatible", str(fixture_path("bad_phi.json"))]) == 1
+    assert f"compatible: skipped ({reason})" in capsys.readouterr().out
+
+
+def _flat2_with(tmp_path, metric, points):
+    data = json.loads(fixture_path("flat2_mcp.json").read_text())
+    data.update(metric=metric, sample_points=points)
+    path = tmp_path / "flat2_variant.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_metric_pole_at_sample_point_is_a_fixture_error(tmp_path, capsys):
+    path = _flat2_with(tmp_path, [["1", "0"], ["0", "1/x"]], [["0", "1"]])
+    with pytest.raises(FixtureError, match=r"\$\.sample_points\[0\]"):
+        load_fixture(path)
+    assert main(["orthogonal", str(path)]) == 3
+    assert "$.sample_points[0]" in capsys.readouterr().err
+
+
+def test_extra_samples_are_validated_like_declared_points(tmp_path, capsys):
+    """--samples 6 --seed 3 appends (-3/2, -1/4) as point 1, where
+    g_yy = x + 1 = -1/2."""
+    path = _flat2_with(tmp_path, [["1", "0"], ["0", "x+1"]], [["1", "1"]])
+    assert main(["orthogonal", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["orthogonal", str(path), "--samples", "6", "--seed", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "$.sample_points[1]" in err and "not positive definite" in err
+
+
 # --- report serialization ----------------------------------------------------------------
 
 

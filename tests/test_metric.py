@@ -28,6 +28,7 @@ from contactpairs.metric import (
 )
 from contactpairs.pair import ContactPair, Status, kernel_frame, verified_pair
 from contactpairs.structure import ContactPairStructure, PreconditionError, is_decomposable
+from contactpairs.verdicts import Verdict, combine_verdicts
 
 from conftest import (
     FLAT2_SAMPLES,
@@ -154,6 +155,29 @@ def test_mcp_constructor_enforces_associatedness(r6, nilpotent):
     cps_bad, g_bad = r6
     with pytest.raises(MetricValidationError):
         MetricContactPair(cps_bad, g_bad)
+    with pytest.raises(MetricValidationError):
+        MetricContactPair(cps_bad, g_bad, associated=is_associated(cps_bad, g_bad))
+
+
+def test_mcp_keeps_the_associated_report(nilpotent):
+    cps, g = nilpotent
+    report = is_associated(cps, g)
+    assert MetricContactPair(cps, g, associated=report).associated is report
+    assert MetricContactPair(cps, g).associated.ok
+
+
+def test_combine_verdicts():
+    verified = Verdict.verified("a")
+    sampled = Verdict.sample_verified(3, "b")
+    failed = Verdict.failed("w", "c")
+    assert combine_verdicts([verified, sampled]) == Verdict(
+        Status.SAMPLE_VERIFIED, "a; b", points_checked=3
+    )
+    assert combine_verdicts([verified, sampled], detail="d").detail == "d"
+    assert combine_verdicts([verified, failed, sampled]) == Verdict(
+        Status.FAILED, "c", witness="w"
+    )
+    assert combine_verdicts([]) == Verdict(Status.VERIFIED)
 
 
 # --- build_compatible -----------------------------------------------------------------
@@ -303,23 +327,27 @@ def test_equivalence_on_exact_fixtures(nilpotent, flat2):
 
 def test_killing_check_nilpotent(nilpotent):
     cps, g = nilpotent
+    mcp = MetricContactPair(cps, g)
     for i in (1, 2):
-        results = killing_check(cps, g, i)
+        results = killing_check(mcp, i)
         assert results["lie_g_zero"].status is Status.VERIFIED
         assert results["lie_phi_zero"].status is Status.VERIFIED
         assert killing_agreement(results).status is Status.VERIFIED
 
 
 def test_killing_check_requires_associated(r6):
+    """The check takes a MetricContactPair, which refuses a metric that is
+    not associated."""
     cps, g = r6
-    with pytest.raises(PreconditionError):
-        killing_check(cps, g, 1)
+    with pytest.raises(MetricValidationError):
+        killing_check(MetricContactPair(cps, g), 1)
 
 
 def test_killing_check_flat2(flat2):
     cps, g = flat2
+    mcp = MetricContactPair(cps, g)
     for i in (1, 2):
-        results = killing_check(cps, g, i)
+        results = killing_check(mcp, i)
         assert killing_agreement(results).status is Status.VERIFIED
 
 

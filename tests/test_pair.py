@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contactpairs.algebra import RatFun, RfMatrix, generic_rank
-from contactpairs.exterior import Form, VectorField
+from contactpairs.exterior import Form, VectorField, ext_d
 from contactpairs.pair import (
     ContactPair,
     PairValidationError,
@@ -309,3 +309,10 @@ def test_verified_pair_rejects_degenerate():
     dx = Form(s, 1, {(0,): 1})
     with pytest.raises(PairValidationError):
         verified_pair(ContactPair(s, dx, dx, 0, 0, tuple(FLAT2_SAMPLES)))
+
+
+def test_dalpha_is_computed_once_on_first_use():
+    pair = make_r6_pair()
+    assert "_dalphas" not in vars(pair)  # constructing the pair differentiates nothing
+    assert pair.dalpha(1) is pair.dalpha(1)
+    assert pair.dalpha(2) == ext_d(pair.alpha2)

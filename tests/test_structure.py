@@ -237,3 +237,10 @@ def test_induced_identity_trivial_on_reeb(nilpotent):
     image = phi.apply(phi.apply(vp.z1))
     target = (-1) * vp.z1 + vp.alpha(1)(vp.z1) * vp.z1
     assert (image - target).is_zero()
+
+
+def test_decomposable_verdict_is_computed_once(nilpotent, r6):
+    for vp, phi in (nilpotent, r6):
+        cps = ContactPairStructure(vp, phi)
+        assert cps.decomposable is cps.decomposable
+        assert cps.decomposable == is_decomposable(cps)
