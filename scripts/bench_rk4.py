@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Per-call cost of ``numeric_geodesic_residual``, parent checkout vs this one.
+
+    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_rk4.json
+    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_rk4.json \\
+        --pairs 10 --first-seed 601
+
+Run it from the root of this checkout; ``--parent`` is a checkout of the
+commit to compare with.  Each tree is measured in its own interpreter, which
+imports ``contactpairs`` from that tree's ``src/`` and times every RK4 call
+made by ``cli.run`` on:
+
+- ``theorems`` on the chart-ladder rungs (1,1), (2,1), (2,2) and on the
+  lie-ladder rung (3,3) (fixtures from ``perfbench/workloads.py``, seed 1);
+- the ``geodesy`` and ``build-compatible`` items of ``verb-mix``.
+
+The per-call figure is the median over ``--repeats`` runs, and the residual
+each tree returned is recorded with it.  With ``--pairs N`` the script then
+runs ``perfbench/run.py --trace 0`` N times per workload in each tree, in
+alternating order, on seeds ``--first-seed`` onwards, and records every
+run's end-to-end metrics with their medians and quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RK4_VERBS = ("geodesy", "build-compatible")
+LADDER_ITEMS = (
+    ("chart-ladder", ("chart_model_1_1", "chart_model_2_1", "chart_model_2_2")),
+    ("lie-ladder", ("heisenberg_3_3",)),
+)
+
+
+def _items(workdir: Path) -> list:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    items = []
+    for workload, ids in LADDER_ITEMS:
+        ladder = workloads.build_items(workload, random.Random(1), ROOT, workdir)
+        items += [item for item in ladder if item.fixture_id in ids]
+    mix = workloads.build_items("verb-mix", random.Random(1), ROOT, workdir)
+    return items + [item for item in mix if item.verb in RK4_VERBS]
+
+
+def measure(tree: Path, repeats: int) -> list[dict]:
+    """Time every RK4 call of every item with the package of ``tree``."""
+    sys.path.insert(0, str(tree / "src"))
+    from contactpairs import cli
+
+    inner = cli.numeric_geodesic_residual
+    calls: list = []
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        residual = inner(*args, **kwargs)
+        calls.append((time.perf_counter() - started, repr(residual)))
+        return residual
+
+    cli.numeric_geodesic_residual = timed
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for item in _items(Path(tmp)):
+            runs = []
+            for _ in range(repeats):
+                calls.clear()
+                cli.run(item.verb, item.path)
+                runs.append(list(calls))
+            for k, results in enumerate(zip(*runs)):
+                rows.append({
+                    "item": f"{item.name}#{k + 1}",
+                    "seconds": statistics.median(t for t, _ in results),
+                    "residual": results[0][1],
+                })
+    return rows
+
+
+def _measure_in_child(tree: Path, repeats: int) -> list[dict]:
+    command = [sys.executable, __file__, "--measure", str(tree), "--repeats", str(repeats)]
+    out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _bench_run(tree: Path, workload: str, seed: int) -> dict:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", "30", "--trace", "0"]
+    out = subprocess.run(command, cwd=tree, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {**metrics, "correct": result["correct"], "failed": result["failed"],
+            "attempted": result["attempted"]}
+
+
+def _machine() -> str:
+    cpu = platform.processor() or "unknown cpu"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return f"{cpu}, {os.cpu_count()} cpus, Python {platform.python_version()}"
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pairs(parent: Path, count: int, first_seed: int) -> dict:
+    out = {}
+    for workload in ("chart-ladder", "lie-ladder", "verb-mix"):
+        runs = []
+        for k in range(count):
+            seed = first_seed + k
+            order = [("parent", parent), ("change", ROOT)]
+            pair = dict(
+                (side, _bench_run(tree, workload, seed))
+                for side, tree in (order if k % 2 == 0 else order[::-1])
+            )
+            runs.append({"seed": seed, **pair})
+            print(json.dumps({"workload": workload, **runs[-1]}), file=sys.stderr, flush=True)
+        summary = {}
+        for metric in runs[0]["parent"]:
+            if isinstance(runs[0]["parent"][metric], float):
+                parent_values = [run["parent"][metric] for run in runs]
+                change_values = [run["change"][metric] for run in runs]
+                summary[metric] = {
+                    "parent": _spread(parent_values),
+                    "change": _spread(change_values),
+                    "change_wins": sum(c < p for p, c in zip(parent_values, change_values)),
+                }
+        out[workload] = {"summary": summary, "runs": runs}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=0)
+    parser.add_argument("--first-seed", type=int, default=601)
+    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure is not None:
+        print(json.dumps(measure(args.measure, args.repeats)))
+        return 0
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required")
+    before = _measure_in_child(args.parent.resolve(), args.repeats)
+    after = _measure_in_child(ROOT, args.repeats)
+    calls = [
+        {
+            "item": b["item"],
+            "parent_s": round(b["seconds"], 6),
+            "change_s": round(a["seconds"], 6),
+            "speedup": round(b["seconds"] / a["seconds"], 2),
+            "residual": a["residual"],
+            "same_residual": a["residual"] == b["residual"],
+        }
+        for b, a in zip(before, after, strict=True)
+    ]
+    record = {
+        "what": "seconds per numeric_geodesic_residual call (median of repeats)",
+        "machine": _machine(),
+        "repeats": args.repeats,
+        "calls": calls,
+        "total_parent_s": round(sum(c["parent_s"] for c in calls), 3),
+        "total_change_s": round(sum(c["change_s"] for c in calls), 3),
+    }
+    if args.pairs:
+        record["end_to_end_pairs"] = pairs(args.parent.resolve(), args.pairs, args.first_seed)
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

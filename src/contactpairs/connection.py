@@ -8,10 +8,20 @@ Koszul formula
 
     2 g(∇_{X_a} X_b, X_k) = g([X_a,X_b], X_k) - g([X_b,X_k], X_a)
                             + g([X_k,X_a], X_b).
+
+The RK4 cross-check is the numeric part.  It compiles each RatFun it
+evaluates (field components, nonzero Christoffel symbols) once to a pair of
+float programs, steps the flow point by point, and evaluates the geodesic
+residual on the whole trajectory at once with numpy arrays.  The
+batched pass gives the same floats, bit for bit, as a point-by-point loop,
+because every point goes through the same IEEE operations in the same order:
+powers come from the scalar libm ``pow``, products and sums are elementwise,
+and there are no BLAS or pairwise reductions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -280,23 +290,98 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyR
 
 # --- numeric cross-check -----------------------------------------------------------
 
+# A float program: one (float coefficient, ((var, power), ...)) per term of a
+# Poly, in the order of ``Poly.terms``, with the zero powers left out.
+_Program = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 
-def _poly_float(p: Poly, point: Sequence[float]) -> float:
+
+def _compile(p: Poly) -> _Program:
+    return tuple(
+        (float(coeff), tuple((j, k) for j, k in enumerate(exps) if k))
+        for exps, coeff in p.terms.items()
+    )
+
+
+def _pow(x: float, k: int) -> float:
+    """``x ** k`` as libm ``pow`` gives it, an overflow to ±inf included
+    (where the float ``**`` raises :class:`OverflowError`)."""
+    try:
+        return x**k
+    except OverflowError:
+        return -math.inf if x < 0 and k % 2 else math.inf
+
+
+def _pole(r: RatFun, point: np.ndarray) -> ZeroDivisionError:
+    return ZeroDivisionError(f"denominator {r.den} vanishes at {tuple(point)}")
+
+
+class _Powers(dict):
+    """``x_j ** k`` on every point of a batch, keyed by ``(j, k)`` and made on
+    first use with the scalar libm ``pow``, element by element: ``np.power``
+    may dispatch to a vector pow that differs in the last bit."""
+
+    def __init__(self, points: np.ndarray):
+        super().__init__()
+        self.columns = points.T.tolist()
+
+    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
+        j, k = key
+        value = self[key] = np.array([_pow(x, k) for x in self.columns[j]])
+        return value
+
+
+@dataclass(frozen=True)
+class _FloatRatFun:
+    """A RatFun compiled to two float programs, evaluated at one point or on
+    a whole batch of points with the same IEEE operations per point."""
+
+    source: RatFun
+    num: _Program
+    den: _Program
+
+    @classmethod
+    def compile(cls, r: RatFun) -> "_FloatRatFun":
+        return cls(r, _compile(r.num), _compile(r.den))
+
+    def at(self, point: list[float]) -> float:
+        den = _run(self.den, point)
+        if den == 0.0:
+            raise _pole(self.source, np.array(point))
+        return _run(self.num, point) / den
+
+
+def _run(program: _Program, point: list[float]) -> float:
     total = 0.0
-    for exps, coeff in p.terms.items():
-        value = float(coeff)
-        for x, k in zip(point, exps):
-            if k:
-                value *= x**k
+    for coeff, factors in program:
+        value = coeff
+        for j, k in factors:
+            value *= _pow(point[j], k)
         total += value
     return total
 
 
-def _ratfun_float(r: RatFun, point: Sequence[float]) -> float:
-    den = _poly_float(r.den, point)
-    if den == 0.0:
-        raise ZeroDivisionError(f"denominator {r.den} vanishes at {tuple(point)}")
-    return _poly_float(r.num, point) / den
+def _run_batch(program: _Program, powers: _Powers, m: int) -> np.ndarray:
+    total = np.zeros(m)
+    for coeff, factors in program:
+        value = np.full(m, coeff)
+        for factor in factors:
+            value *= powers[factor]
+        total += value
+    return total
+
+
+def _eval_batch(functions: Sequence[_FloatRatFun], points: np.ndarray) -> list[np.ndarray]:
+    """Every function on every point (rows of ``points``).  A vanishing
+    denominator raises for the first point, and at that point for the first
+    function, as a point-by-point loop would."""
+    m = len(points)
+    powers = _Powers(points)
+    dens = [_run_batch(f.den, powers, m) for f in functions]
+    poles = np.argwhere(np.array(dens).reshape(len(functions), m).T == 0.0)
+    if poles.size:
+        s, i = poles[0]
+        raise _pole(functions[i].source, points[s])
+    return [_run_batch(f.num, powers, m) / den for f, den in zip(functions, dens)]
 
 
 def numeric_geodesic_residual(
@@ -313,16 +398,31 @@ def numeric_geodesic_residual(
         gamma''^c + sum_{a,b} Γ^c_{ab} gamma'^a gamma'^b,
 
     with the acceleration estimated by central differences of the computed
-    trajectory and Γ evaluated exactly at each interior point."""
+    trajectory and Γ evaluated at each interior point.
+
+    The field components and the nonzero Christoffel symbols are compiled
+    once per call to float programs.  The RK4 steps run one after the other
+    on plain floats; the residual pass then evaluates the speed and every Γ
+    on all interior points at once, as arrays.  The result is the same float
+    a point-by-point evaluation gives, because each point sees the same IEEE
+    operations in the same order: a term starts from its coefficient and is
+    multiplied by ``x_j ** k`` for increasing ``j`` (scalar libm ``pow``), the
+    terms are summed left to right from 0.0, then ``num / den``; the Γ terms
+    are added to the acceleration in ``data.nonzero()`` order, and nothing is
+    reduced pairwise or through BLAS.  A vanishing denominator raises
+    :class:`ZeroDivisionError` naming it and the first point where it
+    vanishes."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     space = g.space
     if data is None:
         data = christoffel(g, validate=False)
     n = space.dim
+    components = [_FloatRatFun.compile(c) for c in field.components]
 
     def velocity(x: np.ndarray) -> np.ndarray:
-        return np.array([_ratfun_float(c, x) for c in field.components])
+        point = x.tolist()
+        return np.array([c.at(point) for c in components])
 
     steps = int(round(t_end / dt))
     trajectory = np.empty((steps + 1, n))
@@ -336,14 +436,14 @@ def numeric_geodesic_residual(
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trajectory[s + 1] = x
 
+    points = trajectory[1:-1]
+    # the acceleration, to which the Γ terms are added
+    residual = (trajectory[2:] - 2.0 * points + trajectory[:-2]) / (dt * dt)
     nonzero_gamma = data.nonzero()
-    worst = 0.0
-    for s in range(1, steps):
-        point = trajectory[s]
-        acceleration = (trajectory[s + 1] - 2.0 * point + trajectory[s - 1]) / (dt * dt)
-        speed = velocity(point)
-        residual = acceleration.copy()
-        for a, b, c, gamma in nonzero_gamma:
-            residual[c] += _ratfun_float(gamma, point) * speed[a] * speed[b]
-        worst = max(worst, float(np.max(np.abs(residual))))
-    return worst
+    speed = _eval_batch(components, points)
+    gammas = _eval_batch([_FloatRatFun.compile(r) for *_, r in nonzero_gamma], points)
+    for (a, b, c, _), gamma in zip(nonzero_gamma, gammas):
+        residual[:, c] += gamma * speed[a] * speed[b]
+    # a row holding a NaN has a NaN maximum and never raises the running max
+    row_max = np.max(np.abs(residual), axis=1)
+    return max([0.0, *row_max[~np.isnan(row_max)].tolist()])

@@ -238,24 +238,32 @@ def load_fixture_dict(data: dict, source: str = "<dict>") -> FixtureDoc:
     tensors = {}
     for key, kind in (("phi", EndoField), ("metric", MetricField), ("aux_metric", MetricField)):
         if key in data:
+            entries = _parse_matrix(data[key], space, f"$.{key}")
             try:
-                tensors[key] = kind(space, _parse_matrix(data[key], space, f"$.{key}"))
+                tensors[key] = kind(space, entries)
             except ValueError as exc:
                 raise FixtureError(str(exc), f"$.{key}") from exc
 
-    metric = tensors.get("metric")
-    for p, point in enumerate(pair.sample_points if metric else ()):
+    # A metric must be finite and positive definite at every sample point; an
+    # aux_metric only finite (build_compatible reports a non-definite one).
+    metric, aux_metric = tensors.get("metric"), tensors.get("aux_metric")
+    for p, point in enumerate(pair.sample_points):
+        path = f"$.sample_points[{p}]"
         try:
-            positive = metric.is_positive_definite_at(point)
+            positive = metric is None or metric.is_positive_definite_at(point)
         except ZeroDivisionError as exc:
-            raise FixtureError(
-                f"metric has a pole at sample point {tuple(point)}", f"$.sample_points[{p}]"
-            ) from exc
+            raise FixtureError(f"metric has a pole at sample point {tuple(point)}", path) from exc
         if not positive:
             raise FixtureError(
-                f"metric is not positive definite at sample point {tuple(point)}",
-                f"$.sample_points[{p}]",
+                f"metric is not positive definite at sample point {tuple(point)}", path
             )
+        if aux_metric is not None:
+            try:
+                aux_metric.eval_at(point)
+            except ZeroDivisionError as exc:
+                raise FixtureError(
+                    f"aux_metric has a pole at sample point {tuple(point)}", path
+                ) from exc
 
     return FixtureDoc(
         fixture_id=data["id"],
@@ -264,7 +272,7 @@ def load_fixture_dict(data: dict, source: str = "<dict>") -> FixtureDoc:
         pair=pair,
         phi=tensors.get("phi"),
         metric=metric,
-        aux_metric=tensors.get("aux_metric"),
+        aux_metric=aux_metric,
         raw=data,
     )
 

@@ -1,12 +1,19 @@
 """Levi-Civita connection, Reeb geodesy, and the RK4 cross-check."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactpairs.algebra import RatFun
+from contactpairs.algebra import Poly, RatFun
+from contactpairs.cli import run
 from contactpairs.connection import (
     DegenerateMetricError,
+    _eval_batch,
+    _FloatRatFun,
     christoffel,
     covariant_derivative,
     numeric_geodesic_residual,
@@ -241,6 +248,8 @@ def test_numeric_residual_negative_control(r6):
     wrong = VectorField(s, [s.one(), s.coordinate(0), 0, 0, 0, 0])
     residual = numeric_geodesic_residual(g, wrong, [0] * 6, t_end=1.0, dt=1e-3)
     assert residual > 1e-3
+    # the exact float of the earlier point-by-point evaluator
+    assert repr(residual) == "1.9980009999732462"
 
 
 def test_numeric_residual_nilpotent(nilpotent):
@@ -261,3 +270,85 @@ def test_numeric_residual_rejects_bad_step():
 def test_reeb_geodesy_carries_its_christoffel_symbols(r6):
     vp, g = r6
     assert reeb_geodesy(vp, g).christoffel.symbols == christoffel(g).symbols
+
+
+# Exact reprs recorded from the earlier point-by-point evaluator (CLI start
+# sample_points[0]); the compiled, batched pass must give the same floats.
+ROUNDOFF = "1.1102230246251565e-10"
+DATA = Path(__file__).resolve().parents[1] / "src" / "contactpairs" / "data"
+REPROS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+Z12 = ("geodesy_rk4_z1", "geodesy_rk4_z2")
+BUILT_Z12 = ("built_geodesy_rk4_z1", "built_geodesy_rk4_z2")
+
+
+@pytest.mark.parametrize(
+    "path, verb, keys, pinned",
+    [
+        (DATA / "local_model_1_1.json", "build-compatible", BUILT_Z12, (ROUNDOFF, ROUNDOFF)),
+        (DATA / "r6_example.json", "geodesy", Z12, (ROUNDOFF, ROUNDOFF)),
+        (DATA / "nilpotent_g6.json", "geodesy", Z12, (ROUNDOFF, ROUNDOFF)),
+        (REPROS / "repro_quartic_reeb.json", "geodesy", Z12, (ROUNDOFF, "2.000102909960333e-06")),
+        (REPROS / "repro_x_dx.json", "build-compatible", BUILT_Z12, ("1.241262751472405e-06", ROUNDOFF)),
+    ],
+    ids=["local_model_1_1", "r6_example", "nilpotent_g6", "repro_quartic_reeb", "repro_x_dx"],
+)
+def test_numeric_residual_pinned(path, verb, keys, pinned):
+    residuals = run(verb, path).residuals
+    assert tuple(repr(residuals[key]) for key in keys) == pinned
+
+
+def test_numeric_residual_blow_up_is_inf():
+    """The flow of x³ ∂x from x = 1 blows up at t = 1/2; past it the powers
+    overflow to inf, as libm pow gives them, and so does the residual."""
+    s = Space.chart(["x", "y"])
+    x = s.coordinate(0)
+    field = VectorField(s, [x * x * x, s.zero()])
+    with np.errstate(all="ignore"):
+        residual = numeric_geodesic_residual(MetricField.euclidean(s), field, [1, 0])
+    assert residual == float("inf")
+
+
+def _flow_pole_cases():
+    s = Space.chart(["x", "y"])
+    x, y = s.coordinate(0), s.coordinate(1)
+    g = MetricField(s, [[s.one(), s.zero()], [s.zero(), 1 / y]])
+    # the denominator of Γ^y_yy = -1/(2y) vanishes on y = 0, where the flow of ∂x stays
+    yield g, VectorField.basis(s, 0), christoffel(g), "x2", (0.001, 0.0)
+    # the field's own pole is hit by the second RK4 stage of the first step
+    field = VectorField(s, [s.one(), 1 / (2000 * x - 1)])
+    yield MetricField.euclidean(s), field, None, "x1 - 1/2000", (0.0005, -0.0005)
+
+
+@pytest.mark.parametrize(
+    "g, field, data, den, where", list(_flow_pole_cases()), ids=["christoffel", "field"]
+)
+def test_numeric_residual_pole_names_denominator_and_point(g, field, data, den, where):
+    message = f"denominator {den} vanishes at {tuple(np.array(where))}"
+    with pytest.raises(ZeroDivisionError) as info:
+        numeric_geodesic_residual(g, field, [0, 0], data=data)
+    assert str(info.value) == message
+
+
+_positive_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=Fraction(1, 20), max_value=20),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Poly(2, terms))
+_positive_points = st.lists(
+    st.tuples(*[st.fractions(min_value=Fraction(1, 10), max_value=10)] * 2),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_positive_polys, _positive_polys, _positive_points)
+def test_numeric_residual_compiled_program_matches_exact_eval(num, den, points):
+    exact = RatFun(num, den)
+    r = _FloatRatFun.compile(exact)
+    floats = [[float(v) for v in point] for point in points]
+    (batch,) = _eval_batch([r], np.array(floats))
+    for k, (point, values) in enumerate(zip(points, floats)):
+        assert r.at(values) == pytest.approx(float(exact.eval(point)), rel=1e-12)
+        assert batch[k] == r.at(values)  # bit-identical, not only close

@@ -255,6 +255,37 @@ def test_extra_samples_are_validated_like_declared_points(tmp_path, capsys):
     assert "$.sample_points[1]" in err and "not positive definite" in err
 
 
+@pytest.mark.parametrize("verb", ["build-compatible", "theorems"])
+def test_aux_metric_pole_at_sample_point_is_a_fixture_error(verb, capsys):
+    path = fixture_path("aux_pole.json")
+    with pytest.raises(FixtureError, match=r"^\$\.sample_points\[0\]: aux_metric has a pole"):
+        load_fixture(path)
+    assert main([verb, str(path)]) == 3
+    assert "error: $.sample_points[0]: aux_metric has a pole" in capsys.readouterr().err
+
+
+def test_non_definite_aux_metric_is_a_failed_build(tmp_path):
+    data = json.loads(fixture_path("aux_pole.json").read_text())
+    data["aux_metric"] = [["1", "0"], ["0", "-1"]]
+    path = tmp_path / "aux_indefinite.json"
+    path.write_text(json.dumps(data))
+    report = run("build-compatible", path)
+    assert report.verdicts["built_compatible"].status is Status.FAILED
+    assert report.exit_code() == 1
+
+
+@pytest.mark.parametrize("key", ["phi", "metric", "aux_metric"])
+def test_bad_matrix_entry_names_its_path_once(key, tmp_path, capsys):
+    data = json.loads(fixture_path("flat2_mcp.json").read_text())
+    data[key] = [["0", "1/"], ["0", "1"]]
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-pair", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: $.{key}[0][1]: bad expression '1/': ")
+    assert err.count("$.") == 1
+
+
 # --- report serialization ----------------------------------------------------------------
 
 
