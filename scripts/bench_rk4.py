@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
-"""Per-call cost of ``numeric_geodesic_residual``, parent checkout vs this one.
+"""Per-call cost of the RK4 cross-check, the exact inverse and the Christoffel
+symbols, parent checkout vs this one.
 
-    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_rk4.json
-    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_rk4.json \\
+    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_christoffel.json
+    python3 scripts/bench_rk4.py --parent ../parent --out BENCH_christoffel.json \\
         --pairs 10 --first-seed 601
 
 Run it from the root of this checkout; ``--parent`` is a checkout of the
 commit to compare with.  Each tree is measured in its own interpreter, which
-imports ``contactpairs`` from that tree's ``src/`` and times every RK4 call
-made by ``cli.run`` on:
+imports ``contactpairs`` from that tree's ``src/`` and times, in one pass,
+every ``numeric_geodesic_residual``, ``RfMatrix.inverse`` and ``christoffel``
+call made by ``cli.run`` on:
 
 - ``theorems`` on the chart-ladder rungs (1,1), (2,1), (2,2) and on the
   lie-ladder rung (3,3) (fixtures from ``perfbench/workloads.py``, seed 1);
 - the ``geodesy`` and ``build-compatible`` items of ``verb-mix``.
 
-The per-call figure is the median over ``--repeats`` runs, and the residual
-each tree returned is recorded with it.  With ``--pairs N`` the script then
-runs ``perfbench/run.py --trace 0`` N times per workload in each tree, in
-alternating order, on seeds ``--first-seed`` onwards, and records every
-run's end-to-end metrics with their medians and quartiles.
+The per-call figure is the median over ``--repeats`` runs, and what each
+tree returned is recorded with it: the residual's ``repr`` for RK4, a digest
+of the entries (printed with sorted terms) for the inverse and the symbols.
+A ``christoffel`` call includes the ``inverse`` call it makes.  With
+``--pairs N`` the script then runs ``perfbench/run.py --trace 0`` N times per
+workload in each tree, in alternating order, on seeds ``--first-seed``
+onwards, and records every run's end-to-end metrics with their medians and
+quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RK4_VERBS = ("geodesy", "build-compatible")
+TIMED = ("rk4", "inverse", "christoffel")
 LADDER_ITEMS = (
     ("chart-ladder", ("chart_model_1_1", "chart_model_2_1", "chart_model_2_2")),
     ("lie-ladder", ("heisenberg_3_3",)),
@@ -55,39 +62,55 @@ def _items(workdir: Path) -> list:
     return items + [item for item in mix if item.verb in RK4_VERBS]
 
 
-def measure(tree: Path, repeats: int) -> list[dict]:
-    """Time every RK4 call of every item with the package of ``tree``."""
+def _digest(entries) -> str:
+    return hashlib.sha256(repr([str(e) for e in entries]).encode()).hexdigest()[:16]
+
+
+def measure(tree: Path, repeats: int) -> dict[str, list[dict]]:
+    """Time every timed call of every item with the package of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
-    from contactpairs import cli
+    from contactpairs import algebra, cli, connection
 
-    inner = cli.numeric_geodesic_residual
-    calls: list = []
+    calls: dict[str, list] = {kind: [] for kind in TIMED}
 
-    def timed(*args, **kwargs):
-        started = time.perf_counter()
-        residual = inner(*args, **kwargs)
-        calls.append((time.perf_counter() - started, repr(residual)))
-        return residual
+    def timed(kind, inner, result_of):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            result = inner(*args, **kwargs)
+            calls[kind].append((time.perf_counter() - started, result_of(result)))
+            return result
 
-    cli.numeric_geodesic_residual = timed
-    rows = []
+        return wrapper
+
+    cli.numeric_geodesic_residual = timed("rk4", cli.numeric_geodesic_residual, repr)
+    algebra.RfMatrix.inverse = timed(
+        "inverse", algebra.RfMatrix.inverse,
+        lambda m: f"{m.rows}x{m.cols} {_digest(e for row in m.entries for e in row)}",
+    )
+    connection.christoffel = timed(
+        "christoffel", connection.christoffel,
+        lambda d: f"dim {d.space.dim} {_digest(e for _, _, _, e in d.nonzero())}",
+    )
+    rows: dict[str, list[dict]] = {kind: [] for kind in TIMED}
     with tempfile.TemporaryDirectory() as tmp:
         for item in _items(Path(tmp)):
             runs = []
             for _ in range(repeats):
-                calls.clear()
+                for made in calls.values():
+                    made.clear()
                 cli.run(item.verb, item.path)
-                runs.append(list(calls))
-            for k, results in enumerate(zip(*runs)):
-                rows.append({
-                    "item": f"{item.name}#{k + 1}",
-                    "seconds": statistics.median(t for t, _ in results),
-                    "residual": results[0][1],
-                })
+                runs.append({kind: list(made) for kind, made in calls.items()})
+            for kind in TIMED:
+                for k, results in enumerate(zip(*(run[kind] for run in runs))):
+                    rows[kind].append({
+                        "item": f"{item.name}#{k + 1}",
+                        "seconds": statistics.median(t for t, _ in results),
+                        "result": results[0][1],
+                    })
     return rows
 
 
-def _measure_in_child(tree: Path, repeats: int) -> list[dict]:
+def _measure_in_child(tree: Path, repeats: int) -> dict[str, list[dict]]:
     command = [sys.executable, __file__, "--measure", str(tree), "--repeats", str(repeats)]
     out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -161,25 +184,28 @@ def main(argv=None) -> int:
         parser.error("--parent and --out are required")
     before = _measure_in_child(args.parent.resolve(), args.repeats)
     after = _measure_in_child(ROOT, args.repeats)
-    calls = [
-        {
-            "item": b["item"],
-            "parent_s": round(b["seconds"], 6),
-            "change_s": round(a["seconds"], 6),
-            "speedup": round(b["seconds"] / a["seconds"], 2),
-            "residual": a["residual"],
-            "same_residual": a["residual"] == b["residual"],
-        }
-        for b, a in zip(before, after, strict=True)
-    ]
     record = {
-        "what": "seconds per numeric_geodesic_residual call (median of repeats)",
+        "what": "seconds per call (median of repeats), parent vs change, by function",
         "machine": _machine(),
         "repeats": args.repeats,
-        "calls": calls,
-        "total_parent_s": round(sum(c["parent_s"] for c in calls), 3),
-        "total_change_s": round(sum(c["change_s"] for c in calls), 3),
     }
+    for kind in TIMED:
+        calls = [
+            {
+                "item": b["item"],
+                "parent_s": round(b["seconds"], 6),
+                "change_s": round(a["seconds"], 6),
+                "speedup": round(b["seconds"] / a["seconds"], 2),
+                "result": a["result"],
+                "same_result": a["result"] == b["result"],
+            }
+            for b, a in zip(before[kind], after[kind], strict=True)
+        ]
+        record[kind] = {
+            "calls": calls,
+            "total_parent_s": round(sum(c["parent_s"] for c in calls), 3),
+            "total_change_s": round(sum(c["change_s"] for c in calls), 3),
+        }
     if args.pairs:
         record["end_to_end_pairs"] = pairs(args.parent.resolve(), args.pairs, args.first_seed)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -789,28 +789,24 @@ class RfMatrix:
         return RatFun(det_poly._scaled(Fraction(sign)), Poly.const(self.nvars, 1)) / scale
 
     def inverse(self) -> "RfMatrix":
-        """Exact inverse via the adjugate and determinant."""
+        """Exact inverse by one Gauss–Jordan pass over ``[A | I]``.
+
+        Raises :class:`SingularMatrixError` when the matrix is singular over
+        the function field."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        d = self.det()
-        if d.is_zero():
-            raise SingularMatrixError("matrix is singular over the function field")
         n = self.rows
-        if n == 1:
-            return RfMatrix(self.nvars, [[d.inverse()]])
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [self.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = RfMatrix(self.nvars, minor).det()
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = cof / d
-        return RfMatrix(self.nvars, adj)
+        identity = RfMatrix.identity(n, self.nvars).entries
+        _, reduced, pivots = _rref(
+            [list(row) for row in self.entries], [list(row) for row in identity], self.nvars
+        )
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular over the function field")
+        # row r of the reduced [A | I] is the row of A^-1 for its pivot column
+        inverse = [None] * n
+        for r, c in pivots:
+            inverse[c] = reduced[r]
+        return RfMatrix(self.nvars, inverse)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RfMatrix):
@@ -905,12 +901,17 @@ class LinearSolution:
 
 
 def _rref(
-    rows: list[list[RatFun]], rhs: list[RatFun] | None, nvars: int
-) -> tuple[list[list[RatFun]], list[RatFun] | None, list[tuple[int, int]]]:
-    """Reduced row echelon form over the function field.  Pivots are chosen by
-    lowest combined num/den degree, ties broken by column then row index."""
+    rows: list[list[RatFun]], rhs: list[list[RatFun]] | None, nvars: int
+) -> tuple[list[list[RatFun]], list[list[RatFun]] | None, list[tuple[int, int]]]:
+    """Reduced row echelon form of ``[rows | rhs]`` over the function field,
+    with pivots in the columns of ``rows`` only; ``rhs`` holds one row of
+    right-hand sides per row, or is None.  Pivots are chosen by lowest
+    combined num/den degree, ties broken by column then row index.  Exact-zero
+    entries of the pivot row are skipped in the row operations."""
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if rhs is not None:
+        rows = [row + extra for row, extra in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
     used_cols: set[int] = set()
     r = 0
@@ -929,25 +930,24 @@ def _rref(
             break
         _, pi, pj = best
         rows[pi], rows[r] = rows[r], rows[pi]
-        if rhs is not None:
-            rhs[pi], rhs[r] = rhs[r], rhs[pi]
         inv = rows[r][pj].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        if rhs is not None:
-            rhs[r] = rhs[r] * inv
+        pivot_row = rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if not b.is_zero()]
         for i in range(m):
             if i == r:
                 continue
             factor = rows[i][pj]
             if factor.is_zero():
                 continue
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-            if rhs is not None:
-                rhs[i] = rhs[i] - factor * rhs[r]
+            row = rows[i]
+            for j, b in nonzero:
+                row[j] = row[j] - factor * b
         pivots.append((r, pj))
         used_cols.add(pj)
         r += 1
-    return rows, rhs, pivots
+    if rhs is None:
+        return rows, None, pivots
+    return [row[:n] for row in rows], [row[n:] for row in rows], pivots
 
 
 def _kernel_from_rref(
@@ -976,17 +976,17 @@ def solve_linear_exact(matrix: RfMatrix, rhs: Sequence) -> LinearSolution:
         raise ValueError(f"rhs length {len(rhs)} does not match {matrix.rows} rows")
     nvars = matrix.nvars
     rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    b = [matrix._coerce_entry(x) for x in rhs]
+    b = [[matrix._coerce_entry(x)] for x in rhs]
     rows, b, pivots = _rref(rows, b, nvars)
     rank = len(pivots)
     for i in range(rank, matrix.rows):
-        if not b[i].is_zero():
+        if not b[i][0].is_zero():
             raise InconsistentSystemError(
-                f"row {i} reduces to 0 = {b[i]}; system has no solution"
+                f"row {i} reduces to 0 = {b[i][0]}; system has no solution"
             )
     particular = [RatFun.zero(nvars) for _ in range(matrix.cols)]
     for r, c in pivots:
-        particular[c] = b[r]
+        particular[c] = b[r][0]
     kernel = _kernel_from_rref(rows, pivots, matrix.cols, nvars)
     return LinearSolution(tuple(particular), tuple(kernel))
 

@@ -86,9 +86,10 @@ class _NotApplicable(Exception):
 
 class _Context:
     """One run: the fixture, the report, and the intermediates the checks
-    share, each computed at most once.  ``d alpha_i`` is memoised on the pair,
-    the decomposable verdict on the structure, and each metric's Christoffel
-    symbols travel inside its geodesy report."""
+    share, each computed at most once.  The pair and structure verdicts are
+    handed to the constructors that would re-derive them, ``d alpha_i`` is
+    memoised on the pair, the decomposable verdict on the structure, and each
+    metric's Christoffel symbols travel inside its geodesy report."""
 
     def __init__(self, doc: FixtureDoc, verb: str, tol: float):
         self.doc = doc
@@ -96,12 +97,20 @@ class _Context:
         self.report = Report(doc.fixture_id, verb)
 
     @cached_property
+    def pair_verdicts(self):
+        return verify_contact_pair(self.doc.pair)
+
+    @cached_property
     def vp(self):
-        return verified_pair(self.doc.pair)
+        return verified_pair(self.doc.pair, self.pair_verdicts)
+
+    @cached_property
+    def structure_verdicts(self):
+        return verify_structure(self.vp, self.doc.phi)
 
     @cached_property
     def cps(self):
-        return ContactPairStructure(self.vp, self.doc.phi)
+        return ContactPairStructure(self.vp, self.doc.phi, verdicts=self.structure_verdicts)
 
     @cached_property
     def associated(self):
@@ -110,6 +119,10 @@ class _Context:
     @cached_property
     def mcp(self):
         return MetricContactPair(self.cps, self.doc.metric, associated=self.associated)
+
+    @cached_property
+    def orthogonal(self):
+        return are_foliations_orthogonal(self.vp, self.doc.metric)
 
     @cached_property
     def aux(self):
@@ -122,7 +135,7 @@ class _Context:
 
 
 def _pair(ctx: _Context) -> str | None:
-    verdicts = verify_contact_pair(ctx.doc.pair)
+    verdicts = ctx.pair_verdicts
     ctx.report.verdicts.update(verdicts)
     return None if all(v.ok for v in verdicts.values()) else "contact pair conditions failed"
 
@@ -149,7 +162,7 @@ def _reeb(ctx: _Context) -> str | None:
 
 
 def _structure(ctx: _Context) -> str | None:
-    verdicts = verify_structure(ctx.vp, ctx.doc.phi)
+    verdicts = ctx.structure_verdicts
     ctx.report.verdicts.update({f"structure_{k}": v for k, v in verdicts.items()})
     failed = [f"structure_{k}" for k in ("phi_squared", "phi_reeb") if not verdicts[k].ok]
     if failed:
@@ -187,13 +200,14 @@ def _associated(ctx: _Context) -> str | None:
 
 
 def _orthogonal(ctx: _Context) -> None:
-    ctx.report.verdicts["orthogonal"] = are_foliations_orthogonal(ctx.vp, ctx.doc.metric)
+    ctx.report.verdicts["orthogonal"] = ctx.orthogonal
 
 
 def _agreement(ctx: _Context) -> None:
-    ctx.report.verdicts["decomposable_orthogonal_agreement"] = (
-        decomposability_orthogonality_agreement(ctx.cps, ctx.doc.metric)
+    verdict = decomposability_orthogonality_agreement(
+        ctx.cps, ctx.doc.metric, orthogonal=ctx.orthogonal
     )
+    ctx.report.verdicts["decomposable_orthogonal_agreement"] = verdict
 
 
 def _killing(ctx: _Context) -> None:
@@ -223,14 +237,20 @@ def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
         return
     report.verdicts[f"{prefix}geodesic"] = geo.verdicts["geodesic"]
     report.verdicts[f"{prefix}totally_geodesic"] = geo.verdicts["totally_geodesic"]
-    worst = 0.0
     start = ctx.vp.sample_points[0]
-    for i in (1, 2):
-        residual = numeric_geodesic_residual(
-            g, ctx.vp.z(i), start, t_end=RK4_T_END, dt=RK4_DT, data=geo.christoffel
-        )
+    try:
+        residuals = [
+            numeric_geodesic_residual(
+                g, ctx.vp.z(i), start, t_end=RK4_T_END, dt=RK4_DT, data=geo.christoffel
+            )
+            for i in (1, 2)
+        ]
+    except ZeroDivisionError as exc:  # a pole on the trajectory, between sample points
+        report.skipped[f"{prefix}geodesy_rk4"] = str(exc)
+        return
+    for i, residual in enumerate(residuals, 1):
         report.residuals[f"{prefix}geodesy_rk4_z{i}"] = residual
-        worst = max(worst, residual)
+    worst = max(residuals)
     report.verdicts[f"{prefix}geodesy_rk4"] = (
         Verdict.verified(
             f"max residual {worst:.3e} < {RK4_TOLERANCE:.0e} "
@@ -278,13 +298,12 @@ def _polarized(ctx: _Context) -> None:
             if spd_failures
             else Verdict.verified("positive definite at all sample points")
         )
+        orthogonal = are_foliations_orthogonal(vp, g, tol)
         if flag:
             report.verdicts["polarized_decomposable_check"] = cps.decomposable
-            report.verdicts["polarized_decomposable_orthogonal"] = (
-                are_foliations_orthogonal(vp, g, tol)
-            )
+            report.verdicts["polarized_decomposable_orthogonal"] = orthogonal
         report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
-            cps, g, tol
+            cps, g, tol, orthogonal
         )
         # the numeric products, evaluated at the base sample point
         base = vp.sample_points[0]

@@ -447,13 +447,18 @@ def killing_agreement(results: dict[str, Verdict]) -> Verdict:
 
 
 def decomposability_orthogonality_agreement(
-    cps: ContactPairStructure, g: MetricField, tol: float = 0.0
+    cps: ContactPairStructure,
+    g: MetricField,
+    tol: float = 0.0,
+    orthogonal: Verdict | None = None,
 ) -> Verdict:
     """For an associated metric, phi is decomposable iff the characteristic
     foliations are orthogonal; the two verdicts must match.  Decomposability
-    is the structure's own verdict (:attr:`ContactPairStructure.decomposable`)."""
+    is the structure's own verdict (:attr:`ContactPairStructure.decomposable`);
+    ``orthogonal`` may hand in :func:`are_foliations_orthogonal` of the same
+    ``(cps.vp, g, tol)`` when the caller already has it."""
     dec = cps.decomposable
-    orth = are_foliations_orthogonal(cps.vp, g, tol)
+    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g, tol)
     if dec.ok == orth.ok:
         value = "both hold" if dec.ok else "both fail"
         return Verdict.verified(f"decomposability ⟺ orthogonality ({value})")

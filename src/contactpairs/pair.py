@@ -358,12 +358,16 @@ class VerifiedPair:
         return one_form_row(self.pair.alpha(i))
 
 
-def verified_pair(pair: ContactPair) -> VerifiedPair:
+def verified_pair(
+    pair: ContactPair, verdicts: dict[str, Verdict] | None = None
+) -> VerifiedPair:
     """Run the axiom checks, solve the Reeb system, and build all frames.
 
     Raises :class:`PairValidationError` when any defining condition Fails
-    (SampleVerified volume coefficients are accepted)."""
-    verdicts = verify_contact_pair(pair)
+    (SampleVerified volume coefficients are accepted).  ``verdicts`` may hand
+    in :func:`verify_contact_pair` of ``pair`` when the caller already has it."""
+    if verdicts is None:
+        verdicts = verify_contact_pair(pair)
     for name, verdict in verdicts.items():
         if not verdict.ok:
             raise PairValidationError(f"{name}: {verdict.witness or verdict.detail}")

@@ -11,7 +11,7 @@ fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .algebra import RatFun, RfMatrix, generic_rank
@@ -100,14 +100,18 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
 @dataclass(frozen=True)
 class ContactPairStructure:
     """Verified pair plus endomorphism; the two defining identities are
-    enforced at construction (within ``tol`` for numeric phi)."""
+    enforced at construction (within ``tol`` for numeric phi).  ``verdicts``
+    may hand in :func:`verify_structure` of the same ``(vp, phi, tol)``
+    when the caller already has it; it is not stored."""
 
     vp: VerifiedPair
     phi: EndoField
     tol: float = 0.0
+    verdicts: InitVar[dict[str, Verdict] | None] = None
 
-    def __post_init__(self):
-        verdicts = verify_structure(self.vp, self.phi, self.tol)
+    def __post_init__(self, verdicts):
+        if verdicts is None:
+            verdicts = verify_structure(self.vp, self.phi, self.tol)
         for key in ("phi_squared", "phi_reeb"):
             if not verdicts[key].ok:
                 raise StructureValidationError(

@@ -13,6 +13,7 @@ from contactpairs.algebra import (
     Poly,
     RatFun,
     RfMatrix,
+    SingularMatrixError,
     divexact,
     generic_rank,
     kernel_basis,
@@ -321,3 +322,70 @@ def test_det_with_denominators():
     x = RatFun.variable(1, 0)
     m = RfMatrix(1, [[1 / x, 0], [0, x]])
     assert m.det() == RatFun.one(1)
+
+
+def test_inverse_of_singular_matrix_raises():
+    x = RatFun.variable(2, 0)
+    y = RatFun.variable(2, 1)
+    for m in (
+        RfMatrix(2, [[x, x], [1, 1]]),
+        RfMatrix.zeros(3, 3, 2),
+        # the second row is x^2 times the first
+        RfMatrix(2, [[1 / x, y, 1], [x, x * x * y, x * x], [0, 1, y]]),
+    ):
+        assert m.det().is_zero()
+        with pytest.raises(SingularMatrixError, match="singular over the function field"):
+            m.inverse()
+
+
+# entries p/q with p affine and q one of a few small denominators; off the
+# diagonal, some are zero, as in a metric
+matrix_entries = st.tuples(
+    st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]), coeffs, min_size=1, max_size=2),
+    st.sampled_from([{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 0): 1}]),
+).map(lambda t: rf(P(2, t[0]), P(2, t[1])))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(2, 4))
+    off_diagonal = st.one_of(st.just(RatFun.zero(2)), matrix_entries)
+    return RfMatrix(
+        2, [[draw(matrix_entries if i == j else off_diagonal) for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(square_matrices())
+def test_inverse_is_exact(m):
+    if m.det().is_zero():
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    assert m @ m.inverse() == RfMatrix.identity(m.rows, 2)
+
+
+def test_inverse_matches_sympy_on_built_metric():
+    """The type-(1,1) standard local model (the chart-ladder rung (1,1)) and
+    the metric build_compatible makes from its identity aux_metric."""
+    sympy = pytest.importorskip("sympy")
+    from contactpairs.fixtures import bundled_fixture_path, load_fixture
+    from contactpairs.metric import build_compatible
+    from contactpairs.pair import verified_pair
+    from contactpairs.structure import ContactPairStructure
+
+    doc = load_fixture(bundled_fixture_path("local_model_1_1"))
+    vp = verified_pair(doc.pair)
+    g = build_compatible(ContactPairStructure(vp, doc.phi), doc.aux_metric).matrix
+    names = vp.space.names
+    symbols = dict(zip(names, sympy.symbols(names)))
+
+    def to_sympy(r):
+        return sympy.sympify(r.format(names), locals=symbols)
+
+    ours = g.inverse()
+    theirs = sympy.Matrix([[to_sympy(e) for e in row] for row in g.entries]).inv()
+    assert not g.is_zero() and not all(e.is_constant() for row in g.entries for e in row)
+    for i in range(g.rows):
+        for j in range(g.cols):
+            assert sympy.cancel(to_sympy(ours.at(i, j)) - theirs[i, j]) == 0, (i, j)

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from contactpairs.algebra import Poly, RatFun
 from contactpairs.cli import run
 from contactpairs.connection import (
+    ChristoffelData,
     DegenerateMetricError,
     _eval_batch,
     _FloatRatFun,
+    _validate_connection,
     christoffel,
     covariant_derivative,
     numeric_geodesic_residual,
@@ -150,6 +152,43 @@ def test_random_chart_metrics_validate(rng):
             [[RatFun(p * p) + 1, RatFun(p)], [RatFun(p), s.one() + s.one()]],
         )
         christoffel(g)  # raises on any violation
+
+
+def _perturbed(data: ChristoffelData, changes) -> ChristoffelData:
+    symbols = [[list(row) for row in plane] for plane in data.symbols]
+    for (a, b, c), delta in changes:
+        symbols[a][b][c] = symbols[a][b][c] + delta
+    return ChristoffelData(
+        data.space, data.metric, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
+    )
+
+
+# The (a,b,c) each message names was recorded from the earlier check, which
+# summed both products Γ·g afresh for every (a,b,c).
+def test_validate_connection_rejects_a_perturbed_symbol(r6):
+    _, g = r6
+    bad = _perturbed(christoffel(g), [((1, 2, 0), g.space.one())])
+    message = r"^metric compatibility violated at \(a,b,c\)=\(1,0,2\)$"
+    with pytest.raises(AssertionError, match=message):
+        _validate_connection(bad)
+
+
+def test_validate_connection_rejects_torsion(r6):
+    """Γ^d_ab += g^{dc} T_abc with T antisymmetric in (b, c) keeps the
+    connection metric but breaks Γ_ab = Γ_ba."""
+    _, g = r6
+    g_inv = g.matrix.inverse()
+    lowered = [((0, 1, 2), g.space.one()), ((0, 2, 1), -g.space.one())]
+    changes = [
+        ((a, b, d), g_inv.at(d, c) * t)
+        for (a, b, c), t in lowered
+        for d in range(g.space.dim)
+        if not g_inv.at(d, c).is_zero()
+    ]
+    bad = _perturbed(christoffel(g), changes)
+    message = r"^torsion-freeness violated at \(a,b,c\)=\(0,1,2\)$"
+    with pytest.raises(AssertionError, match=message):
+        _validate_connection(bad)
 
 
 # --- geodesy ------------------------------------------------------------------------

@@ -286,6 +286,44 @@ def test_bad_matrix_entry_names_its_path_once(key, tmp_path, capsys):
     assert err.count("$.") == 1
 
 
+def test_pole_on_the_rk4_trajectory_is_a_skip(tmp_path):
+    """The metric's 1/(1-2*x3)^2 is finite at the sample point, but the flow
+    of Z1 = d/dx3 reaches x3 = 1/2, where a Christoffel denominator vanishes:
+    the RK4 cross-check is skipped, and the exact verdicts stand."""
+    out = tmp_path / "report.json"
+    assert main(["geodesy", str(fixture_path("rk4_pole.json")), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["geodesic"]["status"] == "Verified"
+    assert report["verdicts"]["totally_geodesic"]["status"] == "Verified"
+    assert "geodesy_rk4" not in report["verdicts"] and not report["residuals"]
+    assert report["skipped"]["geodesy_rk4"].startswith(
+        "denominator x3^3 - 3/2*x3^2 + 3/4*x3 - 1/8 vanishes at ("
+    )
+
+
+def test_theorems_computes_each_shared_verdict_once(monkeypatch):
+    """The pair, structure and orthogonality verdicts of a run are handed on
+    to the constructors and the agreement check, not computed again."""
+    from contactpairs import cli, metric, pair, structure
+
+    homes = {
+        "verify_contact_pair": pair,
+        "verify_structure": structure,
+        "are_foliations_orthogonal": metric,
+    }
+    calls = dict.fromkeys(homes, 0)
+    for name, home in homes.items():
+
+        def counted(*args, _inner=getattr(home, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        for module in (home, cli):
+            monkeypatch.setattr(module, name, counted)
+    assert run("theorems", bundled_fixture_path("nilpotent_g6")).exit_code() == 0
+    assert calls == dict.fromkeys(calls, 1)
+
+
 # --- report serialization ----------------------------------------------------------------
 
 
