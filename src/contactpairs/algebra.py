@@ -36,6 +36,7 @@ __all__ = [
     "ExactDivisionError",
     "InconsistentSystemError",
     "SingularMatrixError",
+    "format_point",
 ]
 
 
@@ -63,6 +64,11 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def format_point(point: Sequence) -> str:
+    """A point as messages print it: ``(1/2, 0, -3)``, floats by ``str``."""
+    return "(" + ", ".join(str(x) for x in point) + ")"
 
 
 class Poly:
@@ -613,7 +619,7 @@ class RatFun:
     def eval(self, point: Sequence) -> Fraction:
         d = self.den.eval(point)
         if d == 0:
-            raise ZeroDivisionError(f"denominator {self.den} vanishes at {tuple(point)}")
+            raise ZeroDivisionError(f"denominator {self.den} vanishes at {format_point(point)}")
         return self.num.eval(point) / d
 
     def __eq__(self, other) -> bool:

@@ -1,13 +1,17 @@
-"""Levi-Civita connection on both backends, the Reeb geodesy checks, and a
+"""Levi-Civita connection of a frame, the Reeb geodesy checks, and a
 fixed-step RK4 cross-check of the geodesic equation.
 
-On charts the Christoffel symbols come from the coordinate formula with the
-exact inverse of the metric (one Gauss–Jordan pass over the function
-field), so theorem checks stay exact.  On Lie frames the connection
-coefficients come from the constant Koszul formula
+The connection coefficients of a frame e_1, ..., e_n (a chart or a Lie
+frame, see :mod:`contactpairs.exterior`) come from the Koszul formula
 
-    2 g(∇_{X_a} X_b, X_k) = g([X_a,X_b], X_k) - g([X_b,X_k], X_a)
-                            + g([X_k,X_a], X_b).
+    2 g(∇_{e_a} e_b, e_k) = e_a g_bk + e_b g_ak - e_k g_ab
+                            + g([e_a,e_b], e_k) - g([e_b,e_k], e_a)
+                            + g([e_k,e_a], e_b),
+
+contracted once with the exact inverse of the metric (one Gauss–Jordan
+pass over the function field), so theorem checks stay exact.  On a chart
+the bracket terms vanish and this is the coordinate formula; on a Lie frame
+the derivative terms vanish and it is the constant Koszul formula.
 
 The RK4 cross-check is the numeric part.  It compiles each RatFun it
 evaluates (field components, nonzero Christoffel symbols) once to a pair of
@@ -28,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Poly, RatFun, SingularMatrixError
-from .exterior import MetricField, Space, VectorField
+from .algebra import Poly, RatFun, SingularMatrixError, format_point
+from .exterior import MetricField, Space, VectorField, directional_derivative
 from .pair import VerifiedPair
 from .structure import PreconditionError
 from .verdicts import Verdict, residual_verdict
@@ -88,61 +92,53 @@ def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
 
     zero = space.zero()
     half = Fraction(1, 2)
-    if space.is_chart:
-        partials = [
-            [[g.matrix.at(b, d).diff(a) for d in range(n)] for b in range(n)]
-            for a in range(n)
-        ]
-        symbols = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                lowered = [
-                    (partials[a][b][d] + partials[b][a][d] - partials[d][a][b]) * half
-                    for d in range(n)
-                ]
-                entry = []
-                for c in range(n):
-                    total = zero
-                    for d in range(n):
-                        if not (lowered[d].is_zero() or g_inv.at(c, d).is_zero()):
-                            total = total + g_inv.at(c, d) * lowered[d]
-                    entry.append(total)
-                row.append(tuple(entry))
-            symbols.append(tuple(row))
-    else:
-        bracket_values = [
-            [space.bracket_coeffs(a, b) for b in range(n)] for a in range(n)
-        ]
+    # de[a][b][k] = e_a g_bk and gb[a][b][k] = g([e_a, e_b], e_k)
+    de = [
+        [[_frame_derivative(g.matrix.at(b, k), a) for k in range(n)] for b in range(n)]
+        for a in range(n)
+    ]
+    gb = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for m, c in space.bracket_coeffs(a, b).items():
+                for k in range(n):
+                    if not g.matrix.at(m, k).is_zero():
+                        gb[a][b][k] = gb[a][b][k] + g.matrix.at(m, k) * c
 
-        def g_bracket(a: int, b: int, k: int) -> RatFun:
-            total = zero
-            for m, c in bracket_values[a][b].items():
-                total = total + space.scalar(c) * g.matrix.at(m, k)
-            return total
-
-        symbols = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                lowered = [
-                    (g_bracket(a, b, k) - g_bracket(b, k, a) + g_bracket(k, a, b)) * half
-                    for k in range(n)
-                ]
-                entry = []
-                for c in range(n):
-                    total = zero
-                    for k in range(n):
-                        if not (lowered[k].is_zero() or g_inv.at(c, k).is_zero()):
-                            total = total + g_inv.at(c, k) * lowered[k]
-                    entry.append(total)
-                row.append(tuple(entry))
-            symbols.append(tuple(row))
+    symbols = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            lowered = []  # g(∇_a e_b, e_k)
+            for k in range(n):
+                koszul = zero
+                for sign, term in (
+                    (1, de[a][b][k]), (1, de[b][a][k]), (-1, de[k][a][b]),
+                    (1, gb[a][b][k]), (-1, gb[b][k][a]), (1, gb[k][a][b]),
+                ):
+                    if not term.is_zero():
+                        koszul = koszul + term if sign > 0 else koszul - term
+                lowered.append(koszul * half)
+            entry = []
+            for c in range(n):
+                total = zero
+                for k in range(n):
+                    if not (lowered[k].is_zero() or g_inv.at(c, k).is_zero()):
+                        total = total + g_inv.at(c, k) * lowered[k]
+                entry.append(total)
+            row.append(tuple(entry))
+        symbols.append(tuple(row))
 
     data = ChristoffelData(space, g, tuple(symbols))
     if validate:
         _validate_connection(data)
     return data
+
+
+def _frame_derivative(f: RatFun, a: int) -> RatFun:
+    """e_a f; a constant, such as every scalar of a Lie frame, is not
+    differentiated."""
+    return RatFun.zero(f.nvars) if f.is_constant() else f.diff(a)
 
 
 def _validate_connection(data: ChristoffelData) -> None:
@@ -159,16 +155,14 @@ def _validate_connection(data: ChristoffelData) -> None:
         for b in range(n):
             for c in range(n):
                 # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c)
-                lhs = g.at(b, c).diff(a) if space.is_chart else space.zero()
+                lhs = _frame_derivative(g.at(b, c), a)
                 if lhs != lowered[a][b][c] + lowered[a][c][b]:
                     raise AssertionError(
                         f"metric compatibility violated at (a,b,c)=({a},{b},{c})"
                     )
     for a in range(n):
         for b in range(a + 1, n):
-            structure = (
-                {} if space.is_chart else space.bracket_coeffs(a, b)
-            )
+            structure = space.bracket_coeffs(a, b)
             for c in range(n):
                 torsion = data.gamma(a, b, c) - data.gamma(b, a, c)
                 torsion = torsion - space.scalar(structure.get(c, 0))
@@ -181,23 +175,18 @@ def _validate_connection(data: ChristoffelData) -> None:
 def covariant_derivative(
     data: ChristoffelData, x: VectorField, y: VectorField
 ) -> VectorField:
-    """(∇_X Y)^c = sum_a X^a (∂_a Y^c + sum_b Γ^c_{ab} Y^b); the derivative
-    term is absent on Lie frames where components are constant."""
+    """(∇_X Y)^c = X(Y^c) + sum_{a,b} X^a Y^b Γ^c_{ab}."""
     space = data.space
     if x.space != space or y.space != space:
         raise ValueError("fields live on a different space")
     n = space.dim
     comps = []
     for c in range(n):
-        total = space.zero()
+        total = directional_derivative(x, y.components[c])
         for a in range(n):
             xa = x.components[a]
             if xa.is_zero():
                 continue
-            if space.is_chart:
-                d = y.components[c].diff(a)
-                if not d.is_zero():
-                    total = total + xa * d
             for b in range(n):
                 yb = y.components[b]
                 if yb.is_zero():
@@ -225,7 +214,7 @@ class GeodesyReport:
         return all(v.ok for v in self.verdicts.values())
 
 
-def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyReport:
+def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
     """For a compatible metric: ∇_{Z_i} Z_j = 0 for all i, j, and the
     second fundamental form of the Reeb orbits vanishes.
 
@@ -237,17 +226,10 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyR
     for i in (1, 2):
         for j in (1, 2):
             value = g.value(vp.z(i), vp.z(j))
-            expected = space.one() if i == j else space.zero()
-            residual = value - expected
-            if residual.is_zero():
-                continue
-            if tol > 0.0 and all(
-                abs(float(residual.eval(p))) <= tol for p in vp.sample_points
-            ):
-                continue
-            raise PreconditionError(
-                f"g(Z{i}, Z{j}) = {value}; the metric is not compatible with the pair"
-            )
+            if value != (space.one() if i == j else space.zero()):
+                raise PreconditionError(
+                    f"g(Z{i}, Z{j}) = {value}; the metric is not compatible with the pair"
+                )
 
     data = christoffel(g)
     derivatives = {}
@@ -261,7 +243,7 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyR
                 for a, c in enumerate(nabla.components)
             )
     geodesic = residual_verdict(
-        residuals, vp.sample_points, tol, detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2"
+        residuals, vp.sample_points, detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2"
     )
 
     second = {}
@@ -279,7 +261,7 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> GeodesyR
             for a, c in enumerate(b_form.components)
         )
     totally_geodesic = residual_verdict(
-        b_residuals, vp.sample_points, tol, detail="the Reeb orbits are totally geodesic"
+        b_residuals, vp.sample_points, detail="the Reeb orbits are totally geodesic"
     )
 
     return GeodesyReport(
@@ -313,8 +295,8 @@ def _pow(x: float, k: int) -> float:
         return -math.inf if x < 0 and k % 2 else math.inf
 
 
-def _pole(r: RatFun, point: np.ndarray) -> ZeroDivisionError:
-    return ZeroDivisionError(f"denominator {r.den} vanishes at {tuple(point)}")
+def _pole(r: RatFun, point: Sequence[float]) -> ZeroDivisionError:
+    return ZeroDivisionError(f"denominator {r.den} vanishes at {format_point(point)}")
 
 
 class _Powers(dict):
@@ -348,7 +330,7 @@ class _FloatRatFun:
     def at(self, point: list[float]) -> float:
         den = _run(self.den, point)
         if den == 0.0:
-            raise _pole(self.source, np.array(point))
+            raise _pole(self.source, point)
         return _run(self.num, point) / den
 
 

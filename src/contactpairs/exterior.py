@@ -1,10 +1,22 @@
 """Graded exterior calculus over exact scalars.
 
-Spaces are either polynomial coordinate charts or constant-coefficient Lie
-frames given by structure constants.  Forms, vector fields, endomorphism
-fields and metrics all carry :class:`~contactpairs.algebra.RatFun`
-coefficients; on Lie-frame spaces the coefficients must be constants
-(left-invariant calculus) and mixing is a constructor error.
+A space is a frame e_1, ..., e_n with dual covectors w_1, ..., w_n and
+structure constants [e_i, e_j] = sum_k c^k_{ij} e_k.  A coordinate chart is
+the frame e_a = ∂_a, whose structure constants vanish; a Lie frame is a
+left-invariant frame, whose scalars are constants.  Forms, vector fields,
+endomorphism fields and metrics all carry
+:class:`~contactpairs.algebra.RatFun` coefficients; on Lie-frame spaces the
+coefficients must be constants and mixing is a constructor error.
+
+Every differential operation is one frame formula for both kinds of space,
+
+    e_a f = ∂_a f,    d w_k = -sum_{i<j} c^k_{ij} w_i ∧ w_j,
+    d(c w_I) = dc ∧ w_I + c d(w_I),
+    [X, Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij},
+
+and skips the terms the input shows to be zero: a constant is never
+differentiated (so a Lie frame never differentiates) and a chart has no
+structure constants to sum.
 
 Pairing convention, fixed once for the whole package:
 
@@ -60,6 +72,15 @@ def _merge_indices(a: Index, b: Index) -> tuple[int, Index]:
     return sign, tuple(out)
 
 
+def _add_into(coeffs: dict[Index, RatFun], key: Index, term: RatFun, zero: RatFun) -> None:
+    """``coeffs[key] += term``, keeping only the nonzero coefficients."""
+    s = coeffs.get(key, zero) + term
+    if s.is_zero():
+        coeffs.pop(key, None)
+    else:
+        coeffs[key] = s
+
+
 def _wedge_coeffs(
     a: Mapping[Index, RatFun], b: Mapping[Index, RatFun], zero: RatFun
 ) -> dict[Index, RatFun]:
@@ -69,14 +90,8 @@ def _wedge_coeffs(
     for ia, ca in a.items():
         for ib, cb in b.items():
             sign, key = _merge_indices(ia, ib)
-            if sign == 0:
-                continue
-            term = ca * cb if sign > 0 else -(ca * cb)
-            s = coeffs.get(key, zero) + term
-            if s.is_zero():
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = s
+            if sign:
+                _add_into(coeffs, key, ca * cb if sign > 0 else -(ca * cb), zero)
     return coeffs
 
 
@@ -206,9 +221,8 @@ class Space:
         return {k: -c for k, c in out.items()} if flip else out
 
     def covector_differential(self, k: int) -> "Form":
-        """d of the k-th frame covector: -sum_{i<j} c^k_{ij} w_i ∧ w_j."""
-        if not self.is_lie:
-            raise ValueError("covector differentials only exist on Lie frames")
+        """d of the k-th frame covector: -sum_{i<j} c^k_{ij} w_i ∧ w_j (the
+        zero 2-form on a chart)."""
         if k not in self._dforms:
             coeffs = {
                 (i, j): self.scalar(-c)
@@ -302,11 +316,7 @@ class Form:
             raise ValueError("cannot add forms of different degree")
         coeffs = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            s = coeffs.get(idx, self.space.zero()) + c
-            if s.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = s
+            _add_into(coeffs, idx, c, self.space.zero())
         return Form(self.space, self.degree, coeffs)
 
     def __neg__(self) -> "Form":
@@ -333,29 +343,23 @@ class Form:
         return _wedge_power(self, Form.function(self.space, 1), power)
 
     def d(self) -> "Form":
-        """Exterior derivative: coordinate rule on charts, the structure-
-        constant antiderivation rule on Lie frames."""
+        """Exterior derivative, d(c w_I) = dc ∧ w_I + c d(w_I) with
+        dc = sum_a (e_a c) w_a and d(w_I) = sum_t (-1)^t d(w_{i_t}) ∧ w_{I - i_t}."""
         space = self.space
-        if space.is_chart:
-            out = Form.zero_form(space, self.degree + 1)
-            for idx, c in self.coeffs.items():
-                for var in range(space.dim):
-                    dc = c.diff(var)
-                    if dc.is_zero():
-                        continue
-                    out = out + Form(space, 1, {(var,): dc}).wedge(
-                        Form(space, self.degree, {idx: 1})
-                    )
-            return out
-        out = Form.zero_form(space, self.degree + 1)
+        zero = space.zero()
+        coeffs: dict[Index, RatFun] = {}
         for idx, c in self.coeffs.items():
-            for t, covector_index in enumerate(idx):
-                rest = idx[:t] + idx[t + 1 :]
-                term = space.covector_differential(covector_index).wedge(
-                    Form(space, self.degree - 1, {rest: c})
-                )
-                out = (out + term) if t % 2 == 0 else (out - term)
-        return out
+            if not c.is_constant():
+                for a in range(space.dim):
+                    sign, key = _merge_indices((a,), idx)
+                    if sign and not (dc := c.diff(a)).is_zero():
+                        _add_into(coeffs, key, dc if sign > 0 else -dc, zero)
+            for t, k in enumerate(idx):
+                rest = {idx[:t] + idx[t + 1 :]: c if t % 2 == 0 else -c}
+                dw = space.covector_differential(k).coeffs
+                for key, term in _wedge_coeffs(dw, rest, zero).items():
+                    _add_into(coeffs, key, term, zero)
+        return Form(space, self.degree + 1, coeffs)
 
     def contract(self, field: "VectorField") -> "Form":
         """Interior product i_X; drops the degree by one."""
@@ -368,13 +372,8 @@ class Form:
                 comp = field.components[i]
                 if comp.is_zero():
                     continue
-                key = idx[:t] + idx[t + 1 :]
                 term = c * comp if t % 2 == 0 else -(c * comp)
-                s = coeffs.get(key, self.space.zero()) + term
-                if s.is_zero():
-                    coeffs.pop(key, None)
-                else:
-                    coeffs[key] = s
+                _add_into(coeffs, idx[:t] + idx[t + 1 :], term, self.space.zero())
         return Form(self.space, self.degree - 1, coeffs)
 
     def __call__(self, *fields: "VectorField") -> RatFun:
@@ -622,49 +621,32 @@ def interior(field: VectorField, a: Form) -> Form:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket: the derivative formula on charts, structure constants on
-    Lie frames (where components are constant by construction)."""
+    """Lie bracket, [X,Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij}."""
     _check_same_space(x, y)
     space = x.space
-    if space.is_chart:
-        comps = []
-        for c in range(space.dim):
-            total = space.zero()
-            for a in range(space.dim):
-                xa = x.components[a]
-                ya = y.components[a]
-                if not xa.is_zero():
-                    d = y.components[c].diff(a)
-                    if not d.is_zero():
-                        total = total + xa * d
-                if not ya.is_zero():
-                    d = x.components[c].diff(a)
-                    if not d.is_zero():
-                        total = total - ya * d
-            comps.append(total)
-        return VectorField(space, comps)
-    comps = [space.zero() for _ in range(space.dim)]
-    for i in range(space.dim):
-        xi = x.components[i]
-        if xi.is_zero():
-            continue
-        for j in range(space.dim):
-            yj = y.components[j]
-            if yj.is_zero() or i == j:
-                continue
-            for k, c in space.bracket_coeffs(i, j).items():
-                comps[k] = comps[k] + xi * yj * space.scalar(c)
+    comps = []
+    for xk, yk in zip(x.components, y.components):
+        total = directional_derivative(x, yk)
+        if not xk.is_constant():
+            total = total - directional_derivative(y, xk)
+        comps.append(total)
+    for (i, j, k), c in space._sc.items():  # i < j; c^k_{ji} = -c^k_{ij}
+        for a, b, coeff in ((i, j, c), (j, i, -c)):
+            xa, yb = x.components[a], y.components[b]
+            if not (xa.is_zero() or yb.is_zero()):
+                comps[k] = comps[k] + xa * yb * coeff
     return VectorField(space, comps)
 
 
 def directional_derivative(field: VectorField, f: RatFun) -> RatFun:
-    """X·f.  On Lie frames scalars are constants, so this is zero."""
+    """X·f = sum_a X^a e_a f; zero for a constant f, the only kind of scalar
+    on a Lie frame."""
     space = field.space
-    if space.is_lie:
-        if not f.is_constant():
-            raise ValueError("non-constant scalar on a Lie frame")
-        return space.zero()
     total = space.zero()
+    if f.is_constant():
+        return total
+    if space.is_lie:
+        raise ValueError("non-constant scalar on a Lie frame")
     for a, comp in enumerate(field.components):
         if comp.is_zero():
             continue

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 import jsonschema
 
-from .algebra import RatFun
+from .algebra import RatFun, format_point
 from .exterior import EndoField, Form, MetricField, Space
 from .expressions import ExpressionError, parse_expression
 from .pair import ContactPair, PairValidationError
@@ -252,17 +252,19 @@ def load_fixture_dict(data: dict, source: str = "<dict>") -> FixtureDoc:
         try:
             positive = metric is None or metric.is_positive_definite_at(point)
         except ZeroDivisionError as exc:
-            raise FixtureError(f"metric has a pole at sample point {tuple(point)}", path) from exc
+            raise FixtureError(
+                f"metric has a pole at sample point {format_point(point)}", path
+            ) from exc
         if not positive:
             raise FixtureError(
-                f"metric is not positive definite at sample point {tuple(point)}", path
+                f"metric is not positive definite at sample point {format_point(point)}", path
             )
         if aux_metric is not None:
             try:
                 aux_metric.eval_at(point)
             except ZeroDivisionError as exc:
                 raise FixtureError(
-                    f"aux_metric has a pole at sample point {tuple(point)}", path
+                    f"aux_metric has a pole at sample point {format_point(point)}", path
                 ) from exc
 
     return FixtureDoc(

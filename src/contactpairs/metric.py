@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RatFun, RfMatrix, solve_linear_exact
+from .algebra import RatFun, RfMatrix, format_point, solve_linear_exact
 from .exterior import EndoField, FrameForm, MetricField, VectorField, lie_derivative
 from .pair import DistributionFrame, VerifiedPair, column_matrix, two_form_matrix
 from .structure import ContactPairStructure, PreconditionError
@@ -67,7 +67,7 @@ class PolarizationError(RuntimeError):
     """The numeric polarization could not be carried out."""
 
 
-def is_compatible(cps: ContactPairStructure, g: MetricField, tol: float = 0.0) -> Verdict:
+def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     """Exact check of  phi^T G phi = G - a1 a1^T - a2 a2^T."""
     vp = cps.vp
     if g.space != vp.space:
@@ -85,7 +85,6 @@ def is_compatible(cps: ContactPairStructure, g: MetricField, tol: float = 0.0) -
     return residual_verdict(
         matrix_residual_entries(residual),
         vp.sample_points,
-        tol,
         detail="g(phi X, phi Y) = g(X, Y) - alpha1(X)alpha1(Y) - alpha2(X)alpha2(Y)",
     )
 
@@ -103,9 +102,7 @@ def _reeb_duality(vp: VerifiedPair, g: MetricField) -> dict[int, list[tuple[str,
     return out
 
 
-def compatible_corollaries(
-    cps: ContactPairStructure, g: MetricField, tol: float = 0.0
-) -> dict[str, Verdict]:
+def compatible_corollaries(cps: ContactPairStructure, g: MetricField) -> dict[str, Verdict]:
     """Consequences every compatible metric must satisfy: g(Z_i, ·) = alpha_i
     and g(Z_i, Z_j) = delta_ij."""
     vp = cps.vp
@@ -118,10 +115,10 @@ def compatible_corollaries(
             gram.append((f"g(Z{i}, Z{j}) - {int(i == j)}", value - expected))
     return {
         "reeb_duality": residual_verdict(
-            duality, vp.sample_points, tol, detail="g(Z_i, X) = alpha_i(X)"
+            duality, vp.sample_points, detail="g(Z_i, X) = alpha_i(X)"
         ),
         "reeb_orthonormality": residual_verdict(
-            gram, vp.sample_points, tol, detail="g(Z_i, Z_j) = delta_ij"
+            gram, vp.sample_points, detail="g(Z_i, Z_j) = delta_ij"
         ),
     }
 
@@ -231,7 +228,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
     for point in vp.sample_points:
         if not h_aux.is_positive_definite_at(point):
             raise MetricValidationError(
-                f"auxiliary metric is not positive definite at {tuple(point)}"
+                f"auxiliary metric is not positive definite at {format_point(point)}"
             )
     n = vp.dim
     a1 = vp.alpha_row(1)
@@ -251,7 +248,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
     for point in vp.sample_points:
         if not g.is_positive_definite_at(point):
             raise MetricValidationError(
-                f"constructed metric is not positive definite at {tuple(point)}"
+                f"constructed metric is not positive definite at {format_point(point)}"
             )
     return g
 
@@ -409,7 +406,7 @@ def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0
     )
 
 
-def killing_check(mcp: MetricContactPair, i: int, tol: float = 0.0) -> dict[str, Verdict]:
+def killing_check(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:
     """Zero-ness of L_{Z_i} g and L_{Z_i} phi.  For an associated metric,
     which ``mcp`` guarantees, the two vanishing statements are equivalent:
     phi is Z_i-invariant exactly when Z_i is a Killing field."""
@@ -421,13 +418,11 @@ def killing_check(mcp: MetricContactPair, i: int, tol: float = 0.0) -> dict[str,
         "lie_g_zero": residual_verdict(
             matrix_residual_entries(lie_g.matrix),
             vp.sample_points,
-            tol,
             detail=f"L_Z{i} g = 0 (Z{i} is Killing)",
         ),
         "lie_phi_zero": residual_verdict(
             matrix_residual_entries(lie_phi.matrix),
             vp.sample_points,
-            tol,
             detail=f"L_Z{i} phi = 0",
         ),
     }

@@ -213,7 +213,7 @@ def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoF
 
 
 def verify_induced_almost_contact(
-    cps: ContactPairStructure, leaf_frame: DistributionFrame, i: int, tol: float = 0.0
+    cps: ContactPairStructure, leaf_frame: DistributionFrame, i: int
 ) -> Verdict:
     """On the leaves tangent to ``leaf_frame`` (the characteristic frame of
     alpha_j, j != i), (alpha_i, Z_i, phi) restricts to an almost contact
@@ -246,6 +246,5 @@ def verify_induced_almost_contact(
     return residual_verdict(
         residuals,
         vp.sample_points,
-        tol,
         detail=f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf_frame.label}",
     )

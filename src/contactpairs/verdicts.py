@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import RatFun
+from .algebra import RatFun, format_point
 
 
 class Status(str, enum.Enum):
@@ -103,11 +103,11 @@ def residual_verdict(
                     value = abs(float(r.eval(point)))
                 except ZeroDivisionError as exc:
                     return Verdict.failed(
-                        f"{label} at {_fmt_point(point)}", f"undefined residual: {exc}"
+                        f"{label} at {format_point(point)}", f"undefined residual: {exc}"
                     )
                 if value > tol:
                     return Verdict.failed(
-                        f"{label} at {_fmt_point(point)}",
+                        f"{label} at {format_point(point)}",
                         f"residual {value:.3e} exceeds tol {tol:.1e}",
                     )
                 worst = max(worst, value)
@@ -135,10 +135,10 @@ def nonvanishing_verdict(
         try:
             v = value.eval(point)
         except ZeroDivisionError as exc:
-            return Verdict.failed(f"{label} at {_fmt_point(point)}", f"undefined: {exc}")
+            return Verdict.failed(f"{label} at {format_point(point)}", f"undefined: {exc}")
         if v == 0:
             return Verdict.failed(
-                f"{label} at {_fmt_point(point)}", "vanishes at a sample point"
+                f"{label} at {format_point(point)}", "vanishes at a sample point"
             )
     return Verdict.sample_verified(
         len(sample_points), f"{label} non-constant; nonzero at all sample points"
@@ -152,7 +152,3 @@ def matrix_residual_entries(matrix) -> list[tuple[str, RatFun]]:
         for i in range(matrix.rows)
         for j in range(matrix.cols)
     ]
-
-
-def _fmt_point(point: Sequence) -> str:
-    return "(" + ", ".join(str(x) for x in point) + ")"

@@ -22,6 +22,7 @@ from contactpairs.connection import (
     reeb_geodesy,
 )
 from contactpairs.exterior import MetricField, Space, VectorField, bracket
+from contactpairs.fixtures import load_fixture
 from contactpairs.metric import build_compatible
 from contactpairs.pair import ContactPair, Status, verified_pair
 from contactpairs.structure import ContactPairStructure, PreconditionError
@@ -42,6 +43,7 @@ from conftest import (
     build_r6_metric,
     build_r6_space,
     random_poly,
+    random_spd_matrix,
     random_vector_field,
 )
 
@@ -108,6 +110,25 @@ def test_nilpotent_koszul_matches_oracle(nilpotent):
             for k in range(6):
                 expected = koszul_oracle(a, b, k) / 2
                 assert data.gamma(a, b, k).constant_value() == expected, (a, b, k)
+
+
+def test_christoffel_validates_on_a_non_identity_lie_metric(rng):
+    """The Koszul formula with both the bracket terms and a full constant
+    metric; validate re-checks torsion-freeness and metric compatibility."""
+    s = build_nilpotent_space()
+    data = christoffel(MetricField(s, random_spd_matrix(rng, s.dim, s.dim)), validate=True)
+    assert len(data.nonzero()) == 192
+    assert all(gamma.is_constant() for *_, gamma in data.nonzero())
+
+
+def test_christoffel_validates_on_a_chart_metric_with_a_denominator():
+    s = Space.chart(["x", "y", "z"])
+    x, y = s.coordinate(0), s.coordinate(1)
+    one, zero = s.one(), s.zero()
+    g = MetricField(s, [[1 / (1 + x * x), zero, zero], [zero, 1 + x * x, y], [zero, y, 1 + y * y]])
+    data = christoffel(g, validate=True)
+    assert any(not gamma.is_polynomial() for *_, gamma in data.nonzero())
+    assert data.gamma(0, 0, 0) == -x / (1 + x * x)  # ∂_x log sqrt(g_xx)
 
 
 def test_nilpotent_reeb_derivatives_vanish(nilpotent):
@@ -313,6 +334,8 @@ def test_reeb_geodesy_carries_its_christoffel_symbols(r6):
 
 # Exact reprs recorded from the earlier point-by-point evaluator (CLI start
 # sample_points[0]); the compiled, batched pass must give the same floats.
+# The CLI skips the cross-check on Lie frames, so nilpotent_g6 calls it as
+# the CLI did before.
 ROUNDOFF = "1.1102230246251565e-10"
 DATA = Path(__file__).resolve().parents[1] / "src" / "contactpairs" / "data"
 REPROS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -332,7 +355,16 @@ BUILT_Z12 = ("built_geodesy_rk4_z1", "built_geodesy_rk4_z2")
     ids=["local_model_1_1", "r6_example", "nilpotent_g6", "repro_quartic_reeb", "repro_x_dx"],
 )
 def test_numeric_residual_pinned(path, verb, keys, pinned):
-    residuals = run(verb, path).residuals
+    doc = load_fixture(path)
+    if doc.space.is_lie:
+        vp = verified_pair(doc.pair)
+        data = christoffel(doc.metric)
+        residuals = {
+            key: numeric_geodesic_residual(doc.metric, vp.z(i), vp.sample_points[0], data=data)
+            for i, key in enumerate(keys, 1)
+        }
+    else:
+        residuals = run(verb, path).residuals
     assert tuple(repr(residuals[key]) for key in keys) == pinned
 
 
@@ -352,17 +384,17 @@ def _flow_pole_cases():
     x, y = s.coordinate(0), s.coordinate(1)
     g = MetricField(s, [[s.one(), s.zero()], [s.zero(), 1 / y]])
     # the denominator of Γ^y_yy = -1/(2y) vanishes on y = 0, where the flow of ∂x stays
-    yield g, VectorField.basis(s, 0), christoffel(g), "x2", (0.001, 0.0)
+    yield g, VectorField.basis(s, 0), christoffel(g), "x2", "(0.001, 0.0)"
     # the field's own pole is hit by the second RK4 stage of the first step
     field = VectorField(s, [s.one(), 1 / (2000 * x - 1)])
-    yield MetricField.euclidean(s), field, None, "x1 - 1/2000", (0.0005, -0.0005)
+    yield MetricField.euclidean(s), field, None, "x1 - 1/2000", "(0.0005, -0.0005)"
 
 
 @pytest.mark.parametrize(
     "g, field, data, den, where", list(_flow_pole_cases()), ids=["christoffel", "field"]
 )
 def test_numeric_residual_pole_names_denominator_and_point(g, field, data, den, where):
-    message = f"denominator {den} vanishes at {tuple(np.array(where))}"
+    message = f"denominator {den} vanishes at {where}"
     with pytest.raises(ZeroDivisionError) as info:
         numeric_geodesic_residual(g, field, [0, 0], data=data)
     assert str(info.value) == message

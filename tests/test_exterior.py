@@ -14,6 +14,7 @@ from contactpairs.exterior import (
     Space,
     VectorField,
     bracket,
+    directional_derivative,
     ext_d,
     eval_at,
     interior,
@@ -229,6 +230,58 @@ def test_bracket_antisymmetry_randomized(rng):
         x = random_vector_field(rng, s)
         y = random_vector_field(rng, s)
         assert bracket(x, y) == -bracket(y, x)
+
+
+# --- one frame calculus on both backends -------------------------------------------
+# A chart is a frame with vanishing structure constants and a Lie frame one with
+# constant coefficients; the frame identities must hold on both.
+
+FRAME_BACKENDS = {
+    "nilpotent_g6": build_nilpotent_space,
+    "chart4": lambda: Space.chart(["a", "b", "c", "d"]),
+}
+
+
+def _random_field(rng, space):
+    if space.is_lie:
+        return VectorField(space, [rng.randint(-3, 3) for _ in range(space.dim)])
+    return random_vector_field(rng, space)
+
+
+def _random_one_form(rng, space):
+    if space.is_lie:
+        return Form(space, 1, {(i,): rng.randint(-3, 3) for i in range(space.dim)})
+    return random_form(rng, space, 1, max_terms=space.dim)
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
+def test_d_of_one_form_is_the_frame_formula(rng, backend):
+    """d alpha(X, Y) = X(alpha(Y)) - Y(alpha(X)) - alpha([X, Y])."""
+    s = FRAME_BACKENDS[backend]()
+    for _ in range(30):
+        alpha = _random_one_form(rng, s)
+        x, y = _random_field(rng, s), _random_field(rng, s)
+        expected = (
+            directional_derivative(x, alpha(y))
+            - directional_derivative(y, alpha(x))
+            - alpha(bracket(x, y))
+        )
+        assert alpha.d()(x, y) == expected
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
+def test_bracket_satisfies_jacobi(rng, backend):
+    s = FRAME_BACKENDS[backend]()
+    for _ in range(30):
+        x, y, w = (_random_field(rng, s) for _ in range(3))
+        total = bracket(x, bracket(y, w)) + bracket(y, bracket(w, x)) + bracket(w, bracket(x, y))
+        assert total.is_zero()
+
+
+def test_chart_covectors_are_closed():
+    s = Space.chart(["x", "y", "z"])
+    for k in range(s.dim):
+        assert s.covector_differential(k) == Form(s, 2)
 
 
 # --- Lie derivatives ---------------------------------------------------------------

@@ -271,6 +271,9 @@ def test_non_definite_aux_metric_is_a_failed_build(tmp_path):
     path.write_text(json.dumps(data))
     report = run("build-compatible", path)
     assert report.verdicts["built_compatible"].status is Status.FAILED
+    assert report.verdicts["built_compatible"].witness == (
+        "auxiliary metric is not positive definite at (0, 1)"
+    )
     assert report.exit_code() == 1
 
 
