@@ -1,7 +1,6 @@
 """Command-line verbs over fixture files.
 
-    contactpairs <verb> <fixture.json> [--out report.json] [--tol 1e-9]
-                 [--samples N] [--seed S]
+    contactpairs <verb> <fixture.json> [--out report.json] [--samples N] [--seed S]
 
 Every verdict comes from one check of the registry ``CHECKS``.  A verb names
 the checks it reports (``VERBS``); a run evaluates those checks and their
@@ -12,7 +11,7 @@ every failed prerequisite.  ``theorems`` runs every check that applies;
 3 parse/schema/usage errors.
 
 Fixture data is checked exactly (tolerance plays no role for it); the
---tol value applies to the numeric, polarization-produced instances.
+numeric, polarization-produced instances are graded within ``NUMERIC_TOL``.
 --samples appends N extra random rational sample points (seeded by --seed)
 to the fixture's declared ones; they are validated like the declared ones.
 """
@@ -72,6 +71,7 @@ from .verdicts import Verdict
 
 __all__ = ["CHECKS", "VERBS", "run", "main", "VerbUsageError"]
 
+NUMERIC_TOL = 1e-9  # residual bound at the sample points for polarization outputs
 RK4_TOLERANCE = 1e-8
 RK4_DT = 1e-3
 RK4_T_END = 1.0
@@ -92,9 +92,8 @@ class _Context:
     memoised on the pair, the decomposable verdict on the structure, and each
     metric's Christoffel symbols travel inside its geodesy report."""
 
-    def __init__(self, doc: FixtureDoc, verb: str, tol: float):
+    def __init__(self, doc: FixtureDoc, verb: str):
         self.doc = doc
-        self.tol = tol
         self.report = Report(doc.fixture_id, verb)
 
     @cached_property
@@ -282,18 +281,18 @@ def _built(ctx: _Context) -> None:
 
 
 def _polarized(ctx: _Context) -> None:
-    vp, tol, report = ctx.vp, ctx.tol, ctx.report
+    vp, report = ctx.vp, ctx.report
     violation = polarization_precondition_violation(vp, ctx.aux)
     if violation:
         raise _NotApplicable(violation)
     for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
         try:
             phi, g = build_associated_by_polarization(vp, ctx.aux, decomposable=flag)
-            cps = ContactPairStructure(vp, phi, tol=tol)
+            cps = ContactPairStructure(vp, phi, tol=NUMERIC_TOL)
         except (PolarizationError, StructureValidationError) as exc:
             report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
             continue
-        assoc = is_associated(cps, g, tol)
+        assoc = is_associated(cps, g)
         report.verdicts[f"{prefix}_associated"] = assoc.verdict
         report.residuals[f"{prefix}_associated_max"] = _max_abs_at_samples(
             assoc, vp.sample_points
@@ -304,12 +303,12 @@ def _polarized(ctx: _Context) -> None:
             if spd_failures
             else Verdict.verified("positive definite at all sample points")
         )
-        orthogonal = are_foliations_orthogonal(vp, g, tol)
+        orthogonal = are_foliations_orthogonal(vp, g, NUMERIC_TOL)
         if flag:
             report.verdicts["polarized_decomposable_check"] = cps.decomposable
             report.verdicts["polarized_decomposable_orthogonal"] = orthogonal
         report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
-            cps, g, tol, orthogonal
+            cps, g, orthogonal
         )
         # the numeric products, evaluated at the base sample point
         base = vp.sample_points[0]
@@ -507,13 +506,7 @@ def _with_samples(doc: FixtureDoc, count: int, seed: int) -> FixtureDoc:
     return load_fixture_dict(dict(doc.raw, sample_points=[*doc.raw["sample_points"], *extra]))
 
 
-def run(
-    verb: str,
-    fixture,
-    tol: float = 1e-9,
-    samples: int = 0,
-    seed: int = 0,
-) -> Report:
+def run(verb: str, fixture, samples: int = 0, seed: int = 0) -> Report:
     """Programmatic entry point: load a fixture, run a verb, return the Report."""
     if verb not in VERBS:
         raise VerbUsageError(f"unknown verb {verb!r}; choose from {', '.join(VERBS)}")
@@ -521,7 +514,7 @@ def run(
     if samples:
         doc = _with_samples(doc, samples, seed)
     started = time.perf_counter()
-    ctx = _Context(doc, verb, tol)
+    ctx = _Context(doc, verb)
     _evaluate(ctx, verb)
     report = _filter_report(ctx.report, verb)
     report.timings["total_s"] = time.perf_counter() - started
@@ -540,12 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("fixture", type=Path, help="fixture JSON file")
         sp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
         sp.add_argument(
-            "--tol",
-            type=float,
-            default=1e-9,
-            help="tolerance for numeric (polarization) residuals; exact data ignores it",
-        )
-        sp.add_argument(
             "--samples", type=int, default=0, help="extra random sample points to append"
         )
         sp.add_argument("--seed", type=int, default=0, help="seed for --samples")
@@ -555,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = run(args.verb, args.fixture, tol=args.tol, samples=args.samples, seed=args.seed)
+        report = run(args.verb, args.fixture, samples=args.samples, seed=args.seed)
     except (FixtureError, VerbUsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

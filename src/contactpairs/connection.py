@@ -228,7 +228,8 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
             value = g.value(vp.z(i), vp.z(j))
             if value != (space.one() if i == j else space.zero()):
                 raise PreconditionError(
-                    f"g(Z{i}, Z{j}) = {value}; the metric is not compatible with the pair"
+                    f"g(Z{i}, Z{j}) = {value.format(space.names)}; "
+                    "the metric is not compatible with the pair"
                 )
 
     data = christoffel(g)
@@ -243,7 +244,7 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
                 for a, c in enumerate(nabla.components)
             )
     geodesic = residual_verdict(
-        residuals, vp.sample_points, detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2"
+        residuals, vp, detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2"
     )
 
     second = {}
@@ -261,7 +262,7 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
             for a, c in enumerate(b_form.components)
         )
     totally_geodesic = residual_verdict(
-        b_residuals, vp.sample_points, detail="the Reeb orbits are totally geodesic"
+        b_residuals, vp, detail="the Reeb orbits are totally geodesic"
     )
 
     return GeodesyReport(

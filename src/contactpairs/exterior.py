@@ -22,7 +22,9 @@ Pairing convention, fixed once for the whole package:
 
     (dx_{i1} ∧ ... ∧ dx_{ip})(v_1, ..., v_p) = det(v_b[i_a])
 
-with no 1/p! normalization anywhere.
+with no 1/p! normalization anywhere, evaluated by contraction:
+ω(v_1, ..., v_p) = i_{v_p} ... i_{v_1} ω, the determinant expanded along
+the first vector.
 """
 
 from __future__ import annotations
@@ -377,18 +379,13 @@ class Form:
         return Form(self.space, self.degree - 1, coeffs)
 
     def __call__(self, *fields: "VectorField") -> RatFun:
+        """ω(v_1, ..., v_p) = i_{v_p} ... i_{v_1} ω."""
         if len(fields) != self.degree:
             raise ValueError(f"degree-{self.degree} form applied to {len(fields)} fields")
-        if self.degree == 0:
-            return self.coeffs.get((), self.space.zero())
-        total = self.space.zero()
-        for idx, c in self.coeffs.items():
-            minor = RfMatrix(
-                self.space.dim,
-                [[f.components[i] for f in fields] for i in idx],
-            )
-            total = total + c * minor.det()
-        return total
+        form = self
+        for f in fields:
+            form = form.contract(f)
+        return form.coefficient(())
 
     def eval_at(self, point: Sequence) -> dict[Index, Fraction]:
         out = {}
@@ -657,9 +654,13 @@ def directional_derivative(field: VectorField, f: RatFun) -> RatFun:
 
 
 def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:
-    """Lie derivative along ``field``: Cartan's formula for forms, the bracket
-    for vector fields, and the usual derivation formulas for endomorphism and
-    metric fields (computed on basis fields, which determines the tensor)."""
+    """Lie derivative along ``field``: Cartan's formula for forms and the
+    bracket for vector fields.  For a (1,1)-tensor Φ and a metric G it is one
+    matrix formula over the bracket matrix B, whose column b is [X, e_b]:
+
+        L_X Φ = X(Φ) + BΦ - ΦB,    L_X G = X(G) - BᵀG - GB,
+
+    with X(·) applied entrywise; B takes n brackets."""
     space = field.space
     if isinstance(tensor, Form):
         _check_same_space(field, tensor)
@@ -669,30 +670,17 @@ def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:
         return tensor.d().contract(field) + tensor.contract(field).d()
     if isinstance(tensor, VectorField):
         return bracket(field, tensor)
-    if isinstance(tensor, EndoField):
+    if isinstance(tensor, (EndoField, MetricField)):
         _check_same_space(field, tensor)
-        columns = []
-        for b in range(space.dim):
-            basis = VectorField.basis(space, b)
-            col = bracket(field, tensor.apply(basis)) - tensor.apply(bracket(field, basis))
-            columns.append(col.components)
-        return EndoField(
-            space, RfMatrix(space.dim, [[columns[b][a] for b in range(space.dim)] for a in range(space.dim)])
+        n = space.dim
+        columns = [bracket(field, VectorField.basis(space, b)).components for b in range(n)]
+        b_matrix = RfMatrix(n, columns).transpose()
+        left = b_matrix if isinstance(tensor, EndoField) else -b_matrix.transpose()
+        m = tensor.matrix
+        derivative = RfMatrix(
+            n, [[directional_derivative(field, e) for e in row] for row in m.entries]
         )
-    if isinstance(tensor, MetricField):
-        _check_same_space(field, tensor)
-        entries = []
-        for a in range(space.dim):
-            ea = VectorField.basis(space, a)
-            row = []
-            for b in range(space.dim):
-                eb = VectorField.basis(space, b)
-                term = directional_derivative(field, tensor.value(ea, eb))
-                term = term - tensor.value(bracket(field, ea), eb)
-                term = term - tensor.value(ea, bracket(field, eb))
-                row.append(term)
-            entries.append(row)
-        return MetricField(space, entries)
+        return type(tensor)(space, derivative + left @ m - m @ b_matrix)
     raise TypeError(f"cannot take a Lie derivative of {type(tensor).__name__}")
 
 

@@ -6,8 +6,9 @@ A metric g is *compatible* with (alpha1, alpha2, phi) when
 
 and *associated* when additionally g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)
 and g(X, Z_i) = alpha_i(X).  Both predicates are exact matrix identities in
-basis coordinates; a positive tolerance grades nonzero residuals at the
-sample points instead (for numeric, polarization-produced data).
+basis coordinates; a structure with a positive tolerance grades nonzero
+residuals at the sample points instead (for numeric, polarization-produced
+data).
 
 The polarization construction represents the restriction of
 d alpha1 + d alpha2 to a characteristic subbundle frame as a k-skew operator
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import RatFun, RfMatrix, format_point, solve_linear_exact
-from .exterior import EndoField, FrameForm, MetricField, VectorField, lie_derivative
+from .exterior import EndoField, Form, FrameForm, MetricField, VectorField, lie_derivative
 from .pair import DistributionFrame, VerifiedPair, column_matrix, two_form_matrix
 from .structure import ContactPairStructure, PreconditionError
 from .verdicts import (
@@ -84,19 +85,24 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     )
     return residual_verdict(
         matrix_residual_entries(residual),
-        vp.sample_points,
+        vp,
         detail="g(phi X, phi Y) = g(X, Y) - alpha1(X)alpha1(Y) - alpha2(X)alpha2(Y)",
     )
+
+
+def _duality_form(vp: VerifiedPair, g: MetricField, i: int) -> Form:
+    """The 1-form g(Z_i, ·) - alpha_i."""
+    image = g.matrix.apply(vp.z(i).components)
+    return Form(vp.space, 1, {(b,): c for b, c in enumerate(image)}) - vp.alpha(i)
 
 
 def _reeb_duality(vp: VerifiedPair, g: MetricField) -> dict[int, list[tuple[str, RatFun]]]:
     """The labelled residuals g(Z_i, e_b) - alpha_i(e_b) for i = 1, 2."""
     out = {}
     for i in (1, 2):
-        image = g.matrix.apply(vp.z(i).components)
-        row = vp.alpha_row(i)
+        residual = _duality_form(vp, g, i)
         out[i] = [
-            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", image[b] - row[b])
+            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", residual.coefficient((b,)))
             for b in range(vp.dim)
         ]
     return out
@@ -115,10 +121,10 @@ def compatible_corollaries(cps: ContactPairStructure, g: MetricField) -> dict[st
             gram.append((f"g(Z{i}, Z{j}) - {int(i == j)}", value - expected))
     return {
         "reeb_duality": residual_verdict(
-            duality, vp.sample_points, detail="g(Z_i, X) = alpha_i(X)"
+            duality, vp, detail="g(Z_i, X) = alpha_i(X)"
         ),
         "reeb_orthonormality": residual_verdict(
-            gram, vp.sample_points, detail="g(Z_i, Z_j) = delta_ij"
+            gram, vp, detail="g(Z_i, Z_j) = delta_ij"
         ),
     }
 
@@ -146,11 +152,11 @@ class AssociatedCheckReport:
         return self.verdict.ok
 
 
-def is_associated(
-    cps: ContactPairStructure, g: MetricField, tol: float = 0.0
-) -> AssociatedCheckReport:
-    """Exact checks of G·Phi = A and g(·, Z_i) = alpha_i."""
+def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckReport:
+    """Exact checks of G·Phi = A and g(·, Z_i) = alpha_i, graded at the
+    structure's own ``tol``."""
     vp = cps.vp
+    tol = cps.tol
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
     a_matrix = two_form_matrix(vp.pair.dalpha(1)) + two_form_matrix(vp.pair.dalpha(2))
@@ -161,20 +167,19 @@ def is_associated(
     reeb = {i: tuple(r for _, r in residuals) for i, residuals in duality.items()}
     reeb_labelled = duality[1] + duality[2]
 
-    points = vp.sample_points
     verdicts = {
         "pairing": residual_verdict(
             matrix_residual_entries(pairing),
-            points,
+            vp,
             tol,
             detail="g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
         ),
         "reeb": residual_verdict(
-            reeb_labelled, points, tol, detail="g(X, Z_i) = alpha_i(X)"
+            reeb_labelled, vp, tol, detail="g(X, Z_i) = alpha_i(X)"
         ),
         "skew": residual_verdict(
             matrix_residual_entries(skew),
-            points,
+            vp,
             tol,
             detail="g(phi X, Y) = -g(X, phi Y)",
         ),
@@ -184,20 +189,19 @@ def is_associated(
 
 @dataclass(frozen=True)
 class MetricContactPair:
-    """Contact pair structure plus an associated metric (enforced within
-    ``tol`` at construction).  ``associated`` is the :func:`is_associated`
-    report of (cps, g, tol); a caller that has it already passes it in, and
-    it is computed otherwise."""
+    """Contact pair structure plus an associated metric (enforced within the
+    structure's ``tol`` at construction).  ``associated`` is the
+    :func:`is_associated` report of (cps, g); a caller that has it already
+    passes it in, and it is computed otherwise."""
 
     cps: ContactPairStructure
     g: MetricField
-    tol: float = 0.0
     associated: AssociatedCheckReport | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         report = self.associated
         if report is None:
-            report = is_associated(self.cps, self.g, self.tol)
+            report = is_associated(self.cps, self.g)
             object.__setattr__(self, "associated", report)
         if not report.ok:
             raise MetricValidationError(
@@ -284,7 +288,11 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polarize_block(s_values: np.ndarray, k_values: np.ndarray, eig_tol: float):
+# the smallest eigenvalue of the polarized block that counts as nonsingular
+_EIG_TOL = 1e-12
+
+
+def _polarize_block(s_values: np.ndarray, k_values: np.ndarray):
     """Polar-decompose the k-skew operator representing the restricted 2-form.
 
     Returns (phi_block, g_block) in the frame coordinates of the block."""
@@ -299,7 +307,7 @@ def _polarize_block(s_values: np.ndarray, k_values: np.ndarray, eig_tol: float):
     sym = a_hat.T @ a_hat
     sym = (sym + sym.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(sym)  # ascending order
-    if np.min(eigenvalues) <= eig_tol:
+    if np.min(eigenvalues) <= _EIG_TOL:
         raise PolarizationError(
             f"restricted 2-form is singular on the subbundle "
             f"(eigenvalue {np.min(eigenvalues):.3e}); pair conditions violated"
@@ -318,22 +326,20 @@ def build_associated_by_polarization(
     vp: VerifiedPair,
     k_aux: MetricField,
     decomposable: bool,
-    base_point: Sequence | None = None,
-    eig_tol: float = 1e-12,
 ) -> tuple[EndoField, MetricField]:
     """Produce (phi, g) with g associated to (alpha1, alpha2, phi).
 
     The restriction of d alpha1 + d alpha2 to the characteristic subbundles
-    is polarized numerically at ``base_point`` (default: the first sample
-    point): jointly on TG1 ⊕ TG2, or per block when ``decomposable`` is set,
-    which forces phi to preserve the characteristic subbundles.  The result is
-    extended by g(·, Z_i) = alpha_i and phi(Z_i) = 0."""
+    is polarized numerically at the first sample point: jointly on TG1 ⊕ TG2,
+    or per block when ``decomposable`` is set, which forces phi to preserve
+    the characteristic subbundles.  The result is extended by
+    g(·, Z_i) = alpha_i and phi(Z_i) = 0."""
     if k_aux.space != vp.space:
         raise ValueError("auxiliary metric lives on a different space")
     reason = polarization_precondition_violation(vp, k_aux)
     if reason:
         raise PolarizationError(reason)
-    point = tuple(vp.sample_points[0] if base_point is None else base_point)
+    point = vp.sample_points[0]
     n = vp.dim
 
     dsum = vp.pair.dalpha(1) + vp.pair.dalpha(2)
@@ -356,7 +362,7 @@ def build_associated_by_polarization(
         s_exact = [[dsum(u, v) for v in vectors] for u in vectors]
         k_exact = [[k_aux.value(u, v) for v in vectors] for u in vectors]
         phi_block, g_block = _polarize_block(
-            _float_matrix(s_exact, point), _float_matrix(k_exact, point), eig_tol
+            _float_matrix(s_exact, point), _float_matrix(k_exact, point)
         )
         phi_blocks.append(phi_block)
         g_blocks.append(g_block)
@@ -400,7 +406,7 @@ def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0
     ]
     return residual_verdict(
         residuals,
-        vp.sample_points,
+        vp,
         tol,
         detail="the characteristic foliations are g-orthogonal",
     )
@@ -417,12 +423,12 @@ def killing_check(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:
     return {
         "lie_g_zero": residual_verdict(
             matrix_residual_entries(lie_g.matrix),
-            vp.sample_points,
+            vp,
             detail=f"L_Z{i} g = 0 (Z{i} is Killing)",
         ),
         "lie_phi_zero": residual_verdict(
             matrix_residual_entries(lie_phi.matrix),
-            vp.sample_points,
+            vp,
             detail=f"L_Z{i} phi = 0",
         ),
     }
@@ -442,18 +448,15 @@ def killing_agreement(results: dict[str, Verdict]) -> Verdict:
 
 
 def decomposability_orthogonality_agreement(
-    cps: ContactPairStructure,
-    g: MetricField,
-    tol: float = 0.0,
-    orthogonal: Verdict | None = None,
+    cps: ContactPairStructure, g: MetricField, orthogonal: Verdict | None = None
 ) -> Verdict:
     """For an associated metric, phi is decomposable iff the characteristic
     foliations are orthogonal; the two verdicts must match.  Decomposability
     is the structure's own verdict (:attr:`ContactPairStructure.decomposable`);
     ``orthogonal`` may hand in :func:`are_foliations_orthogonal` of the same
-    ``(cps.vp, g, tol)`` when the caller already has it."""
+    ``(cps.vp, g, cps.tol)`` when the caller already has it."""
     dec = cps.decomposable
-    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g, tol)
+    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g, cps.tol)
     if dec.ok == orth.ok:
         value = "both hold" if dec.ok else "both fail"
         return Verdict.verified(f"decomposability ⟺ orthogonality ({value})")
@@ -483,18 +486,17 @@ class LeafMCP:
 
 
 def _phi_in_frame_coordinates(
-    mcp: MetricContactPair, frame: DistributionFrame, tol: float
+    mcp: MetricContactPair, frame: DistributionFrame, images: Sequence[VectorField]
 ) -> list[list[RatFun]]:
-    """Solve for the matrix of phi restricted to the frame.  Exact solve for
-    tol == 0; least squares at the base sample point otherwise."""
+    """The matrix of phi restricted to the frame, from the images phi(v) of
+    its vectors.  Exact solve at the structure's tol == 0; least squares at
+    the base sample point otherwise."""
     vp = mcp.vp
-    n = vp.dim
-    m = frame.size
+    tol = mcp.cps.tol
     matrix = frame.matrix()
     columns = []
     if tol == 0.0:
-        for q, v in enumerate(frame.vectors):
-            image = mcp.phi.apply(v)
+        for q, image in enumerate(images):
             try:
                 sol = solve_linear_exact(matrix, list(image.components))
             except Exception as exc:
@@ -503,34 +505,37 @@ def _phi_in_frame_coordinates(
                     f"leaves the span ({exc})"
                 ) from exc
             columns.append(sol.particular)
-        return [[columns[q][p] for q in range(m)] for p in range(m)]
-    point = vp.sample_points[0]
-    frame_values = _float_matrix(matrix.entries, point)
-    cols = []
-    for q, v in enumerate(frame.vectors):
-        image = mcp.phi.apply(v)
-        rhs = np.array([float(c.eval(point)) for c in image.components])
-        coeffs, *_ = np.linalg.lstsq(frame_values, rhs, rcond=None)
-        reconstruction = frame_values @ coeffs
-        if np.max(np.abs(reconstruction - rhs)) > tol:
-            raise PreconditionError(
-                f"frame {frame.label} is not phi-invariant within {tol:g}"
-            )
-        cols.append([RatFun.const(n, Fraction(float(c))) for c in coeffs])
-    return [[cols[q][p] for q in range(m)] for p in range(m)]
+    else:
+        point = vp.sample_points[0]
+        frame_values = _float_matrix(matrix.entries, point)
+        for image in images:
+            rhs = np.array([float(c.eval(point)) for c in image.components])
+            coeffs, *_ = np.linalg.lstsq(frame_values, rhs, rcond=None)
+            reconstruction = frame_values @ coeffs
+            if np.max(np.abs(reconstruction - rhs)) > tol:
+                raise PreconditionError(
+                    f"frame {frame.label} is not phi-invariant within {tol:g}"
+                )
+            columns.append([RatFun.const(vp.dim, Fraction(float(c))) for c in coeffs])
+    m = frame.size
+    return [[columns[q][p] for q in range(m)] for p in range(m)]
 
 
 def verify_restricted_contact_metric(
-    mcp: MetricContactPair, frame: DistributionFrame, mode, tol: float = 0.0
+    mcp: MetricContactPair, frame: DistributionFrame, mode
 ) -> Verdict:
-    """Bundle-level verification of the structures induced on leaves.
+    """Bundle-level verification of the structures induced on leaves, graded
+    at the structure's own ``tol``.
 
     ``LeafContactMetric(i)`` expects the characteristic frame of alpha_j
     (j != i) and checks g(u, phi v) = d alpha_i(u, v), g(u, Z_i) = alpha_i(u)
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
     contact pair of the induced type with the restricted metric associated.
-    Decomposability is the structure's own verdict
+    Each restricted table is formed once: phi(v) per frame vector, the
+    frame's Gram matrix (m² metric pairings), each d alpha_l table (shared by
+    the wedge conditions and the associated residual) and the 1-forms
+    g(Z_l, ·) - alpha_l.  Decomposability is the structure's own verdict
     (:attr:`ContactPairStructure.decomposable`)."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
@@ -538,7 +543,9 @@ def verify_restricted_contact_metric(
         )
     vp = mcp.vp
     g = mcp.g
-    points = vp.sample_points
+    tol = mcp.cps.tol
+    label = frame.label
+    vectors = frame.vectors
 
     if isinstance(mode, LeafContactMetric):
         i = mode.i
@@ -547,32 +554,29 @@ def verify_restricted_contact_metric(
         z = vp.z(i)
         if not frame.contains(z):
             return Verdict.failed(
-                f"Z{i} not in span({frame.label})",
+                f"Z{i} not in span({label})",
                 "the Reeb field must be tangent to the leaves",
             )
-        _phi_in_frame_coordinates(mcp, frame, tol)  # raises if not invariant
+        images = [mcp.phi.apply(v) for v in vectors]
+        _phi_in_frame_coordinates(mcp, frame, images)  # raises if not invariant
+        duality = _duality_form(vp, g, i)
         residuals = []
-        for p, u in enumerate(frame.vectors):
-            for q, v in enumerate(frame.vectors):
-                residuals.append(
-                    (
-                        f"g({frame.label}[{p}], phi {frame.label}[{q}]) - d alpha{i}",
-                        g.value(u, mcp.phi.apply(v)) - dalpha(u, v),
-                    )
-                )
-            residuals.append(
-                (f"g({frame.label}[{p}], Z{i}) - alpha{i}", g.value(u, z) - alpha(u))
-            )
-            square = mcp.phi.apply(mcp.phi.apply(u)) - ((-1) * u + alpha(u) * z)
+        for p, u in enumerate(vectors):
             residuals.extend(
-                (f"(phi^2 + Id - alpha{i}⊗Z{i})({frame.label}[{p}])[{a}]", c)
+                (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", g.value(u, w) - dalpha(u, v))
+                for q, (v, w) in enumerate(zip(vectors, images))
+            )
+            residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality(u)))
+            square = mcp.phi.apply(images[p]) - ((-1) * u + alpha(u) * z)
+            residuals.extend(
+                (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
                 for a, c in enumerate(square.components)
             )
         return residual_verdict(
             residuals,
-            points,
+            vp,
             tol,
-            detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {frame.label}",
+            detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
         )
 
     if isinstance(mode, LeafMCP):
@@ -587,22 +591,20 @@ def verify_restricted_contact_metric(
         for l, z in ((1, vp.z1), (2, vp.z2)):
             if not frame.contains(z):
                 return Verdict.failed(
-                    f"Z{l} not in span({frame.label})",
+                    f"Z{l} not in span({label})",
                     "both Reeb fields are tangent to the leaves of ker d alpha_i",
                 )
-        phi_rest = _phi_in_frame_coordinates(mcp, frame, tol)
+        phi_rest = _phi_in_frame_coordinates(
+            mcp, frame, [mcp.phi.apply(v) for v in vectors]
+        )
 
-        nvars = vp.dim
-        vectors = frame.vectors
         beta = {
             l: FrameForm.one_form([vp.alpha(l)(u) for u in vectors]) for l in (1, 2)
         }
-        dpair = {
-            l: FrameForm.two_form(
-                [[vp.pair.dalpha(l)(u, v) for v in vectors] for u in vectors]
-            )
-            for l in (1, 2)
+        tables = {
+            l: [[vp.pair.dalpha(l)(u, v) for v in vectors] for u in vectors] for l in (1, 2)
         }
+        dpair = {l: FrameForm.two_form(tables[l]) for l in (1, 2)}
 
         volume = (
             beta[1]
@@ -612,42 +614,38 @@ def verify_restricted_contact_metric(
         verdicts = [
             nonvanishing_verdict(
                 volume.top_coefficient(),
-                points,
-                f"restricted volume coefficient on {frame.label}",
+                vp.sample_points,
+                f"restricted volume coefficient on {label}",
             )
         ]
         for l, power in ((1, h_ind + 1), (2, k_ind + 1)):
             excess = dpair[l].wedge_power(power)
             residuals = [
-                (f"(d alpha{l}|{frame.label})^{power} [{idx}]", c)
+                (f"(d alpha{l}|{label})^{power} [{idx}]", c)
                 for idx, c in excess.coeffs.items()
             ]
-            verdicts.append(residual_verdict(residuals, points, tol))
+            verdicts.append(residual_verdict(residuals, vp, tol))
 
-        m = frame.size
-        dsum = vp.pair.dalpha(1) + vp.pair.dalpha(2)
-        associated_residuals = []
-        for p in range(m):
-            for q in range(m):
-                lhs = vp.space.zero()
-                for r in range(m):
-                    lhs = lhs + g.value(vectors[p], vectors[r]) * phi_rest[r][q]
-                rhs = dsum(vectors[p], vectors[q])
-                associated_residuals.append(
-                    (f"(G phi - d alpha)|{frame.label} ({p},{q})", lhs - rhs)
-                )
-        for l, z in ((1, vp.z1), (2, vp.z2)):
+        n = vp.dim
+        gram = RfMatrix(n, [[g.value(u, v) for v in vectors] for u in vectors])
+        g_phi = gram @ RfMatrix(n, phi_rest)
+        associated_residuals = [
+            (
+                f"(G phi - d alpha)|{label} ({p},{q})",
+                g_phi.at(p, q) - (tables[1][p][q] + tables[2][p][q]),
+            )
+            for p in range(frame.size)
+            for q in range(frame.size)
+        ]
+        for l in (1, 2):
+            duality = _duality_form(vp, g, l)
             associated_residuals.extend(
-                (
-                    f"g({frame.label}[{p}], Z{l}) - alpha{l}",
-                    g.value(u, z) - vp.alpha(l)(u),
-                )
-                for p, u in enumerate(vectors)
+                (f"g({label}[{p}], Z{l}) - alpha{l}", duality(u)) for p, u in enumerate(vectors)
             )
         verdicts.append(
             residual_verdict(
                 associated_residuals,
-                points,
+                vp,
                 tol,
                 detail="restricted metric is associated to the restricted pair",
             )
@@ -655,7 +653,7 @@ def verify_restricted_contact_metric(
 
         return combine_verdicts(
             verdicts,
-            detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {frame.label}",
+            detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {label}",
         )
 
     raise TypeError(f"unknown restriction mode {mode!r}")

@@ -74,6 +74,12 @@ def two_form_matrix(form: Form) -> RfMatrix:
     return RfMatrix(n, mat)
 
 
+def contraction_rows(form: Form) -> list[tuple[RatFun, ...]]:
+    """The rows of Z -> i_Z omega for a 2-form: (i_Z omega)(e_b) = sum_a
+    omega(e_a, e_b) Z^a, so row b is column b of :func:`two_form_matrix`."""
+    return list(two_form_matrix(form).transpose().entries)
+
+
 def column_matrix(space: Space, vectors: Sequence[VectorField]) -> RfMatrix:
     """The dim x len(vectors) matrix whose columns are the given fields."""
     return RfMatrix(space.dim, [[v.components[a] for v in vectors] for a in range(space.dim)])
@@ -165,18 +171,15 @@ def verify_contact_pair(pair: ContactPair) -> dict[str, Verdict]:
         else:
             idx, c = next(iter(excess.coeffs.items()))
             out[f"dalpha{i}_power_zero"] = Verdict.failed(
-                f"(d alpha{i})^{power} has coefficient {c} on {idx}"
+                f"(d alpha{i})^{power} has coefficient {c.format(pair.space.names)} on {idx}"
             )
     return out
 
 
 def _reeb_system(pair: ContactPair) -> RfMatrix:
-    rows = [list(one_form_row(pair.alpha1)), list(one_form_row(pair.alpha2))]
+    rows = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     for i in (1, 2):
-        m = two_form_matrix(pair.dalpha(i))
-        # (i_Z d alpha)(e_b) = sum_a d alpha(e_a, e_b) Z^a : row b is column b of m
-        for b in range(pair.dim):
-            rows.append([m.at(a, b) for a in range(pair.dim)])
+        rows.extend(contraction_rows(pair.dalpha(i)))
     return RfMatrix(pair.dim, rows)
 
 
@@ -211,7 +214,9 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
             value = pair.alpha(i)(z)
             expected = pair.space.one() if i == j else pair.space.zero()
             if value != expected:
-                raise ReebSolveError(f"alpha{i}(Z{j}) = {value}, expected {int(i == j)}")
+                raise ReebSolveError(
+                    f"alpha{i}(Z{j}) = {value.format(pair.space.names)}, expected {int(i == j)}"
+                )
             contraction = pair.dalpha(i).contract(z)
             if not contraction.is_zero():
                 raise ReebSolveError(f"i_Z{j} d alpha{i} = {contraction} is nonzero")
@@ -273,9 +278,7 @@ def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
     foliation of alpha_i).  Rank must be 2k+1 for which=1, 2h+1 for which=2."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    m = two_form_matrix(pair.dalpha(which))
-    rows: list[Sequence[RatFun]] = [one_form_row(pair.alpha(which))]
-    rows.extend([m.at(a, b) for a in range(pair.dim)] for b in range(pair.dim))
+    rows = [one_form_row(pair.alpha(which)), *contraction_rows(pair.dalpha(which))]
     frame = _kernel_frame_from_rows(pair.space, rows, f"TF{which}")
     expected = 2 * pair.k + 1 if which == 1 else 2 * pair.h + 1
     if frame.size != expected:
@@ -290,10 +293,7 @@ def g_frame(pair: ContactPair, i: int) -> DistributionFrame:
     2h for i=2."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    m = two_form_matrix(pair.dalpha(i))
-    rows: list[Sequence[RatFun]] = [[m.at(a, b) for a in range(pair.dim)] for b in range(pair.dim)]
-    rows.append(one_form_row(pair.alpha1))
-    rows.append(one_form_row(pair.alpha2))
+    rows = contraction_rows(pair.dalpha(i)) + [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     frame = _kernel_frame_from_rows(pair.space, rows, f"TG{i}")
     expected = 2 * pair.k if i == 1 else 2 * pair.h
     if frame.size != expected:
@@ -307,8 +307,7 @@ def kernel_frame(pair: ContactPair, i: int) -> DistributionFrame:
     """Frame of ker d alpha_i (the characteristic foliation of d alpha_i)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    m = two_form_matrix(pair.dalpha(i))
-    rows = [[m.at(a, b) for a in range(pair.dim)] for b in range(pair.dim)]
+    rows = contraction_rows(pair.dalpha(i))
     frame = _kernel_frame_from_rows(pair.space, rows, f"KerDAlpha{i}")
     expected = pair.dim - (2 * pair.h if i == 1 else 2 * pair.k)
     if frame.size != expected:

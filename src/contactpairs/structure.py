@@ -50,7 +50,6 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
         raise ValueError("phi lives on a different space")
     n = vp.dim
     nvars = n
-    points = vp.sample_points
 
     eye = RfMatrix.identity(n, nvars)
     reeb_outer = RfMatrix.outer(vp.z1.components, vp.alpha_row(1), nvars) + (
@@ -60,7 +59,7 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
     out = {
         "phi_squared": residual_verdict(
             matrix_residual_entries(squared_residual),
-            points,
+            vp,
             tol,
             detail="phi^2 = -Id + alpha1⊗Z1 + alpha2⊗Z2",
         )
@@ -73,7 +72,7 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
             (f"(phi Z{i})[{vp.space.names[a]}]", c) for a, c in enumerate(image.components)
         )
     out["phi_reeb"] = residual_verdict(
-        reeb_residuals, points, tol, detail="phi(Z1) = phi(Z2) = 0"
+        reeb_residuals, vp, tol, detail="phi(Z1) = phi(Z2) = 0"
     )
 
     annihilation = []
@@ -86,7 +85,7 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
                     total = total + row[a] * phi.matrix.at(a, b)
             annihilation.append((f"(alpha{i} ∘ phi)[{vp.space.names[b]}]", total))
     out["alpha_phi"] = residual_verdict(
-        annihilation, points, tol, detail="alpha_i ∘ phi = 0"
+        annihilation, vp, tol, detail="alpha_i ∘ phi = 0"
     )
 
     rank = generic_rank(phi.matrix)
@@ -128,14 +127,14 @@ class ContactPairStructure:
 
     @cached_property
     def decomposable(self) -> Verdict:
-        """:func:`is_decomposable` at the structure's own ``tol``, computed once."""
-        return is_decomposable(self, self.tol)
+        """:func:`is_decomposable` of the structure, computed once."""
+        return is_decomposable(self)
 
 
-def is_decomposable(cps: ContactPairStructure, tol: float = 0.0) -> Verdict:
+def is_decomposable(cps: ContactPairStructure) -> Verdict:
     """phi preserves both characteristic subbundles: for every frame vector v
     of TF_i, alpha_i(phi v) = 0 and i_{phi v} d alpha_i = 0 (equivalently phi
-    maps each TG_i onto itself)."""
+    maps each TG_i onto itself).  Graded at the structure's own ``tol``."""
     vp = cps.vp
     residuals = []
     for i in (1, 2):
@@ -151,8 +150,8 @@ def is_decomposable(cps: ContactPairStructure, tol: float = 0.0) -> Verdict:
             )
     return residual_verdict(
         residuals,
-        vp.sample_points,
-        tol,
+        vp,
+        cps.tol,
         detail="phi(TF_i) ⊂ TF_i for i = 1, 2",
     )
 
@@ -245,6 +244,6 @@ def verify_induced_almost_contact(
         )
     return residual_verdict(
         residuals,
-        vp.sample_points,
+        vp,
         detail=f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf_frame.label}",
     )

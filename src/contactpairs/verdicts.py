@@ -84,14 +84,19 @@ def combine_verdicts(verdicts: Iterable[Verdict], detail: str | None = None) -> 
 
 def residual_verdict(
     residuals: Sequence[tuple[str, RatFun]],
-    sample_points: Sequence[Sequence],
+    pair,
     tol: float = 0.0,
     detail: str = "",
 ) -> Verdict:
     """Verified when every labelled residual is identically zero; otherwise,
     with a positive tolerance, SampleVerified when all residuals evaluate
     within tol at every sample point; otherwise Failed with the first
-    offending residual (and point, for the numeric path) as witness."""
+    offending residual (and point, for the numeric path) as witness.
+
+    ``pair`` is what the residuals live on (a pair, verified pair or
+    structure): its sample points grade them and its space's coordinate
+    names print the witness."""
+    sample_points = pair.sample_points
     nonzero = [(label, r) for label, r in residuals if not r.is_zero()]
     if not nonzero:
         return Verdict.verified(detail)
@@ -116,7 +121,9 @@ def residual_verdict(
             detail or f"max residual {worst:.3e} within tol {tol:.1e}",
         )
     label, r = nonzero[0]
-    return Verdict.failed(f"{label} = {r}", detail or "nonzero symbolic residual")
+    return Verdict.failed(
+        f"{label} = {r.format(pair.space.names)}", detail or "nonzero symbolic residual"
+    )
 
 
 def nonvanishing_verdict(

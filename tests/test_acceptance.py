@@ -180,12 +180,10 @@ def test_criterion_4_equivalence_theorem(structures):
                 k_aux = MetricField(vp.space, random_spd_matrix(rng, 6, 6))
                 phi, g = build_associated_by_polarization(vp, k_aux, decomposable=flag)
                 cps_new = ContactPairStructure(vp, phi, tol=NUM_TOL)
-                assert is_associated(cps_new, g, tol=NUM_TOL).ok, name
-                agreement = decomposability_orthogonality_agreement(
-                    cps_new, g, tol=NUM_TOL
-                )
+                assert is_associated(cps_new, g).ok, name
+                agreement = decomposability_orthogonality_agreement(cps_new, g)
                 assert agreement.status is Status.VERIFIED, (name, flag, agreement)
-                if not is_decomposable(cps_new, tol=NUM_TOL).ok:
+                if not is_decomposable(cps_new).ok:
                     mixed += 1
                 trials += 1
     assert trials >= 10
@@ -217,12 +215,12 @@ def test_criterion_5_constructors(structures):
         for flag in (False, True):
             phi, g = build_associated_by_polarization(vp, aux, decomposable=flag)
             cps_new = ContactPairStructure(vp, phi, tol=NUM_TOL)
-            report = is_associated(cps_new, g, tol=NUM_TOL)
+            report = is_associated(cps_new, g)
             assert report.ok, (name, flag, report.verdict)
             for point in vp.sample_points:
                 assert g.is_positive_definite_at(point), (name, flag, point)
             if flag:
-                assert is_decomposable(cps_new, tol=NUM_TOL).ok, name
+                assert is_decomposable(cps_new).ok, name
             polarized += 1
     _report(
         "5",

@@ -1,11 +1,14 @@
 """Exterior calculus: wedge, d, interior product, brackets, Lie derivatives."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactpairs.algebra import RatFun
+from contactpairs import exterior
+from contactpairs.algebra import Poly, RatFun
 from contactpairs.exterior import (
     EndoField,
     Form,
@@ -27,6 +30,7 @@ from conftest import (
     build_r6_forms,
     build_r6_space,
     random_form,
+    random_ratfun,
     random_vector_field,
 )
 
@@ -110,6 +114,80 @@ def test_graded_anticommutativity_randomized(rng):
         if (p * q) % 2:
             rhs = -rhs
         assert lhs == rhs
+
+
+# --- pairing by contraction ---------------------------------------------------------
+# The reference is the det-of-minors definition computed in plain Fractions at a
+# random rational point, sharing no code with RatFun canonical form.
+
+_small = st.integers(-3, 3).map(Fraction)
+_points = st.fractions(-3, 3, max_denominator=4)
+
+
+def _terms(nvars):
+    """A polynomial as raw {exponents: coefficient} terms."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), _small, max_size=3)
+
+
+def _eval_terms(terms, point):
+    total = Fraction(0)
+    for exps, c in terms.items():
+        for x, e in zip(point, exps):
+            c *= x**e
+        total += c
+    return total
+
+
+def _leibniz_det(rows):
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        term = Fraction(_perm_sign(perm))
+        for a, b in enumerate(perm):
+            term *= rows[a][b]
+        total += term
+    return total
+
+
+def _det_of_minors(coeffs, fields):
+    """sum_I c_I det(v_b[i_a]) from Fraction values."""
+    return sum(
+        (c * _leibniz_det([[f[i] for f in fields] for i in idx]) for idx, c in coeffs.items()),
+        Fraction(0),
+    )
+
+
+@st.composite
+def _pairing_case(draw, nvars, value):
+    p = draw(st.integers(1, 3))
+    indices = list(combinations(range(nvars), p))
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3, unique=True))
+    coeffs = {idx: draw(value) for idx in chosen}
+    fields = [[draw(value) for _ in range(nvars)] for _ in range(p)]
+    return coeffs, fields
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairing_case(4, _terms(4)), st.tuples(*[_points] * 4))
+def test_pairing_is_the_det_of_minors_on_a_chart(case, point):
+    coeffs, fields = case
+    s = Space.chart(["a", "b", "c", "d"])
+    form = Form(s, len(fields), {idx: Poly(4, t) for idx, t in coeffs.items()})
+    vectors = [VectorField(s, [Poly(4, t) for t in comps]) for comps in fields]
+    expected = _det_of_minors(
+        {idx: _eval_terms(t, point) for idx, t in coeffs.items()},
+        [[_eval_terms(t, point) for t in comps] for comps in fields],
+    )
+    assert form(*vectors).eval(point) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairing_case(6, _small))
+def test_pairing_is_the_det_of_minors_on_nilpotent_g6(case):
+    coeffs, fields = case
+    s = build_nilpotent_space()
+    value = Form(s, len(fields), coeffs)(*(VectorField(s, f) for f in fields))
+    assert value.is_constant()
+    assert value.constant_value() == _det_of_minors(coeffs, fields)
 
 
 # --- exterior derivative -------------------------------------------------------
@@ -343,6 +421,60 @@ def test_two_form_identity_randomized(rng):
             - a(bracket(x, y))
         )
         assert lhs == rhs
+
+
+def _random_tensors(rng, space):
+    """A random (1,1)-tensor and a random symmetric (0,2)-tensor."""
+    n = space.dim
+
+    def entry():
+        if space.is_lie:
+            return rng.randint(-3, 3)
+        return random_ratfun(rng, n, max_degree=1, max_terms=2)
+
+    phi = EndoField(space, [[entry() for _ in range(n)] for _ in range(n)])
+    rows = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            rows[a][b] = rows[b][a] = entry()
+    return phi, MetricField(space, rows)
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
+def test_lie_derivative_of_tensors_on_non_basis_fields(rng, backend):
+    """(L_X g)(Y, W) = X(g(Y, W)) - g([X, Y], W) - g(Y, [X, W]) and
+    (L_X phi)(Y) = [X, phi Y] - phi [X, Y]."""
+    s = FRAME_BACKENDS[backend]()
+    for _ in range(6):
+        phi, g = _random_tensors(rng, s)
+        x, y, w = (_random_field(rng, s) for _ in range(3))
+        assert lie_derivative(x, g).value(y, w) == (
+            directional_derivative(x, g.value(y, w))
+            - g.value(bracket(x, y), w)
+            - g.value(y, bracket(x, w))
+        )
+        assert lie_derivative(x, phi).apply(y) == bracket(x, phi.apply(y)) - phi.apply(
+            bracket(x, y)
+        )
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
+def test_lie_derivative_of_tensors_makes_n_brackets(rng, backend, monkeypatch):
+    """The bracket matrix is formed once: one bracket [X, e_b] per basis field."""
+    s = FRAME_BACKENDS[backend]()
+    phi, g = _random_tensors(rng, s)
+    x = _random_field(rng, s)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(exterior, "bracket", counted)
+    for tensor in (phi, g):
+        calls.clear()
+        lie_derivative(x, tensor)
+        assert len(calls) == s.dim
 
 
 def test_lie_derivative_of_constant_tensors_on_nilpotent():

@@ -327,6 +327,21 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch):
     assert calls == dict.fromkeys(calls, 1)
 
 
+def test_witnesses_use_the_fixture_coordinate_names(capsys):
+    """A chart on (x, y) prints its residuals in x and y, not x1 and x2."""
+    path = str(fixture_path("named_coords.json"))
+    assert main(["compatible", path]) == 1
+    assert "compatible: Failed [witness: entry (0,0) = -y^2]" in capsys.readouterr().out
+    assert main(["geodesy", path]) == 1
+    assert "[witness: g(Z1, Z1) = y^2 + 1; " in capsys.readouterr().out
+
+
+def test_tol_option_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["compatible", str(fixture_path("flat2_mcp.json")), "--tol", "1e-6"])
+    assert "--tol" in capsys.readouterr().err
+
+
 # --- report serialization ----------------------------------------------------------------
 
 

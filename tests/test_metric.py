@@ -219,14 +219,14 @@ def test_build_compatible_rejects_degenerate_aux(r6):
 def test_polarize_block_trivial_two_block():
     s = np.array([[0.0, 1.0], [-1.0, 0.0]])
     k = np.eye(2)
-    phi_block, g_block = _polarize_block(s, k, 1e-12)
+    phi_block, g_block = _polarize_block(s, k)
     assert np.allclose(phi_block, s)
     assert np.allclose(g_block, np.eye(2))
 
 
 def test_polarize_block_rejects_singular_form():
     with pytest.raises(PolarizationError, match="singular"):
-        _polarize_block(np.zeros((2, 2)), np.eye(2), 1e-12)
+        _polarize_block(np.zeros((2, 2)), np.eye(2))
 
 
 def test_polarization_recovers_nilpotent_reference(nilpotent):
@@ -236,9 +236,9 @@ def test_polarization_recovers_nilpotent_reference(nilpotent):
     assert phi.matrix == cps.phi.matrix
     assert g.matrix == g_ref.matrix
     cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    report = is_associated(cps_new, g, tol=TOL)
+    report = is_associated(cps_new, g)
     assert report.ok
-    assert is_decomposable(cps_new, tol=TOL).ok
+    assert is_decomposable(cps_new).ok
 
 
 def test_polarization_local_model(local_model):
@@ -247,7 +247,7 @@ def test_polarization_local_model(local_model):
     k_aux = MetricField.euclidean(cps.space)
     phi, g = build_associated_by_polarization(vp, k_aux, decomposable=False)
     cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    report = is_associated(cps_new, g, tol=TOL)
+    report = is_associated(cps_new, g)
     assert report.ok, report.verdict
     for point in vp.sample_points:
         assert g.is_positive_definite_at(point)
@@ -260,8 +260,8 @@ def test_polarization_decomposable_flag(local_model):
         vp, MetricField.euclidean(cps.space), decomposable=True
     )
     cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    assert is_decomposable(cps_new, tol=TOL).ok
-    assert is_associated(cps_new, g, tol=TOL).ok
+    assert is_decomposable(cps_new).ok
+    assert is_associated(cps_new, g).ok
 
 
 def test_polarization_random_aux_joint_agreement(nilpotent, rng):
@@ -274,10 +274,10 @@ def test_polarization_random_aux_joint_agreement(nilpotent, rng):
         k_aux = MetricField(cps.space, random_spd_matrix(rng, 6, 6))
         phi, g = build_associated_by_polarization(vp, k_aux, decomposable=False)
         cps_new = ContactPairStructure(vp, phi, tol=TOL)
-        assert is_associated(cps_new, g, tol=TOL).ok
-        agreement = decomposability_orthogonality_agreement(cps_new, g, tol=TOL)
+        assert is_associated(cps_new, g).ok
+        agreement = decomposability_orthogonality_agreement(cps_new, g)
         assert agreement.status is Status.VERIFIED, agreement
-        if not is_decomposable(cps_new, tol=TOL).ok:
+        if not is_decomposable(cps_new).ok:
             mixed += 1
     assert mixed >= 1  # generic k_aux does mix the blocks
 
@@ -289,9 +289,9 @@ def test_polarization_random_aux_decomposable_agreement(nilpotent, rng):
         k_aux = MetricField(cps.space, random_spd_matrix(rng, 6, 6))
         phi, g = build_associated_by_polarization(vp, k_aux, decomposable=True)
         cps_new = ContactPairStructure(vp, phi, tol=TOL)
-        assert is_decomposable(cps_new, tol=TOL).ok
+        assert is_decomposable(cps_new).ok
         assert are_foliations_orthogonal(vp, g, tol=TOL).ok
-        assert decomposability_orthogonality_agreement(cps_new, g, tol=TOL).ok
+        assert decomposability_orthogonality_agreement(cps_new, g).ok
 
 
 # --- orthogonality ---------------------------------------------------------------------
@@ -427,11 +427,11 @@ def test_leaf_restriction_numeric_path(nilpotent):
     vp = cps.vp
     phi, g = build_associated_by_polarization(vp, g_ref, decomposable=True)
     cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    mcp = MetricContactPair(cps_new, g, tol=TOL)
-    verdict = verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1), tol=TOL)
+    mcp = MetricContactPair(cps_new, g)
+    verdict = verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1))
     assert verdict.ok, verdict
     verdict = verify_restricted_contact_metric(
-        mcp, kernel_frame(vp.pair, 2), LeafMCP(2), tol=TOL
+        mcp, kernel_frame(vp.pair, 2), LeafMCP(2)
     )
     assert verdict.ok, verdict
 
@@ -444,3 +444,25 @@ def test_leaf_identities_trivial_on_reeb(nilpotent):
         z = vp.z(i)
         assert g.value(z, z) == cps.space.one()
         assert cps.phi.apply(cps.phi.apply(z)).is_zero()
+
+
+def test_leaf_tables_are_formed_once(nilpotent, monkeypatch):
+    """LeafMCP pairs the metric m² times (the frame's Gram matrix), and
+    LeafContactMetric applies phi twice per frame vector (phi v and phi² v)."""
+    cps, g = nilpotent
+    mcp = MetricContactPair(cps, g)
+    calls = {"value": 0, "apply": 0}
+    for cls, name in ((MetricField, "value"), (EndoField, "apply")):
+
+        def counted(*args, _inner=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    frame = kernel_frame(cps.vp.pair, 2)
+    assert verify_restricted_contact_metric(mcp, frame, LeafMCP(2)).ok
+    assert calls["value"] == frame.size**2
+    frame = cps.vp.tf2
+    calls["apply"] = 0
+    assert verify_restricted_contact_metric(mcp, frame, LeafContactMetric(1)).ok
+    assert calls["apply"] == 2 * frame.size

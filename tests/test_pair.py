@@ -137,6 +137,16 @@ def test_twisted_pair_fails_at_bad_sample():
     assert verdicts["volume_form"].status is Status.FAILED
 
 
+def test_power_witness_uses_the_coordinate_names():
+    """d(xy dx) = -x dx^dy, so (d alpha1)^1 != 0 on a type (0, 0) pair."""
+    s = build_flat2_space()
+    x, y = s.coordinate(0), s.coordinate(1)
+    alpha1, alpha2 = Form(s, 1, {(0,): x * y}), Form(s, 1, {(1,): 1})
+    pair = ContactPair(s, alpha1, alpha2, 0, 0, tuple(FLAT2_SAMPLES))
+    verdict = verify_contact_pair(pair)["dalpha1_power_zero"]
+    assert verdict.witness == "(d alpha1)^1 has coefficient -x on (0, 1)"
+
+
 # --- Reeb fields ------------------------------------------------------------------
 
 

@@ -100,8 +100,8 @@ def test_2_1_polarization(model_2_1):
         vp, MetricField.euclidean(vp.space), decomposable=True
     )
     cps = ContactPairStructure(vp, phi, tol=TOL)
-    assert is_associated(cps, g, tol=TOL).ok
-    assert is_decomposable(cps, tol=TOL).ok
+    assert is_associated(cps, g).ok
+    assert is_decomposable(cps).ok
 
 
 def test_rational_structure_constants_via_cli(tmp_path):
@@ -127,7 +127,7 @@ def test_rational_structure_constants_via_cli(tmp_path):
         vp, MetricField.euclidean(vp.space), decomposable=True
     )
     cps = ContactPairStructure(vp, phi, tol=TOL)
-    report = is_associated(cps, g, tol=TOL)
+    report = is_associated(cps, g)
     assert report.ok, report.verdict
 
     import json
