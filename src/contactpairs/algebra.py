@@ -686,11 +686,6 @@ class RfMatrix:
     def zeros(cls, rows: int, cols: int, nvars: int) -> "RfMatrix":
         return cls(nvars, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def outer(cls, column: Sequence[RatFun], row: Sequence[RatFun], nvars: int) -> "RfMatrix":
-        """The rank-one matrix column · row."""
-        return cls(nvars, [[c * r for r in row] for c in column])
-
     def at(self, i: int, j: int) -> RatFun:
         return self.entries[i][j]
 

@@ -322,9 +322,8 @@ def _float_grid(matrix, point) -> list[list[str]]:
 
 def _max_abs_at_samples(assoc, points) -> float:
     """The largest |residual| of the associated-metric identities at the points."""
-    matrices = (assoc.pairing_residual, assoc.skew_residual)
+    matrices = (assoc.pairing_residual, assoc.skew_residual, assoc.reeb_residuals)
     entries = [e for m in matrices for row in m.entries for e in row]
-    entries += [e for residuals in assoc.reeb_residuals.values() for e in residuals]
     values = (abs(float(e.eval(p))) for e in entries if not e.is_zero() for p in points)
     return max(values, default=0.0)
 

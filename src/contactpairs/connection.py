@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import Poly, RatFun, SingularMatrixError, format_point
 from .exterior import MetricField, Space, VectorField, directional_derivative
-from .pair import VerifiedPair
+from .pair import VerifiedPair, _reeb_gram, column_matrix
 from .structure import PreconditionError
 from .verdicts import Verdict, residual_verdict
 
@@ -223,9 +223,10 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
     it); a violation raises :class:`PreconditionError` because it means the
     compatibility hypothesis does not hold."""
     space = vp.space
+    gram = _reeb_gram(vp, g)
     for i in (1, 2):
         for j in (1, 2):
-            value = g.value(vp.z(i), vp.z(j))
+            value = gram.at(i - 1, j - 1)
             if value != (space.one() if i == j else space.zero()):
                 raise PreconditionError(
                     f"g(Z{i}, Z{j}) = {value.format(space.names)}; "
@@ -233,36 +234,35 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
                 )
 
     data = christoffel(g)
-    derivatives = {}
-    residuals = []
-    for i in (1, 2):
-        for j in (1, 2):
-            nabla = covariant_derivative(data, vp.z(i), vp.z(j))
-            derivatives[(i, j)] = nabla
-            residuals.extend(
-                (f"(∇_Z{i} Z{j})[{space.names[a]}]", c)
-                for a, c in enumerate(nabla.components)
-            )
+    derivatives = {
+        (i, j): covariant_derivative(data, vp.z(i), vp.z(j)) for i in (1, 2) for j in (1, 2)
+    }
     geodesic = residual_verdict(
-        residuals, vp, detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2"
+        [
+            (f"(∇_Z{i} Z{j})[{space.names[a]}]", c)
+            for (i, j), nabla in derivatives.items()
+            for a, c in enumerate(nabla.components)
+        ],
+        vp,
+        detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2",
     )
 
-    second = {}
-    b_residuals = []
-    for (i, j), nabla in derivatives.items():
-        tangential = VectorField.zero_field(space)
-        for l in (1, 2):
-            coeff = g.value(nabla, vp.z(l))
-            if not coeff.is_zero():
-                tangential = tangential + coeff * vp.z(l)
-        b_form = nabla - tangential
-        second[(i, j)] = b_form
-        b_residuals.extend(
-            (f"B(Z{i}, Z{j})[{space.names[a]}]", c)
-            for a, c in enumerate(b_form.components)
-        )
+    # B = N - Z (Z^T G N): the columns of N are the ∇_{Z_i} Z_j, and Z^T G N
+    # holds their tangential coefficients g(∇_{Z_i} Z_j, Z_l)
+    nablas = column_matrix(space, list(derivatives.values()))
+    reeb = vp._reeb_matrix
+    b_matrix = nablas - reeb @ (reeb.transpose() @ g.matrix @ nablas)
+    second = {
+        ij: VectorField(space, b_matrix.column(col)) for col, ij in enumerate(derivatives)
+    }
     totally_geodesic = residual_verdict(
-        b_residuals, vp, detail="the Reeb orbits are totally geodesic"
+        [
+            (f"B(Z{i}, Z{j})[{space.names[a]}]", c)
+            for (i, j), b_form in second.items()
+            for a, c in enumerate(b_form.components)
+        ],
+        vp,
+        detail="the Reeb orbits are totally geodesic",
     )
 
     return GeodesyReport(

@@ -180,5 +180,10 @@ class _Parser:
 
 
 def parse_expression(text: str, space: Space) -> RatFun:
-    """Parse a coefficient expression into a canonical rational function."""
-    return _Parser(text, space).parse()
+    """Parse a coefficient expression into a canonical rational function.
+    Nesting too deep for the recursive descent is an ExpressionError."""
+    parser = _Parser(text, space)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError("parentheses nested too deeply", parser.peek().pos, text) from None

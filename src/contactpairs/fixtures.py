@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
-import jsonschema
+
+from jsonschema import exceptions, validators
 
 from .algebra import RatFun, format_point
 from .exterior import EndoField, Form, MetricField, Space
@@ -45,6 +47,13 @@ class FixtureError(ValueError):
 def fixture_schema() -> dict:
     with resources.files("contactpairs").joinpath("data/fixture.schema.json").open() as fh:
         return json.load(fh)
+
+
+@cache
+def _schema_validator():
+    """Built once; the tests check the schema against its metaschema."""
+    schema = fixture_schema()
+    return validators.validator_for(schema)(schema)
 
 
 def bundled_fixture_names() -> tuple[str, ...]:
@@ -200,12 +209,10 @@ def _build_one_form(data: dict, key: str, space: Space) -> Form:
         raise FixtureError(str(exc), f"$.{key}") from exc
 
 
-def load_fixture_dict(data: dict, source: str = "<dict>") -> FixtureDoc:
-    schema = fixture_schema()
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise FixtureError(exc.message, _json_path(exc.absolute_path)) from exc
+def load_fixture_dict(data: dict) -> FixtureDoc:
+    error = exceptions.best_match(_schema_validator().iter_errors(data))
+    if error is not None:
+        raise FixtureError(error.message, _json_path(error.absolute_path)) from error
 
     space = _build_space(data)
     n = space.dim
@@ -290,4 +297,4 @@ def load_fixture(path) -> FixtureDoc:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"invalid JSON in {path}: {exc}")
-    return load_fixture_dict(data, source=str(path))
+    return load_fixture_dict(data)

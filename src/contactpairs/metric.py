@@ -10,6 +10,12 @@ basis coordinates; a structure with a positive tolerance grades nonzero
 residuals at the sample points instead (for numeric, polarization-produced
 data).
 
+Every table over frames is one product with their column matrices F, F'
+(Z = (Z1 Z2), α the 2 x n matrix with rows alpha1, alpha2, W_l the value
+table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf Gram,
+polarization's k table, Z^T G Z), 2-form tables F^T W_l F, images phi F,
+the duality rows (Z^T G - α) F, and compatibility phi^T G phi - G + α^T α.
+
 The polarization construction represents the restriction of
 d alpha1 + d alpha2 to a characteristic subbundle frame as a k-skew operator
 A (k(u, A v) = d alpha(u, v)), polar-decomposes it numerically, and extends
@@ -28,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import RatFun, RfMatrix, format_point, solve_linear_exact
-from .exterior import EndoField, Form, FrameForm, MetricField, VectorField, lie_derivative
-from .pair import DistributionFrame, VerifiedPair, column_matrix, two_form_matrix
-from .structure import ContactPairStructure, PreconditionError
+from .exterior import EndoField, FrameForm, MetricField, lie_derivative
+from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, two_form_matrix
+from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
 from .verdicts import (
     Status,
     Verdict,
@@ -73,16 +79,9 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     vp = cps.vp
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
-    n = vp.dim
-    a1 = vp.alpha_row(1)
-    a2 = vp.alpha_row(2)
-    phi_t = cps.phi.matrix.transpose()
-    residual = (
-        phi_t @ g.matrix @ cps.phi.matrix
-        - g.matrix
-        + RfMatrix.outer(a1, a1, n)
-        + RfMatrix.outer(a2, a2, n)
-    )
+    phi = cps.phi.matrix
+    alphas = vp._alpha_matrix
+    residual = phi.transpose() @ g.matrix @ phi - g.matrix + alphas.transpose() @ alphas
     return residual_verdict(
         matrix_residual_entries(residual),
         vp,
@@ -90,41 +89,38 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     )
 
 
-def _duality_form(vp: VerifiedPair, g: MetricField, i: int) -> Form:
-    """The 1-form g(Z_i, ·) - alpha_i."""
-    image = g.matrix.apply(vp.z(i).components)
-    return Form(vp.space, 1, {(b,): c for b, c in enumerate(image)}) - vp.alpha(i)
+def _duality_rows(vp: VerifiedPair, g: MetricField) -> RfMatrix:
+    """The 2 x n matrix Z^T G - α: row i holds g(Z_i, ·) - alpha_i, so its
+    product with a frame F pairs every frame vector at once."""
+    return vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix
 
 
-def _reeb_duality(vp: VerifiedPair, g: MetricField) -> dict[int, list[tuple[str, RatFun]]]:
+def _reeb_duality(vp: VerifiedPair, duality: RfMatrix) -> list[tuple[str, RatFun]]:
     """The labelled residuals g(Z_i, e_b) - alpha_i(e_b) for i = 1, 2."""
-    out = {}
-    for i in (1, 2):
-        residual = _duality_form(vp, g, i)
-        out[i] = [
-            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", residual.coefficient((b,)))
-            for b in range(vp.dim)
-        ]
-    return out
+    return [
+        (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
+        for i in (1, 2)
+        for b in range(vp.dim)
+    ]
 
 
 def compatible_corollaries(cps: ContactPairStructure, g: MetricField) -> dict[str, Verdict]:
     """Consequences every compatible metric must satisfy: g(Z_i, ·) = alpha_i
     and g(Z_i, Z_j) = delta_ij."""
     vp = cps.vp
-    duality = [r for residuals in _reeb_duality(vp, g).values() for r in residuals]
-    gram = []
-    for i in (1, 2):
-        for j in (1, 2):
-            value = g.value(vp.z(i), vp.z(j))
-            expected = vp.space.one() if i == j else vp.space.zero()
-            gram.append((f"g(Z{i}, Z{j}) - {int(i == j)}", value - expected))
+    gram = _reeb_gram(vp, g) - RfMatrix.identity(2, vp.dim)
     return {
         "reeb_duality": residual_verdict(
-            duality, vp, detail="g(Z_i, X) = alpha_i(X)"
+            _reeb_duality(vp, _duality_rows(vp, g)), vp, detail="g(Z_i, X) = alpha_i(X)"
         ),
         "reeb_orthonormality": residual_verdict(
-            gram, vp, detail="g(Z_i, Z_j) = delta_ij"
+            [
+                (f"g(Z{i}, Z{j}) - {int(i == j)}", gram.at(i - 1, j - 1))
+                for i in (1, 2)
+                for j in (1, 2)
+            ],
+            vp,
+            detail="g(Z_i, Z_j) = delta_ij",
         ),
     }
 
@@ -135,12 +131,13 @@ class AssociatedCheckReport:
 
     ``pairing_residual`` is G·Phi - A with A[a][b] = (d alpha1 + d alpha2)
     applied to the basis pair (a, b); ``skew_residual`` is Phi^T G + G Phi
-    (implied by the pairing identity, asserted separately as a sanity check).
+    (implied by the pairing identity, asserted separately as a sanity check);
+    row i of ``reeb_residuals`` is g(Z_i, ·) - alpha_i.
     """
 
     pairing_residual: RfMatrix
     skew_residual: RfMatrix
-    reeb_residuals: dict[int, tuple[RatFun, ...]]
+    reeb_residuals: RfMatrix
     verdicts: dict[str, Verdict]
 
     @property
@@ -163,9 +160,7 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     pairing = g.matrix @ cps.phi.matrix - a_matrix
     skew = cps.phi.matrix.transpose() @ g.matrix + g.matrix @ cps.phi.matrix
 
-    duality = _reeb_duality(vp, g)
-    reeb = {i: tuple(r for _, r in residuals) for i, residuals in duality.items()}
-    reeb_labelled = duality[1] + duality[2]
+    duality = _duality_rows(vp, g)
 
     verdicts = {
         "pairing": residual_verdict(
@@ -175,7 +170,7 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
             detail="g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
         ),
         "reeb": residual_verdict(
-            reeb_labelled, vp, tol, detail="g(X, Z_i) = alpha_i(X)"
+            _reeb_duality(vp, duality), vp, tol, detail="g(X, Z_i) = alpha_i(X)"
         ),
         "skew": residual_verdict(
             matrix_residual_entries(skew),
@@ -184,7 +179,7 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
             detail="g(phi X, Y) = -g(X, phi Y)",
         ),
     }
-    return AssociatedCheckReport(pairing, skew, reeb, verdicts)
+    return AssociatedCheckReport(pairing, skew, duality, verdicts)
 
 
 @dataclass(frozen=True)
@@ -234,10 +229,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
             raise MetricValidationError(
                 f"auxiliary metric is not positive definite at {format_point(point)}"
             )
-    n = vp.dim
-    a1 = vp.alpha_row(1)
-    a2 = vp.alpha_row(2)
-    alpha_term = RfMatrix.outer(a1, a1, n) + RfMatrix.outer(a2, a2, n)
+    alpha_term = vp._alpha_matrix.transpose() @ vp._alpha_matrix
     phi = cps.phi.matrix
     phi2 = phi @ phi
     k_matrix = phi2.transpose() @ h_aux.matrix @ phi2 + alpha_term
@@ -342,33 +334,25 @@ def build_associated_by_polarization(
     point = vp.sample_points[0]
     n = vp.dim
 
-    dsum = vp.pair.dalpha(1) + vp.pair.dalpha(2)
-    blocks = [(vp.tg1, vp.tg2)] if not decomposable else [(vp.tg1,), (vp.tg2,)]
-    block_frames: list[tuple[VectorField, ...]] = []
-    for group in blocks:
-        vectors: tuple[VectorField, ...] = ()
-        for frame in group:
-            vectors = vectors + frame.vectors
-        block_frames.append(vectors)
-
+    dsum = two_form_matrix(vp.pair.dalpha(1)) + two_form_matrix(vp.pair.dalpha(2))
+    tg1, tg2 = vp.tg1.vectors, vp.tg2.vectors
     phi_blocks = []
     g_blocks = []
-    for vectors in block_frames:
-        m = len(vectors)
-        if m == 0:  # a TG block is empty for types with h = 0 or k = 0
+    for vectors in [tg1, tg2] if decomposable else [tg1 + tg2]:
+        frame = column_matrix(vp.space, vectors)
+        if frame.cols == 0:  # a TG block is empty for types with h = 0 or k = 0
             phi_blocks.append(np.zeros((0, 0)))
             g_blocks.append(np.zeros((0, 0)))
             continue
-        s_exact = [[dsum(u, v) for v in vectors] for u in vectors]
-        k_exact = [[k_aux.value(u, v) for v in vectors] for u in vectors]
+        s_exact = frame.transpose() @ dsum @ frame
+        k_exact = frame.transpose() @ k_aux.matrix @ frame
         phi_block, g_block = _polarize_block(
-            _float_matrix(s_exact, point), _float_matrix(k_exact, point)
+            _float_matrix(s_exact.entries, point), _float_matrix(k_exact.entries, point)
         )
         phi_blocks.append(phi_block)
         g_blocks.append(g_block)
 
-    ordered = [v for vectors in block_frames for v in vectors]
-    basis = column_matrix(vp.space, [*ordered, vp.z1, vp.z2])
+    basis = column_matrix(vp.space, [*tg1, *tg2, vp.z1, vp.z2])
     basis_inv = basis.inverse()
 
     zero = RatFun.zero(n)
@@ -399,10 +383,11 @@ def build_associated_by_polarization(
 
 def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> Verdict:
     """g(u, v) = 0 for every u in the TF1 frame and v in the TF2 frame."""
+    table = vp.tf1.matrix.transpose() @ g.matrix @ vp.tf2.matrix
     residuals = [
-        (f"g(TF1[{p}], TF2[{q}])", g.value(u, v))
-        for p, u in enumerate(vp.tf1.vectors)
-        for q, v in enumerate(vp.tf2.vectors)
+        (f"g(TF1[{p}], TF2[{q}])", table.at(p, q))
+        for p in range(table.rows)
+        for q in range(table.cols)
     ]
     return residual_verdict(
         residuals,
@@ -486,19 +471,18 @@ class LeafMCP:
 
 
 def _phi_in_frame_coordinates(
-    mcp: MetricContactPair, frame: DistributionFrame, images: Sequence[VectorField]
-) -> list[list[RatFun]]:
-    """The matrix of phi restricted to the frame, from the images phi(v) of
-    its vectors.  Exact solve at the structure's tol == 0; least squares at
-    the base sample point otherwise."""
+    mcp: MetricContactPair, frame: DistributionFrame, images: RfMatrix
+) -> RfMatrix:
+    """The matrix of phi restricted to the frame F, from the images phi F.
+    Exact solve at the structure's tol == 0; least squares at the base
+    sample point otherwise."""
     vp = mcp.vp
     tol = mcp.cps.tol
-    matrix = frame.matrix()
     columns = []
     if tol == 0.0:
-        for q, image in enumerate(images):
+        for q in range(images.cols):
             try:
-                sol = solve_linear_exact(matrix, list(image.components))
+                sol = solve_linear_exact(frame.matrix, images.column(q))
             except Exception as exc:
                 raise PreconditionError(
                     f"frame {frame.label} is not phi-invariant: phi({frame.label}[{q}]) "
@@ -507,18 +491,17 @@ def _phi_in_frame_coordinates(
             columns.append(sol.particular)
     else:
         point = vp.sample_points[0]
-        frame_values = _float_matrix(matrix.entries, point)
-        for image in images:
-            rhs = np.array([float(c.eval(point)) for c in image.components])
+        frame_values = _float_matrix(frame.matrix.entries, point)
+        image_values = _float_matrix(images.entries, point)
+        for rhs in image_values.T:
             coeffs, *_ = np.linalg.lstsq(frame_values, rhs, rcond=None)
             reconstruction = frame_values @ coeffs
             if np.max(np.abs(reconstruction - rhs)) > tol:
                 raise PreconditionError(
                     f"frame {frame.label} is not phi-invariant within {tol:g}"
                 )
-            columns.append([RatFun.const(vp.dim, Fraction(float(c))) for c in coeffs])
-    m = frame.size
-    return [[columns[q][p] for q in range(m)] for p in range(m)]
+            columns.append([Fraction(float(c)) for c in coeffs])
+    return RfMatrix(vp.dim, columns).transpose()
 
 
 def verify_restricted_contact_metric(
@@ -532,45 +515,44 @@ def verify_restricted_contact_metric(
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
     contact pair of the induced type with the restricted metric associated.
-    Each restricted table is formed once: phi(v) per frame vector, the
-    frame's Gram matrix (m² metric pairings), each d alpha_l table (shared by
-    the wedge conditions and the associated residual) and the 1-forms
-    g(Z_l, ·) - alpha_l.  Decomposability is the structure's own verdict
+    Every restricted table is a product with the frame's column matrix F:
+    the images phi F, the Gram matrix F^T G F, the 2-form tables F^T W_l F
+    with W_l the value table of d alpha_l, alpha_l(F) and the duality rows
+    (Z^T G - α) F.  Decomposability is the structure's own verdict
     (:attr:`ContactPairStructure.decomposable`)."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
             "restriction to the characteristic leaves needs decomposable phi"
         )
     vp = mcp.vp
-    g = mcp.g
     tol = mcp.cps.tol
     label = frame.label
-    vectors = frame.vectors
+    f = frame.matrix
+    f_t = f.transpose()
+    images = mcp.phi.matrix @ f
+    duality = _duality_rows(vp, mcp.g) @ f
+    tables = {l: f_t @ two_form_matrix(vp.pair.dalpha(l)) @ f for l in (1, 2)}
 
     if isinstance(mode, LeafContactMetric):
         i = mode.i
-        alpha = vp.alpha(i)
-        dalpha = vp.pair.dalpha(i)
-        z = vp.z(i)
-        if not frame.contains(z):
+        if not frame.contains(vp.z(i)):
             return Verdict.failed(
                 f"Z{i} not in span({label})",
                 "the Reeb field must be tangent to the leaves",
             )
-        images = [mcp.phi.apply(v) for v in vectors]
         _phi_in_frame_coordinates(mcp, frame, images)  # raises if not invariant
-        duality = _duality_form(vp, g, i)
+        pairing = f_t @ mcp.g.matrix @ images - tables[i]
+        square = _leaf_square_residual(mcp.cps, frame, i, images)
         residuals = []
-        for p, u in enumerate(vectors):
+        for p in range(frame.size):
             residuals.extend(
-                (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", g.value(u, w) - dalpha(u, v))
-                for q, (v, w) in enumerate(zip(vectors, images))
+                (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
+                for q in range(frame.size)
             )
-            residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality(u)))
-            square = mcp.phi.apply(images[p]) - ((-1) * u + alpha(u) * z)
+            residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
             residuals.extend(
                 (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
-                for a, c in enumerate(square.components)
+                for a, c in enumerate(square.column(p))
             )
         return residual_verdict(
             residuals,
@@ -594,17 +576,11 @@ def verify_restricted_contact_metric(
                     f"Z{l} not in span({label})",
                     "both Reeb fields are tangent to the leaves of ker d alpha_i",
                 )
-        phi_rest = _phi_in_frame_coordinates(
-            mcp, frame, [mcp.phi.apply(v) for v in vectors]
-        )
+        phi_rest = _phi_in_frame_coordinates(mcp, frame, images)
 
-        beta = {
-            l: FrameForm.one_form([vp.alpha(l)(u) for u in vectors]) for l in (1, 2)
-        }
-        tables = {
-            l: [[vp.pair.dalpha(l)(u, v) for v in vectors] for u in vectors] for l in (1, 2)
-        }
-        dpair = {l: FrameForm.two_form(tables[l]) for l in (1, 2)}
+        alphas = vp._alpha_matrix @ f
+        beta = {l: FrameForm.one_form(alphas.row(l - 1)) for l in (1, 2)}
+        dpair = {l: FrameForm.two_form(tables[l].entries) for l in (1, 2)}
 
         volume = (
             beta[1]
@@ -626,22 +602,17 @@ def verify_restricted_contact_metric(
             ]
             verdicts.append(residual_verdict(residuals, vp, tol))
 
-        n = vp.dim
-        gram = RfMatrix(n, [[g.value(u, v) for v in vectors] for u in vectors])
-        g_phi = gram @ RfMatrix(n, phi_rest)
+        associated = f_t @ mcp.g.matrix @ f @ phi_rest - (tables[1] + tables[2])
         associated_residuals = [
-            (
-                f"(G phi - d alpha)|{label} ({p},{q})",
-                g_phi.at(p, q) - (tables[1][p][q] + tables[2][p][q]),
-            )
+            (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
             for p in range(frame.size)
             for q in range(frame.size)
         ]
-        for l in (1, 2):
-            duality = _duality_form(vp, g, l)
-            associated_residuals.extend(
-                (f"g({label}[{p}], Z{l}) - alpha{l}", duality(u)) for p, u in enumerate(vectors)
-            )
+        associated_residuals.extend(
+            (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
+            for l in (1, 2)
+            for p in range(frame.size)
+        )
         verdicts.append(
             residual_verdict(
                 associated_residuals,

@@ -23,7 +23,7 @@ from .algebra import (
     kernel_basis,
     solve_linear_exact,
 )
-from .exterior import Form, Space, VectorField, bracket, ext_d
+from .exterior import Form, MetricField, Space, VectorField, bracket, ext_d
 from .verdicts import Status, Verdict, nonvanishing_verdict
 
 __all__ = [
@@ -247,14 +247,16 @@ class DistributionFrame:
     def size(self) -> int:
         return len(self.vectors)
 
+    @cached_property
     def matrix(self) -> RfMatrix:
-        """n x size matrix whose columns are the frame vectors."""
+        """The n x size matrix F whose columns are the frame vectors, formed
+        once; every table of the frame is a product with it."""
         return column_matrix(self.space, self.vectors)
 
     def rank(self) -> int:
         if not self.vectors:
             return 0
-        return generic_rank(self.matrix())
+        return generic_rank(self.matrix)
 
     def contains(self, field: VectorField) -> bool:
         """Generic membership: adjoining the field must not raise the rank."""
@@ -353,8 +355,21 @@ class VerifiedPair:
     def alpha(self, i: int) -> Form:
         return self.pair.alpha(i)
 
-    def alpha_row(self, i: int) -> tuple[RatFun, ...]:
-        return one_form_row(self.pair.alpha(i))
+    @cached_property
+    def _reeb_matrix(self) -> RfMatrix:
+        """The n x 2 matrix Z with columns Z1, Z2."""
+        return column_matrix(self.space, (self.z1, self.z2))
+
+    @cached_property
+    def _alpha_matrix(self) -> RfMatrix:
+        """The 2 x n matrix A with rows alpha1, alpha2."""
+        return RfMatrix(self.dim, [one_form_row(self.pair.alpha1), one_form_row(self.pair.alpha2)])
+
+
+def _reeb_gram(vp: VerifiedPair, g: MetricField) -> RfMatrix:
+    """The 2 x 2 Gram matrix Z^T G Z of the Reeb fields under the metric g."""
+    z = vp._reeb_matrix
+    return z.transpose() @ g.matrix @ z
 
 
 def verified_pair(

@@ -7,6 +7,11 @@ plus the derived identities (alpha_i ∘ phi = 0, rank phi = n - 2),
 decomposability with respect to the characteristic subbundles, and the
 builder that extends a complex structure on TG1 ⊕ TG2 by zero on the Reeb
 fields.
+
+Each identity is a matrix product, with Z = (Z1 Z2), A the rows alpha1,
+alpha2 and F the column matrix of a frame: phi^2 + Id - Z A, phi Z and
+A phi; A (phi F) for decomposability; and phi^2 F + F - Z_i (alpha_i F) on
+the leaves, shared with the leafwise contact metric check.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .algebra import RatFun, RfMatrix, generic_rank
-from .exterior import EndoField
+from .exterior import EndoField, VectorField
 from .pair import DistributionFrame, VerifiedPair, column_matrix
 from .verdicts import Verdict, matrix_residual_entries, residual_verdict
 
@@ -49,13 +54,10 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
     if phi.space != vp.space:
         raise ValueError("phi lives on a different space")
     n = vp.dim
-    nvars = n
+    names = vp.space.names
+    reeb, alphas = vp._reeb_matrix, vp._alpha_matrix
 
-    eye = RfMatrix.identity(n, nvars)
-    reeb_outer = RfMatrix.outer(vp.z1.components, vp.alpha_row(1), nvars) + (
-        RfMatrix.outer(vp.z2.components, vp.alpha_row(2), nvars)
-    )
-    squared_residual = (phi.matrix @ phi.matrix) + eye - reeb_outer
+    squared_residual = phi.matrix @ phi.matrix + RfMatrix.identity(n, n) - reeb @ alphas
     out = {
         "phi_squared": residual_verdict(
             matrix_residual_entries(squared_residual),
@@ -65,28 +67,15 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
         )
     }
 
-    reeb_residuals = []
-    for i in (1, 2):
-        image = phi.apply(vp.z(i))
-        reeb_residuals.extend(
-            (f"(phi Z{i})[{vp.space.names[a]}]", c) for a, c in enumerate(image.components)
-        )
-    out["phi_reeb"] = residual_verdict(
-        reeb_residuals, vp, tol, detail="phi(Z1) = phi(Z2) = 0"
-    )
-
-    annihilation = []
-    for i in (1, 2):
-        row = vp.alpha_row(i)
-        for b in range(n):
-            total = vp.space.zero()
-            for a in range(n):
-                if not row[a].is_zero():
-                    total = total + row[a] * phi.matrix.at(a, b)
-            annihilation.append((f"(alpha{i} ∘ phi)[{vp.space.names[b]}]", total))
-    out["alpha_phi"] = residual_verdict(
-        annihilation, vp, tol, detail="alpha_i ∘ phi = 0"
-    )
+    # phi Z_i and alpha_i ∘ phi, each as row i - 1 of a 2 x n table
+    for key, table, label, detail in (
+        ("phi_reeb", (phi.matrix @ reeb).transpose(), "(phi Z{})", "phi(Z1) = phi(Z2) = 0"),
+        ("alpha_phi", alphas @ phi.matrix, "(alpha{} ∘ phi)", "alpha_i ∘ phi = 0"),
+    ):
+        residuals = [
+            (f"{label.format(i)}[{names[b]}]", table.at(i - 1, b)) for i in (1, 2) for b in range(n)
+        ]
+        out[key] = residual_verdict(residuals, vp, tol, detail=detail)
 
     rank = generic_rank(phi.matrix)
     if rank == n - 2:
@@ -138,12 +127,12 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
     vp = cps.vp
     residuals = []
     for i in (1, 2):
-        alpha = vp.alpha(i)
         dalpha = vp.pair.dalpha(i)
-        for idx, v in enumerate(vp.tf(i).vectors):
-            image = cps.phi.apply(v)
-            residuals.append((f"alpha{i}(phi TF{i}[{idx}])", alpha(image)))
-            contraction = dalpha.contract(image)
+        images = cps.phi.matrix @ vp.tf(i).matrix
+        alpha_images = (vp._alpha_matrix @ images).row(i - 1)
+        for idx in range(images.cols):
+            residuals.append((f"alpha{i}(phi TF{i}[{idx}])", alpha_images[idx]))
+            contraction = dalpha.contract(VectorField(vp.space, images.column(idx)))
             residuals.extend(
                 (f"(i_(phi TF{i}[{idx}]) d alpha{i})[{vp.space.names[b]}]", c)
                 for (b,), c in contraction.coeffs.items()
@@ -231,19 +220,25 @@ def verify_induced_almost_contact(
             f"Z{i} not in span({leaf_frame.label})",
             "the Reeb field must be tangent to the leaves",
         )
-    alpha = vp.alpha(i)
-    z = vp.z(i)
-    residuals = []
-    for idx, v in enumerate(leaf_frame.vectors):
-        image = cps.phi.apply(cps.phi.apply(v))
-        target = (-1) * v + alpha(v) * z
-        diff = image - target
-        residuals.extend(
-            (f"(phi^2 - (-Id + alpha{i}⊗Z{i}))({leaf_frame.label}[{idx}])[{vp.space.names[a]}]", c)
-            for a, c in enumerate(diff.components)
-        )
+    square = _leaf_square_residual(cps, leaf_frame, i, cps.phi.matrix @ leaf_frame.matrix)
+    residuals = [
+        (f"(phi^2 - (-Id + alpha{i}⊗Z{i}))({leaf_frame.label}[{p}])[{vp.space.names[a]}]", c)
+        for p in range(square.cols)
+        for a, c in enumerate(square.column(p))
+    ]
     return residual_verdict(
         residuals,
         vp,
         detail=f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf_frame.label}",
     )
+
+
+def _leaf_square_residual(
+    cps: ContactPairStructure, frame: DistributionFrame, i: int, images: RfMatrix
+) -> RfMatrix:
+    """phi^2 F + F - Z_i (alpha_i F) from the images phi F of the frame F:
+    column p is phi^2 v_p + v_p - alpha_i(v_p) Z_i."""
+    vp = cps.vp
+    z_i = column_matrix(vp.space, [vp.z(i)])
+    alpha_i = RfMatrix(vp.dim, [vp._alpha_matrix.row(i - 1)])
+    return cps.phi.matrix @ images + frame.matrix - z_i @ (alpha_i @ frame.matrix)

@@ -355,14 +355,33 @@ def square_matrices(draw):
     )
 
 
+def _cleared(entries):
+    """Polynomials p_k and a polynomial d with entries[k] = p_k / d."""
+    d = Poly.const(2, 1)
+    for e in entries:
+        d = divexact(d * e.den, poly_gcd(d, e.den))
+    return [divexact(e.num * d, e.den) for e in entries], d
+
+
 @settings(max_examples=25, deadline=None)
 @given(square_matrices())
 def test_inverse_is_exact(m):
+    """M M^-1 = I, checked as r_i · c_j = d_i e_j δ_ij on the polynomial rows
+    r_i = d_i M[i, :] and columns c_j = e_j M^-1[:, j]: polynomial products,
+    where RatFun sums would take a gcd per addition."""
     if m.det().is_zero():
         with pytest.raises(SingularMatrixError):
             m.inverse()
         return
-    assert m @ m.inverse() == RfMatrix.identity(m.rows, 2)
+    inverse = m.inverse()
+    rows = [_cleared(m.row(i)) for i in range(m.rows)]
+    columns = [_cleared(inverse.column(j)) for j in range(m.rows)]
+    for i, (r, d) in enumerate(rows):
+        for j, (c, e) in enumerate(columns):
+            product = Poly.zero(2)
+            for a, b in zip(r, c):
+                product = product + a * b
+            assert product == (d * e if i == j else Poly.zero(2))
 
 
 def test_inverse_matches_sympy_on_built_metric():

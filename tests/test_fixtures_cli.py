@@ -73,9 +73,31 @@ def test_unknown_covector_in_alpha():
 
 
 def test_schema_document_is_valid_draft07():
-    import jsonschema
+    """The loader does not re-check the bundled schema on every load; it is
+    checked against its metaschema here, with the validator class the loader
+    builds from it."""
+    from jsonschema import Draft7Validator, validators
 
-    jsonschema.Draft7Validator.check_schema(fixture_schema())
+    schema = fixture_schema()
+    assert validators.validator_for(schema) is Draft7Validator
+    Draft7Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_every_test_fixture_loads_or_is_a_fixture_error(path):
+    try:
+        load_fixture(path)
+    except FixtureError:
+        pass
+
+
+def test_deeply_nested_expression_is_a_fixture_error(capsys):
+    """alpha2.y of deep_parens.json is 1 inside 200 pairs of parentheses,
+    deeper than the recursive-descent parser can go."""
+    assert main(["verify-pair", str(fixture_path("deep_parens.json"))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.alpha2.y: bad expression '((")
+    assert "parentheses nested too deeply" in err
 
 
 def test_metric_must_be_spd_at_samples():

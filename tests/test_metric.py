@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contactpairs.algebra import RfMatrix
-from contactpairs.exterior import EndoField, MetricField, VectorField
+from contactpairs.exterior import EndoField, Form, MetricField, VectorField
 from contactpairs.metric import (
     LeafContactMetric,
     LeafMCP,
@@ -447,22 +447,23 @@ def test_leaf_identities_trivial_on_reeb(nilpotent):
 
 
 def test_leaf_tables_are_formed_once(nilpotent, monkeypatch):
-    """LeafMCP pairs the metric m² times (the frame's Gram matrix), and
-    LeafContactMetric applies phi twice per frame vector (phi v and phi² v)."""
+    """Both leaf modes form every table as a product with the frame's column
+    matrix F, which each frame forms once: no metric pairing, no application
+    of phi to a vector and no evaluation of a form on frame vectors."""
     cps, g = nilpotent
     mcp = MetricContactPair(cps, g)
-    calls = {"value": 0, "apply": 0}
-    for cls, name in ((MetricField, "value"), (EndoField, "apply")):
+    calls = {"value": 0, "apply": 0, "__call__": 0}
+    for cls, name in ((MetricField, "value"), (EndoField, "apply"), (Form, "__call__")):
 
         def counted(*args, _inner=getattr(cls, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
 
         monkeypatch.setattr(cls, name, counted)
-    frame = kernel_frame(cps.vp.pair, 2)
-    assert verify_restricted_contact_metric(mcp, frame, LeafMCP(2)).ok
-    assert calls["value"] == frame.size**2
-    frame = cps.vp.tf2
-    calls["apply"] = 0
-    assert verify_restricted_contact_metric(mcp, frame, LeafContactMetric(1)).ok
-    assert calls["apply"] == 2 * frame.size
+    for frame, mode in (
+        (kernel_frame(cps.vp.pair, 2), LeafMCP(2)),
+        (cps.vp.tf2, LeafContactMetric(1)),
+    ):
+        assert verify_restricted_contact_metric(mcp, frame, mode).ok
+        assert calls == {"value": 0, "apply": 0, "__call__": 0}
+        assert isinstance(frame.matrix, RfMatrix) and frame.matrix is frame.matrix

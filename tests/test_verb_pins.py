@@ -1,5 +1,7 @@
 """What every verb reports on five fixtures: the exit code (or the usage
 error), each reported verdict with its status, and each skip with its reason.
+On ``oblique_g6``, whose characteristic foliations are not orthogonal, the
+``orthogonal`` and ``theorems`` reports are pinned with their witnesses too.
 
 A verb reports the checks it names and the failed checks they build on; the
 table pins that set for every verb.  Float residuals and outputs are left
@@ -422,11 +424,41 @@ PINS = {
             "leaves": "requires an associated metric and decomposable phi",
         },
     ),
+    ("oblique_g6", "orthogonal"): (1, {"Failed": "orthogonal"}, {}),
+    ("oblique_g6", "theorems"): (
+        1,
+        {
+            "Verified": (
+                "dalpha1_power_zero dalpha2_power_zero decomposable induced_almost_contact_1 "
+                "induced_almost_contact_2 reeb_commutation reeb_contraction reeb_normalization "
+                "splittings structure_alpha_phi structure_phi_reeb structure_phi_squared "
+                "structure_rank volume_form"
+            ),
+            "Failed": "associated associated_skew compatible orthogonal",
+        },
+        {
+            "decomposable_orthogonal_agreement": "requires an associated metric",
+            "geodesy": "requires a compatible metric",
+            "killing": "requires an associated metric",
+            "leaves": "requires an associated metric and decomposable phi",
+        },
+    ),
 }
 # ``report`` is ``theorems`` printed to stdout.
 for fid, verb in list(PINS):
     if verb == "theorems":
         PINS[(fid, "report")] = PINS[(fid, verb)]
+
+# (fixture id, verb) -> the witness of every Failed verdict
+WITNESSES = {
+    ("oblique_g6", "orthogonal"): {"orthogonal": "g(TF1[0], TF2[1]) = 1/2"},
+    ("oblique_g6", "theorems"): {
+        "associated": "entry (0,5) = 1/2",
+        "associated_skew": "entry (0,5) = 1/2",
+        "compatible": "entry (0,4) = -1/2",
+        "orthogonal": "g(TF1[0], TF2[1]) = 1/2",
+    },
+}
 
 
 def _path(fixture_id: str) -> Path:
@@ -449,3 +481,10 @@ def test_verb_reports_pinned_checks(fixture_id, verb):
     assert {status: " ".join(names) for status, names in reported.items()} == statuses
     assert report.skipped == skipped
     assert report.exit_code() == exit_code
+
+
+@pytest.mark.parametrize("fixture_id, verb", sorted(WITNESSES))
+def test_failed_witnesses_pinned(fixture_id, verb):
+    report = run(verb, _path(fixture_id))
+    failed = {name: v.witness for name, v in report.verdicts.items() if not v.ok}
+    assert failed == WITNESSES[(fixture_id, verb)]
