@@ -10,14 +10,37 @@ functions are kept in canonical form (numerator and denominator coprime,
 denominator monic under grlex).  All values are immutable after construction
 and all operations are pure, so everything here is safe to share between
 threads.
+
+Trusted construction.  The public ``Poly(nvars, terms)`` validates its input:
+exponent tuples of the right length with no negative entry, coefficients
+coerced to ``Fraction``, zeros dropped.  Results the module builds itself
+are valid by construction and go through the private ``Poly._of`` instead,
+which stores the dict it is given: ``Poly.const``, ``Poly.zero``, the
+arithmetic, ``diff``, scaling, the univariate views of the gcd and the
+quotient of ``divexact``.  Since nothing mutates ``Poly.terms`` after
+construction, one constant-1 polynomial per variable count is shared as the
+denominator of every polynomial ``RatFun``, one zero ``RatFun`` per count is
+shared too, and ``RatFun(num)`` with no denominator stores ``num`` as it is,
+with no copy and no gcd.
+
+One canonicalisation per sum.  A sum of products Σ x·y (a matrix product,
+a contraction, a Christoffel symbol, a row update of the elimination) goes
+through ``_dot``: each product is an uncanonicalised numerator/denominator
+pair, the numerators are added as polynomials grouped by denominator, and
+one ``RatFun(num, den)`` is built at the end.  So a sum costs at most one
+gcd, and a sum that is identically zero has a zero numerator and costs
+none, which makes an identity check a gcd-free zero test.  Every result is
+the same as the left fold of ``+`` and ``*`` would give, because the
+canonical form of a rational function is unique.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -98,12 +121,23 @@ class Poly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Poly":
+        """A polynomial over ``terms`` as given, unchecked: every key is an
+        exponent tuple of length ``nvars`` with no negative entry, every
+        value a nonzero ``Fraction``, and the dict is never mutated again."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls._of(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        c = _as_fraction(value)
+        return cls._of(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -140,8 +174,10 @@ class Poly:
 
     def _scaled(self, factor: Fraction) -> "Poly":
         if not factor:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * factor for e, c in self.terms.items()})
+            return Poly._of(self.nvars, {})
+        if factor == 1:
+            return self
+        return Poly._of(self.nvars, {e: c * factor for e, c in self.terms.items()})
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -165,10 +201,7 @@ class Poly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Poly._of(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -191,19 +224,13 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self._scaled(_as_fraction(other))
         other = self._coerce(other)
+        if other.is_constant():
+            return self._scaled(other.constant_value())
+        if self.is_constant():
+            return other._scaled(self.constant_value())
         terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(key, Fraction(0)) + ca * cb
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        _add_product(terms, self.terms, other.terms)
+        return Poly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -221,12 +248,13 @@ class Poly:
         return result
 
     def diff(self, var: int) -> "Poly":
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[var]:
-                key = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-                terms[key] = terms.get(key, Fraction(0)) + c * e[var]
-        return Poly(self.nvars, terms)
+        # e -> e - unit(var) is injective, so no two terms meet
+        terms = {
+            e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+            for e, c in self.terms.items()
+            if e[var]
+        }
+        return Poly._of(self.nvars, terms)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -256,6 +284,29 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self, tuple(f"x{i+1}" for i in range(self.nvars)))
+
+
+def _add_product(
+    acc: dict[Exponents, Fraction],
+    a: Mapping[Exponents, Fraction],
+    b: Mapping[Exponents, Fraction],
+) -> None:
+    """``acc += a·b`` on term dicts, dropping the coefficients that cancel."""
+    add = operator.add
+    const_a = len(a) == 1 and not any(next(iter(a)))
+    const_b = len(b) == 1 and not any(next(iter(b)))
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = ea if const_b else eb if const_a else tuple(map(add, ea, eb))
+            old = acc.get(key)
+            if old is None:
+                acc[key] = ca * cb
+            else:
+                s = old + ca * cb
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
 
 
 def format_poly(p: Poly, names: Sequence[str]) -> str:
@@ -329,27 +380,22 @@ def _coeffs_in(p: Poly, var: int) -> dict[int, Poly]:
     out: dict[int, dict[Exponents, Fraction]] = {}
     for e, c in p.terms.items():
         d = e[var]
-        key = tuple(0 if i == var else x for i, x in enumerate(e))
-        out.setdefault(d, {})[key] = c
-    return {d: Poly(p.nvars, terms) for d, terms in out.items()}
+        out.setdefault(d, {})[e[:var] + (0,) + e[var + 1:]] = c
+    return {d: Poly._of(p.nvars, terms) for d, terms in out.items()}
+
 
 def _lead_in(p: Poly, var: int) -> Poly:
     d = _degree_in(p, var)
-    terms = {
-        tuple(0 if i == var else x for i, x in enumerate(e)): c
-        for e, c in p.terms.items()
-        if e[var] == d
-    }
-    return Poly(p.nvars, terms)
+    terms = {e[:var] + (0,) + e[var + 1:]: c for e, c in p.terms.items() if e[var] == d}
+    return Poly._of(p.nvars, terms)
 
 
 def _shift_in(p: Poly, var: int, k: int) -> Poly:
     """Multiply by var**k."""
     if k == 0 or p.is_zero():
         return p
-    return Poly(
-        p.nvars,
-        {tuple(x + k if i == var else x for i, x in enumerate(e)): c for e, c in p.terms.items()},
+    return Poly._of(
+        p.nvars, {e[:var] + (e[var] + k,) + e[var + 1:]: c for e, c in p.terms.items()}
     )
 
 
@@ -440,23 +486,39 @@ def divexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if b.is_constant():
         return a._scaled(1 / b.constant_value())
-    quotient = Poly.zero(a.nvars)
+    quotient: dict[Exponents, Fraction] = {}
     r = a
     b_exps, b_coeff = b.leading()
     while not r.is_zero():
         r_exps, r_coeff = r.leading()
-        q_exps = tuple(x - y for x, y in zip(r_exps, b_exps))
+        q_exps = tuple(map(operator.sub, r_exps, b_exps))
         if any(e < 0 for e in q_exps):
             raise ExactDivisionError(f"{b} does not divide {a}")
-        t = Poly(a.nvars, {q_exps: r_coeff / b_coeff})
-        quotient = quotient + t
-        r = r - t * b
-    return quotient
+        # the leading monomials of r fall strictly, so each quotient term is new
+        q = quotient[q_exps] = r_coeff / b_coeff
+        r = r + Poly._of(
+            a.nvars, {tuple(map(operator.add, e, q_exps)): -q * c for e, c in b.terms.items()}
+        )
+    return Poly._of(a.nvars, quotient)
 
 
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
+
+
+# Shared immutable constants, one per variable count: the constant-1
+# polynomial (the denominator of every polynomial RatFun) and the zero RatFun.
+_ONES: dict[int, Poly] = {}
+_ZEROS: dict[int, "RatFun"] = {}
+
+
+def _one(nvars: int) -> Poly:
+    """The constant 1 over ``nvars`` variables, one shared value per count."""
+    one = _ONES.get(nvars)
+    if one is None:
+        one = _ONES.setdefault(nvars, Poly._of(nvars, {(0,) * nvars: Fraction(1)}))
+    return one
 
 
 class RatFun:
@@ -470,31 +532,29 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(num.nvars, 1)
+        if den is None:  # a polynomial is canonical over 1
+            self.num = num
+            self.den = _one(num.nvars)
+            return
         if num.nvars != den.nvars:
             raise ValueError("numerator and denominator over different variable sets")
         if den.is_zero():
             raise ZeroDivisionError("identically-zero denominator")
-        if num.is_zero():
-            num = Poly.zero(num.nvars)
-            den = Poly.const(num.nvars, 1)
-        elif den.is_constant():
-            num = num._scaled(1 / den.constant_value())
-            den = Poly.const(num.nvars, 1)
-        else:
+        if not num.is_zero() and not den.is_constant():
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num = divexact(num, g)
                 den = divexact(den, g)
-            if den.is_constant():
-                num = num._scaled(1 / den.constant_value())
-                den = Poly.const(num.nvars, 1)
-            else:
-                lc = den.leading()[1]
-                if lc != 1:
-                    num = num._scaled(1 / lc)
-                    den = den._scaled(1 / lc)
+        if num.is_zero():
+            den = _one(num.nvars)
+        elif den.is_constant():
+            num = num._scaled(1 / den.constant_value())
+            den = _one(num.nvars)
+        else:
+            lc = den.leading()[1]
+            if lc != 1:
+                num = num._scaled(1 / lc)
+                den = den._scaled(1 / lc)
         self.num = num
         self.den = den
 
@@ -508,11 +568,14 @@ class RatFun:
 
     @classmethod
     def zero(cls, nvars: int) -> "RatFun":
-        return cls(Poly.zero(nvars))
+        zero = _ZEROS.get(nvars)
+        if zero is None:
+            zero = _ZEROS.setdefault(nvars, cls(Poly.zero(nvars)))
+        return zero
 
     @classmethod
     def one(cls, nvars: int) -> "RatFun":
-        return cls(Poly.const(nvars, 1))
+        return cls(_one(nvars))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "RatFun":
@@ -644,6 +707,37 @@ class RatFun:
         return f"({format_poly(self.num, names)})/({format_poly(self.den, names)})"
 
 
+def _dot(nvars: int, pairs: Iterable[tuple[RatFun, RatFun]]) -> RatFun:
+    """Σ x·y over ``pairs``, canonicalised once.
+
+    Each product is an uncanonicalised numerator/denominator pair; the
+    numerators are summed as polynomials, one sum per distinct denominator,
+    the sums are brought over the product of their denominators, and one
+    ``RatFun`` is built from the result.  A sum that vanishes identically
+    has a zero numerator and costs no gcd."""
+    groups: dict[Poly, dict[Exponents, Fraction]] = {}
+    for x, y in pairs:
+        if not (x.num.terms and y.num.terms):
+            continue
+        den = x.den * y.den
+        acc = groups.get(den)
+        if acc is None:
+            acc = groups[den] = {}
+        _add_product(acc, x.num.terms, y.num.terms)
+    num = den = None
+    for d, terms in groups.items():
+        if not terms:
+            continue
+        n = Poly._of(nvars, terms)
+        if num is None:
+            num, den = n, d
+        else:
+            num, den = num * d + n * den, den * d
+    if num is None:
+        return RatFun.zero(nvars)
+    return RatFun(num, den)
+
+
 # ---------------------------------------------------------------------------
 # matrices over the rational-function field
 # ---------------------------------------------------------------------------
@@ -701,23 +795,11 @@ class RfMatrix:
     def __matmul__(self, other: "RfMatrix") -> "RfMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = RatFun.zero(self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    s = s + a * b
-                row.append(s)
-            out.append(row)
-        return RfMatrix(self.nvars, out)
+        columns = [other.column(j) for j in range(other.cols)]
+        return RfMatrix(
+            self.nvars,
+            [[_dot(self.nvars, zip(row, col)) for col in columns] for row in self.entries],
+        )
 
     def __add__(self, other: "RfMatrix") -> "RfMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -754,16 +836,8 @@ class RfMatrix:
     def apply(self, vector: Sequence[RatFun]) -> tuple[RatFun, ...]:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = RatFun.zero(self.nvars)
-            for j, v in enumerate(vector):
-                a = self.entries[i][j]
-                if a.is_zero() or (isinstance(v, RatFun) and v.is_zero()):
-                    continue
-                s = s + a * v
-            out.append(s)
-        return tuple(out)
+        vector = [self._coerce_entry(v) for v in vector]
+        return tuple(_dot(self.nvars, zip(row, vector)) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -908,13 +982,15 @@ def _rref(
     with pivots in the columns of ``rows`` only; ``rhs`` holds one row of
     right-hand sides per row, or is None.  Pivots are chosen by lowest
     combined num/den degree, ties broken by column then row index.  Exact-zero
-    entries of the pivot row are skipped in the row operations."""
+    entries of the pivot row are skipped in the row operations, and each
+    updated entry ``row[j] - factor·b`` is one ``_dot``, one canonicalisation."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if rhs is not None:
         rows = [row + extra for row, extra in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
     used_cols: set[int] = set()
+    one = RatFun.one(nvars)
     r = 0
     while r < m:
         best = None
@@ -940,9 +1016,10 @@ def _rref(
             factor = rows[i][pj]
             if factor.is_zero():
                 continue
+            minus = -factor
             row = rows[i]
             for j, b in nonzero:
-                row[j] = row[j] - factor * b
+                row[j] = _dot(nvars, ((row[j], one), (minus, b)))
         pivots.append((r, pj))
         used_cols.add(pj)
         r += 1

@@ -13,6 +13,14 @@ pass over the function field), so theorem checks stay exact.  On a chart
 the bracket terms vanish and this is the coordinate formula; on a Lie frame
 the derivative terms vanish and it is the constant Koszul formula.
 
+Every sum here, the halved Koszul sum of each lowered symbol, the
+contraction with g⁻¹ and the covariant derivative, is one
+``algebra._dot``: one canonicalisation per result.  The validation of
+metric compatibility, e_a g_bc − Σ_d Γ^d_ab g_dc − Σ_d Γ^d_ac g_db = 0, is
+one ``_dot`` per (a, b ≤ c) as well, and torsion-freeness one per (a < b, c),
+so a connection that passes costs no gcd there: each identically zero
+residual has a zero numerator over its common denominator.
+
 The RK4 cross-check is the numeric part.  It compiles each RatFun it
 evaluates (field components, nonzero Christoffel symbols) once to a pair of
 float programs, steps the flow point by point, and evaluates the geodesic
@@ -32,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Poly, RatFun, SingularMatrixError, format_point
+from .algebra import Poly, RatFun, SingularMatrixError, _dot, format_point
 from .exterior import MetricField, Space, VectorField, directional_derivative
 from .pair import VerifiedPair, _reeb_gram, column_matrix
 from .structure import PreconditionError
@@ -90,49 +98,43 @@ def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
     except SingularMatrixError as exc:
         raise DegenerateMetricError("metric is degenerate over the function field") from exc
 
-    zero = space.zero()
-    half = Fraction(1, 2)
-    # de[a][b][k] = e_a g_bk and gb[a][b][k] = g([e_a, e_b], e_k)
+    half, minus_half = space.scalar(Fraction(1, 2)), space.scalar(Fraction(-1, 2))
+    # de[a][b][k] = e_a g_bk and gb[a][b][k] = g([e_a, e_b], e_k); G is
+    # symmetric, so gb[a][b] is G times the coefficient column of [e_a, e_b]
     de = [
         [[_frame_derivative(g.matrix.at(b, k), a) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
-    gb = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for m, c in space.bracket_coeffs(a, b).items():
-                for k in range(n):
-                    if not g.matrix.at(m, k).is_zero():
-                        gb[a][b][k] = gb[a][b][k] + g.matrix.at(m, k) * c
+    gb = [
+        [g.matrix.apply(_column(space, space.bracket_coeffs(a, b))) for b in range(n)]
+        for a in range(n)
+    ]
 
     symbols = []
     for a in range(n):
         row = []
         for b in range(n):
-            lowered = []  # g(∇_a e_b, e_k)
-            for k in range(n):
-                koszul = zero
-                for sign, term in (
-                    (1, de[a][b][k]), (1, de[b][a][k]), (-1, de[k][a][b]),
-                    (1, gb[a][b][k]), (-1, gb[b][k][a]), (1, gb[k][a][b]),
-                ):
-                    if not term.is_zero():
-                        koszul = koszul + term if sign > 0 else koszul - term
-                lowered.append(koszul * half)
-            entry = []
-            for c in range(n):
-                total = zero
-                for k in range(n):
-                    if not (lowered[k].is_zero() or g_inv.at(c, k).is_zero()):
-                        total = total + g_inv.at(c, k) * lowered[k]
-                entry.append(total)
-            row.append(tuple(entry))
+            # g(∇_a e_b, e_k), the Koszul formula halved
+            lowered = [
+                _dot(n, (
+                    (de[a][b][k], half), (de[b][a][k], half), (de[k][a][b], minus_half),
+                    (gb[a][b][k], half), (gb[b][k][a], minus_half), (gb[k][a][b], half),
+                ))
+                for k in range(n)
+            ]
+            row.append(tuple(_dot(n, zip(g_inv.row(c), lowered)) for c in range(n)))
         symbols.append(tuple(row))
 
     data = ChristoffelData(space, g, tuple(symbols))
     if validate:
         _validate_connection(data)
     return data
+
+
+def _column(space: Space, coeffs: dict[int, Fraction]) -> list[RatFun]:
+    """The coefficient column of a bracket, as scalars."""
+    zero = space.zero()
+    return [space.scalar(coeffs[m]) if m in coeffs else zero for m in range(space.dim)]
 
 
 def _frame_derivative(f: RatFun, a: int) -> RatFun:
@@ -145,27 +147,36 @@ def _validate_connection(data: ChristoffelData) -> None:
     space = data.space
     n = space.dim
     g = data.metric.matrix
-    # lowered[a][b][c] = g(∇_a e_b, e_c) = sum_d Γ^d_ab g_dc, each formed once
-    lowered = [[[space.zero()] * n for _ in range(n)] for _ in range(n)]
+    one, minus_one = space.one(), space.scalar(-1)
+    minus_g = [[-e for e in row] for row in g.entries]
+    # gammas[a][b] = the nonzero (d, Γ^d_ab)
+    gammas = [[[] for _ in range(n)] for _ in range(n)]
     for a, b, d, gamma in data.nonzero():
-        for c in range(n):
-            if not g.at(d, c).is_zero():
-                lowered[a][b][c] = lowered[a][b][c] + gamma * g.at(d, c)
+        gammas[a][b].append((d, gamma))
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c)
-                lhs = _frame_derivative(g.at(b, c), a)
-                if lhs != lowered[a][b][c] + lowered[a][c][b]:
+            # the residual is symmetric in (b, c), so its first failure has b <= c
+            for c in range(b, n):
+                # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c),
+                # with g(∇_a e_b, e_c) = sum_d Γ^d_ab g_dc, as one zero test
+                residual = _dot(n, (
+                    (_frame_derivative(g.at(b, c), a), one),
+                    *((gamma, minus_g[d][c]) for d, gamma in gammas[a][b]),
+                    *((gamma, minus_g[d][b]) for d, gamma in gammas[a][c]),
+                ))
+                if not residual.is_zero():
                     raise AssertionError(
                         f"metric compatibility violated at (a,b,c)=({a},{b},{c})"
                     )
     for a in range(n):
         for b in range(a + 1, n):
-            structure = space.bracket_coeffs(a, b)
+            structure = _column(space, space.bracket_coeffs(a, b))
             for c in range(n):
-                torsion = data.gamma(a, b, c) - data.gamma(b, a, c)
-                torsion = torsion - space.scalar(structure.get(c, 0))
+                # Γ^c_ab - Γ^c_ba - c^c_ab, as one zero test
+                torsion = _dot(n, (
+                    (data.gamma(a, b, c), one), (data.gamma(b, a, c), minus_one),
+                    (structure[c], minus_one),
+                ))
                 if not torsion.is_zero():
                     raise AssertionError(
                         f"torsion-freeness violated at (a,b,c)=({a},{b},{c})"
@@ -180,21 +191,19 @@ def covariant_derivative(
     if x.space != space or y.space != space:
         raise ValueError("fields live on a different space")
     n = space.dim
-    comps = []
-    for c in range(n):
-        total = directional_derivative(x, y.components[c])
-        for a in range(n):
-            xa = x.components[a]
-            if xa.is_zero():
-                continue
-            for b in range(n):
-                yb = y.components[b]
-                if yb.is_zero():
-                    continue
-                gamma = data.gamma(a, b, c)
-                if not gamma.is_zero():
-                    total = total + xa * yb * gamma
-        comps.append(total)
+    one = space.one()
+    xy = [
+        (a, b, xa * yb)
+        for a, xa in enumerate(x.components) if not xa.is_zero()
+        for b, yb in enumerate(y.components) if not yb.is_zero()
+    ]
+    comps = [
+        _dot(n, (
+            (directional_derivative(x, y.components[c]), one),
+            *((weight, data.gamma(a, b, c)) for a, b, weight in xy),
+        ))
+        for c in range(n)
+    ]
     return VectorField(space, comps)
 
 

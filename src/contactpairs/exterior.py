@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import Poly, RatFun, RfMatrix, _as_fraction
+from .algebra import Poly, RatFun, RfMatrix, _as_fraction, _dot
 
 Index = tuple[int, ...]
 
@@ -563,12 +563,7 @@ class MetricField:
     def value(self, a: VectorField, b: VectorField) -> RatFun:
         _check_same_space(self, a)
         _check_same_space(self, b)
-        image = self.matrix.apply(b.components)
-        total = self.space.zero()
-        for x, y in zip(a.components, image):
-            if not (x.is_zero() or y.is_zero()):
-                total = total + x * y
-        return total
+        return _dot(self.space.dim, zip(a.components, self.matrix.apply(b.components)))
 
     def eval_at(self, point: Sequence) -> list[list[Fraction]]:
         try:
@@ -621,36 +616,31 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket, [X,Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij}."""
     _check_same_space(x, y)
     space = x.space
-    comps = []
-    for xk, yk in zip(x.components, y.components):
-        total = directional_derivative(x, yk)
+    one, minus_one = space.one(), space.scalar(-1)
+    terms: list[list[tuple[RatFun, RatFun]]] = [[] for _ in range(space.dim)]
+    for k, (xk, yk) in enumerate(zip(x.components, y.components)):
+        terms[k].append((directional_derivative(x, yk), one))
         if not xk.is_constant():
-            total = total - directional_derivative(y, xk)
-        comps.append(total)
+            terms[k].append((directional_derivative(y, xk), minus_one))
     for (i, j, k), c in space._sc.items():  # i < j; c^k_{ji} = -c^k_{ij}
         for a, b, coeff in ((i, j, c), (j, i, -c)):
             xa, yb = x.components[a], y.components[b]
             if not (xa.is_zero() or yb.is_zero()):
-                comps[k] = comps[k] + xa * yb * coeff
-    return VectorField(space, comps)
+                terms[k].append((xa, yb * coeff))
+    return VectorField(space, [_dot(space.dim, pairs) for pairs in terms])
 
 
 def directional_derivative(field: VectorField, f: RatFun) -> RatFun:
     """X·f = sum_a X^a e_a f; zero for a constant f, the only kind of scalar
     on a Lie frame."""
     space = field.space
-    total = space.zero()
     if f.is_constant():
-        return total
+        return space.zero()
     if space.is_lie:
         raise ValueError("non-constant scalar on a Lie frame")
-    for a, comp in enumerate(field.components):
-        if comp.is_zero():
-            continue
-        d = f.diff(a)
-        if not d.is_zero():
-            total = total + comp * d
-    return total
+    return _dot(space.dim, (
+        (comp, f.diff(a)) for a, comp in enumerate(field.components) if not comp.is_zero()
+    ))
 
 
 def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:

@@ -1,12 +1,16 @@
 """Exact-arithmetic core: polynomials, rational functions, linear algebra."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contactpairs
+from contactpairs import algebra
 from contactpairs.algebra import (
     ExactDivisionError,
     InconsistentSystemError,
@@ -19,6 +23,8 @@ from contactpairs.algebra import (
     kernel_basis,
     poly_gcd,
     solve_linear_exact,
+    _dot,
+    _one,
 )
 
 
@@ -191,6 +197,125 @@ def test_ratfun_cancellation_is_canonical(p, q, r):
     if q.is_zero() or r.is_zero():
         return
     assert RatFun(p * r, q * r) == RatFun(p, q)
+
+
+# --- trusted construction and the dot kernel ------------------------------------
+
+
+def _stores_only_valid_terms(p):
+    return all(
+        isinstance(c, Fraction) and c != 0 and len(e) == p.nvars and min(e, default=0) >= 0
+        for e, c in p.terms.items()
+    )
+
+
+def test_const_zero_is_the_zero_polynomial():
+    for n in (0, 1, 3):
+        for zero in (0, Fraction(0), "0"):
+            p = Poly.const(n, zero)
+            assert p == Poly.zero(n) and hash(p) == hash(Poly.zero(n))
+            assert p.terms == {} and Poly.zero(n).terms == {}
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="has length 3, expected 2"):
+        Poly(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        Poly(2, {(1,): 1})
+
+
+def test_polynomial_ratfuns_share_one_denominator():
+    for n in (1, 2, 4):
+        one = _one(n)
+        assert one == Poly.const(n, 1)
+        assert RatFun.one(n).den is one
+        assert RatFun.const(n, 5).den is one and RatFun.zero(n).den is one
+        assert RatFun(Poly.variable(n, 0), Poly.const(n, 3)).den is one
+        p = Poly.variable(n, 0)
+        assert RatFun(p).num is p and RatFun(p).den is one
+    # after cancellation to a polynomial, and in products and sums of polynomials
+    assert rf(X * X - Y * Y, X - Y).den is _one(2)
+    assert (rf(X) * rf(Y) + rf(X)).den is _one(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, coeffs)
+def test_trusted_results_store_no_zero_coefficient(p, q, c):
+    results = [p._scaled(c), -p, p.diff(0), p.diff(1), p * q, p + q, p - p]
+    if not q.is_zero():
+        results += [divexact(p * q, q), divexact(p, Poly.const(2, 3))]
+    for r in results:
+        assert _stores_only_valid_terms(r), r
+    if not q.is_zero():
+        assert divexact(p * q, q) == p
+
+
+def test_no_code_mutates_poly_terms_in_place():
+    """Polynomials share their term dicts (the constant-1 denominator is one
+    object per variable count), so ``.terms`` is written only where a Poly
+    is made."""
+    mutators = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__", "__delitem__"}
+    offenders = []
+    for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        makers = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "_of")
+            and path.name == "algebra.py"
+            for node in ast.walk(fn)
+        }
+
+        def is_terms(node):
+            return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+        for node in ast.walk(tree):
+            bad = (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del)) and is_terms(node.value)
+            ) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators and is_terms(node.func.value)
+            ) or (
+                isinstance(node, ast.AugAssign)
+                and (is_terms(node.target) or isinstance(node.target, ast.Subscript)
+                     and is_terms(node.target.value))
+            ) or (
+                is_terms(node) and isinstance(node.ctx, ast.Store) and id(node) not in makers
+            )
+            if bad:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+# entries over a small pool of denominators: equal draws share one, the
+# constant 1 included, and zero numerators give zero entries
+dot_entries = st.tuples(
+    st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]), coeffs, max_size=2),
+    st.sampled_from([{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 0): 1}]),
+).map(lambda t: rf(P(2, t[0]), P(2, t[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(dot_entries, dot_entries), max_size=5))
+def test_dot_is_the_left_fold(pairs):
+    fold = RatFun.zero(2)
+    for x, y in pairs:
+        fold = fold + x * y
+    assert _dot(2, pairs) == fold
+
+
+def test_dot_of_a_vanishing_sum_takes_no_gcd(monkeypatch):
+    a, b, c = rf(X, Y + 1), rf(Y, X), rf(X + Y, X * Y + 1)
+    pairs = [(a, b), (c, a), (-a, b), (rf(Poly.const(2, 1)), rf(X)), (-c, a), (rf(-X), rf(Y, Y))]
+    calls = []
+    gcd = algebra.poly_gcd
+    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    assert _dot(2, pairs).is_zero()
+    assert calls == []
+    assert _dot(2, pairs[:2]) == a * b + c * a and calls
 
 
 # --- linear algebra ----------------------------------------------------------

@@ -1,0 +1,154 @@
+"""Schwartz–Zippel cross-checks of the exact algebra.
+
+A symbolic result and the same quantity computed with plain ``Fraction``
+arithmetic from the inputs' values must agree at random rational points.
+The oracle evaluates numerators and denominators term by term and does its
+own Gauss–Jordan elimination and differentiation (by interpolation), so it
+shares no gcd, canonical form or sum kernel with the code under test.  A
+wrong nonzero rational function of low degree vanishes at a random point
+with small probability, so a few seeded points are enough.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from contactpairs.algebra import Poly, RatFun, RfMatrix
+from contactpairs.connection import christoffel
+from contactpairs.fixtures import bundled_fixture_path, load_fixture
+from contactpairs.metric import build_compatible
+from contactpairs.pair import verified_pair
+from contactpairs.structure import ContactPairStructure
+
+
+def _points(rng, nvars, count):
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)]
+        for _ in range(count)
+    ]
+
+
+def _value(r, point):
+    """r at ``point`` from its stored terms."""
+    def poly(p):
+        total = Fraction(0)
+        for exps, coeff in p.terms.items():
+            term = coeff
+            for x, k in zip(point, exps):
+                term *= x**k
+            total += term
+        return total
+
+    return poly(r.num) / poly(r.den)
+
+
+def _values(m, point):
+    return [[_value(e, point) for e in row] for row in m.entries]
+
+
+def _product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _inverse(a):
+    n = len(a)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _partial(r, point, a, degree):
+    """∂_a r at ``point`` for a polynomial r of total degree <= ``degree``:
+    the derivative at t = 0 of the interpolant through r(point + t e_a),
+    t = 0, ..., degree."""
+    nodes = range(degree + 1)
+    values = [_value(r, [x + t if i == a else x for i, x in enumerate(point)]) for t in nodes]
+    total = Fraction(0)
+    for i in nodes:
+        # d/dt at 0 of the Lagrange basis polynomial of node i
+        weight = Fraction(0)
+        for m in nodes:
+            if m == i:
+                continue
+            term = Fraction(1, i - m)
+            for j in nodes:
+                if j not in (i, m):
+                    term *= Fraction(-j, i - j)
+            weight += term
+        total += weight * values[i]
+    return total
+
+
+@pytest.fixture(scope="module")
+def built_metric():
+    """The metric ``build_compatible`` makes on the type-(1,1) standard
+    local model (the chart-ladder rung (1,1)) from its identity aux_metric."""
+    doc = load_fixture(bundled_fixture_path("local_model_1_1"))
+    vp = verified_pair(doc.pair)
+    g = build_compatible(ContactPairStructure(vp, doc.phi), doc.aux_metric)
+    return g, doc.phi.matrix
+
+
+def _random_matrix(rng, rows, cols, nvars):
+    dens = [Poly.const(nvars, 1), Poly.variable(nvars, 0), Poly.variable(nvars, 1) + 2]
+
+    def entry():
+        if rng.random() < 0.3:
+            return RatFun.zero(nvars)
+        num = Poly(nvars, {
+            tuple(rng.randint(0, 1) for _ in range(nvars)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        })
+        return RatFun(num, rng.choice(dens))
+
+    return RfMatrix(nvars, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_matrix_products_match_the_oracle(built_metric):
+    g, phi = built_metric
+    n = g.space.dim
+    g_inv = g.matrix.inverse()
+    rng = random.Random(2008)
+    products = [
+        (g.matrix, g_inv), (g_inv, phi), (phi.transpose(), g.matrix @ phi),
+        (_random_matrix(rng, 3, 4, n), _random_matrix(rng, 4, 2, n)),
+        (_random_matrix(rng, 2, 5, n), _random_matrix(rng, 5, 3, n)),
+    ]
+    assert not all(e.is_polynomial() for row in g_inv.entries for e in row)
+    for point in _points(rng, n, 4):
+        for a, b in products:
+            assert _values(a @ b, point) == _product(_values(a, point), _values(b, point))
+        assert _values(g_inv, point) == _inverse(_values(g.matrix, point))
+
+
+def test_christoffel_symbols_match_the_oracle(built_metric):
+    """Γ^c_ab = Σ_k g^ck (∂_a g_bk + ∂_b g_ak − ∂_k g_ab) / 2 at each point,
+    with g⁻¹ inverted and ∂g interpolated from values of g."""
+    g, _ = built_metric
+    n = g.space.dim
+    entries = [e for row in g.matrix.entries for e in row]
+    assert all(e.is_polynomial() for e in entries) and any(e.num.total_degree() > 0 for e in entries)
+    degree = max(e.num.total_degree() for e in entries)
+    data = christoffel(g)
+    assert data.nonzero()
+    for point in _points(random.Random(1980), n, 3):
+        g_inv = _inverse(_values(g.matrix, point))
+        dg = [
+            [[_partial(g.matrix.at(b, k), point, a, degree) for k in range(n)] for b in range(n)]
+            for a in range(n)
+        ]
+        for a in range(n):
+            for b in range(n):
+                lowered = [(dg[a][b][k] + dg[b][a][k] - dg[k][a][b]) / 2 for k in range(n)]
+                for c in range(n):
+                    expected = sum((g_inv[c][k] * lowered[k] for k in range(n)), Fraction(0))
+                    assert _value(data.gamma(a, b, c), point) == expected, (a, b, c)
