@@ -32,6 +32,9 @@ gcd, and a sum that is identically zero has a zero numerator and costs
 none, which makes an identity check a gcd-free zero test.  Every result is
 the same as the left fold of ``+`` and ``*`` would give, because the
 canonical form of a rational function is unique.
+
+One elimination kernel: ``_rref`` gives the rank (its pivot count), solves,
+kernels and inverses; Bareiss is kept only for ``RfMatrix.det``.
 """
 
 from __future__ import annotations
@@ -858,10 +861,7 @@ class RfMatrix:
         if self.rows == 0:
             return RatFun.one(self.nvars)
         cleared, scale = _cleared_rows(self)
-        rank, det_poly, sign = _bareiss(cleared, self.nvars, want_det=True)
-        if rank < self.rows or det_poly is None:
-            return RatFun.zero(self.nvars)
-        return RatFun(det_poly._scaled(Fraction(sign)), Poly.const(self.nvars, 1)) / scale
+        return RatFun(_bareiss(cleared, self.nvars)) / scale
 
     def inverse(self) -> "RfMatrix":
         """Exact inverse by one Gauss–Jordan pass over ``[A | I]``.
@@ -918,28 +918,24 @@ def _cleared_rows(matrix: RfMatrix) -> tuple[list[list[Poly]], RatFun]:
     return out, scale
 
 
-def _bareiss(
-    mat: list[list[Poly]], nvars: int, want_det: bool = False
-) -> tuple[int, Poly | None, int]:
-    """Fraction-free Gaussian elimination (Bareiss).  Returns (rank, det, sign);
-    det is only meaningful for square input at full rank.  Pivots are chosen
-    by lowest total degree, ties broken by column index."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+def _bareiss(mat: list[list[Poly]], nvars: int) -> Poly:
+    """Determinant of a square polynomial matrix by fraction-free Gaussian
+    elimination (Bareiss).  Pivots are chosen by lowest total degree, ties
+    broken by column index."""
+    n = len(mat)
     prev = Poly.const(nvars, 1)
     sign = 1
-    r = 0
-    while r < min(rows, cols):
+    for r in range(n):
         best = None
-        for j in range(r, cols):
-            for i in range(r, rows):
+        for j in range(r, n):
+            for i in range(r, n):
                 e = mat[i][j]
                 if not e.is_zero():
                     key = (e.total_degree(), j, i)
                     if best is None or key < best[0]:
                         best = (key, i, j)
         if best is None:
-            break
+            return Poly.zero(nvars)
         _, pi, pj = best
         if pi != r:
             mat[pi], mat[r] = mat[r], mat[pi]
@@ -949,24 +945,13 @@ def _bareiss(
                 row[pj], row[r] = row[r], row[pj]
             sign = -sign
         pivot = mat[r][r]
-        for i in range(r + 1, rows):
+        for i in range(r + 1, n):
             head = mat[i][r]
-            for j in range(r + 1, cols):
+            for j in range(r + 1, n):
                 mat[i][j] = divexact(mat[i][j] * pivot - head * mat[r][j], prev)
             mat[i][r] = Poly.zero(nvars)
         prev = pivot
-        r += 1
-    det = mat[rows - 1][cols - 1] if (want_det and rows == cols and r == rows and rows > 0) else None
-    return r, det, sign
-
-
-def generic_rank(matrix: RfMatrix) -> int:
-    """Rank over the rational-function field (fraction-free elimination)."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    cleared, _ = _cleared_rows(matrix)
-    rank, _, _ = _bareiss(cleared, matrix.nvars)
-    return rank
+    return mat[n - 1][n - 1]._scaled(Fraction(sign))
 
 
 @dataclass(frozen=True)
@@ -1042,6 +1027,12 @@ def _kernel_from_rref(
             v[c] = -rows[r][free]
         kernel.append(tuple(v))
     return kernel
+
+
+def generic_rank(matrix: RfMatrix) -> int:
+    """Rank over the rational-function field: the pivot count of its RREF."""
+    _, _, pivots = _rref([list(row) for row in matrix.entries], None, matrix.nvars)
+    return len(pivots)
 
 
 def solve_linear_exact(matrix: RfMatrix, rhs: Sequence) -> LinearSolution:

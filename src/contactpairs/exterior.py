@@ -295,10 +295,6 @@ class Form:
         self.coeffs = clean
 
     @classmethod
-    def zero_form(cls, space: Space, degree: int) -> "Form":
-        return cls(space, degree)
-
-    @classmethod
     def covector(cls, space: Space, index: int) -> "Form":
         return cls(space, 1, {(index,): 1})
 
@@ -513,10 +509,6 @@ class EndoField:
     def apply(self, field: VectorField) -> VectorField:
         _check_same_space(self, field)
         return VectorField(self.space, self.matrix.apply(field.components))
-
-    def compose(self, other: "EndoField") -> "EndoField":
-        _check_same_space(self, other)
-        return EndoField(self.space, self.matrix @ other.matrix)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RatFun, RfMatrix, format_point, solve_linear_exact
+from .algebra import InconsistentSystemError, RatFun, RfMatrix, format_point, solve_linear_exact
 from .exterior import EndoField, FrameForm, MetricField, lie_derivative
 from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, two_form_matrix
 from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
@@ -483,7 +483,7 @@ def _phi_in_frame_coordinates(
         for q in range(images.cols):
             try:
                 sol = solve_linear_exact(frame.matrix, images.column(q))
-            except Exception as exc:
+            except InconsistentSystemError as exc:
                 raise PreconditionError(
                     f"frame {frame.label} is not phi-invariant: phi({frame.label}[{q}]) "
                     f"leaves the span ({exc})"

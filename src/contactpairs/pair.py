@@ -6,11 +6,14 @@ n = 2h + 2k + 2 must satisfy: alpha1 ∧ (d alpha1)^h ∧ alpha2 ∧ (d alpha2)^
 is a volume form, and the (h+1)-st and (k+1)-st wedge powers of d alpha1 and
 d alpha2 vanish.  The Reeb fields are the unique pair (Z1, Z2) with
 alpha_i(Z_j) = delta_ij and i_{Z_j} d alpha_i = 0; they commute.
+
+Frames keep the equations whose kernel they span, so membership is one
+product; of the splittings only TM = TF1 ⊕ TF2 takes a rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -228,19 +231,33 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
 
 @dataclass(frozen=True)
 class DistributionFrame:
-    """A generically independent list of polynomial vector fields."""
+    """Generically independent polynomial vector fields and equations E with
+    ker E = their span.  A kernel frame keeps the rows it was solved from (an
+    RREF kernel basis is independent by construction); a frame given by
+    vectors alone takes E = kernel_basis(F^T), and its rank n - #E must be
+    its size."""
 
     space: Space
     vectors: tuple[VectorField, ...]
     label: str = "custom"
+    equations: RfMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.vectors:
             if v.space != self.space:
                 raise ValueError("frame vector on a different space")
-        if self.vectors and self.rank() != len(self.vectors):
+        if self.equations is not None:
+            return
+        n = self.space.dim
+        # the 0 x 0 transpose of an empty frame would lose n
+        equations = (
+            RfMatrix(n, kernel_basis(self.matrix.transpose())) if self.vectors
+            else RfMatrix.identity(n, n)
+        )
+        object.__setattr__(self, "equations", equations)
+        if (rank := n - equations.rows) != self.size:
             raise FrameRankError(
-                f"frame {self.label}: {len(self.vectors)} vectors have generic rank {self.rank()}"
+                f"frame {self.label}: {self.size} vectors have generic rank {rank}"
             )
 
     @property
@@ -253,26 +270,20 @@ class DistributionFrame:
         once; every table of the frame is a product with it."""
         return column_matrix(self.space, self.vectors)
 
-    def rank(self) -> int:
-        if not self.vectors:
-            return 0
-        return generic_rank(self.matrix)
-
-    def contains(self, field: VectorField) -> bool:
-        """Generic membership: adjoining the field must not raise the rank."""
-        if field.is_zero():
+    def contains(self, *fields: VectorField) -> bool:
+        """Generic membership of every field: E·v = 0."""
+        if not (fields and self.equations.rows):
             return True
-        if not self.vectors:
-            return False
-        return generic_rank(column_matrix(self.space, [*self.vectors, field])) == self.size
+        return (self.equations @ column_matrix(self.space, fields)).is_zero()
 
 
 def _kernel_frame_from_rows(
     space: Space, rows: list[Sequence[RatFun]], label: str
 ) -> DistributionFrame:
-    basis = kernel_basis(RfMatrix(space.dim, rows))
+    equations = RfMatrix(space.dim, rows)
+    basis = kernel_basis(equations)
     vectors = tuple(VectorField(space, [RatFun(p) for p in vec]) for vec in basis)
-    return DistributionFrame(space, vectors, label)
+    return DistributionFrame(space, vectors, label, equations)
 
 
 def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
@@ -398,25 +409,24 @@ def verified_pair(
 
 
 def verify_splittings(vp: VerifiedPair) -> Verdict:
-    """TM = TF1 ⊕ TF2 and TF_i = TG_i ⊕ R·Z_j (j != i), generically,
-    by rank and membership checks on the frames."""
+    """TM = TF1 ⊕ TF2 by rank, and TF_i = TG_i ⊕ R·Z_j (j != i) by Z_j ∉ TG_i,
+    the size count and TG_i ∪ {Z_j} ⊂ TF_i, all generically."""
     n = vp.dim
-    combined = column_matrix(vp.space, vp.tf1.vectors + vp.tf2.vectors)
-    if generic_rank(combined) != n:
+    rank = generic_rank(column_matrix(vp.space, vp.tf1.vectors + vp.tf2.vectors))
+    if rank != n:
         return Verdict.failed(
-            f"rank(TF1 ∪ TF2) = {generic_rank(combined)} != {n}",
+            f"rank(TF1 ∪ TF2) = {rank} != {n}",
             "TF1 ⊕ TF2 does not span the tangent bundle",
         )
     for i in (1, 2):
         j = 2 if i == 1 else 1
         tf, tg, z = vp.tf(i), vp.tg(i), vp.z(j)
-        direct_sum = column_matrix(vp.space, tg.vectors + (z,))
-        if generic_rank(direct_sum) != tf.size:
+        direct_sum = tg.size + (not tg.contains(z))
+        if direct_sum != tf.size:
             return Verdict.failed(
-                f"rank(TG{i} + Z{j}) = {generic_rank(direct_sum)} != rank(TF{i}) = {tf.size}"
+                f"rank(TG{i} + Z{j}) = {direct_sum} != rank(TF{i}) = {tf.size}"
             )
-        everything = column_matrix(vp.space, tf.vectors + tg.vectors + (z,))
-        if generic_rank(everything) != tf.size:
+        if not tf.contains(*tg.vectors, z):
             return Verdict.failed(
                 f"TG{i} ⊕ R·Z{j} and TF{i} span different subbundles"
             )

@@ -177,8 +177,7 @@ def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoF
         raise StructureValidationError(
             f"frame has {frame.size} vectors; TG1 ⊕ TG2 needs {m}"
         )
-    span_check = column_matrix(vp.space, vp.tg1.vectors + vp.tg2.vectors + frame.vectors)
-    if generic_rank(span_check) != m:
+    if not frame.contains(*vp.tg1.vectors, *vp.tg2.vectors):
         raise StructureValidationError("frame does not span TG1 ⊕ TG2 generically")
 
     basis = column_matrix(vp.space, [*frame.vectors, vp.z1, vp.z2])

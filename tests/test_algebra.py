@@ -533,3 +533,51 @@ def test_inverse_matches_sympy_on_built_metric():
     for i in range(g.rows):
         for j in range(g.cols):
             assert sympy.cancel(to_sympy(ours.at(i, j)) - theirs[i, j]) == 0, (i, j)
+
+
+def test_generic_rank_matches_sympy():
+    """generic_rank against sympy's exact rank over Q(x, y), on random
+    matrices up to 4 x 4 whose entries have denominators, some made
+    rank-deficient by a row that is a Q(x, y)-combination of two others."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    syms = sympy.symbols("x y")
+
+    def to_sympy(r):
+        def poly(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * syms[0] ** a * syms[1] ** b
+                 for (a, b), c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        return poly(r.num) / poly(r.den)
+
+    rng = random.Random(5)
+    dens = [Poly.const(2, 1), X, Y + 1, X - Y]
+    coefficients = [rf(X), rf(Poly.const(2, 1), Y + 1), rf(X + 2, X - Y)]
+
+    def entry():
+        if rng.random() < 0.25:
+            return RatFun.zero(2)
+        num = Poly(2, {
+            (rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2))
+        })
+        return rf(num, rng.choice(dens))
+
+    deficient = 0
+    for _ in range(12):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.6:
+            a, b = rng.sample(coefficients, 2)
+            mat[-1] = [a * u + b * v for u, v in zip(mat[0], mat[1])]
+            deficient += 1
+        ours = generic_rank(RfMatrix(2, mat))
+        theirs = DomainMatrix.from_Matrix(
+            sympy.Matrix([[to_sympy(e) for e in row] for row in mat])
+        ).to_field().rank()
+        assert ours == theirs, mat
+    assert deficient

@@ -26,7 +26,7 @@ from contactpairs.metric import (
     killing_check,
     verify_restricted_contact_metric,
 )
-from contactpairs.pair import ContactPair, Status, kernel_frame, verified_pair
+from contactpairs.pair import ContactPair, DistributionFrame, Status, kernel_frame, verified_pair
 from contactpairs.structure import ContactPairStructure, PreconditionError, is_decomposable
 from contactpairs.verdicts import Verdict, combine_verdicts
 
@@ -418,6 +418,18 @@ def test_leaf_restriction_requires_decomposable(r6, nilpotent):
     object.__setattr__(mcp, "cps", cps_r6)  # splice a non-decomposable phi
     with pytest.raises(PreconditionError):
         verify_restricted_contact_metric(mcp, cps_r6.vp.tf2, LeafContactMetric(1))
+
+
+def test_leaf_restriction_rejects_frame_phi_leaves(nilpotent):
+    """Z1 with one vector of TG2 is tangent to Z1 but not phi-invariant: the
+    exact solve for phi(v) in the frame is inconsistent."""
+    cps, g = nilpotent
+    vp = cps.vp
+    frame = DistributionFrame(vp.space, (vp.z1, vp.tg2.vectors[0]), "leaf")
+    with pytest.raises(
+        PreconditionError, match=r"^frame leaf is not phi-invariant: phi\(leaf\[1\]\) leaves the span"
+    ):
+        verify_restricted_contact_metric(MetricContactPair(cps, g), frame, LeafContactMetric(1))
 
 
 def test_leaf_restriction_numeric_path(nilpotent):

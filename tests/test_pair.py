@@ -1,17 +1,28 @@
 """Contact pair conditions, Reeb solves, frames, and splittings."""
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactpairs.algebra import RatFun, RfMatrix, generic_rank
 from contactpairs.exterior import Form, VectorField, ext_d
+from contactpairs.fixtures import (
+    FixtureError,
+    bundled_fixture_names,
+    bundled_fixture_path,
+    load_fixture,
+)
 from contactpairs.pair import (
     ContactPair,
+    DistributionFrame,
+    FrameRankError,
     PairValidationError,
     ReebSolveError,
     Status,
     characteristic_frame,
+    column_matrix,
     g_frame,
     kernel_frame,
     reeb_fields,
@@ -208,7 +219,6 @@ def test_frame_rank_mismatch_detected():
     """Declaring the wrong type makes the characteristic frame rank disagree
     with 2k+1 and must be reported as degenerate input."""
     from fractions import Fraction as F
-    from contactpairs.pair import FrameRankError
 
     s = build_twisted_space()
     a1, a2 = build_twisted_forms(s)
@@ -293,6 +303,83 @@ def test_verified_pair_and_splittings(factory):
     # each Reeb field lies in the other characteristic distribution
     assert vp.tf1.contains(vp.z2)
     assert vp.tf2.contains(vp.z1)
+
+
+def test_splitting_witnesses():
+    """Each Failed branch of verify_splittings, on frames swapped by hand in
+    the verified type-(1,1) local model."""
+    vp = verified_pair(make_local_model_pair())
+    cases = (
+        (replace(vp, tf2=vp.tf1), "rank(TF1 ∪ TF2) = 3 != 6",
+         "TF1 ⊕ TF2 does not span the tangent bundle"),
+        (replace(vp, tg1=DistributionFrame(vp.space, vp.tg1.vectors[:1])),
+         "rank(TG1 + Z2) = 2 != rank(TF1) = 3", ""),
+        (replace(vp, tg1=vp.tg2), "TG1 ⊕ R·Z2 and TF1 span different subbundles", ""),
+    )
+    for broken, witness, detail in cases:
+        verdict = verify_splittings(broken)
+        assert verdict.status is Status.FAILED
+        assert (verdict.witness, verdict.detail) == (witness, detail)
+
+
+def _verifiable_fixtures():
+    docs = [load_fixture(bundled_fixture_path(name)) for name in bundled_fixture_names()]
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        try:
+            docs.append(load_fixture(path))
+        except FixtureError:
+            continue
+    out = []
+    for doc in docs:
+        try:
+            out.append((doc, verified_pair(doc.pair)))
+        except (PairValidationError, ReebSolveError, FrameRankError):
+            continue
+    return out
+
+
+def test_contains_agrees_with_rank():
+    """Membership through a frame's equations is the rank definition
+    rank([F | v]) = size(F), for every frame of every verifiable bundled and
+    test fixture: kernel frames, their vectors-only copies and TG1 ∪ TG2."""
+    checked = 0
+    for doc, vp in _verifiable_fixtures():
+        space, n = vp.space, vp.dim
+        frames = [vp.tf1, vp.tf2, vp.tg1, vp.tg2]
+        for i in (1, 2):
+            try:
+                frames.append(kernel_frame(vp.pair, i))
+            except FrameRankError:
+                pass
+        frames += [DistributionFrame(space, f.vectors, f"{f.label} by vectors") for f in frames]
+        frames.append(DistributionFrame(space, vp.tg1.vectors + vp.tg2.vectors, "TG1+TG2"))
+        fields = {vp.z1, vp.z2, *(VectorField.basis(space, a) for a in range(n))}
+        for f in frames:
+            fields.update(f.vectors)
+        if doc.phi is not None:
+            fields.update(VectorField(space, doc.phi.matrix.column(a)) for a in range(n))
+        for frame in frames:
+            members = []
+            for v in fields:
+                by_rank = generic_rank(column_matrix(space, [*frame.vectors, v])) == frame.size
+                assert frame.contains(v) == by_rank, (doc.fixture_id, frame.label, v)
+                if by_rank:
+                    members.append(v)
+            assert frame.contains(*members)
+            checked += 1
+    assert checked >= 50
+
+
+def test_vectors_only_frames():
+    """Equations of frames given by vectors alone, at the two extremes: the
+    empty frame (n unit equations) and a frame spanning TM (none)."""
+    vp = verified_pair(make_local_model_pair())
+    s = vp.space
+    empty = DistributionFrame(s, ())
+    assert empty.contains(VectorField.zero_field(s))
+    assert not any(empty.contains(VectorField.basis(s, a)) for a in range(vp.dim))
+    everything = DistributionFrame(s, vp.tf1.vectors + vp.tf2.vectors)
+    assert everything.contains(vp.z1, vp.z2, *vp.tg1.vectors, *vp.tg2.vectors)
 
 
 @pytest.mark.parametrize(

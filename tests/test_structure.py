@@ -4,7 +4,13 @@ import pytest
 
 from contactpairs.algebra import RatFun, RfMatrix
 from contactpairs.exterior import EndoField, VectorField
-from contactpairs.pair import ContactPair, DistributionFrame, Status, verified_pair
+from contactpairs.pair import (
+    ContactPair,
+    DistributionFrame,
+    FrameRankError,
+    Status,
+    verified_pair,
+)
 from contactpairs.structure import (
     ContactPairStructure,
     PreconditionError,
@@ -201,15 +207,22 @@ def test_build_phi_rejects_bad_j(local_model):
 
 def test_build_phi_rejects_non_spanning_frame(local_model):
     vp, _ = local_model
-    # a frame inside TF1 only: right size after padding is impossible, so
-    # take TG1 ∪ TG1-rotated; spans only half of TG1 ⊕ TG2
     s = vp.space
-    bad_vectors = vp.tg1.vectors + tuple(
-        VectorField(s, [c for c in v.components]) * s.scalar(2) for v in vp.tg1.vectors
-    )
-    with pytest.raises(Exception):
-        frame = DistributionFrame(s, bad_vectors, "bad")  # rank check fires here
-        build_phi(vp, SubbundleComplexStructure(frame, RfMatrix.identity(4, 6)))
+    # TG1 ∪ 2·TG1 is dependent: rejected when the frame is built
+    doubled = tuple(v * s.scalar(2) for v in vp.tg1.vectors)
+    with pytest.raises(FrameRankError, match=r"^frame bad: 4 vectors have generic rank 2$"):
+        DistributionFrame(s, vp.tg1.vectors + doubled, "bad")
+    # TG1 ∪ {Z1, Z2} is independent and of the right size, but misses TG2
+    frame = DistributionFrame(s, vp.tg1.vectors + (vp.z1, vp.z2), "TG1+Z")
+    one, zero = RatFun.one(s.dim), RatFun.zero(s.dim)
+    rotation = RfMatrix(s.dim, [
+        [zero, -one, zero, zero],
+        [one, zero, zero, zero],
+        [zero, zero, zero, -one],
+        [zero, zero, one, zero],
+    ])
+    with pytest.raises(StructureValidationError, match="^frame does not span TG1 ⊕ TG2 generically$"):
+        build_phi(vp, SubbundleComplexStructure(frame, rotation))
 
 
 # --- induced almost contact structures -----------------------------------------------
