@@ -12,11 +12,12 @@ verb, every fixture and both sample settings (none, and ``--samples 3
 or the error text of a usage or fixture error, or the exception of a crash.
 
 The fixtures, the same files for both trees, are the bundled ones,
-``tests/fixtures``, ``perfbench/fixtures``, and the generated chart rungs
-(1,1), (2,1) and Lie rungs (1,1), (2,2) of ``perfbench/workloads.py`` (each
-ladder from seed 1).  The script prints the number of identical cases and
-the first differing line of each other case, writes every differing case in
-full to ``--out``, and exits 1 when any case differs.
+``tests/fixtures`` (which holds copies of the two ``perfbench/fixtures``
+reproductions), and the generated chart rungs (1,1), (2,1) and Lie rungs
+(1,1), (2,2) of ``perfbench/workloads.py`` (each ladder from seed 1).  The
+script prints the number of identical cases and the first differing line of
+each other case, writes every differing case in full to ``--out``, and exits
+1 when any case differs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ def _fixtures(workdir: Path) -> list[Path]:
     paths = sorted((ROOT / "src" / "contactpairs" / "data").glob("*.json"))
     paths = [p for p in paths if p.name != "fixture.schema.json"]
     paths += sorted((ROOT / "tests" / "fixtures").glob("*.json"))
-    paths += sorted((ROOT / "perfbench" / "fixtures").glob("*.json"))
     for make, rungs in (
         (workloads.chart_model, CHART_RUNGS),
         (workloads.heisenberg_product, LIE_RUNGS),

@@ -433,7 +433,8 @@ def _checks_to_run(doc: FixtureDoc, targets: tuple[str, ...] | None) -> list[str
 
 def _evaluate(ctx: _Context, verb: str) -> None:
     """Run the verb's checks into ``ctx.report``, recording why a check that
-    cannot run was skipped."""
+    cannot run was skipped and, under ``timings``, how long each check that
+    ran took (``check.<name>_s``)."""
     targets = VERBS[verb]
     names = _checks_to_run(ctx.doc, targets)
     if targets is not None:
@@ -456,6 +457,7 @@ def _evaluate(ctx: _Context, verb: str) -> None:
             continue
         blocker = next((p for p in prereqs if p not in passed), None)
         if blocker is None:
+            started = time.perf_counter()
             try:
                 why = check.run(ctx)
             except _NotApplicable as exc:
@@ -466,6 +468,8 @@ def _evaluate(ctx: _Context, verb: str) -> None:
                 else:
                     failed[name] = why
                 continue
+            finally:
+                ctx.report.timings[f"check.{name}_s"] = time.perf_counter() - started
         else:
             cause = failed.get(blocker)
         record = check.reason.format(cause) if check.reason else cause

@@ -23,12 +23,15 @@ residual has a zero numerator over its common denominator.
 
 The RK4 cross-check is the numeric part.  It compiles each RatFun it
 evaluates (field components, nonzero Christoffel symbols) once to a pair of
-float programs, steps the flow point by point, and evaluates the geodesic
-residual on the whole trajectory at once with numpy arrays.  The
-batched pass gives the same floats, bit for bit, as a point-by-point loop,
-because every point goes through the same IEEE operations in the same order:
-powers come from the scalar libm ``pow``, products and sums are elementwise,
-and there are no BLAS or pairwise reductions.
+float programs.  It steps the flow on plain Python floats, with no numpy in
+the step loop: a field component that reads no coordinate has the same value
+at every stage, so its increment is computed once per call.  Only the
+residual pass uses numpy, evaluating the speed and every Γ on the whole
+trajectory at once, each distinct denominator once.  Both give the same
+floats, bit for bit, as a point-by-point loop on numpy arrays, because every
+point goes through the same IEEE operations in the same order: powers come
+from the scalar libm ``pow``, products and sums are elementwise, and there
+are no BLAS or pairwise reductions.
 """
 
 from __future__ import annotations
@@ -320,7 +323,12 @@ class _Powers(dict):
 
     def __missing__(self, key: tuple[int, int]) -> np.ndarray:
         j, k = key
-        value = self[key] = np.array([_pow(x, k) for x in self.columns[j]])
+        column = self.columns[j]
+        try:
+            values = [x**k for x in column]
+        except OverflowError:
+            values = [_pow(x, k) for x in column]
+        value = self[key] = np.array(values)
         return value
 
 
@@ -336,6 +344,10 @@ class _FloatRatFun:
     @classmethod
     def compile(cls, r: RatFun) -> "_FloatRatFun":
         return cls(r, _compile(r.num), _compile(r.den))
+
+    @property
+    def reads_coordinates(self) -> bool:
+        return any(factors for _, factors in (*self.num, *self.den))
 
     def at(self, point: list[float]) -> float:
         den = _run(self.den, point)
@@ -365,17 +377,64 @@ def _run_batch(program: _Program, powers: _Powers, m: int) -> np.ndarray:
 
 
 def _eval_batch(functions: Sequence[_FloatRatFun], points: np.ndarray) -> list[np.ndarray]:
-    """Every function on every point (rows of ``points``).  A vanishing
-    denominator raises for the first point, and at that point for the first
-    function, as a point-by-point loop would."""
+    """Every function on every point (rows of ``points``), each distinct
+    denominator program run once.  A vanishing denominator raises for the
+    first point, and at that point for the first function, as a
+    point-by-point loop would."""
     m = len(points)
     powers = _Powers(points)
-    dens = [_run_batch(f.den, powers, m) for f in functions]
-    poles = np.argwhere(np.array(dens).reshape(len(functions), m).T == 0.0)
-    if poles.size:
-        s, i = poles[0]
+    dens: dict[_Program, np.ndarray] = {}
+    for f in functions:
+        if f.den not in dens:
+            dens[f.den] = _run_batch(f.den, powers, m)
+    zeros = {program: np.flatnonzero(den == 0.0) for program, den in dens.items()}
+    poles = [(zeros[f.den][0], i) for i, f in enumerate(functions) if zeros[f.den].size]
+    if poles:
+        s, i = min(poles)
         raise _pole(functions[i].source, points[s])
-    return [_run_batch(f.num, powers, m) / den for f, den in zip(functions, dens)]
+    return [_run_batch(f.num, powers, m) / dens[f.den] for f in functions]
+
+
+def _field_at(
+    moving: list[tuple[int, _FloatRatFun]], k: list[float], point: list[float]
+) -> list[float]:
+    """``k`` with its coordinate-reading components evaluated at ``point``."""
+    k = k.copy()
+    for j, c in moving:
+        k[j] = c.at(point)
+    return k
+
+
+def _rk4_trajectory(
+    components: list[_FloatRatFun], start: Sequence, steps: int, dt: float
+) -> np.ndarray:
+    """The start point and ``steps`` classical RK4 steps of the flow of the
+    compiled field, one point per row.  The steps run on plain floats, each
+    coordinate through x + (0.5·dt)·k for a stage point and
+    x + (dt/6)·(((k1 + 2·k2) + 2·k3) + k4) for the next point, the IEEE
+    operations of the same expressions on numpy arrays."""
+    moving = [(j, c) for j, c in enumerate(components) if c.reads_coordinates]
+    half, sixth = 0.5 * dt, dt / 6.0
+    trajectory = np.empty((steps + 1, len(components)))
+    trajectory[0] = [float(v) for v in start]
+    x = trajectory[0].tolist()
+    if steps:
+        # The field at the start point, raising as the first stage would.  A
+        # component that reads no coordinate keeps this value at every stage,
+        # so its increment is the same in every step.
+        k = [c.at(x) for c in components]
+        increment = [sixth * (((kj + 2.0 * kj) + 2.0 * kj) + kj) for kj in k]
+    for s in range(steps):
+        if moving:
+            k1 = _field_at(moving, k, x)
+            k2 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k1)])
+            k3 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k2)])
+            k4 = _field_at(moving, k, [xj + dt * kj for xj, kj in zip(x, k3)])
+            for j, _ in moving:
+                increment[j] = sixth * (((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j])
+        x = [xj + d for xj, d in zip(x, increment)]
+        trajectory[s + 1] = x
+    return trajectory
 
 
 def numeric_geodesic_residual(
@@ -396,39 +455,26 @@ def numeric_geodesic_residual(
 
     The field components and the nonzero Christoffel symbols are compiled
     once per call to float programs.  The RK4 steps run one after the other
-    on plain floats; the residual pass then evaluates the speed and every Γ
-    on all interior points at once, as arrays.  The result is the same float
-    a point-by-point evaluation gives, because each point sees the same IEEE
-    operations in the same order: a term starts from its coefficient and is
-    multiplied by ``x_j ** k`` for increasing ``j`` (scalar libm ``pow``), the
-    terms are summed left to right from 0.0, then ``num / den``; the Γ terms
-    are added to the acceleration in ``data.nonzero()`` order, and nothing is
-    reduced pairwise or through BLAS.  A vanishing denominator raises
+    on plain floats (no numpy), and a component that reads no coordinate is
+    evaluated once.  Only the residual pass uses numpy: it evaluates the speed
+    and every Γ on all interior points at once, as arrays, each distinct
+    denominator once.  The result is the same float a point-by-point
+    evaluation on numpy arrays gives, because each point sees the same IEEE
+    operations in the same order: a stage point is x + (0.5·dt)·k, a step
+    adds (dt/6)·(((k1 + 2·k2) + 2·k3) + k4); a term starts from its
+    coefficient and is multiplied by ``x_j ** k`` for increasing ``j`` (scalar
+    libm ``pow``), the terms are summed left to right from 0.0, then
+    ``num / den`` after the ``den == 0.0`` test; the Γ terms are added to the
+    acceleration in ``data.nonzero()`` order, and nothing is reduced pairwise
+    or through BLAS.  A vanishing denominator raises
     :class:`ZeroDivisionError` naming it and the first point where it
-    vanishes."""
+    vanishes, a stage point printed in full."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    space = g.space
     if data is None:
         data = christoffel(g, validate=False)
-    n = space.dim
     components = [_FloatRatFun.compile(c) for c in field.components]
-
-    def velocity(x: np.ndarray) -> np.ndarray:
-        point = x.tolist()
-        return np.array([c.at(point) for c in components])
-
-    steps = int(round(t_end / dt))
-    trajectory = np.empty((steps + 1, n))
-    trajectory[0] = np.array([float(v) for v in start], dtype=float)
-    x = trajectory[0]
-    for s in range(steps):
-        k1 = velocity(x)
-        k2 = velocity(x + 0.5 * dt * k1)
-        k3 = velocity(x + 0.5 * dt * k2)
-        k4 = velocity(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trajectory[s + 1] = x
+    trajectory = _rk4_trajectory(components, start, int(round(t_end / dt)), dt)
 
     points = trajectory[1:-1]
     # the acceleration, to which the Γ terms are added

@@ -1,5 +1,6 @@
 """Levi-Civita connection, Reeb geodesy, and the RK4 cross-check."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from contactpairs.connection import (
     DegenerateMetricError,
     _eval_batch,
     _FloatRatFun,
+    _rk4_trajectory,
     _validate_connection,
     christoffel,
     covariant_derivative,
@@ -338,7 +340,7 @@ def test_reeb_geodesy_carries_its_christoffel_symbols(r6):
 # the CLI did before.
 ROUNDOFF = "1.1102230246251565e-10"
 DATA = Path(__file__).resolve().parents[1] / "src" / "contactpairs" / "data"
-REPROS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+REPROS = Path(__file__).resolve().parent / "fixtures"
 Z12 = ("geodesy_rk4_z1", "geodesy_rk4_z2")
 BUILT_Z12 = ("built_geodesy_rk4_z1", "built_geodesy_rk4_z2")
 
@@ -423,3 +425,116 @@ def test_numeric_residual_compiled_program_matches_exact_eval(num, den, points):
     for k, (point, values) in enumerate(zip(points, floats)):
         assert r.at(values) == pytest.approx(float(exact.eval(point)), rel=1e-12)
         assert batch[k] == r.at(values)  # bit-identical, not only close
+
+
+# --- bit identity with the numpy step loop -------------------------------------------
+
+
+def _reference_trajectory(components, start, steps, dt):
+    """The RK4 step loop as it was written on numpy arrays, one array
+    expression per stage."""
+
+    def velocity(x):
+        point = x.tolist()
+        return np.array([c.at(point) for c in components])
+
+    trajectory = np.empty((steps + 1, len(components)))
+    trajectory[0] = np.array([float(v) for v in start], dtype=float)
+    x = trajectory[0]
+    for s in range(steps):
+        k1 = velocity(x)
+        k2 = velocity(x + 0.5 * dt * k1)
+        k3 = velocity(x + 0.5 * dt * k2)
+        k4 = velocity(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trajectory[s + 1] = x
+    return trajectory
+
+
+def _reference_residual(g, field, start, t_end, dt, data):
+    """The RK4 cross-check on the numpy step loop, with the residual
+    evaluated point by point."""
+    components = [_FloatRatFun.compile(c) for c in field.components]
+    trajectory = _reference_trajectory(components, start, int(round(t_end / dt)), dt)
+    points = trajectory[1:-1].tolist()
+    acceleration = (trajectory[2:] - 2.0 * trajectory[1:-1] + trajectory[:-2]) / (dt * dt)
+    nonzero_gamma = data.nonzero()
+    gammas = [_FloatRatFun.compile(r) for *_, r in nonzero_gamma]
+    speeds = [[c.at(p) for c in components] for p in points]
+    gamma_values = [[f.at(p) for f in gammas] for p in points]
+    rows = []
+    for row, speed, values in zip(acceleration.tolist(), speeds, gamma_values):
+        for (a, b, c, _), gamma in zip(nonzero_gamma, values):
+            row[c] += gamma * speed[a] * speed[b]
+        if not any(map(math.isnan, row)):
+            rows.append(max(map(abs, row)))
+    return max([0.0, *rows])
+
+
+_XYZ = Space.chart(["x", "y", "z"])
+
+
+def _oracle_metrics():
+    x, y = _XYZ.coordinate(0), _XYZ.coordinate(1)
+    one, zero = _XYZ.one(), _XYZ.zero()
+    curved = [[1 + x * x, zero, zero], [zero, one, zero], [zero, zero, 1 / (1 + y * y)]]
+    warped = [[one, zero, zero], [zero, 2 + x * y, zero], [zero, zero, one]]
+    for rows in (None, curved, warped):
+        g = MetricField.euclidean(_XYZ) if rows is None else MetricField(_XYZ, rows)
+        yield g, christoffel(g, validate=False)
+
+
+_ORACLE_METRICS = list(_oracle_metrics())
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _small, min_size=1, max_size=3
+).map(lambda terms: RatFun(Poly(3, terms)))
+# c + a x² + b y² + z⁴ with c > 0, a, b ≥ 0: positive everywhere
+_positive_dens = st.tuples(
+    st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4),
+    *[st.fractions(min_value=0, max_value=2, max_denominator=4)] * 2,
+).map(lambda c: Poly(3, {(0, 0, 0): c[0], (2, 0, 0): c[1], (0, 2, 0): c[2], (0, 0, 4): 1}))
+_components = st.one_of(
+    st.just(_XYZ.zero()),
+    _small.map(lambda c: RatFun(Poly.const(3, c))),
+    _polys,
+    st.tuples(_polys, _positive_dens).map(lambda nd: nd[0] / RatFun(nd[1])),
+)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [(0.0, 1e-3), (4e-4, 1e-3), (1e-3, 1e-3), (2e-3, 1e-3), (0.25, 1 / 64), (1.0, 1e-3)],
+    ids=["0 steps", "0 steps rounded", "1 step", "2 steps", "16 steps", "1000 steps"],
+)
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(range(len(_ORACLE_METRICS))),
+    st.lists(_components, min_size=3, max_size=3),
+    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=4), min_size=3, max_size=3),
+)
+def test_numeric_residual_matches_numpy_step_loop(t_end, dt, metric, components, start):
+    g, data = _ORACLE_METRICS[metric]
+    field = VectorField(_XYZ, components)
+    compiled = [_FloatRatFun.compile(c) for c in components]
+    steps = int(round(t_end / dt))
+    with np.errstate(all="ignore"):  # a flow may blow up to inf and NaN
+        trajectory = _reference_trajectory(compiled, start, steps, dt)
+        expected = _reference_residual(g, field, start, t_end, dt, data)
+        residual = numeric_geodesic_residual(g, field, start, t_end, dt, data)
+    assert _rk4_trajectory(compiled, start, steps, dt).tobytes() == trajectory.tobytes()
+    assert repr(residual) == repr(expected)
+
+
+def test_numeric_residual_pole_on_a_stage_point_matches_numpy_step_loop():
+    """Two constant components and one that reads x: the second stage of the
+    first step hits the pole, and the message prints the whole stage point."""
+    x = _XYZ.coordinate(0)
+    field = VectorField(_XYZ, [_XYZ.one(), 1 / (2000 * x - 1), 2 * _XYZ.one()])
+    g, data = _ORACLE_METRICS[0]
+    messages = []
+    for residual in (_reference_residual, numeric_geodesic_residual):
+        with pytest.raises(ZeroDivisionError) as info:
+            residual(g, field, [0, 0, 0], 1.0, 1e-3, data)
+        messages.append(str(info.value))
+    assert messages == ["denominator x1 - 1/2000 vanishes at (0.0005, -0.0005, 0.001)"] * 2

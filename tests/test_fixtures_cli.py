@@ -1,11 +1,12 @@
 """Fixture loading, schema validation, CLI verbs, reports, and exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from contactpairs.cli import VerbUsageError, main, run
+from contactpairs.cli import CHECKS, VerbUsageError, main, run
 from contactpairs.fixtures import (
     FixtureError,
     bundled_fixture_names,
@@ -384,6 +385,72 @@ def test_report_structure():
     assert doc["verdicts"]["associated"]["status"] == "Verified"
     stable = json.loads(render_report(report, include_timings=False))
     assert "timings" not in stable
+
+
+@pytest.mark.parametrize(
+    "verb, path",
+    [
+        ("theorems", bundled_fixture_path("local_model_1_1")),
+        ("theorems", FIXTURE_DIR / "degenerate_pair.json"),
+        ("theorems", FIXTURE_DIR / "twisted.json"),
+        ("geodesy", FIXTURE_DIR / "rk4_pole.json"),
+        ("leaves", FIXTURE_DIR / "flat2_mcp.json"),
+    ],
+    ids=["local_model_1_1", "degenerate_pair", "twisted", "rk4_pole", "flat2_mcp leaves"],
+)
+def test_timings_hold_one_entry_per_check_that_ran(monkeypatch, verb, path):
+    """Each check that ran, a not-applicable one included, has its time under
+    ``check.<name>_s`` beside ``total_s``; a skipped check has none, and none
+    of them enters the byte-stable part of the report."""
+    ran = []
+    for name, check in CHECKS.items():
+
+        def recording(ctx, name=name, inner=check.run):
+            ran.append(name)
+            return inner(ctx)
+
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(check, run=recording))
+    report = run(verb, path)
+    assert list(report.timings) == [f"check.{name}_s" for name in ran] + ["total_s"]
+    assert all(seconds >= 0.0 for seconds in report.timings.values())
+    stable = render_report(report, include_timings=False)
+    report.timings = {"total_s": report.timings["total_s"]}
+    assert render_report(report, include_timings=False) == stable
+
+
+def test_stable_report_bytes_pinned():
+    """The byte-stable rendering of a small report, as it reads without any
+    per-check timings."""
+    report = run("verify-pair", fixture_path("degenerate_pair.json"))
+    assert "check.pair_s" in report.timings
+    assert render_report(report, include_timings=False) == (
+        "{\n"
+        '  "fixture": "degenerate_pair",\n'
+        '  "outputs": {},\n'
+        '  "residuals": {},\n'
+        '  "skipped": {},\n'
+        '  "status": "Failed",\n'
+        '  "verb": "verify-pair",\n'
+        '  "verdicts": {\n'
+        '    "dalpha1_power_zero": {\n'
+        '      "detail": "(d alpha1)^1 = 0",\n'
+        '      "status": "Verified"\n'
+        "    },\n"
+        '    "dalpha2_power_zero": {\n'
+        '      "detail": "(d alpha2)^1 = 0",\n'
+        '      "status": "Verified"\n'
+        "    },\n"
+        '    "volume_form": {\n'
+        '      "detail": "identically zero",\n'
+        '      "status": "Failed",\n'
+        '      "witness": "volume coefficient = 0"\n'
+        "    }\n"
+        "  },\n"
+        '  "versions": {\n'
+        '    "contactpairs": "0.1.0"\n'
+        "  }\n"
+        "}"
+    )
 
 
 # --- the console entry point ----------------------------------------------------------------
