@@ -7,18 +7,21 @@ symbols, parent checkout vs this one.
         --pairs 10 --first-seed 601
 
 Run it from the root of this checkout; ``--parent`` is a checkout of the
-commit to compare with.  Each tree is measured in its own interpreter, which
-imports ``contactpairs`` from that tree's ``src/`` and times, in one pass,
-every ``numeric_geodesic_residual``, ``RfMatrix.inverse`` and ``christoffel``
-call made by ``cli.run`` on:
+commit to compare with.  The script measures in ``--repeats`` rounds.  Each
+round starts one interpreter per tree, the parent's first in even rounds and
+this tree's first in odd ones, so drift of a shared machine falls on both
+trees alike.  Each interpreter imports ``contactpairs`` from its tree's
+``src/`` and times, in one pass, every ``numeric_geodesic_residual``,
+``RfMatrix.inverse`` and ``christoffel`` call made by ``cli.run`` on:
 
 - ``theorems`` on the chart-ladder rungs (1,1), (2,1), (2,2) and on the
   lie-ladder rung (3,3) (fixtures from ``perfbench/workloads.py``, seed 1);
 - the ``geodesy`` and ``build-compatible`` items of ``verb-mix``.
 
-The per-call figure is the median over ``--repeats`` runs, and what each
-tree returned is recorded with it: the residual's ``repr`` for RK4, a digest
-of the entries (printed with sorted terms) for the inverse and the symbols.
+The per-call figure is the median over the rounds, and what each tree
+returned is recorded with it: the residual's ``repr`` for RK4, a digest of
+the entries (printed with sorted terms) for the inverse and the symbols.  A
+call whose result differs between rounds stops the script.
 A ``christoffel`` call includes the ``inverse`` call it makes.  With
 ``--pairs N`` the script then runs ``perfbench/run.py --trace 0`` N times per
 workload in each tree, in alternating order, on seeds ``--first-seed``
@@ -66,8 +69,8 @@ def _digest(entries) -> str:
     return hashlib.sha256(repr([str(e) for e in entries]).encode()).hexdigest()[:16]
 
 
-def measure(tree: Path, repeats: int) -> dict[str, list[dict]]:
-    """Time every timed call of every item with the package of ``tree``."""
+def measure(tree: Path) -> dict[str, list[dict]]:
+    """Time every timed call of every item, once, with the package of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     from contactpairs import algebra, cli, connection
 
@@ -94,26 +97,41 @@ def measure(tree: Path, repeats: int) -> dict[str, list[dict]]:
     rows: dict[str, list[dict]] = {kind: [] for kind in TIMED}
     with tempfile.TemporaryDirectory() as tmp:
         for item in _items(Path(tmp)):
-            runs = []
-            for _ in range(repeats):
-                for made in calls.values():
-                    made.clear()
-                cli.run(item.verb, item.path)
-                runs.append({kind: list(made) for kind, made in calls.items()})
-            for kind in TIMED:
-                for k, results in enumerate(zip(*(run[kind] for run in runs))):
-                    rows[kind].append({
-                        "item": f"{item.name}#{k + 1}",
-                        "seconds": statistics.median(t for t, _ in results),
-                        "result": results[0][1],
-                    })
+            for made in calls.values():
+                made.clear()
+            cli.run(item.verb, item.path)
+            for kind, made in calls.items():
+                rows[kind] += [
+                    {"item": f"{item.name}#{k + 1}", "seconds": seconds, "result": result}
+                    for k, (seconds, result) in enumerate(made)
+                ]
     return rows
 
 
-def _measure_in_child(tree: Path, repeats: int) -> dict[str, list[dict]]:
-    command = [sys.executable, __file__, "--measure", str(tree), "--repeats", str(repeats)]
+def _measure_in_child(tree: Path) -> dict[str, list[dict]]:
+    command = [sys.executable, __file__, "--measure", str(tree)]
     out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def _across_rounds(rounds: list[dict[str, list[dict]]]) -> dict[str, list[dict]]:
+    """Each call's median time over the rounds of one tree, with the result
+    every round must agree on."""
+    out: dict[str, list[dict]] = {}
+    for kind in TIMED:
+        out[kind] = []
+        for calls in zip(*(r[kind] for r in rounds), strict=True):
+            results = sorted({c["result"] for c in calls})
+            if len(results) != 1:
+                raise SystemExit(
+                    f"{kind} {calls[0]['item']}: results differ across rounds: {results}"
+                )
+            out[kind].append({
+                "item": calls[0]["item"],
+                "seconds": statistics.median(c["seconds"] for c in calls),
+                "result": results[0],
+            })
+    return out
 
 
 def _bench_run(tree: Path, workload: str, seed: int) -> dict:
@@ -178,14 +196,19 @@ def main(argv=None) -> int:
     parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure is not None:
-        print(json.dumps(measure(args.measure, args.repeats)))
+        print(json.dumps(measure(args.measure)))
         return 0
     if args.parent is None or args.out is None:
         parser.error("--parent and --out are required")
-    before = _measure_in_child(args.parent.resolve(), args.repeats)
-    after = _measure_in_child(ROOT, args.repeats)
+    trees = [("parent", args.parent.resolve()), ("change", ROOT)]
+    rounds: dict[str, list] = {side: [] for side, _ in trees}
+    for k in range(args.repeats):
+        for side, tree in trees if k % 2 == 0 else trees[::-1]:
+            rounds[side].append(_measure_in_child(tree))
+    before, after = (_across_rounds(rounds[side]) for side, _ in trees)
     record = {
-        "what": "seconds per call (median of repeats), parent vs change, by function",
+        "what": "seconds per call (median over rounds, trees alternating within each "
+        "round), parent vs change, by function",
         "machine": _machine(),
         "repeats": args.repeats,
     }

@@ -415,27 +415,18 @@ def _pseudo_rem(f: Poly, s: Poly, var: int) -> Poly:
     return r
 
 
-def _primitive_in(p: Poly, var: int) -> Poly:
-    """Strip the content of p viewed as univariate in ``var``; sign-normalized."""
-    if p.is_zero():
-        return p
-    coeffs = list(_coeffs_in(p, var).values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        content = _gcd_int(content, c)
+def _content_split(p: Poly, var: int) -> tuple[Poly, Poly]:
+    """(content, primitive part) of a nonzero p viewed as univariate in
+    ``var``, both sign-normalized."""
+    coeffs = iter(_coeffs_in(p, var).values())
+    content = next(coeffs)
+    for c in coeffs:
         if content.is_constant() and content.constant_value() == 1:
             break
-    if content.is_constant() and content.constant_value() == 1:
-        return _positive_lc(p)
-    return _positive_lc(divexact(p, content))
-
-
-def _content_in(p: Poly, var: int) -> Poly:
-    coeffs = list(_coeffs_in(p, var).values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
         content = _gcd_int(content, c)
-    return _positive_lc(content)
+    if content.is_constant() and content.constant_value() == 1:
+        return content, _positive_lc(p)
+    return _positive_lc(content), _positive_lc(divexact(p, content))
 
 
 def _gcd_int(a: Poly, b: Poly) -> Poly:
@@ -451,14 +442,14 @@ def _gcd_int(a: Poly, b: Poly) -> Poly:
     var = _main_var(a, b)
     if var is None:  # unreachable: non-constant polys mention some variable
         raise AssertionError("no main variable for non-constant polynomials")
-    cont = _gcd_int(_content_in(a, var), _content_in(b, var))
-    f = _primitive_in(a, var)
-    s = _primitive_in(b, var)
+    cont_a, f = _content_split(a, var)
+    cont_b, s = _content_split(b, var)
+    cont = _gcd_int(cont_a, cont_b)
     if _degree_in(f, var) < _degree_in(s, var):
         f, s = s, f
     while not s.is_zero() and _degree_in(s, var) > 0:
         r = _pseudo_rem(f, s, var)
-        f, s = s, (_primitive_in(r, var) if not r.is_zero() else r)
+        f, s = s, (_content_split(r, var)[1] if not r.is_zero() else r)
     if s.is_zero():
         g_pp = f
     else:

@@ -22,8 +22,8 @@ so a connection that passes costs no gcd there: each identically zero
 residual has a zero numerator over its common denominator.
 
 The RK4 cross-check is the numeric part.  It compiles each RatFun it
-evaluates (field components, nonzero Christoffel symbols) once to a pair of
-float programs.  It steps the flow on plain Python floats, with no numpy in
+evaluates to a pair of float programs once, each Christoffel symbol once per
+connection.  It steps the flow on plain Python floats, with no numpy in
 the step loop: a field component that reads no coordinate has the same value
 at every stage, so its increment is computed once per call.  Only the
 residual pass uses numpy, evaluating the speed and every Γ on the whole
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -76,15 +77,25 @@ class ChristoffelData:
     def gamma(self, a: int, b: int, c: int) -> RatFun:
         return self.symbols[a][b][c]
 
-    def nonzero(self) -> list[tuple[int, int, int, RatFun]]:
+    def nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
+        """Every (a, b, c, Γ^c_ab) with a nonzero symbol, found once."""
+        return self._nonzero
+
+    @cached_property
+    def _nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
         n = self.space.dim
-        return [
+        return tuple(
             (a, b, c, self.symbols[a][b][c])
             for a in range(n)
             for b in range(n)
             for c in range(n)
             if not self.symbols[a][b][c].is_zero()
-        ]
+        )
+
+    @cached_property
+    def _compiled(self) -> list["_FloatRatFun"]:
+        """The :meth:`nonzero` symbols compiled to float programs, once."""
+        return [_FloatRatFun.compile(r) for *_, r in self.nonzero()]
 
 
 def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
@@ -453,10 +464,10 @@ def numeric_geodesic_residual(
     with the acceleration estimated by central differences of the computed
     trajectory and Γ evaluated at each interior point.
 
-    The field components and the nonzero Christoffel symbols are compiled
-    once per call to float programs.  The RK4 steps run one after the other
-    on plain floats (no numpy), and a component that reads no coordinate is
-    evaluated once.  Only the residual pass uses numpy: it evaluates the speed
+    The field components are compiled to float programs once per call, the
+    nonzero Christoffel symbols once per ``data``.  The RK4 steps run one
+    after the other on plain floats (no numpy), and a component that reads no
+    coordinate is evaluated once.  Only the residual pass uses numpy: it evaluates the speed
     and every Γ on all interior points at once, as arrays, each distinct
     denominator once.  The result is the same float a point-by-point
     evaluation on numpy arrays gives, because each point sees the same IEEE
@@ -481,7 +492,7 @@ def numeric_geodesic_residual(
     residual = (trajectory[2:] - 2.0 * points + trajectory[:-2]) / (dt * dt)
     nonzero_gamma = data.nonzero()
     speed = _eval_batch(components, points)
-    gammas = _eval_batch([_FloatRatFun.compile(r) for *_, r in nonzero_gamma], points)
+    gammas = _eval_batch(data._compiled, points)
     for (a, b, c, _), gamma in zip(nonzero_gamma, gammas):
         residual[:, c] += gamma * speed[a] * speed[b]
     # a row holding a NaN has a NaN maximum and never raises the running max

@@ -12,9 +12,10 @@ data).
 
 Every table over frames is one product with their column matrices F, F'
 (Z = (Z1 Z2), α the 2 x n matrix with rows alpha1, alpha2, W_l the value
-table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf Gram,
-polarization's k table, Z^T G Z), 2-form tables F^T W_l F, images phi F,
-the duality rows (Z^T G - α) F, and compatibility phi^T G phi - G + α^T α.
+table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf
+pairings F^T G phi F, polarization's k table, Z^T G Z), 2-form tables
+F^T W_l F, images phi F, the duality rows (Z^T G - α) F, compatibility
+phi^T G phi - G + α^T α, and a leaf frame's invariance E·(phi F) = 0.
 
 The polarization construction represents the restriction of
 d alpha1 + d alpha2 to a characteristic subbundle frame as a k-skew operator
@@ -33,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import InconsistentSystemError, RatFun, RfMatrix, format_point, solve_linear_exact
+from .algebra import RatFun, RfMatrix, format_point
 from .exterior import EndoField, FrameForm, MetricField, lie_derivative
-from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, two_form_matrix
+from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix
 from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
 from .verdicts import (
     Status,
@@ -156,7 +157,7 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     tol = cps.tol
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
-    a_matrix = two_form_matrix(vp.pair.dalpha(1)) + two_form_matrix(vp.pair.dalpha(2))
+    a_matrix = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
     pairing = g.matrix @ cps.phi.matrix - a_matrix
     skew = cps.phi.matrix.transpose() @ g.matrix + g.matrix @ cps.phi.matrix
 
@@ -334,7 +335,7 @@ def build_associated_by_polarization(
     point = vp.sample_points[0]
     n = vp.dim
 
-    dsum = two_form_matrix(vp.pair.dalpha(1)) + two_form_matrix(vp.pair.dalpha(2))
+    dsum = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
     tg1, tg2 = vp.tg1.vectors, vp.tg2.vectors
     phi_blocks = []
     g_blocks = []
@@ -470,38 +471,21 @@ class LeafMCP:
     i: int
 
 
-def _phi_in_frame_coordinates(
-    mcp: MetricContactPair, frame: DistributionFrame, images: RfMatrix
-) -> RfMatrix:
-    """The matrix of phi restricted to the frame F, from the images phi F.
-    Exact solve at the structure's tol == 0; least squares at the base
-    sample point otherwise."""
-    vp = mcp.vp
-    tol = mcp.cps.tol
-    columns = []
-    if tol == 0.0:
-        for q in range(images.cols):
-            try:
-                sol = solve_linear_exact(frame.matrix, images.column(q))
-            except InconsistentSystemError as exc:
-                raise PreconditionError(
-                    f"frame {frame.label} is not phi-invariant: phi({frame.label}[{q}]) "
-                    f"leaves the span ({exc})"
-                ) from exc
-            columns.append(sol.particular)
-    else:
-        point = vp.sample_points[0]
-        frame_values = _float_matrix(frame.matrix.entries, point)
-        image_values = _float_matrix(images.entries, point)
-        for rhs in image_values.T:
-            coeffs, *_ = np.linalg.lstsq(frame_values, rhs, rcond=None)
-            reconstruction = frame_values @ coeffs
-            if np.max(np.abs(reconstruction - rhs)) > tol:
-                raise PreconditionError(
-                    f"frame {frame.label} is not phi-invariant within {tol:g}"
-                )
-            columns.append([Fraction(float(c)) for c in coeffs])
-    return RfMatrix(vp.dim, columns).transpose()
+def _require_invariant(
+    cps: ContactPairStructure, frame: DistributionFrame, images: RfMatrix
+) -> None:
+    """Raise unless the images phi F lie in span F, i.e. E·(phi F) = 0 for
+    the frame's equations E, each column graded at the structure's ``tol``."""
+    if not frame.equations.rows:
+        return
+    label = frame.label
+    leaving = frame.equations @ images
+    for q in range(images.cols):
+        column = [(label, c) for c in leaving.column(q)]
+        if not residual_verdict(column, cps.vp, cps.tol).ok:
+            raise PreconditionError(
+                f"frame {label} is not phi-invariant: phi({label}[{q}]) leaves the span"
+            )
 
 
 def verify_restricted_contact_metric(
@@ -515,10 +499,11 @@ def verify_restricted_contact_metric(
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
     contact pair of the induced type with the restricted metric associated.
-    Every restricted table is a product with the frame's column matrix F:
-    the images phi F, the Gram matrix F^T G F, the 2-form tables F^T W_l F
-    with W_l the value table of d alpha_l, alpha_l(F) and the duality rows
-    (Z^T G - α) F.  Decomposability is the structure's own verdict
+    Both modes raise :class:`PreconditionError` unless E·(phi F) = 0 for the
+    frame's equations E.  Every restricted table is a product with the
+    frame's column matrix F: the images phi F, the pairings F^T G phi F, the
+    2-form tables F^T W_l F, alpha_l(F) and the duality rows (Z^T G - α) F
+    of ``mcp.associated``.  Decomposability is the structure's own verdict
     (:attr:`ContactPairStructure.decomposable`)."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
@@ -530,8 +515,9 @@ def verify_restricted_contact_metric(
     f = frame.matrix
     f_t = f.transpose()
     images = mcp.phi.matrix @ f
-    duality = _duality_rows(vp, mcp.g) @ f
-    tables = {l: f_t @ two_form_matrix(vp.pair.dalpha(l)) @ f for l in (1, 2)}
+    pairings = f_t @ mcp.g.matrix @ images
+    duality = mcp.associated.reeb_residuals @ f
+    tables = {l: f_t @ vp.pair.dalpha_table(l) @ f for l in (1, 2)}
 
     if isinstance(mode, LeafContactMetric):
         i = mode.i
@@ -540,8 +526,8 @@ def verify_restricted_contact_metric(
                 f"Z{i} not in span({label})",
                 "the Reeb field must be tangent to the leaves",
             )
-        _phi_in_frame_coordinates(mcp, frame, images)  # raises if not invariant
-        pairing = f_t @ mcp.g.matrix @ images - tables[i]
+        _require_invariant(mcp.cps, frame, images)
+        pairing = pairings - tables[i]
         square = _leaf_square_residual(mcp.cps, frame, i, images)
         residuals = []
         for p in range(frame.size):
@@ -576,7 +562,7 @@ def verify_restricted_contact_metric(
                     f"Z{l} not in span({label})",
                     "both Reeb fields are tangent to the leaves of ker d alpha_i",
                 )
-        phi_rest = _phi_in_frame_coordinates(mcp, frame, images)
+        _require_invariant(mcp.cps, frame, images)
 
         alphas = vp._alpha_matrix @ f
         beta = {l: FrameForm.one_form(alphas.row(l - 1)) for l in (1, 2)}
@@ -602,7 +588,7 @@ def verify_restricted_contact_metric(
             ]
             verdicts.append(residual_verdict(residuals, vp, tol))
 
-        associated = f_t @ mcp.g.matrix @ f @ phi_rest - (tables[1] + tables[2])
+        associated = pairings - (tables[1] + tables[2])
         associated_residuals = [
             (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
             for p in range(frame.size)

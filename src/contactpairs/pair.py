@@ -77,12 +77,6 @@ def two_form_matrix(form: Form) -> RfMatrix:
     return RfMatrix(n, mat)
 
 
-def contraction_rows(form: Form) -> list[tuple[RatFun, ...]]:
-    """The rows of Z -> i_Z omega for a 2-form: (i_Z omega)(e_b) = sum_a
-    omega(e_a, e_b) Z^a, so row b is column b of :func:`two_form_matrix`."""
-    return list(two_form_matrix(form).transpose().entries)
-
-
 def column_matrix(space: Space, vectors: Sequence[VectorField]) -> RfMatrix:
     """The dim x len(vectors) matrix whose columns are the given fields."""
     return RfMatrix(space.dim, [[v.components[a] for v in vectors] for a in range(space.dim)])
@@ -137,6 +131,20 @@ class ContactPair:
     def _dalphas(self) -> tuple[Form, Form]:
         return ext_d(self.alpha1), ext_d(self.alpha2)
 
+    def dalpha_table(self, i: int) -> RfMatrix:
+        """The value table W_i[a][b] = d alpha_i(e_a, e_b); both tables are
+        formed once, on first use."""
+        return self._dalpha_tables[0 if i == 1 else 1]
+
+    @cached_property
+    def _dalpha_tables(self) -> tuple[RfMatrix, RfMatrix]:
+        return two_form_matrix(self.dalpha(1)), two_form_matrix(self.dalpha(2))
+
+    def contraction_rows(self, i: int) -> list[tuple[RatFun, ...]]:
+        """The rows of Z -> i_Z d alpha_i: (i_Z d alpha_i)(e_b) = sum_a
+        W_i[a][b] Z^a, so row b is column b of :meth:`dalpha_table`."""
+        return list(self.dalpha_table(i).transpose().entries)
+
     def degree_of(self, i: int) -> int:
         """The wedge exponent attached to d alpha_i by the pair type."""
         return self.h if i == 1 else self.k
@@ -182,7 +190,7 @@ def verify_contact_pair(pair: ContactPair) -> dict[str, Verdict]:
 def _reeb_system(pair: ContactPair) -> RfMatrix:
     rows = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     for i in (1, 2):
-        rows.extend(contraction_rows(pair.dalpha(i)))
+        rows.extend(pair.contraction_rows(i))
     return RfMatrix(pair.dim, rows)
 
 
@@ -291,7 +299,7 @@ def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
     foliation of alpha_i).  Rank must be 2k+1 for which=1, 2h+1 for which=2."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    rows = [one_form_row(pair.alpha(which)), *contraction_rows(pair.dalpha(which))]
+    rows = [one_form_row(pair.alpha(which)), *pair.contraction_rows(which)]
     frame = _kernel_frame_from_rows(pair.space, rows, f"TF{which}")
     expected = 2 * pair.k + 1 if which == 1 else 2 * pair.h + 1
     if frame.size != expected:
@@ -306,7 +314,7 @@ def g_frame(pair: ContactPair, i: int) -> DistributionFrame:
     2h for i=2."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    rows = contraction_rows(pair.dalpha(i)) + [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
+    rows = pair.contraction_rows(i) + [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     frame = _kernel_frame_from_rows(pair.space, rows, f"TG{i}")
     expected = 2 * pair.k if i == 1 else 2 * pair.h
     if frame.size != expected:
@@ -320,7 +328,7 @@ def kernel_frame(pair: ContactPair, i: int) -> DistributionFrame:
     """Frame of ker d alpha_i (the characteristic foliation of d alpha_i)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    rows = contraction_rows(pair.dalpha(i))
+    rows = pair.contraction_rows(i)
     frame = _kernel_frame_from_rows(pair.space, rows, f"KerDAlpha{i}")
     expected = pair.dim - (2 * pair.h if i == 1 else 2 * pair.k)
     if frame.size != expected:

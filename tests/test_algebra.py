@@ -581,3 +581,40 @@ def test_generic_rank_matches_sympy():
         ).to_field().rank()
         assert ours == theirs, mat
     assert deficient
+
+
+def test_poly_gcd_matches_sympy():
+    """poly_gcd against sympy.gcd, up to a nonzero rational constant, on
+    random 2- and 3-variable polynomials with a planted common factor."""
+    sympy = pytest.importorskip("sympy")
+
+    rng = random.Random(13)
+
+    def random_poly(nvars, terms, degree):
+        return Poly(nvars, {
+            tuple(rng.randint(0, degree) for _ in range(nvars)):
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            for _ in range(terms)
+        })
+
+    planted = 0
+    for _ in range(16):
+        nvars = rng.choice([2, 3])
+        syms = sympy.symbols(f"x0:{nvars}")
+
+        def to_sympy(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+                 for exps, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        common = random_poly(nvars, rng.randint(1, 3), 2)
+        a = common * random_poly(nvars, rng.randint(1, 3), 2)
+        b = common * random_poly(nvars, rng.randint(1, 3), 2)
+        planted += not common.is_constant()
+        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
+        ratio = sympy.cancel(to_sympy(poly_gcd(a, b)) / theirs)
+        assert ratio.is_Rational and ratio != 0, (a, b, ratio)
+    assert planted

@@ -302,6 +302,25 @@ def test_numeric_residual_r6_reeb(r6):
     assert residual < 1e-8
 
 
+def test_numeric_residual_compiles_symbols_once_per_connection(r6, monkeypatch):
+    """The Z1 and Z2 calls on one ChristoffelData compile its nonzero symbols
+    once between them; each call compiles only its field's components."""
+    vp, g = r6
+    data = christoffel(g, validate=False)
+    compiled = []
+    inner = _FloatRatFun.compile.__func__
+    monkeypatch.setattr(
+        _FloatRatFun, "compile", classmethod(lambda cls, r: compiled.append(r) or inner(cls, r))
+    )
+    residuals = [
+        numeric_geodesic_residual(g, vp.z(i), [0] * 6, t_end=0.1, dt=1e-2, data=data)
+        for i in (1, 2)
+    ]
+    assert len(data.nonzero()) > 0 and data.nonzero() is data.nonzero()
+    assert len(compiled) == len(data.nonzero()) + 2 * vp.dim
+    assert all(r < 1e-8 for r in residuals)
+
+
 def test_numeric_residual_negative_control(r6):
     """A non-geodesic flow on the curved compatible metric must show a residual
     far above the RK4 error budget (regression bound from a recorded run)."""

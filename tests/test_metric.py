@@ -2,12 +2,19 @@
 Killing fields, and leafwise restriction."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactpairs.algebra import RfMatrix
+from contactpairs.algebra import InconsistentSystemError, RfMatrix, solve_linear_exact
 from contactpairs.exterior import EndoField, Form, MetricField, VectorField
+from contactpairs.fixtures import (
+    FixtureError,
+    bundled_fixture_names,
+    bundled_fixture_path,
+    load_fixture,
+)
 from contactpairs.metric import (
     LeafContactMetric,
     LeafMCP,
@@ -15,6 +22,7 @@ from contactpairs.metric import (
     MetricValidationError,
     PolarizationError,
     _polarize_block,
+    _require_invariant,
     are_foliations_orthogonal,
     build_associated_by_polarization,
     build_compatible,
@@ -430,6 +438,94 @@ def test_leaf_restriction_rejects_frame_phi_leaves(nilpotent):
         PreconditionError, match=r"^frame leaf is not phi-invariant: phi\(leaf\[1\]\) leaves the span"
     ):
         verify_restricted_contact_metric(MetricContactPair(cps, g), frame, LeafContactMetric(1))
+
+
+def test_leaf_invariance_membership_agrees_with_frame_solve():
+    """E·(phi F) = 0 holds exactly when every image phi v solves F x = phi v
+    (the per-column solve it replaced, kept here as the reference), and then
+    the leaf pairings F^T G (phi F) equal F^T G F x.  The frames are TF1,
+    TF2, both ker d alpha frames and, where TG2 is not empty, (Z1, TG2[0]),
+    of every fixture with phi and metric that makes a structure."""
+    paths = [bundled_fixture_path(n.removesuffix(".json")) for n in bundled_fixture_names()]
+    paths += sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+    outcomes = set()
+    for path in paths:
+        try:
+            doc = load_fixture(path)
+            if doc.phi is None or doc.metric is None:
+                continue
+            cps = ContactPairStructure(verified_pair(doc.pair), doc.phi)
+        except (FixtureError, ValueError, RuntimeError):
+            continue
+        g, vp = doc.metric.matrix, cps.vp
+        frames = [vp.tf1, vp.tf2, kernel_frame(vp.pair, 1), kernel_frame(vp.pair, 2)]
+        if vp.tg2.size:
+            frames.append(DistributionFrame(vp.space, (vp.z1, vp.tg2.vectors[0]), "leaf"))
+        for frame in frames:
+            f = frame.matrix
+            images = cps.phi.matrix @ f
+            try:
+                x = RfMatrix(vp.dim, [
+                    solve_linear_exact(f, images.column(q)).particular for q in range(f.cols)
+                ]).transpose()
+            except InconsistentSystemError:
+                x = None
+            try:
+                _require_invariant(cps, frame, images)
+                member = True
+            except PreconditionError:
+                member = False
+            assert member == (x is not None), (path.name, frame.label)
+            if member:
+                assert f.transpose() @ g @ f @ x == f.transpose() @ g @ images
+            outcomes.add((path.name, member))
+    assert {member for _, member in outcomes} == {True, False}
+    assert len({name for name, _ in outcomes}) >= 4
+
+
+def test_leaf_mcp_rejects_frame_phi_leaves(nilpotent):
+    """A frame of the induced leaf dimension holding both Reeb fields, whose
+    third vector phi maps out of it, is refused by the invariance test."""
+    cps, g = nilpotent
+    vp = cps.vp
+    frame = DistributionFrame(
+        vp.space, (vp.z1, vp.z2, vp.tg1.vectors[0], vp.tg2.vectors[0]), "leaf"
+    )
+    with pytest.raises(
+        PreconditionError, match=r"^frame leaf is not phi-invariant: phi\(leaf\[2\]\) leaves the span"
+    ):
+        verify_restricted_contact_metric(MetricContactPair(cps, g), frame, LeafMCP(2))
+
+
+def test_leaf_restriction_numeric_path_rejects_frame_phi_leaves(nilpotent):
+    """With polarized phi and a positive tolerance, the frame (Z1, TG2[0])
+    is still refused: E·(phi F) exceeds tol at the sample points."""
+    cps, g_ref = nilpotent
+    vp = cps.vp
+    phi, g = build_associated_by_polarization(vp, g_ref, decomposable=True)
+    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
+    frame = DistributionFrame(vp.space, (vp.z1, vp.tg2.vectors[0]), "leaf")
+    with pytest.raises(
+        PreconditionError, match=r"^frame leaf is not phi-invariant: phi\(leaf\[1\]\) leaves the span"
+    ):
+        verify_restricted_contact_metric(mcp, frame, LeafContactMetric(1))
+
+
+def test_leaf_invariance_is_graded_at_tol(nilpotent):
+    """At a positive tolerance, a frame that phi maps to within tol of its
+    span passes: adding 1e-12 to phi[w1][w2] moves phi(TF2[0]) = phi(e_w2)
+    out of span TF2 by 1e-12."""
+    cps, g = nilpotent
+    vp = cps.vp
+    n = vp.dim
+    nudge = RfMatrix(n, [
+        [Fraction(1, 10**12) if (a, b) == (0, 1) else 0 for b in range(n)] for a in range(n)
+    ])
+    phi = EndoField(vp.space, cps.phi.matrix + nudge)
+    assert not (vp.tf2.equations @ phi.matrix @ vp.tf2.matrix).is_zero()
+    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
+    verdict = verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1))
+    assert verdict.status is Status.SAMPLE_VERIFIED, verdict
 
 
 def test_leaf_restriction_numeric_path(nilpotent):
