@@ -41,7 +41,6 @@ def _fixtures(workdir: Path) -> list[Path]:
     import workloads
 
     paths = sorted((ROOT / "src" / "contactpairs" / "data").glob("*.json"))
-    paths = [p for p in paths if p.name != "fixture.schema.json"]
     paths += sorted((ROOT / "tests" / "fixtures").glob("*.json"))
     for make, rungs in (
         (workloads.chart_model, CHART_RUNGS),

@@ -8,7 +8,7 @@ prerequisites only, and the report keeps what the named checks wrote plus
 every failed prerequisite.  ``theorems`` runs every check that applies;
 ``report`` does the same and emits the JSON document to stdout.  Exit codes:
 0 all Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
-3 parse/schema/usage errors.
+3 fixture and usage errors.
 
 Fixture data is checked exactly (tolerance plays no role for it); the
 numeric, polarization-produced instances are graded within ``NUMERIC_TOL``.
@@ -524,21 +524,29 @@ def run(verb: str, fixture, samples: int = 0, seed: int = 0) -> Report:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the code of every input error, instead of
+    argparse's 2, which is the SampleVerified code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contactpairs",
+        usage="%(prog)s <verb> <fixture.json> [--out report.json] [--samples N] [--seed S]",
         description="Verify contact pairs, contact pair structures, and their "
         "compatible/associated metrics on chart or Lie-frame fixtures.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-    for verb in VERBS:
-        sp = sub.add_parser(verb)
-        sp.add_argument("fixture", type=Path, help="fixture JSON file")
-        sp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-        sp.add_argument(
-            "--samples", type=int, default=0, help="extra random sample points to append"
-        )
-        sp.add_argument("--seed", type=int, default=0, help="seed for --samples")
+    parser.add_argument("verb", choices=VERBS, metavar="verb", help=f"one of {', '.join(VERBS)}")
+    parser.add_argument("fixture", type=Path, help="fixture JSON file")
+    parser.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+    parser.add_argument(
+        "--samples", type=int, default=0, help="extra random sample points to append"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="seed for --samples")
     return parser
 
 

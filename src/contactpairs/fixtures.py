@@ -1,22 +1,22 @@
-"""Fixture files: JSON schema validation, construction of model objects,
-bundled reference geometries, and round-trip serialization.
+"""Fixture files: validation, construction of model objects, bundled
+reference geometries, and round-trip serialization.
 
 A fixture declares a backend (polynomial chart or constant Lie frame), the
 two one-forms as covector-indexed expression maps, the pair type, optional
 phi / metric / auxiliary metric matrices, and at least one sample point.
-Rationals travel as strings so files stay float-free.
+Rationals travel as strings so files stay float-free.  The loader is the one
+definition of the format: it checks each field where it reads it, and every
+error names the field's JSON path (``$.type[0]``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from importlib import resources
 from pathlib import Path
-
-from jsonschema import exceptions, validators
 
 from .algebra import RatFun, format_point
 from .exterior import EndoField, Form, MetricField, Space
@@ -30,30 +30,17 @@ __all__ = [
     "load_fixture_dict",
     "bundled_fixture_path",
     "bundled_fixture_names",
-    "fixture_schema",
 ]
 
 BUNDLED = ("local_model_1_1.json", "r6_example.json", "nilpotent_g6.json")
 
 
 class FixtureError(ValueError):
-    """Schema violation or inconsistent fixture content, with field path."""
+    """Malformed or inconsistent fixture content, with field path."""
 
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-def fixture_schema() -> dict:
-    with resources.files("contactpairs").joinpath("data/fixture.schema.json").open() as fh:
-        return json.load(fh)
-
-
-@cache
-def _schema_validator():
-    """Built once; the tests check the schema against its metaschema."""
-    schema = fixture_schema()
-    return validators.validator_for(schema)(schema)
 
 
 def bundled_fixture_names() -> tuple[str, ...]:
@@ -133,10 +120,72 @@ class FixtureDoc:
         return out
 
 
-def _json_path(parts) -> str:
-    return "$" + "".join(
-        f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts
-    )
+_REQUIRED = ("id", "backend", "dimension", "type", "alpha1", "alpha2", "sample_points")
+_BACKEND_KEYS = {"chart": ("coordinates",), "lie": ("frame", "structure_equations")}
+_KEYS = {*_REQUIRED, "coordinates", "frame", "structure_equations", "phi", "metric", "aux_metric"}
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _kind(value) -> str:
+    """How an error names a JSON value: its scalar text or its container kind."""
+    kind = next((name for t, name in _KINDS.items() if isinstance(value, t)), None)
+    return kind or json.dumps(value, default=repr)
+
+
+def _typed(value, kind: type, path: str, min_len: int = 0):
+    """``value`` when it is a ``kind`` (dict, list or str) of length at least ``min_len``."""
+    if not isinstance(value, kind):
+        raise FixtureError(f"expected {_KINDS[kind]}, got {_kind(value)}", path)
+    if len(value) < min_len:
+        raise FixtureError(f"has length {len(value)}, needs at least {min_len}", path)
+    return value
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """A JSON integer or integral float (not a boolean) of at least ``minimum``, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise FixtureError(f"expected an integer, got {_kind(value)}", path)
+    if value < minimum:
+        raise FixtureError(f"{value} is less than the minimum of {minimum}", path)
+    return value
+
+
+def _names(value, path: str) -> list[str]:
+    """At least two distinct identifiers."""
+    names = _typed(value, list, path, 2)
+    for q, name in enumerate(names):
+        if not _IDENTIFIER.fullmatch(_typed(name, str, f"{path}[{q}]")):
+            raise FixtureError(f"{name!r} is not an identifier", f"{path}[{q}]")
+    if len(set(names)) != len(names):
+        raise FixtureError("names must be distinct", path)
+    return names
+
+
+def _string_rows(value, path: str, min_rows: int = 0) -> list[list[str]]:
+    """A list of lists of strings: a matrix or the sample points."""
+    rows = _typed(value, list, path, min_rows)
+    for r, row in enumerate(rows):
+        for c, text in enumerate(_typed(row, list, f"{path}[{r}]")):
+            _typed(text, str, f"{path}[{r}][{c}]")
+    return rows
+
+
+def _top_level(data) -> None:
+    """An object with no unknown key, every required key, and its backend's keys."""
+    _typed(data, dict, "$")
+    unknown = next((key for key in data if key not in _KEYS), None)
+    if unknown is not None:
+        raise FixtureError(f"unknown key {unknown!r}", "$")
+    backend = data.get("backend")
+    backend_keys = _BACKEND_KEYS[backend] if backend in ("chart", "lie") else ()
+    missing = next((key for key in (*_REQUIRED, *backend_keys) if key not in data), None)
+    if missing is not None:
+        raise FixtureError(f"{missing!r} is a required property", "$")
+    if not backend_keys:
+        raise FixtureError(f"expected 'chart' or 'lie', got {backend!r}", "$.backend")
 
 
 def _parse_scalar(text: str, space: Space, path: str) -> RatFun:
@@ -146,8 +195,9 @@ def _parse_scalar(text: str, space: Space, path: str) -> RatFun:
         raise FixtureError(f"bad expression {text!r}: {exc}", path) from exc
 
 
-def _parse_matrix(rows, space: Space, path: str):
+def _parse_matrix(value, space: Space, path: str):
     n = space.dim
+    rows = _string_rows(value, path)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise FixtureError(f"matrix must be {n}x{n}", path)
     return [
@@ -157,36 +207,38 @@ def _parse_matrix(rows, space: Space, path: str):
 
 
 def _build_space(data: dict) -> Space:
-    n = data["dimension"]
-    if data["backend"] == "chart":
-        names = data["coordinates"]
-        if len(names) != n:
-            raise FixtureError(
-                f"{len(names)} coordinates for dimension {n}", "$.coordinates"
-            )
-        return Space.chart(names)
-    names = data["frame"]
+    n = _integer(data["dimension"], "$.dimension", 2)
+    chart = data["backend"] == "chart"
+    key, noun = ("coordinates", "coordinates") if chart else ("frame", "covectors")
+    names = _names(data[key], f"$.{key}")
     if len(names) != n:
-        raise FixtureError(f"{len(names)} covectors for dimension {n}", "$.frame")
+        raise FixtureError(f"{len(names)} {noun} for dimension {n}", f"$.{key}")
+    if chart:
+        return Space.chart(names)
     differentials: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for covector, entries in data["structure_equations"].items():
+    equations = _typed(data["structure_equations"], dict, "$.structure_equations")
+    for covector, entries in equations.items():
         if covector not in names:
             raise FixtureError(
                 f"unknown covector {covector!r}", "$.structure_equations"
             )
         k = names.index(covector)
         parsed = []
+        entries = _typed(entries, list, f"$.structure_equations.{covector}")
         for pos, entry in enumerate(entries):
-            i, j = entry["i"], entry["j"]
             path = f"$.structure_equations.{covector}[{pos}]"
+            if _typed(entry, dict, path).keys() != {"i", "j", "coeff"}:
+                raise FixtureError(f"keys must be i, j and coeff, got {list(entry)}", path)
+            i, j = (_integer(entry[end], f"{path}.{end}", 1) for end in ("i", "j"))
+            text = _typed(entry["coeff"], str, f"{path}.coeff")
             if not 1 <= i < j <= n:
                 raise FixtureError(
                     f"need 1 <= i < j <= {n}, got i={i}, j={j}", path
                 )
             try:
-                coeff = Fraction(entry["coeff"])
+                coeff = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
-                raise FixtureError(f"bad rational {entry['coeff']!r}: {exc}", path)
+                raise FixtureError(f"bad rational {text!r}: {exc}", path)
             parsed.append((i - 1, j - 1, coeff))
         differentials[k] = parsed
     try:
@@ -197,12 +249,13 @@ def _build_space(data: dict) -> Space:
 
 def _build_one_form(data: dict, key: str, space: Space) -> Form:
     coeffs = {}
-    for name, text in data[key].items():
+    for name, text in _typed(data[key], dict, f"$.{key}", 1).items():
         try:
             idx = space.name_index(name)
         except KeyError:
             raise FixtureError(f"unknown covector/coordinate {name!r}", f"$.{key}")
-        coeffs[(idx,)] = _parse_scalar(text, space, f"$.{key}.{name}")
+        path = f"$.{key}.{name}"
+        coeffs[(idx,)] = _parse_scalar(_typed(text, str, path), space, path)
     try:
         return Form(space, 1, coeffs)
     except ValueError as exc:
@@ -210,13 +263,14 @@ def _build_one_form(data: dict, key: str, space: Space) -> Form:
 
 
 def load_fixture_dict(data: dict) -> FixtureDoc:
-    error = exceptions.best_match(_schema_validator().iter_errors(data))
-    if error is not None:
-        raise FixtureError(error.message, _json_path(error.absolute_path)) from error
-
+    _top_level(data)
+    fixture_id = _typed(data["id"], str, "$.id", 1)
     space = _build_space(data)
     n = space.dim
-    h, k = data["type"]
+    pair_type = _typed(data["type"], list, "$.type")
+    if len(pair_type) != 2:
+        raise FixtureError(f"expected 2 entries, got {len(pair_type)}", "$.type")
+    h, k = (_integer(x, f"$.type[{q}]", 0) for q, x in enumerate(pair_type))
     if 2 * h + 2 * k + 2 != n:
         raise FixtureError(
             f"type ({h}, {k}) needs dimension {2*h + 2*k + 2}, fixture has {n}",
@@ -227,7 +281,7 @@ def load_fixture_dict(data: dict) -> FixtureDoc:
     alpha2 = _build_one_form(data, "alpha2", space)
 
     sample_points = []
-    for p, point in enumerate(data["sample_points"]):
+    for p, point in enumerate(_string_rows(data["sample_points"], "$.sample_points", 1)):
         if len(point) != n:
             raise FixtureError(
                 f"point has {len(point)} entries, expected {n}", f"$.sample_points[{p}]"
@@ -275,7 +329,7 @@ def load_fixture_dict(data: dict) -> FixtureDoc:
                 ) from exc
 
     return FixtureDoc(
-        fixture_id=data["id"],
+        fixture_id=fixture_id,
         backend=data["backend"],
         space=space,
         pair=pair,

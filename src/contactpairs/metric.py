@@ -473,19 +473,24 @@ class LeafMCP:
 
 def _require_invariant(
     cps: ContactPairStructure, frame: DistributionFrame, images: RfMatrix
-) -> None:
+) -> list[tuple[str, RatFun]]:
     """Raise unless the images phi F lie in span F, i.e. E·(phi F) = 0 for
-    the frame's equations E, each column graded at the structure's ``tol``."""
+    the frame's equations E, each column graded at the structure's ``tol``.
+    Returns the labelled entries of E·(phi F), which the caller grades with
+    its identities: at ``tol > 0`` they may be nonzero within ``tol``."""
     if not frame.equations.rows:
-        return
+        return []
     label = frame.label
     leaving = frame.equations @ images
+    residuals = []
     for q in range(images.cols):
-        column = [(label, c) for c in leaving.column(q)]
+        column = [(f"E·phi({label}[{q}])[{r}]", c) for r, c in enumerate(leaving.column(q))]
         if not residual_verdict(column, cps.vp, cps.tol).ok:
             raise PreconditionError(
                 f"frame {label} is not phi-invariant: phi({label}[{q}]) leaves the span"
             )
+        residuals.extend(column)
+    return residuals
 
 
 def verify_restricted_contact_metric(
@@ -500,10 +505,12 @@ def verify_restricted_contact_metric(
     expects a frame of ker d alpha_i and checks that the restricted pair is a
     contact pair of the induced type with the restricted metric associated.
     Both modes raise :class:`PreconditionError` unless E·(phi F) = 0 for the
-    frame's equations E.  Every restricted table is a product with the
-    frame's column matrix F: the images phi F, the pairings F^T G phi F, the
-    2-form tables F^T W_l F, alpha_l(F) and the duality rows (Z^T G - α) F
-    of ``mcp.associated``.  Decomposability is the structure's own verdict
+    frame's equations E; at ``tol > 0`` an E·(phi F) that vanishes only
+    within ``tol`` makes the verdict at best SampleVerified.  Every
+    restricted table is a product with the frame's column matrix F: the
+    images phi F, the pairings F^T G phi F, the 2-form tables F^T W_l F,
+    alpha_l(F) and the duality rows (Z^T G - α) F of ``mcp.associated``.
+    Decomposability is the structure's own verdict
     (:attr:`ContactPairStructure.decomposable`)."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
@@ -526,7 +533,7 @@ def verify_restricted_contact_metric(
                 f"Z{i} not in span({label})",
                 "the Reeb field must be tangent to the leaves",
             )
-        _require_invariant(mcp.cps, frame, images)
+        invariance = _require_invariant(mcp.cps, frame, images)
         pairing = pairings - tables[i]
         square = _leaf_square_residual(mcp.cps, frame, i, images)
         residuals = []
@@ -541,7 +548,7 @@ def verify_restricted_contact_metric(
                 for a, c in enumerate(square.column(p))
             )
         return residual_verdict(
-            residuals,
+            residuals + invariance,
             vp,
             tol,
             detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
@@ -562,7 +569,7 @@ def verify_restricted_contact_metric(
                     f"Z{l} not in span({label})",
                     "both Reeb fields are tangent to the leaves of ker d alpha_i",
                 )
-        _require_invariant(mcp.cps, frame, images)
+        invariance = _require_invariant(mcp.cps, frame, images)
 
         alphas = vp._alpha_matrix @ f
         beta = {l: FrameForm.one_form(alphas.row(l - 1)) for l in (1, 2)}
@@ -578,7 +585,8 @@ def verify_restricted_contact_metric(
                 volume.top_coefficient(),
                 vp.sample_points,
                 f"restricted volume coefficient on {label}",
-            )
+            ),
+            residual_verdict(invariance, vp, tol),
         ]
         for l, power in ((1, h_ind + 1), (2, k_ind + 1)):
             excess = dpair[l].wedge_power(power)

@@ -40,7 +40,7 @@ class Report:
 
     def exit_code(self) -> int:
         """0: all Verified; 2: SampleVerified present, nothing Failed;
-        1: at least one Failed.  (3 is reserved for parse/schema errors.)"""
+        1: at least one Failed.  (3 is reserved for fixture and usage errors.)"""
         status = self.status()
         if status is Status.FAILED:
             return 1

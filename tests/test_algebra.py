@@ -535,26 +535,33 @@ def test_inverse_matches_sympy_on_built_metric():
             assert sympy.cancel(to_sympy(ours.at(i, j)) - theirs[i, j]) == 0, (i, j)
 
 
-def test_generic_rank_matches_sympy():
-    """generic_rank against sympy's exact rank over Q(x, y), on random
-    matrices up to 4 x 4 whose entries have denominators, some made
-    rank-deficient by a row that is a Q(x, y)-combination of two others."""
-    sympy = pytest.importorskip("sympy")
+def _poly_to_sympy(sympy, p):
+    x, y = sympy.symbols("x y")
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x**a * y**b for (a, b), c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _sympy_field_matrix(sympy, rows):
+    """Rows of Poly/RatFun over (x, y) as a sympy DomainMatrix over Q(x, y)."""
     from sympy.polys.matrices import DomainMatrix
 
-    syms = sympy.symbols("x y")
+    def to_sympy(e):
+        if isinstance(e, Poly):
+            return _poly_to_sympy(sympy, e)
+        return _poly_to_sympy(sympy, e.num) / _poly_to_sympy(sympy, e.den)
 
-    def to_sympy(r):
-        def poly(p):
-            return sum(
-                (sympy.Rational(c.numerator, c.denominator) * syms[0] ** a * syms[1] ** b
-                 for (a, b), c in p.terms.items()),
-                sympy.Integer(0),
-            )
+    return DomainMatrix.from_Matrix(
+        sympy.Matrix([[to_sympy(e) for e in row] for row in rows])
+    ).to_field()
 
-        return poly(r.num) / poly(r.den)
 
-    rng = random.Random(5)
+def _random_qxy_matrices(seed, count):
+    """Random matrices up to 4 x 4 over Q(x, y) whose entries have
+    denominators, some made rank-deficient by a row that is a
+    Q(x, y)-combination of two others; yields (matrix, deficient)."""
+    rng = random.Random(seed)
     dens = [Poly.const(2, 1), X, Y + 1, X - Y]
     coefficients = [rf(X), rf(Poly.const(2, 1), Y + 1), rf(X + 2, X - Y)]
 
@@ -567,19 +574,42 @@ def test_generic_rank_matches_sympy():
         })
         return rf(num, rng.choice(dens))
 
-    deficient = 0
-    for _ in range(12):
+    for _ in range(count):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         mat = [[entry() for _ in range(cols)] for _ in range(rows)]
-        if rows >= 3 and rng.random() < 0.6:
+        deficient = rows >= 3 and rng.random() < 0.6
+        if deficient:
             a, b = rng.sample(coefficients, 2)
             mat[-1] = [a * u + b * v for u, v in zip(mat[0], mat[1])]
-            deficient += 1
+        yield mat, deficient
+
+
+def test_generic_rank_matches_sympy():
+    """generic_rank against sympy's exact rank over Q(x, y) on random
+    matrices, some of them rank-deficient."""
+    sympy = pytest.importorskip("sympy")
+    deficient = 0
+    for mat, planted in _random_qxy_matrices(5, 12):
+        deficient += planted
         ours = generic_rank(RfMatrix(2, mat))
-        theirs = DomainMatrix.from_Matrix(
-            sympy.Matrix([[to_sympy(e) for e in row] for row in mat])
-        ).to_field().rank()
-        assert ours == theirs, mat
+        assert ours == _sympy_field_matrix(sympy, mat).rank(), mat
+    assert deficient
+
+
+def test_kernel_basis_matches_sympy():
+    """kernel_basis against sympy's nullspace over Q(x, y): the same
+    dimension, and our vectors independent and inside sympy's span."""
+    sympy = pytest.importorskip("sympy")
+    deficient = 0
+    for mat, planted in _random_qxy_matrices(6, 10):
+        deficient += planted
+        ours = kernel_basis(RfMatrix(2, mat))
+        theirs = _sympy_field_matrix(sympy, mat).nullspace()
+        assert len(ours) == theirs.shape[0], mat
+        if ours:
+            assert _sympy_field_matrix(sympy, ours).rank() == len(ours), mat
+            stacked = theirs.vstack(_sympy_field_matrix(sympy, ours))
+            assert stacked.rank() == len(ours), mat
     assert deficient
 
 

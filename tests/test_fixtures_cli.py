@@ -1,17 +1,20 @@
-"""Fixture loading, schema validation, CLI verbs, reports, and exit codes."""
+"""Fixture loading and validation, CLI verbs, reports, and exit codes."""
 
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactpairs.cli import CHECKS, VerbUsageError, main, run
 from contactpairs.fixtures import (
     FixtureError,
     bundled_fixture_names,
     bundled_fixture_path,
-    fixture_schema,
     load_fixture,
     load_fixture_dict,
 )
@@ -50,7 +53,7 @@ def test_nilpotent_structure_equations_match():
 
 
 def test_schema_violation_reports_field_path():
-    with pytest.raises(FixtureError, match="alpha2"):
+    with pytest.raises(FixtureError, match=r"^\$: 'alpha2' is a required property$"):
         load_fixture(fixture_path("bad_schema.json"))
 
 
@@ -73,15 +76,153 @@ def test_unknown_covector_in_alpha():
         load_fixture_dict(data)
 
 
-def test_schema_document_is_valid_draft07():
-    """The loader does not re-check the bundled schema on every load; it is
-    checked against its metaschema here, with the validator class the loader
-    builds from it."""
-    from jsonschema import Draft7Validator, validators
+_DROP = object()
 
-    schema = fixture_schema()
-    assert validators.validator_for(schema) is Draft7Validator
-    Draft7Validator.check_schema(schema)
+
+def _bundled(name: str) -> dict:
+    return json.loads(bundled_fixture_path(name).read_text())
+
+
+def _json_path(keys) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def _changed(data, keys, value):
+    """``data`` with the entry at ``keys`` set to ``value`` (deleted for
+    ``_DROP``); no keys replace the whole document."""
+    if not keys:
+        return value
+    *parents, last = keys
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return data
+
+
+# case: (bundled fixture, keys of the entry to change, its new value, the path the error names)
+MALFORMED = {
+    "not an object": ("r6_example", (), [], "$"),
+    "unknown key": ("r6_example", ("comment",), "hi", "$"),
+    "required key": ("r6_example", ("sample_points",), _DROP, "$"),
+    "chart without coordinates": ("r6_example", ("coordinates",), _DROP, "$"),
+    "lie without frame": ("nilpotent_g6", ("frame",), _DROP, "$"),
+    "lie without structure_equations": ("nilpotent_g6", ("structure_equations",), _DROP, "$"),
+    "empty id": ("r6_example", ("id",), "", "$.id"),
+    "id not a string": ("r6_example", ("id",), 6, "$.id"),
+    "unknown backend": ("r6_example", ("backend",), "euclid", "$.backend"),
+    "dimension below 2": ("r6_example", ("dimension",), 1, "$.dimension"),
+    "dimension not integral": ("r6_example", ("dimension",), 6.5, "$.dimension"),
+    "name not an identifier": ("r6_example", ("coordinates", 0), "1x", "$.coordinates[0]"),
+    "name not a string": ("nilpotent_g6", ("frame", 2), None, "$.frame[2]"),
+    "one name": ("r6_example", ("coordinates",), ["x"], "$.coordinates"),
+    "repeated name": ("r6_example", ("coordinates", 1), "x1", "$.coordinates"),
+    "equations not an object": ("nilpotent_g6", ("structure_equations",), [], "$.structure_equations"),
+    "equation entries not a list": (
+        "nilpotent_g6", ("structure_equations", "w2"), {"i": 5}, "$.structure_equations.w2"
+    ),
+    "equation entry lacks coeff": (
+        "nilpotent_g6", ("structure_equations", "w2", 0, "coeff"), _DROP,
+        "$.structure_equations.w2[0]",
+    ),
+    "equation entry with another key": (
+        "nilpotent_g6", ("structure_equations", "w2", 0, "k"), 1, "$.structure_equations.w2[0]"
+    ),
+    "equation index below 1": (
+        "nilpotent_g6", ("structure_equations", "w2", 0, "i"), 0,
+        "$.structure_equations.w2[0].i",
+    ),
+    "equation coeff not a string": (
+        "nilpotent_g6", ("structure_equations", "w2", 0, "coeff"), 1,
+        "$.structure_equations.w2[0].coeff",
+    ),
+    "empty alpha": ("r6_example", ("alpha1",), {}, "$.alpha1"),
+    "alpha coefficient not a string": ("r6_example", ("alpha2", "z2"), 1, "$.alpha2.z2"),
+    "type not a list": ("r6_example", ("type",), "11", "$.type"),
+    "type of one entry": ("r6_example", ("type",), [2], "$.type"),
+    "negative type entry": ("r6_example", ("type", 1), -1, "$.type[1]"),
+    "type entry not integral": ("r6_example", ("type", 0), 0.5, "$.type[0]"),
+    "matrix not a list": ("nilpotent_g6", ("aux_metric",), {}, "$.aux_metric"),
+    "matrix row not a list": ("r6_example", ("phi", 3), "0", "$.phi[3]"),
+    "matrix entry not a string": ("nilpotent_g6", ("metric", 1, 1), 1, "$.metric[1][1]"),
+    "no sample point": ("r6_example", ("sample_points",), [], "$.sample_points"),
+    "sample point not a list": ("r6_example", ("sample_points", 0), "0", "$.sample_points[0]"),
+    "sample coordinate not a string": (
+        "r6_example", ("sample_points", 0, 0), 0, "$.sample_points[0][0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_field_is_a_fixture_error_naming_its_path(case, tmp_path, capsys):
+    name, keys, value, path = MALFORMED[case]
+    data = _changed(_bundled(name), keys, value)
+    with pytest.raises(FixtureError) as info:
+        load_fixture_dict(data)
+    assert str(info.value).startswith(f"{path}: ") and info.value.path == path
+    file = tmp_path / "malformed.json"
+    file.write_text(json.dumps(data))
+    assert main(["theorems", str(file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        ("r6_example", ("dimension",)),
+        ("r6_example", ("type", 0)),
+        ("r6_example", ("type", 1)),
+        ("nilpotent_g6", ("structure_equations", "w3", 0, "i")),
+        ("nilpotent_g6", ("structure_equations", "w3", 0, "j")),
+    ],
+    ids=lambda v: _json_path(v) if isinstance(v, tuple) else v,
+)
+def test_integral_float_reads_as_its_integer(name, keys, tmp_path, capsys):
+    """An integer field accepts 6.0 for 6 and gives the same report; a
+    boolean is no integer."""
+    expected = render_report(run("reeb", bundled_fixture_path(name)), include_timings=False)
+    value = _bundled(name)
+    for key in keys:
+        value = value[key]
+    path = tmp_path / "integral.json"
+    path.write_text(json.dumps(_changed(_bundled(name), keys, float(value))))
+    assert render_report(run("reeb", path), include_timings=False) == expected
+    path.write_text(json.dumps(_changed(_bundled(name), keys, True)))
+    assert main(["reeb", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {_json_path(keys)}: expected an integer, got true\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_FIELDS = [(name, key) for name in bundled_fixture_names() for key in _bundled(name)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+def test_any_json_value_in_a_field_loads_or_is_a_fixture_error(field, value):
+    name, key = field
+    try:
+        load_fixture_dict(dict(_bundled(name), **{key: value}))
+    except FixtureError:
+        pass
+
+
+def test_cli_import_loads_no_jsonschema():
+    import contactpairs
+
+    src = str(Path(contactpairs.__file__).parents[1])
+    code = "import sys, contactpairs.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src
+    )
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.name)
@@ -357,6 +498,26 @@ def test_witnesses_use_the_fixture_coordinate_names(capsys):
     assert "compatible: Failed [witness: entry (0,0) = -y^2]" in capsys.readouterr().out
     assert main(["geodesy", path]) == 1
     assert "[witness: g(Z1, Z1) = y^2 + 1; " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "f.json"], ["theorems"], ["theorems", "f.json", "--samples", "abc"]],
+    ids=["unknown verb", "missing fixture", "samples not an int"],
+)
+def test_usage_error_exits_3(argv, capsys):
+    """Not argparse's 2, which a shell would read as SampleVerified."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    assert capsys.readouterr().err.startswith("usage: contactpairs <verb> <fixture.json>")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    assert info.value.code == 0
+    assert "theorems" in capsys.readouterr().out
 
 
 def test_tol_option_is_gone(capsys):

@@ -528,6 +528,32 @@ def test_leaf_invariance_is_graded_at_tol(nilpotent):
     assert verdict.status is Status.SAMPLE_VERIFIED, verdict
 
 
+@pytest.mark.parametrize(
+    "entry, frame, mode",
+    [
+        ((2, 1), lambda vp: vp.tf2, LeafContactMetric(1)),
+        ((4, 0), lambda vp: kernel_frame(vp.pair, 1), LeafMCP(1)),
+    ],
+    ids=["contact metric on TF2", "metric contact pair on ker d alpha1"],
+)
+def test_invariance_within_tol_is_at_best_sample_verified(nilpotent, entry, frame, mode):
+    """A nudge of 1e-12 at ``entry`` of phi moves phi F out of span F while
+    every restricted identity still vanishes exactly: the invariance held
+    only within tol, so the verdict is SampleVerified, not Verified."""
+    cps, g = nilpotent
+    vp = cps.vp
+    n = vp.dim
+    nudge = RfMatrix(n, [
+        [Fraction(1, 10**12) if (a, b) == entry else 0 for b in range(n)] for a in range(n)
+    ])
+    phi = EndoField(vp.space, cps.phi.matrix + nudge)
+    f = frame(vp)
+    assert not (f.equations @ phi.matrix @ f.matrix).is_zero()
+    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
+    verdict = verify_restricted_contact_metric(mcp, f, mode)
+    assert verdict.status is Status.SAMPLE_VERIFIED, verdict
+
+
 def test_leaf_restriction_numeric_path(nilpotent):
     """With a positive tolerance the restriction machinery works on
     polarization-produced (float-rational) data."""
