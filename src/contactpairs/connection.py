@@ -21,17 +21,15 @@ one ``_dot`` per (a, b ≤ c) as well, and torsion-freeness one per (a < b, c),
 so a connection that passes costs no gcd there: each identically zero
 residual has a zero numerator over its common denominator.
 
-The RK4 cross-check is the numeric part.  It compiles each RatFun it
-evaluates to a pair of float programs once, each Christoffel symbol once per
-connection.  It steps the flow on plain Python floats, with no numpy in
-the step loop: a field component that reads no coordinate has the same value
-at every stage, so its increment is computed once per call.  Only the
-residual pass uses numpy, evaluating the speed and every Γ on the whole
-trajectory at once, each distinct denominator once.  Both give the same
-floats, bit for bit, as a point-by-point loop on numpy arrays, because every
-point goes through the same IEEE operations in the same order: powers come
-from the scalar libm ``pow``, products and sums are elementwise, and there
-are no BLAS or pairwise reductions.
+The RK4 cross-check is the numeric part, on plain Python floats.  It steps
+the flow of a Reeb field Z, each quotient it evaluates compiled to a pair of
+float programs once per call; a field component that reads no coordinate
+has the same value at every stage, so its increment is computed once per
+call.  The geodesic equation along the flow only needs Γ(Z, Z), the Γ terms
+of the exact ∇_Z Z, so those are contracted exactly once per call, and the
+residual pass evaluates them point by point beside a fourth-order
+five-point stencil for the acceleration.  The contraction is left as one
+quotient per distinct denominator, not reduced: the cross-check does no gcd.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .algebra import Poly, RatFun, SingularMatrixError, _dot, format_point
 from .exterior import MetricField, Space, VectorField, directional_derivative
@@ -91,11 +87,6 @@ class ChristoffelData:
             for c in range(n)
             if not self.symbols[a][b][c].is_zero()
         )
-
-    @cached_property
-    def _compiled(self) -> list["_FloatRatFun"]:
-        """The :meth:`nonzero` symbols compiled to float programs, once."""
-        return [_FloatRatFun.compile(r) for *_, r in self.nonzero()]
 
 
 def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
@@ -319,42 +310,22 @@ def _pow(x: float, k: int) -> float:
         return -math.inf if x < 0 and k % 2 else math.inf
 
 
-def _pole(r: RatFun, point: Sequence[float]) -> ZeroDivisionError:
-    return ZeroDivisionError(f"denominator {r.den} vanishes at {format_point(point)}")
-
-
-class _Powers(dict):
-    """``x_j ** k`` on every point of a batch, keyed by ``(j, k)`` and made on
-    first use with the scalar libm ``pow``, element by element: ``np.power``
-    may dispatch to a vector pow that differs in the last bit."""
-
-    def __init__(self, points: np.ndarray):
-        super().__init__()
-        self.columns = points.T.tolist()
-
-    def __missing__(self, key: tuple[int, int]) -> np.ndarray:
-        j, k = key
-        column = self.columns[j]
-        try:
-            values = [x**k for x in column]
-        except OverflowError:
-            values = [_pow(x, k) for x in column]
-        value = self[key] = np.array(values)
-        return value
+def _pole(den: Poly, point: Sequence[float]) -> ZeroDivisionError:
+    return ZeroDivisionError(f"denominator {den} vanishes at {format_point(point)}")
 
 
 @dataclass(frozen=True)
 class _FloatRatFun:
-    """A RatFun compiled to two float programs, evaluated at one point or on
-    a whole batch of points with the same IEEE operations per point."""
+    """A quotient num/den of polynomials compiled to two float programs,
+    evaluated at one point."""
 
-    source: RatFun
+    pole: Poly  # the denominator, named when it vanishes
     num: _Program
     den: _Program
 
     @classmethod
-    def compile(cls, r: RatFun) -> "_FloatRatFun":
-        return cls(r, _compile(r.num), _compile(r.den))
+    def compile(cls, num: Poly, den: Poly) -> "_FloatRatFun":
+        return cls(den, _compile(num), _compile(den))
 
     @property
     def reads_coordinates(self) -> bool:
@@ -363,7 +334,7 @@ class _FloatRatFun:
     def at(self, point: list[float]) -> float:
         den = _run(self.den, point)
         if den == 0.0:
-            raise _pole(self.source, point)
+            raise _pole(self.pole, point)
         return _run(self.num, point) / den
 
 
@@ -377,33 +348,23 @@ def _run(program: _Program, point: list[float]) -> float:
     return total
 
 
-def _run_batch(program: _Program, powers: _Powers, m: int) -> np.ndarray:
-    total = np.zeros(m)
-    for coeff, factors in program:
-        value = np.full(m, coeff)
-        for factor in factors:
-            value *= powers[factor]
-        total += value
-    return total
-
-
-def _eval_batch(functions: Sequence[_FloatRatFun], points: np.ndarray) -> list[np.ndarray]:
-    """Every function on every point (rows of ``points``), each distinct
-    denominator program run once.  A vanishing denominator raises for the
-    first point, and at that point for the first function, as a
-    point-by-point loop would."""
-    m = len(points)
-    powers = _Powers(points)
-    dens: dict[_Program, np.ndarray] = {}
-    for f in functions:
-        if f.den not in dens:
-            dens[f.den] = _run_batch(f.den, powers, m)
-    zeros = {program: np.flatnonzero(den == 0.0) for program, den in dens.items()}
-    poles = [(zeros[f.den][0], i) for i, f in enumerate(functions) if zeros[f.den].size]
-    if poles:
-        s, i = min(poles)
-        raise _pole(functions[i].source, points[s])
-    return [_run_batch(f.num, powers, m) / dens[f.den] for f in functions]
+def _gamma_along(data: ChristoffelData, z: VectorField) -> list[list[tuple[Poly, Poly]]]:
+    """Γ(Z, Z)^c = sum_{a,b} Γ^c_ab Z^a Z^b exactly, the Γ terms of ∇_Z Z: for
+    each c, one (numerator, denominator) pair per distinct denominator
+    Γ^c_ab.den · Z^a.den · Z^b.den of its terms, in ``data.nonzero()`` order.
+    The pairs are not brought over one denominator and reduced: that gcd is
+    of high degree on a rational field, and a float evaluation needs none."""
+    comps = z.components
+    groups: list[dict[Poly, Poly]] = [{} for _ in comps]
+    for a, b, c, gamma in data.nonzero():
+        za, zb = comps[a], comps[b]
+        if za.is_zero() or zb.is_zero():
+            continue
+        den = gamma.den * za.den * zb.den
+        num = gamma.num * za.num * zb.num
+        group = groups[c]
+        group[den] = group[den] + num if den in group else num
+    return [[(num, den) for den, num in group.items()] for group in groups]
 
 
 def _field_at(
@@ -418,24 +379,22 @@ def _field_at(
 
 def _rk4_trajectory(
     components: list[_FloatRatFun], start: Sequence, steps: int, dt: float
-) -> np.ndarray:
+) -> list[list[float]]:
     """The start point and ``steps`` classical RK4 steps of the flow of the
-    compiled field, one point per row.  The steps run on plain floats, each
-    coordinate through x + (0.5·dt)·k for a stage point and
-    x + (dt/6)·(((k1 + 2·k2) + 2·k3) + k4) for the next point, the IEEE
-    operations of the same expressions on numpy arrays."""
+    compiled field, one list of coordinates per point.  Each coordinate goes
+    through x + (0.5·dt)·k for a stage point and
+    x + (dt/6)·(((k1 + 2·k2) + 2·k3) + k4) for the next point."""
     moving = [(j, c) for j, c in enumerate(components) if c.reads_coordinates]
     half, sixth = 0.5 * dt, dt / 6.0
-    trajectory = np.empty((steps + 1, len(components)))
-    trajectory[0] = [float(v) for v in start]
-    x = trajectory[0].tolist()
+    x = [float(v) for v in start]
+    trajectory = [x]
     if steps:
         # The field at the start point, raising as the first stage would.  A
         # component that reads no coordinate keeps this value at every stage,
         # so its increment is the same in every step.
         k = [c.at(x) for c in components]
         increment = [sixth * (((kj + 2.0 * kj) + 2.0 * kj) + kj) for kj in k]
-    for s in range(steps):
+    for _ in range(steps):
         if moving:
             k1 = _field_at(moving, k, x)
             k2 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k1)])
@@ -444,7 +403,7 @@ def _rk4_trajectory(
             for j, _ in moving:
                 increment[j] = sixth * (((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j])
         x = [xj + d for xj, d in zip(x, increment)]
-        trajectory[s + 1] = x
+        trajectory.append(x)
     return trajectory
 
 
@@ -459,42 +418,59 @@ def numeric_geodesic_residual(
     """Integrate the flow of ``field`` with classical fixed-step RK4 and
     return the max-norm residual of the geodesic equation along the curve,
 
-        gamma''^c + sum_{a,b} Γ^c_{ab} gamma'^a gamma'^b,
+        gamma''^c + Γ(Z, Z)^c,   Γ(Z, Z)^c = sum_{a,b} Γ^c_{ab} Z^a Z^b,
 
-    with the acceleration estimated by central differences of the computed
-    trajectory and Γ evaluated at each interior point.
+    at the trajectory points x[2], ..., x[steps - 2].  The acceleration is
+    the fourth-order five-point stencil
 
-    The field components are compiled to float programs once per call, the
-    nonzero Christoffel symbols once per ``data``.  The RK4 steps run one
-    after the other on plain floats (no numpy), and a component that reads no
-    coordinate is evaluated once.  Only the residual pass uses numpy: it evaluates the speed
-    and every Γ on all interior points at once, as arrays, each distinct
-    denominator once.  The result is the same float a point-by-point
-    evaluation on numpy arrays gives, because each point sees the same IEEE
-    operations in the same order: a stage point is x + (0.5·dt)·k, a step
-    adds (dt/6)·(((k1 + 2·k2) + 2·k3) + k4); a term starts from its
-    coefficient and is multiplied by ``x_j ** k`` for increasing ``j`` (scalar
-    libm ``pow``), the terms are summed left to right from 0.0, then
-    ``num / den`` after the ``den == 0.0`` test; the Γ terms are added to the
-    acceleration in ``data.nonzero()`` order, and nothing is reduced pairwise
-    or through BLAS.  A vanishing denominator raises
-    :class:`ZeroDivisionError` naming it and the first point where it
-    vanishes, a stage point printed in full."""
+        (16·((x[s+1] - x[s]) + (x[s-1] - x[s])) - ((x[s+2] - x[s]) + (x[s-2] - x[s])))
+        / (12·dt²),
+
+    whose truncation error is dt⁴/90·|gamma⁽⁶⁾|, O(dt⁴); its rounding floor
+    is of order 2⁻⁵³/dt².  Γ(Z, Z) is contracted exactly once per call
+    (:func:`_gamma_along`) and evaluated point by point on plain floats, its
+    terms added to the acceleration in ``data.nonzero()`` order.
+
+    A vanishing denominator raises :class:`ZeroDivisionError` naming it and
+    the first point where it vanishes, a stage point printed in full: the
+    field's on the RK4 stages, then, at each interior point x[1], ...,
+    x[steps - 1] in turn, each distinct non-constant denominator of the
+    nonzero Christoffel symbols in ``data.nonzero()`` order.  A residual row
+    holding a NaN, as past a blow-up, does not count."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if data is None:
         data = christoffel(g, validate=False)
-    components = [_FloatRatFun.compile(c) for c in field.components]
+    components = [_FloatRatFun.compile(c.num, c.den) for c in field.components]
     trajectory = _rk4_trajectory(components, start, int(round(t_end / dt)), dt)
 
-    points = trajectory[1:-1]
-    # the acceleration, to which the Γ terms are added
-    residual = (trajectory[2:] - 2.0 * points + trajectory[:-2]) / (dt * dt)
-    nonzero_gamma = data.nonzero()
-    speed = _eval_batch(components, points)
-    gammas = _eval_batch(data._compiled, points)
-    for (a, b, c, _), gamma in zip(nonzero_gamma, gammas):
-        residual[:, c] += gamma * speed[a] * speed[b]
-    # a row holding a NaN has a NaN maximum and never raises the running max
-    row_max = np.max(np.abs(residual), axis=1)
-    return max([0.0, *row_max[~np.isnan(row_max)].tolist()])
+    poles = [
+        (den, _compile(den))
+        for den in dict.fromkeys(gamma.den for *_, gamma in data.nonzero())
+        if not den.is_constant()
+    ]
+    gamma_zz = [
+        (c, [_FloatRatFun.compile(num, den) for num, den in terms])
+        for c, terms in enumerate(_gamma_along(data, field))
+        if terms
+    ]
+    scale = 12.0 * dt * dt
+    last = len(trajectory) - 1
+    worst = 0.0
+    for s in range(1, last):
+        x = trajectory[s]
+        for den, program in poles:
+            if _run(program, x) == 0.0:
+                raise _pole(den, x)
+        if not 2 <= s <= last - 2:
+            continue
+        row = [
+            (16.0 * ((after - xc) + (before - xc)) - ((after2 - xc) + (before2 - xc))) / scale
+            for before2, before, xc, after, after2 in zip(*trajectory[s - 2 : s + 3])
+        ]
+        for c, terms in gamma_zz:
+            for f in terms:
+                row[c] += f.at(x)
+        if not any(map(math.isnan, row)):
+            worst = max(worst, *map(abs, row))
+    return worst

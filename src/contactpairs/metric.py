@@ -20,19 +20,22 @@ phi^T G phi - G + α^T α, and a leaf frame's invariance E·(phi F) = 0.
 The polarization construction represents the restriction of
 d alpha1 + d alpha2 to a characteristic subbundle frame as a k-skew operator
 A (k(u, A v) = d alpha(u, v)), polar-decomposes it numerically, and extends
-by zero on the Reeb fields.  Note that d alpha_i vanishes identically on
-TG_i, so the per-block (decomposable) variant effectively polarizes
-d alpha_j on TG_i for j != i; using the sum keeps one formula for both
-variants.
+by zero on the Reeb fields.  The numeric part runs on lists of plain floats
+at the first sample point: the Cholesky factor L of k and its inverse by
+forward substitution, the skew representative Â = L⁻¹ S L⁻ᵀ, the
+eigendecomposition of P = ÂᵀÂ by cyclic Jacobi rotations, and then
+φ = L⁻ᵀ Â P^{-1/2} Lᵀ and g = L P^{1/2} Lᵀ.  Note that d alpha_i vanishes
+identically on TG_i, so the per-block (decomposable) variant effectively
+polarizes d alpha_j on TG_i for j != i; using the sum keeps one formula for
+both variants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .algebra import RatFun, RfMatrix, format_point
 from .exterior import EndoField, FrameForm, MetricField, lie_derivative
@@ -267,51 +270,111 @@ def polarization_precondition_violation(vp: VerifiedPair, k_aux: MetricField) ->
     return None
 
 
-def _float_matrix(entries: Sequence[Sequence[RatFun]], point) -> np.ndarray:
-    return np.array([[float(e.eval(point)) for e in row] for row in entries], dtype=float)
+_FloatMatrix = list[list[float]]
 
 
-def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        column = out[:, col]
-        nonzero = np.nonzero(np.abs(column) > 1e-10)[0]
-        if nonzero.size and column[nonzero[0]] < 0:
-            out[:, col] = -column
-    return out
+def _float_matrix(entries: Sequence[Sequence[RatFun]], point) -> _FloatMatrix:
+    return [[float(e.eval(point)) for e in row] for row in entries]
+
+
+def _transpose(a: _FloatMatrix) -> _FloatMatrix:
+    return [list(col) for col in zip(*a)]
+
+
+def _matmul(a: _FloatMatrix, b: _FloatMatrix) -> _FloatMatrix:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _cholesky(k: _FloatMatrix) -> _FloatMatrix:
+    """The lower-triangular L with L·Lᵀ = k, read from k's lower triangle."""
+    n = len(k)
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = k[j][j] - sum(x * x for x in low[j][:j])
+        if not pivot > 0.0:
+            raise PolarizationError("auxiliary metric is not positive definite on the subbundle")
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            dot = sum(x * y for x, y in zip(low[i][:j], low[j][:j]))
+            low[i][j] = (k[i][j] - dot) / low[j][j]
+    return low
+
+
+def _lower_inverse(low: _FloatMatrix) -> _FloatMatrix:
+    """L⁻¹ of a lower-triangular L, column by column by forward substitution."""
+    n = len(low)
+    inv = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            dot = sum(low[i][m] * inv[m][j] for m in range(j, i))
+            inv[i][j] = (float(i == j) - dot) / low[i][i]
+    return inv
+
+
+def _jacobi_eigh(a: _FloatMatrix) -> tuple[list[float], _FloatMatrix]:
+    """Eigenvalues and eigenvector columns of the symmetric ``a``, by cyclic
+    Jacobi rotations until the off-diagonal part is below the rounding of
+    ``a`` (Golub–Van Loan, *Matrix Computations*, §8.5)."""
+    n = len(a)
+    a = [row.copy() for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    floor = (2.0**-52) ** 2 * sum(x * x for row in a for x in row)
+    for _ in range(50):  # the off-diagonal part falls quadratically, in a few sweeps
+        if sum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n)) <= floor:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p][q] == 0.0:
+                    continue
+                # the rotation J with (JᵀaJ)[p][q] = 0, tan θ = t the smaller root
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for row in a:  # a ← a·J
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = (  # a ← Jᵀ·a
+                    [c * x - s * y for x, y in zip(a[p], a[q])],
+                    [s * x + c * y for x, y in zip(a[p], a[q])],
+                )
+                for row in v:  # v ← v·J
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    return [a[i][i] for i in range(n)], v
 
 
 # the smallest eigenvalue of the polarized block that counts as nonsingular
 _EIG_TOL = 1e-12
 
 
-def _polarize_block(s_values: np.ndarray, k_values: np.ndarray):
+def _polarize_block(
+    s_values: _FloatMatrix, k_values: _FloatMatrix
+) -> tuple[_FloatMatrix, _FloatMatrix]:
     """Polar-decompose the k-skew operator representing the restricted 2-form.
 
     Returns (phi_block, g_block) in the frame coordinates of the block."""
-    try:
-        chol = np.linalg.cholesky(k_values)
-    except np.linalg.LinAlgError as exc:
-        raise PolarizationError(
-            "auxiliary metric is not positive definite on the subbundle"
-        ) from exc
-    # skew representative in k-orthonormal coordinates
-    a_hat = np.linalg.solve(chol, np.linalg.solve(chol, s_values).T).T
-    sym = a_hat.T @ a_hat
-    sym = (sym + sym.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)  # ascending order
-    if np.min(eigenvalues) <= _EIG_TOL:
+    chol = _cholesky(k_values)
+    chol_t, inv = _transpose(chol), _lower_inverse(chol)
+    inv_t = _transpose(inv)
+    # skew representative in k-orthonormal coordinates: L⁻¹ S L⁻ᵀ
+    a_hat = _matmul(_matmul(inv, s_values), inv_t)
+    eigenvalues, vectors = _jacobi_eigh(_matmul(_transpose(a_hat), a_hat))
+    if min(eigenvalues) <= _EIG_TOL:
         raise PolarizationError(
             f"restricted 2-form is singular on the subbundle "
-            f"(eigenvalue {np.min(eigenvalues):.3e}); pair conditions violated"
+            f"(eigenvalue {min(eigenvalues):.3e}); pair conditions violated"
         )
-    eigenvectors = _fix_eigenvector_signs(eigenvectors)
-    sqrt_p = eigenvectors @ np.diag(np.sqrt(eigenvalues)) @ eigenvectors.T
-    inv_sqrt_p = eigenvectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ eigenvectors.T
-    phi_hat = a_hat @ inv_sqrt_p
-    phi_block = np.linalg.solve(chol.T, phi_hat @ chol.T)
-    g_block = chol @ sqrt_p @ chol.T
-    g_block = (g_block + g_block.T) / 2.0  # bitwise symmetry for exact ingestion
+    roots = [math.sqrt(e) for e in eigenvalues]
+    vectors_t = _transpose(vectors)
+    sqrt_p = _matmul([[x * r for x, r in zip(row, roots)] for row in vectors], vectors_t)
+    inv_sqrt_p = _matmul([[x / r for x, r in zip(row, roots)] for row in vectors], vectors_t)
+    phi_hat = _matmul(a_hat, inv_sqrt_p)
+    phi_block = _matmul(_matmul(inv_t, phi_hat), chol_t)
+    g_block = _matmul(_matmul(chol, sqrt_p), chol_t)
+    # bitwise symmetry for exact ingestion
+    g_block = [
+        [(x + y) / 2.0 for x, y in zip(row, col)] for row, col in zip(g_block, zip(*g_block))
+    ]
     return phi_block, g_block
 
 
@@ -342,8 +405,8 @@ def build_associated_by_polarization(
     for vectors in [tg1, tg2] if decomposable else [tg1 + tg2]:
         frame = column_matrix(vp.space, vectors)
         if frame.cols == 0:  # a TG block is empty for types with h = 0 or k = 0
-            phi_blocks.append(np.zeros((0, 0)))
-            g_blocks.append(np.zeros((0, 0)))
+            phi_blocks.append([])
+            g_blocks.append([])
             continue
         s_exact = frame.transpose() @ dsum @ frame
         k_exact = frame.transpose() @ k_aux.matrix @ frame
@@ -361,15 +424,11 @@ def build_associated_by_polarization(
     g_b = [[zero for _ in range(n)] for _ in range(n)]
     offset = 0
     for phi_block, g_block in zip(phi_blocks, g_blocks):
-        m = phi_block.shape[0]
+        m = len(phi_block)
         for p in range(m):
             for q in range(m):
-                phi_b[offset + p][offset + q] = RatFun.const(
-                    n, Fraction(float(phi_block[p, q]))
-                )
-                g_b[offset + p][offset + q] = RatFun.const(
-                    n, Fraction(float(g_block[p, q]))
-                )
+                phi_b[offset + p][offset + q] = RatFun.const(n, Fraction(phi_block[p][q]))
+                g_b[offset + p][offset + q] = RatFun.const(n, Fraction(g_block[p][q]))
         offset += m
     g_b[offset][offset] = RatFun.one(n)
     g_b[offset + 1][offset + 1] = RatFun.one(n)

@@ -1,12 +1,29 @@
 """Shared builders: the three reference geometries and random-input helpers."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactpairs.algebra import Poly, RatFun, RfMatrix
 from contactpairs.exterior import EndoField, Form, MetricField, Space, VectorField
+from contactpairs.fixtures import load_fixture_dict
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def chart_rung(h, k):
+    """The chart-ladder rung of type (h, k), the standard local model with
+    the identity aux_metric, as the benchmark generates it from seed 1."""
+    workloads = sys.modules.get("workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return load_fixture_dict(workloads.chart_model(h, k, random.Random(1)))
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

@@ -14,8 +14,8 @@ from contactpairs.cli import run
 from contactpairs.connection import (
     ChristoffelData,
     DegenerateMetricError,
-    _eval_batch,
     _FloatRatFun,
+    _gamma_along,
     _rk4_trajectory,
     _validate_connection,
     christoffel,
@@ -23,7 +23,13 @@ from contactpairs.connection import (
     numeric_geodesic_residual,
     reeb_geodesy,
 )
-from contactpairs.exterior import MetricField, Space, VectorField, bracket
+from contactpairs.exterior import (
+    MetricField,
+    Space,
+    VectorField,
+    bracket,
+    directional_derivative,
+)
 from contactpairs.fixtures import load_fixture
 from contactpairs.metric import build_compatible
 from contactpairs.pair import ContactPair, Status, verified_pair
@@ -44,6 +50,7 @@ from conftest import (
     build_r6_forms,
     build_r6_metric,
     build_r6_space,
+    chart_rung,
     random_poly,
     random_spd_matrix,
     random_vector_field,
@@ -302,23 +309,71 @@ def test_numeric_residual_r6_reeb(r6):
     assert residual < 1e-8
 
 
-def test_numeric_residual_compiles_symbols_once_per_connection(r6, monkeypatch):
-    """The Z1 and Z2 calls on one ChristoffelData compile its nonzero symbols
-    once between them; each call compiles only its field's components."""
-    vp, g = r6
+def test_numeric_residual_compiles_field_and_gamma_zz_once_per_call(monkeypatch):
+    """One call compiles the n components of its field and each term of
+    Γ(Z, Z), once, and no Christoffel symbol on its own."""
+    doc = load_fixture(REPROS / "repro_x_dx.json")
+    vp = verified_pair(doc.pair)
+    g = build_compatible(ContactPairStructure(vp, doc.phi), MetricField.euclidean(vp.space))
     data = christoffel(g, validate=False)
     compiled = []
     inner = _FloatRatFun.compile.__func__
     monkeypatch.setattr(
-        _FloatRatFun, "compile", classmethod(lambda cls, r: compiled.append(r) or inner(cls, r))
+        _FloatRatFun,
+        "compile",
+        classmethod(lambda cls, num, den: compiled.append((num, den)) or inner(cls, num, den)),
     )
-    residuals = [
-        numeric_geodesic_residual(g, vp.z(i), [0] * 6, t_end=0.1, dt=1e-2, data=data)
-        for i in (1, 2)
-    ]
-    assert len(data.nonzero()) > 0 and data.nonzero() is data.nonzero()
-    assert len(compiled) == len(data.nonzero()) + 2 * vp.dim
-    assert all(r < 1e-8 for r in residuals)
+    for i in (1, 2):
+        compiled.clear()
+        z = vp.z(i)
+        start = vp.sample_points[0]
+        residual = numeric_geodesic_residual(g, z, start, t_end=0.1, dt=1e-3, data=data)
+        assert residual < 1e-8
+        gamma_zz = [term for terms in _gamma_along(data, z) for term in terms]
+        assert compiled == [*((c.num, c.den) for c in z.components), *gamma_zz]
+    # Z1 = (1/x) ∂x meets the one symbol Γ^x_xx; Z2 = ∂y meets none
+    assert [len(terms) for terms in _gamma_along(data, vp.z(1))] == [1, 0]
+    assert [len(terms) for terms in _gamma_along(data, vp.z(2))] == [0, 0]
+
+
+def _gamma_zz_case(name):
+    """Christoffel data and fields: the Reeb fields of r6_example with its
+    metric, or of repro_x_dx or chart rung (2,1) with the metric
+    build_compatible makes, or a field whose components are all nonzero on a
+    curved metric, so that Γ^c_ab Z^a Z^b with a ≠ b occurs."""
+    if name == "curved":
+        x, y, z = (_XYZ.coordinate(j) for j in range(3))
+        _, data = _ORACLE_METRICS[1]
+        return data, [VectorField(_XYZ, [1 + x * y, x, y * z - 2])]
+    if name == "r6_example":
+        doc = load_fixture(DATA / "r6_example.json")
+        vp = verified_pair(doc.pair)
+        return christoffel(doc.metric), [vp.z1, vp.z2]
+    doc = load_fixture(REPROS / "repro_x_dx.json") if name == "repro_x_dx" else chart_rung(2, 1)
+    vp = verified_pair(doc.pair)
+    aux = doc.aux_metric or MetricField.euclidean(vp.space)  # as the CLI builds it
+    g = build_compatible(ContactPairStructure(vp, doc.phi), aux)
+    return christoffel(g), [vp.z1, vp.z2]
+
+
+@pytest.mark.parametrize("name", ["r6_example", "repro_x_dx", "chart_rung_2_1", "curved"])
+def test_gamma_along_is_nabla_z_z_without_its_derivative_term(name):
+    """The contraction the RK4 residual evaluates is the Γ part of the exact
+    ∇_Z Z that reeb_geodesy proves zero: Γ(Z, Z)^c = (∇_Z Z)^c − Z(Z^c)."""
+    data, fields = _gamma_zz_case(name)
+    assert data.nonzero()
+    n = data.space.dim
+    for z in fields:
+        nabla = covariant_derivative(data, z, z)
+        expected = [
+            nabla.components[c] - directional_derivative(z, zc)
+            for c, zc in enumerate(z.components)
+        ]
+        gamma_zz = [
+            sum((RatFun(num, den) for num, den in terms), RatFun.zero(n))
+            for terms in _gamma_along(data, z)
+        ]
+        assert gamma_zz == expected
 
 
 def test_numeric_residual_negative_control(r6):
@@ -329,8 +384,8 @@ def test_numeric_residual_negative_control(r6):
     wrong = VectorField(s, [s.one(), s.coordinate(0), 0, 0, 0, 0])
     residual = numeric_geodesic_residual(g, wrong, [0] * 6, t_end=1.0, dt=1e-3)
     assert residual > 1e-3
-    # the exact float of the earlier point-by-point evaluator
-    assert repr(residual) == "1.9980009999732462"
+    # the exact float of the five-point stencil plus the exact Γ(Z, Z)
+    assert repr(residual) == "1.9960040000380093"
 
 
 def test_numeric_residual_nilpotent(nilpotent):
@@ -353,11 +408,13 @@ def test_reeb_geodesy_carries_its_christoffel_symbols(r6):
     assert reeb_geodesy(vp, g).christoffel.symbols == christoffel(g).symbols
 
 
-# Exact reprs recorded from the earlier point-by-point evaluator (CLI start
-# sample_points[0]); the compiled, batched pass must give the same floats.
-# The CLI skips the cross-check on Lie frames, so nilpotent_g6 calls it as
-# the CLI did before.
-ROUNDOFF = "1.1102230246251565e-10"
+# Exact reprs of the five-point stencil plus the exact Γ(Z, Z) at the CLI
+# start sample_points[0].  A flow whose exact residual is 0 reads the
+# stencil's rounding floor, ROUNDOFF; the two reproductions, whose old
+# three-point residuals 2.0e-06 and 1.2e-06 failed the 1e-8 gate, read a few
+# times that.  The CLI skips the cross-check on Lie frames, so nilpotent_g6
+# calls it as the CLI did before.
+ROUNDOFF = "6.938893903907228e-11"
 DATA = Path(__file__).resolve().parents[1] / "src" / "contactpairs" / "data"
 REPROS = Path(__file__).resolve().parent / "fixtures"
 Z12 = ("geodesy_rk4_z1", "geodesy_rk4_z2")
@@ -370,8 +427,13 @@ BUILT_Z12 = ("built_geodesy_rk4_z1", "built_geodesy_rk4_z2")
         (DATA / "local_model_1_1.json", "build-compatible", BUILT_Z12, (ROUNDOFF, ROUNDOFF)),
         (DATA / "r6_example.json", "geodesy", Z12, (ROUNDOFF, ROUNDOFF)),
         (DATA / "nilpotent_g6.json", "geodesy", Z12, (ROUNDOFF, ROUNDOFF)),
-        (REPROS / "repro_quartic_reeb.json", "geodesy", Z12, (ROUNDOFF, "2.000102909960333e-06")),
-        (REPROS / "repro_x_dx.json", "build-compatible", BUILT_Z12, ("1.241262751472405e-06", ROUNDOFF)),
+        (REPROS / "repro_quartic_reeb.json", "geodesy", Z12, (ROUNDOFF, "1.326352361274985e-10")),
+        (
+            REPROS / "repro_x_dx.json",
+            "build-compatible",
+            BUILT_Z12,
+            ("2.679584887310682e-10", ROUNDOFF),
+        ),
     ],
     ids=["local_model_1_1", "r6_example", "nilpotent_g6", "repro_quartic_reeb", "repro_x_dx"],
 )
@@ -391,12 +453,11 @@ def test_numeric_residual_pinned(path, verb, keys, pinned):
 
 def test_numeric_residual_blow_up_is_inf():
     """The flow of x³ ∂x from x = 1 blows up at t = 1/2; past it the powers
-    overflow to inf, as libm pow gives them, and so does the residual."""
+    overflow to inf, and so does the residual."""
     s = Space.chart(["x", "y"])
     x = s.coordinate(0)
     field = VectorField(s, [x * x * x, s.zero()])
-    with np.errstate(all="ignore"):
-        residual = numeric_geodesic_residual(MetricField.euclidean(s), field, [1, 0])
+    residual = numeric_geodesic_residual(MetricField.euclidean(s), field, [1, 0])
     assert residual == float("inf")
 
 
@@ -438,12 +499,10 @@ _positive_points = st.lists(
 @given(_positive_polys, _positive_polys, _positive_points)
 def test_numeric_residual_compiled_program_matches_exact_eval(num, den, points):
     exact = RatFun(num, den)
-    r = _FloatRatFun.compile(exact)
-    floats = [[float(v) for v in point] for point in points]
-    (batch,) = _eval_batch([r], np.array(floats))
-    for k, (point, values) in enumerate(zip(points, floats)):
+    r = _FloatRatFun.compile(exact.num, exact.den)
+    for point in points:
+        values = [float(v) for v in point]
         assert r.at(values) == pytest.approx(float(exact.eval(point)), rel=1e-12)
-        assert batch[k] == r.at(values)  # bit-identical, not only close
 
 
 # --- bit identity with the numpy step loop -------------------------------------------
@@ -471,22 +530,31 @@ def _reference_trajectory(components, start, steps, dt):
 
 
 def _reference_residual(g, field, start, t_end, dt, data):
-    """The RK4 cross-check on the numpy step loop, with the residual
-    evaluated point by point."""
-    components = [_FloatRatFun.compile(c) for c in field.components]
+    """The RK4 cross-check on the numpy step loop: every Christoffel symbol
+    evaluated at every interior point, raising at a pole, then the five-point
+    stencil on whole arrays plus Γ(Z, Z) point by point."""
+    components = [_FloatRatFun.compile(c.num, c.den) for c in field.components]
     trajectory = _reference_trajectory(components, start, int(round(t_end / dt)), dt)
-    points = trajectory[1:-1].tolist()
-    acceleration = (trajectory[2:] - 2.0 * trajectory[1:-1] + trajectory[:-2]) / (dt * dt)
-    nonzero_gamma = data.nonzero()
-    gammas = [_FloatRatFun.compile(r) for *_, r in nonzero_gamma]
-    speeds = [[c.at(p) for c in components] for p in points]
-    gamma_values = [[f.at(p) for f in gammas] for p in points]
+    gammas = [_FloatRatFun.compile(r.num, r.den) for *_, r in data.nonzero()]
+    for point in trajectory[1:-1].tolist():
+        for f in gammas:
+            f.at(point)
+    x = trajectory[2:-2]
+    near = (trajectory[3:-1] - x) + (trajectory[1:-3] - x)
+    far = (trajectory[4:] - x) + (trajectory[:-4] - x)
+    acceleration = (16.0 * near - far) / (12.0 * dt * dt)
+    gamma_zz = [
+        [_FloatRatFun.compile(num, den) for num, den in terms]
+        for terms in _gamma_along(data, field)
+    ]
     rows = []
-    for row, speed, values in zip(acceleration.tolist(), speeds, gamma_values):
-        for (a, b, c, _), gamma in zip(nonzero_gamma, values):
-            row[c] += gamma * speed[a] * speed[b]
+    for row, point in zip(acceleration.tolist(), x.tolist()):
+        for c, terms in enumerate(gamma_zz):
+            for f in terms:
+                row[c] += f.at(point)
+        row = [abs(v) for v in row]
         if not any(map(math.isnan, row)):
-            rows.append(max(map(abs, row)))
+            rows.append(max(row))
     return max([0.0, *rows])
 
 
@@ -535,13 +603,13 @@ _components = st.one_of(
 def test_numeric_residual_matches_numpy_step_loop(t_end, dt, metric, components, start):
     g, data = _ORACLE_METRICS[metric]
     field = VectorField(_XYZ, components)
-    compiled = [_FloatRatFun.compile(c) for c in components]
+    compiled = [_FloatRatFun.compile(c.num, c.den) for c in components]
     steps = int(round(t_end / dt))
     with np.errstate(all="ignore"):  # a flow may blow up to inf and NaN
         trajectory = _reference_trajectory(compiled, start, steps, dt)
         expected = _reference_residual(g, field, start, t_end, dt, data)
         residual = numeric_geodesic_residual(g, field, start, t_end, dt, data)
-    assert _rk4_trajectory(compiled, start, steps, dt).tobytes() == trajectory.tobytes()
+    assert np.array(_rk4_trajectory(compiled, start, steps, dt)).tobytes() == trajectory.tobytes()
     assert repr(residual) == repr(expected)
 
 

@@ -225,16 +225,45 @@ def test_build_compatible_rejects_degenerate_aux(r6):
 
 
 def test_polarize_block_trivial_two_block():
-    s = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    k = np.eye(2)
-    phi_block, g_block = _polarize_block(s, k)
-    assert np.allclose(phi_block, s)
-    assert np.allclose(g_block, np.eye(2))
+    s = [[0.0, 1.0], [-1.0, 0.0]]
+    phi_block, g_block = _polarize_block(s, [[1.0, 0.0], [0.0, 1.0]])
+    assert phi_block == s
+    assert g_block == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_polarize_block_rejects_singular_form():
     with pytest.raises(PolarizationError, match="singular"):
-        _polarize_block(np.zeros((2, 2)), np.eye(2))
+        _polarize_block([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def _numpy_polarize_block(s, k):
+    """The polarization through LAPACK: Cholesky, triangular solves, eigh."""
+    chol = np.linalg.cholesky(k)
+    a_hat = np.linalg.solve(chol, np.linalg.solve(chol, s).T).T
+    eigenvalues, vectors = np.linalg.eigh(a_hat.T @ a_hat)
+    sqrt_p = vectors @ np.diag(np.sqrt(eigenvalues)) @ vectors.T
+    inv_sqrt_p = vectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ vectors.T
+    phi_block = np.linalg.solve(chol.T, a_hat @ inv_sqrt_p @ chol.T)
+    return phi_block, chol @ sqrt_p @ chol.T
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_polarize_block_matches_numpy_on_general_blocks(m):
+    """A skew form whose k-operator is not orthogonal, and a k that is not the
+    identity: the plain-float Cholesky and Jacobi eigensolver agree with
+    LAPACK, and the result is a k-compatible complex structure."""
+    rng = np.random.default_rng(m)
+    b = rng.normal(size=(m, m))
+    c = rng.normal(size=(m, m))
+    s, k = b - b.T, c @ c.T + m * np.eye(m)
+    phi_block, g_block = _polarize_block(s.tolist(), k.tolist())
+    phi, g = np.array(phi_block), np.array(g_block)
+    expected_phi, expected_g = _numpy_polarize_block(s, k)
+    assert np.allclose(phi, expected_phi, rtol=0, atol=1e-9)
+    assert np.allclose(g, expected_g, rtol=0, atol=1e-9 * np.abs(expected_g).max())
+    assert (g == g.T).all()
+    assert np.allclose(phi @ phi, -np.eye(m), atol=1e-9)
+    assert np.allclose(g @ phi, s, atol=1e-9)  # g(X, φY) = s(X, Y)
 
 
 def test_polarization_recovers_nilpotent_reference(nilpotent):

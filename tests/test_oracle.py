@@ -7,6 +7,9 @@ own Gauss–Jordan elimination and differentiation (by interpolation), so it
 shares no gcd, canonical form or sum kernel with the code under test.  A
 wrong nonzero rational function of low degree vanishes at a random point
 with small probability, so a few seeded points are enough.
+
+The Christoffel symbols of the small chart rungs are also compared with
+sympy's, symbol by symbol, when sympy is installed.
 """
 
 import random
@@ -20,6 +23,8 @@ from contactpairs.fixtures import bundled_fixture_path, load_fixture
 from contactpairs.metric import build_compatible
 from contactpairs.pair import verified_pair
 from contactpairs.structure import ContactPairStructure
+
+from conftest import chart_rung
 
 
 def _points(rng, nvars, count):
@@ -152,3 +157,42 @@ def test_christoffel_symbols_match_the_oracle(built_metric):
                 for c in range(n):
                     expected = sum((g_inv[c][k] * lowered[k] for k in range(n)), Fraction(0))
                     assert _value(data.gamma(a, b, c), point) == expected, (a, b, c)
+
+
+@pytest.mark.parametrize("h, k", [(1, 1), (2, 1)])
+def test_christoffel_symbols_match_sympy(h, k):
+    """Γ^c_ab = Σ_m g^cm (∂_a g_bm + ∂_b g_am − ∂_m g_ab) / 2 in sympy, on the
+    metric build_compatible makes on chart rung (h, k) from its identity
+    aux_metric, with sympy's own inverse and derivatives."""
+    sympy = pytest.importorskip("sympy")
+    doc = chart_rung(h, k)
+    vp = verified_pair(doc.pair)
+    g = build_compatible(ContactPairStructure(vp, doc.phi), doc.aux_metric)
+    data = christoffel(g)
+    xs = sympy.symbols(vp.space.names)
+    n = len(xs)
+
+    def poly(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+            for exps, c in p.terms.items()
+        ))
+
+    def to_sympy(r):
+        return poly(r.num) / poly(r.den)
+
+    metric = sympy.Matrix([[to_sympy(e) for e in row] for row in g.matrix.entries])
+    inverse = metric.inv().applyfunc(sympy.cancel)
+    assert not all(e.is_constant() for row in g.matrix.entries for e in row)
+    assert len(data.nonzero()) > n
+    for a in range(n):
+        for b in range(n):
+            lowered = [
+                sympy.diff(metric[b, m], xs[a]) + sympy.diff(metric[a, m], xs[b])
+                - sympy.diff(metric[a, b], xs[m])
+                for m in range(n)
+            ]
+            for c in range(n):
+                theirs = sum(inverse[c, m] * lowered[m] for m in range(n)) / 2
+                assert sympy.cancel(to_sympy(data.gamma(a, b, c)) - theirs) == 0, (a, b, c)
