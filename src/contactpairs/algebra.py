@@ -34,7 +34,10 @@ the same as the left fold of ``+`` and ``*`` would give, because the
 canonical form of a rational function is unique.
 
 One elimination kernel: ``_rref`` gives the rank (its pivot count), solves,
-kernels and inverses; Bareiss is kept only for ``RfMatrix.det``.
+kernels and inverses; Bareiss is kept only for ``RfMatrix.det``.  Skew
+matrices have their own: ``pfaffian_minor`` eliminates fraction-free on 2×2
+pivot blocks and gives a nonzero principal Pfaffian minor of a requested
+order, or the proof that the rank is too small for one.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "solve_linear_exact",
     "kernel_basis",
     "generic_rank",
+    "pfaffian_minor",
     "poly_gcd",
     "ExactDivisionError",
     "InconsistentSystemError",
@@ -209,7 +213,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return self._scaled(Fraction(-1))
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not self._compatible(other):
@@ -891,6 +895,18 @@ class RfMatrix:
         return f"RfMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
 
 
+def _over_common_denominator(vector: Sequence[RatFun], nvars: int) -> tuple[list[Poly], Poly]:
+    """The polynomials lcm·v_b and the lcm of the denominators of ``vector``."""
+    lcm = _one(nvars)
+    for e in vector:
+        if e.den.is_constant():
+            continue
+        lcm = divexact(lcm * e.den, poly_gcd(lcm, e.den))
+    if lcm.is_constant():  # every denominator is 1
+        return [e.num for e in vector], lcm
+    return [divexact(e.num * lcm, e.den) if not e.is_zero() else Poly.zero(nvars) for e in vector], lcm
+
+
 def _cleared_rows(matrix: RfMatrix) -> tuple[list[list[Poly]], RatFun]:
     """Clear denominators row by row.  Returns polynomial rows and the RatFun
     by which the determinant of the cleared matrix exceeds the original."""
@@ -898,13 +914,8 @@ def _cleared_rows(matrix: RfMatrix) -> tuple[list[list[Poly]], RatFun]:
     scale = RatFun.one(nvars)
     out: list[list[Poly]] = []
     for row in matrix.entries:
-        lcm = Poly.const(nvars, 1)
-        for e in row:
-            if e.den.is_constant():
-                continue
-            g = poly_gcd(lcm, e.den)
-            lcm = divexact(lcm * e.den, g)
-        out.append([divexact(e.num * lcm, e.den) if not e.is_zero() else Poly.zero(nvars) for e in row])
+        polys, lcm = _over_common_denominator(row, nvars)
+        out.append(polys)
         scale = scale * RatFun(lcm)
     return out, scale
 
@@ -1026,6 +1037,80 @@ def generic_rank(matrix: RfMatrix) -> int:
     return len(pivots)
 
 
+def pfaffian_minor(matrix: RfMatrix, pairs: int) -> tuple[RatFun, tuple[int, ...]]:
+    """A nonzero principal Pfaffian minor of order 2·``pairs`` of the skew
+    matrix, with its sorted index set I, or (0, ()) when the rank is below
+    2·``pairs``.
+
+    Fraction-free skew elimination on 2×2 pivot blocks.  Row and column i are
+    first scaled by the lcm d_i of row i's denominators, which multiplies
+    Pf(M[I, I]) by the product of the d_i over I.  Each step takes the
+    remaining index pair (p, q), p < q, whose entry has the lowest degree
+    (ties by index) and updates every other entry to
+    (M_pq·M_ij + M_ip·M_qj − M_iq·M_pj) / (the previous pivot), an exact
+    division: the entry is then, up to sign, the Pfaffian of the eliminated
+    indices with i and j, so no gcd is taken (Galbiati–Maffioli, *Discrete
+    Appl. Math.* 51, 1994).  The Schur complement of a principal submatrix is
+    the principal submatrix of the Schur complement, so the last pivot,
+    signed by the order in which the pairs were taken, is Pf(M[I, I]); a
+    remaining block that is zero has rank 0, so rank M is twice the number of
+    steps taken."""
+    nvars = matrix.nvars
+    n = matrix.rows
+    cleared = [_over_common_denominator(row, nvars) for row in matrix.entries]
+    scales = [d for _, d in cleared]
+    if all(d.is_constant() for d in scales):  # every denominator is 1
+        m = [row for row, _ in cleared]
+    else:
+        m = [[x * d for x, d in zip(row, scales)] for row, _ in cleared]
+    rest = list(range(n))
+    taken: list[tuple[int, int]] = []
+    prev = _one(nvars)
+    for _ in range(pairs):
+        best = None
+        for s, p in enumerate(rest):
+            row = m[p]
+            for q in rest[s + 1:]:
+                e = row[q]
+                if e.terms:
+                    key = (e.total_degree(), p, q)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return RatFun.zero(nvars), ()
+        _, p, q = best
+        taken.append((p, q))
+        rest.remove(p)
+        rest.remove(q)
+        pivot = m[p][q]
+        same = pivot == prev
+        touched = {i for i in rest if m[i][p].terms or m[i][q].terms}
+        for s, i in enumerate(rest):
+            row = m[i]
+            for j in rest[s + 1:]:
+                if same and not (i in touched and j in touched):
+                    continue  # a row or column that misses the pivot block is scaled by 1
+                acc: dict[Exponents, Fraction] = {}
+                _add_product(acc, pivot.terms, row[j].terms)
+                _add_product(acc, row[p].terms, m[q][j].terms)
+                _add_product(acc, row[q].terms, m[j][p].terms)
+                row[j] = divexact(Poly._of(nvars, acc), prev)
+                m[j][i] = -row[j]
+        prev = pivot
+    order = sorted(i for pair in taken for i in pair)
+    index = tuple(order)
+    sign = 1
+    for p, q in taken:
+        if (order.index(p) + order.index(q)) % 2 == 0:
+            sign = -sign
+        order.remove(p)
+        order.remove(q)
+    scale = _one(nvars)
+    for i in index:
+        scale = scale * scales[i]
+    return RatFun(prev._scaled(Fraction(sign)), scale), index
+
+
 def solve_linear_exact(matrix: RfMatrix, rhs: Sequence) -> LinearSolution:
     """Solve A·x = b exactly over the rational-function field.
 
@@ -1055,16 +1140,7 @@ def clear_denominators(vector: Sequence[RatFun]) -> list[Poly]:
     """Scale a RatFun vector to a primitive polynomial vector."""
     if not vector:
         return []
-    nvars = vector[0].nvars
-    lcm = Poly.const(nvars, 1)
-    for e in vector:
-        if e.den.is_constant():
-            continue
-        g = poly_gcd(lcm, e.den)
-        lcm = divexact(lcm * e.den, g)
-    polys = [
-        divexact(e.num * lcm, e.den) if not e.is_zero() else Poly.zero(nvars) for e in vector
-    ]
+    polys, _ = _over_common_denominator(vector, vector[0].nvars)
     # one common integer scale for the whole vector, then strip the shared content
     den_lcm = 1
     for p in polys:

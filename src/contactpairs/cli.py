@@ -137,6 +137,7 @@ class _Context:
 def _pair(ctx: _Context) -> str | None:
     verdicts = ctx.pair_verdicts
     ctx.report.verdicts.update(verdicts)
+    ctx.report.skipped.update(verdicts.skipped)
     return None if all(v.ok for v in verdicts.values()) else "contact pair conditions failed"
 
 

@@ -564,17 +564,24 @@ class MetricField:
             raise ZeroDivisionError(f"metric entry: {exc}") from None
 
     def is_positive_definite_at(self, point: Sequence) -> bool:
-        """Sylvester's criterion with exact rational arithmetic."""
+        """Sylvester's criterion with exact rational arithmetic.  A row with a
+        zero entry below the pivot needs no update, and the update of a row
+        skips the zero entries of the pivot row."""
         mat = [row[:] for row in self.eval_at(point)]
         n = self.space.dim
         # positive definite iff every pivot of symmetric elimination is > 0
         for k in range(n):
-            if mat[k][k] <= 0:
+            pivot_row = mat[k]
+            if pivot_row[k] <= 0:
                 return False
+            nonzero = [(j, x) for j in range(k + 1, n) if (x := pivot_row[j])]
             for i in range(k + 1, n):
-                factor = mat[i][k] / mat[k][k]
-                for j in range(k, n):
-                    mat[i][j] -= factor * mat[k][j]
+                row = mat[i]
+                if not row[k]:
+                    continue
+                factor = row[k] / pivot_row[k]
+                for j, x in nonzero:
+                    row[j] -= factor * x
         return True
 
     def __eq__(self, other) -> bool:
@@ -677,8 +684,10 @@ def eval_at(tensor: TensorLike, point: Sequence):
 
 class FrameForm:
     """Alternating tensor indexed by the vectors of a frame (not by the
-    ambient basis); coefficients stay in the ambient scalar ring.  Used to
-    state wedge/volume conditions for forms restricted to a subbundle frame."""
+    ambient basis); coefficients stay in the ambient scalar ring.  Its wedge
+    expansion of forms restricted to a subbundle frame is the reference
+    against which the tests check :func:`contactpairs.pair.pair_axioms`,
+    which decides the leaf conditions by Pfaffians."""
 
     __slots__ = ("size", "degree", "coeffs", "nvars")
 

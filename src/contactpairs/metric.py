@@ -38,15 +38,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RatFun, RfMatrix, format_point
-from .exterior import EndoField, FrameForm, MetricField, lie_derivative
-from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix
+from .exterior import EndoField, MetricField, lie_derivative
+from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, pair_axioms
 from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
 from .verdicts import (
     Status,
     Verdict,
     combine_verdicts,
     matrix_residual_entries,
-    nonvanishing_verdict,
     residual_verdict,
 )
 
@@ -562,7 +561,8 @@ def verify_restricted_contact_metric(
     (j != i) and checks g(u, phi v) = d alpha_i(u, v), g(u, Z_i) = alpha_i(u)
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
-    contact pair of the induced type with the restricted metric associated.
+    contact pair of the induced type (:func:`pair_axioms` on alpha_l(F) and
+    F^T W_l F, exact whatever ``tol``) with the restricted metric associated.
     Both modes raise :class:`PreconditionError` unless E·(phi F) = 0 for the
     frame's equations E; at ``tol > 0`` an E·(phi F) that vanishes only
     within ``tol`` makes the verdict at best SampleVerified.  Every
@@ -631,29 +631,21 @@ def verify_restricted_contact_metric(
         invariance = _require_invariant(mcp.cps, frame, images)
 
         alphas = vp._alpha_matrix @ f
-        beta = {l: FrameForm.one_form(alphas.row(l - 1)) for l in (1, 2)}
-        dpair = {l: FrameForm.two_form(tables[l].entries) for l in (1, 2)}
-
-        volume = (
-            beta[1]
-            .wedge(dpair[1].wedge_power(h_ind))
-            .wedge(beta[2].wedge(dpair[2].wedge_power(k_ind)))
+        axioms = pair_axioms(
+            (alphas.row(0), alphas.row(1)),
+            (tables[1], tables[2]),
+            (h_ind, k_ind),
+            vp.sample_points,
+            vp.space.names,
+            frame=label,
         )
+        volume = [axioms["volume_form"]] if "volume_form" in axioms else []
         verdicts = [
-            nonvanishing_verdict(
-                volume.top_coefficient(),
-                vp.sample_points,
-                f"restricted volume coefficient on {label}",
-            ),
+            *volume,
             residual_verdict(invariance, vp, tol),
+            axioms["dalpha1_power_zero"],
+            axioms["dalpha2_power_zero"],
         ]
-        for l, power in ((1, h_ind + 1), (2, k_ind + 1)):
-            excess = dpair[l].wedge_power(power)
-            residuals = [
-                (f"(d alpha{l}|{label})^{power} [{idx}]", c)
-                for idx, c in excess.coeffs.items()
-            ]
-            verdicts.append(residual_verdict(residuals, vp, tol))
 
         associated = pairings - (tables[1] + tables[2])
         associated_residuals = [

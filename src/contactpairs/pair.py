@@ -3,9 +3,23 @@ and the tangent-bundle splittings they induce.
 
 A pair of one-forms (alpha1, alpha2) of type (h, k) on an n-manifold with
 n = 2h + 2k + 2 must satisfy: alpha1 ∧ (d alpha1)^h ∧ alpha2 ∧ (d alpha2)^k
-is a volume form, and the (h+1)-st and (k+1)-st wedge powers of d alpha1 and
-d alpha2 vanish.  The Reeb fields are the unique pair (Z1, Z2) with
-alpha_i(Z_j) = delta_ij and i_{Z_j} d alpha_i = 0; they commute.
+is a volume form, and (d alpha1)^{h+1} = 0 = (d alpha2)^{k+1}.  The Reeb
+fields are the unique pair (Z1, Z2) with alpha_i(Z_j) = delta_ij and
+i_{Z_j} d alpha_i = 0; they commute.
+
+The three conditions are decided on value tables, by Pfaffians
+(:func:`pair_axioms`), with no exterior product expanded.  For a skew table W
+with 2-form omega, the coefficient of omega^p on an index set I is
+p!·Pf(W[I, I]), so omega^p = 0 exactly when rank W < 2p.  When both powers
+vanish, (omega1 + omega2 + alpha1∧alpha2)^{h+k+1} has the single term
+(h+k+1)!/(h!k!) omega1^h∧omega2^k∧alpha1∧alpha2, so the volume coefficient
+is h!k!·Pf(W1 + W2 + a1 a2ᵀ − a2 a1ᵀ), which is −h!k! times the Pfaffian of
+the bordered table [[W1 + W2, a1, a2], [−a1ᵀ, 0, −1], [−a2ᵀ, 1, 0]].  The
+bordered form keeps the W block as it is: each minor the elimination forms
+takes at most one entry from each border row, so on a constant 2-form its
+degree stays at most 2, where every entry of W1 + W2 + a1 a2ᵀ − a2 a1ᵀ is
+already quadratic and its minors grow with their order.  The same function
+decides the pair induced on the leaves of a frame, on the restricted tables.
 
 Frames keep the equations whose kernel they span, so membership is one
 product; of the splittings only TM = TF1 ⊕ TF2 takes a rank.
@@ -13,6 +27,7 @@ product; of the splittings only TM = TF1 ⊕ TF2 takes a rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -24,6 +39,7 @@ from .algebra import (
     RfMatrix,
     generic_rank,
     kernel_basis,
+    pfaffian_minor,
     solve_linear_exact,
 )
 from .exterior import Form, MetricField, Space, VectorField, bracket, ext_d
@@ -35,9 +51,12 @@ __all__ = [
     "DistributionFrame",
     "Verdict",
     "Status",
+    "AxiomVerdicts",
     "PairValidationError",
     "ReebSolveError",
     "FrameRankError",
+    "pair_axioms",
+    "volume_coefficient",
     "verify_contact_pair",
     "reeb_fields",
     "characteristic_frame",
@@ -145,46 +164,103 @@ class ContactPair:
         W_i[a][b] Z^a, so row b is column b of :meth:`dalpha_table`."""
         return list(self.dalpha_table(i).transpose().entries)
 
-    def degree_of(self, i: int) -> int:
-        """The wedge exponent attached to d alpha_i by the pair type."""
-        return self.h if i == 1 else self.k
+
+def volume_coefficient(
+    rows: tuple[Sequence[RatFun], Sequence[RatFun]],
+    tables: tuple[RfMatrix, RfMatrix],
+    degrees: tuple[int, int],
+) -> RatFun:
+    """The top coefficient of alpha1 ∧ (d alpha1)^h ∧ alpha2 ∧ (d alpha2)^k,
+    as −h!k! times the Pfaffian of the bordered table
+    [[W1 + W2, a1, a2], [−a1ᵀ, 0, −1], [−a2ᵀ, 1, 0]].  Valid only when
+    (d alpha1)^{h+1} = 0 = (d alpha2)^{k+1}."""
+    a1, a2 = rows
+    w = tables[0] + tables[1]
+    n = w.rows
+    bordered = RfMatrix(
+        w.nvars,
+        [[*w.row(b), a1[b], a2[b]] for b in range(n)]
+        + [[*(-x for x in a1), 0, -1], [*(-x for x in a2), 1, 0]],
+    )
+    pfaffian, _ = pfaffian_minor(bordered, n // 2 + 1)
+    h, k = degrees
+    return pfaffian * -(math.factorial(h) * math.factorial(k))
 
 
-def verify_contact_pair(pair: ContactPair) -> dict[str, Verdict]:
-    """Check the three defining conditions.
+class AxiomVerdicts(dict):
+    """The pair-axiom verdicts by name (``volume_form``,
+    ``dalpha1_power_zero``, ``dalpha2_power_zero``); ``skipped`` maps a
+    condition that got no verdict to the reason."""
+
+    def __init__(self, verdicts=(), skipped=None):
+        super().__init__(verdicts)
+        self.skipped: dict[str, str] = dict(skipped or {})
+
+
+def pair_axioms(
+    rows: tuple[Sequence[RatFun], Sequence[RatFun]],
+    tables: tuple[RfMatrix, RfMatrix],
+    degrees: tuple[int, int],
+    sample_points: Sequence[Sequence],
+    names: Sequence[str],
+    frame: str = "",
+) -> AxiomVerdicts:
+    """The three conditions of a pair of type ``degrees`` = (h, k), from the
+    rows a_i of alpha_i and the tables W_i of d alpha_i; with ``frame``, of
+    the pair induced on the leaves of that frame, its labels marked
+    ``|frame``.  ``names`` print the witnesses.
+
+    Power condition i (p = h + 1 or k + 1) is exact: Verified when W_i has
+    rank below 2p, else Failed with the coefficient p!·Pf(W_i[I, I]) of
+    (d alpha_i)^p on the index set I that :func:`pfaffian_minor` found.  The
+    :func:`volume_coefficient` is graded by :func:`nonvanishing_verdict`; its
+    formula holds only under both power conditions, so when one fails the
+    volume is skipped, with the reason."""
+    bar = f"|{frame}" if frame else ""
+    powers = {}
+    failed = []
+    for i, (table, degree) in enumerate(zip(tables, degrees), 1):
+        power = degree + 1
+        condition = f"(d alpha{i}{bar})^{power}"
+        pfaffian, index = pfaffian_minor(table, power)
+        if pfaffian.is_zero():
+            powers[f"dalpha{i}_power_zero"] = Verdict.verified(f"{condition} = 0")
+        else:
+            coeff = pfaffian * math.factorial(power)
+            powers[f"dalpha{i}_power_zero"] = Verdict.failed(
+                f"{condition} has coefficient {coeff.format(names)} on {index}"
+            )
+            failed.append(f"{condition} = 0 does not hold")
+    if failed:
+        reason = (
+            f"{' and '.join(failed)}; the volume coefficient is a "
+            "Pfaffian only when both power conditions hold"
+        )
+        return AxiomVerdicts(powers, {"volume_form": reason})
+
+    coeff = volume_coefficient(rows, tables, degrees)
+    label = f"restricted volume coefficient on {frame}" if frame else "volume coefficient"
+    volume = nonvanishing_verdict(
+        coeff, sample_points, label, constant_detail=f"constant {label} {coeff.num}"
+    )
+    return AxiomVerdicts({"volume_form": volume, **powers})
+
+
+def verify_contact_pair(pair: ContactPair) -> AxiomVerdicts:
+    """Check the three defining conditions (:func:`pair_axioms`).
 
     The two vanishing conditions are exact.  The volume condition is graded:
     a nonzero constant top coefficient is Verified, a non-constant coefficient
     that survives all sample points is only SampleVerified (global positivity
     of a non-constant polynomial is not decidable here), anything else Failed.
     """
-    da1, da2 = pair.dalpha(1), pair.dalpha(2)
-
-    vol = pair.alpha1.wedge(da1.wedge_power(pair.h)).wedge(
-        pair.alpha2.wedge(da2.wedge_power(pair.k))
-    )
-    coeff = vol.coefficient(tuple(range(pair.dim)))
-    volume = nonvanishing_verdict(
-        coeff,
+    return pair_axioms(
+        (one_form_row(pair.alpha1), one_form_row(pair.alpha2)),
+        (pair.dalpha_table(1), pair.dalpha_table(2)),
+        (pair.h, pair.k),
         pair.sample_points,
-        "volume coefficient",
-        constant_detail=f"constant volume coefficient {coeff.num}",
+        pair.space.names,
     )
-
-    out = {"volume_form": volume}
-    for i, da in ((1, da1), (2, da2)):
-        power = pair.degree_of(i) + 1
-        excess = da.wedge_power(power)
-        if excess.is_zero():
-            out[f"dalpha{i}_power_zero"] = Verdict.verified(
-                f"(d alpha{i})^{power} = 0"
-            )
-        else:
-            idx, c = next(iter(excess.coeffs.items()))
-            out[f"dalpha{i}_power_zero"] = Verdict.failed(
-                f"(d alpha{i})^{power} has coefficient {c.format(pair.space.names)} on {idx}"
-            )
-    return out
 
 
 def _reeb_system(pair: ContactPair) -> RfMatrix:

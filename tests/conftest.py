@@ -12,18 +12,31 @@ from contactpairs.algebra import Poly, RatFun, RfMatrix
 from contactpairs.exterior import EndoField, Form, MetricField, Space, VectorField
 from contactpairs.fixtures import load_fixture_dict
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module(name, path):
+    """The module of the file ``path``, loaded once under ``name``."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def chart_rung(h, k):
     """The chart-ladder rung of type (h, k), the standard local model with
     the identity aux_metric, as the benchmark generates it from seed 1."""
-    workloads = sys.modules.get("workloads")
-    if workloads is None:
-        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-        workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+    workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
     return load_fixture_dict(workloads.chart_model(h, k, random.Random(1)))
+
+
+def dense_chart_rung(h, k):
+    """The pair of :func:`chart_rung` pulled back by a unimodular x = U·w,
+    the dense family of ``scripts/bench_pair_axioms.py``."""
+    bench = _module("bench_pair_axioms", ROOT / "scripts" / "bench_pair_axioms.py")
+    return load_fixture_dict(bench.dense_model(h, k))
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

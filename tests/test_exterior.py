@@ -526,6 +526,48 @@ def test_metric_positive_definite_check():
     assert not g.is_positive_definite_at([0, 0])
 
 
+def _ldl_positive_definite(a):
+    """Reference: the root-free Cholesky a = L·D·Lᵀ in Fractions, with no
+    zero skip; positive definite iff every d_j > 0."""
+    n = len(a)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    d = []
+    for j in range(n):
+        d.append(a[j][j] - sum(low[j][m] ** 2 * d[m] for m in range(j)))
+        if d[j] <= 0:
+            return False
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(low[i][m] * low[j][m] * d[m] for m in range(j))) / d[j]
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["gram", "shifted", "symmetric"]))
+def test_positive_definite_matches_reference_cholesky(rng, kind):
+    """Sylvester's criterion with its zero skips agrees with a plain LDLᵀ on
+    sparse random rational symmetric matrices: Gram matrices BᵀB (positive
+    definite, or only semidefinite when B has fewer rows than columns), Gram
+    matrices shifted by a small multiple of the identity, and arbitrary ones."""
+    n = rng.randint(1, 6)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+
+    if kind == "symmetric":
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = entry()
+    else:
+        b = [[entry() for _ in range(n)] for _ in range(rng.randint(max(n - 1, 1), n + 1))]
+        a = [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+        if kind == "shifted":
+            shift = Fraction(rng.randint(-2, 2), 4)
+            a = [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    g = MetricField(Space.chart([f"x{i}" for i in range(n)]), a)
+    assert g.is_positive_definite_at([0] * n) == _ldl_positive_definite(a)
+
+
 # --- frame-indexed alternating tensors ------------------------------------------
 
 

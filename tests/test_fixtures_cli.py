@@ -310,6 +310,21 @@ def test_verify_pair_on_degenerate_fixture():
     assert "0" in report.verdicts["volume_form"].witness
 
 
+def test_verify_pair_records_the_skipped_volume(tmp_path, capsys):
+    """(d alpha1)^1 = d(xy dx) != 0: the volume gets no verdict but a skip
+    record that names the failed condition."""
+    data = json.loads(fixture_path("flat2_mcp.json").read_text())
+    data["alpha1"] = {"x": "x*y"}
+    path = tmp_path / "power_fails.json"
+    path.write_text(json.dumps(data))
+    report = run("verify-pair", path)
+    assert report.exit_code() == 1
+    assert "volume_form" not in report.verdicts
+    assert report.skipped["volume_form"].startswith("(d alpha1)^1 = 0 does not hold")
+    assert main(["verify-pair", str(path)]) == 1
+    assert "volume_form: skipped ((d alpha1)^1 = 0 does not hold" in capsys.readouterr().out
+
+
 def test_twisted_fixture_sample_verified_exit_2():
     report = run("theorems", fixture_path("twisted.json"))
     assert report.exit_code() == 2
