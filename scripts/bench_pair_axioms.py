@@ -170,8 +170,10 @@ def _measure_in_child(tree: Path, fixture: Path, calls: int) -> dict | None:
     return json.loads(out.splitlines()[-1])
 
 
-def _slope(points: list[tuple[int, float]]) -> float | None:
-    points = [(d, s) for d, s in points if d >= SLOPE_FROM_DIM and s is not None]
+def _slope(points: list[tuple[int, float]], from_dim: int = SLOPE_FROM_DIM) -> float | None:
+    """The least-squares slope of log seconds against log dim, over the
+    points from ``from_dim`` up that have a time."""
+    points = [(d, s) for d, s in points if d >= from_dim and s is not None]
     if len(points) < 2:
         return None
     xs = [math.log(d) for d, _ in points]

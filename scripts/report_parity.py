@@ -13,8 +13,9 @@ or the error text of a usage or fixture error, or the exception of a crash.
 
 The fixtures, the same files for both trees, are the bundled ones,
 ``tests/fixtures`` (which holds copies of the two ``perfbench/fixtures``
-reproductions), and the generated chart rungs (1,1), (2,1) and Lie rungs
-(1,1), (2,2) of ``perfbench/workloads.py`` (each ladder from seed 1).  The
+reproductions), and the generated chart rungs (1,1), (2,1), (2,2) and Lie
+rungs (1,1), (2,2), (3,3) of ``perfbench/workloads.py`` (each ladder from
+seed 1), the benchmark's ladders up to their top rungs.  The
 script prints the number of identical cases and the first differing line of
 each other case, writes every differing case in full to ``--out``, and exits
 1 when any case differs.
@@ -32,8 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ((0, 0), (3, 7))  # (--samples, --seed)
-CHART_RUNGS = ((1, 1), (2, 1))
-LIE_RUNGS = ((1, 1), (2, 2))
+CHART_RUNGS = ((1, 1), (2, 1), (2, 2))
+LIE_RUNGS = ((1, 1), (2, 2), (3, 3))
 
 
 def _fixtures(workdir: Path) -> list[Path]:

@@ -21,7 +21,9 @@ quotient of ``divexact``.  Since nothing mutates ``Poly.terms`` after
 construction, one constant-1 polynomial per variable count is shared as the
 denominator of every polynomial ``RatFun``, one zero ``RatFun`` per count is
 shared too, and ``RatFun(num)`` with no denominator stores ``num`` as it is,
-with no copy and no gcd.
+with no copy and no gcd.  ``RfMatrix`` does the same: its public constructor
+coerces and checks every entry, and the results of its arithmetic go
+through ``RfMatrix._of``.
 
 One canonicalisation per sum.  A sum of products Σ x·y (a matrix product,
 a contraction, a Christoffel symbol, a row update of the elimination) goes
@@ -31,7 +33,10 @@ one ``RatFun(num, den)`` is built at the end.  So a sum costs at most one
 gcd, and a sum that is identically zero has a zero numerator and costs
 none, which makes an identity check a gcd-free zero test.  Every result is
 the same as the left fold of ``+`` and ``*`` would give, because the
-canonical form of a rational function is unique.
+canonical form of a rational function is unique.  Matrix kernels touch only
+structural nonzeros: an entry of a product is one ``_dot`` over the indices
+where both factors are nonzero, or the shared zero when there is none, and
+a sum keeps the other entry wherever one is zero.
 
 One elimination kernel: ``_rref`` gives the rank (its pivot count), solves,
 kernels and inverses; Bareiss is kept only for ``RfMatrix.det``.  Skew
@@ -742,7 +747,14 @@ def _dot(nvars: int, pairs: Iterable[tuple[RatFun, RatFun]]) -> RatFun:
 
 
 class RfMatrix:
-    """Dense matrix with RatFun entries (immutable)."""
+    """Dense matrix with RatFun entries (immutable).
+
+    The public constructor coerces and checks its entries; the results of
+    the arithmetic go through the trusted ``RfMatrix._of``.  A product or a
+    sum touches only the structural nonzeros: each entry of ``@`` and
+    ``apply`` is one ``_dot`` over the indices where both factors are
+    nonzero (the shared zero when there is none), and ``+``/``-`` return
+    the other operand, or its negation, where one entry is zero."""
 
     __slots__ = ("nvars", "rows", "cols", "entries")
 
@@ -761,6 +773,17 @@ class RfMatrix:
         self.cols = width if width is not None else 0
         self.entries = tuple(coerced)
 
+    @classmethod
+    def _of(cls, nvars: int, entries: tuple[tuple[RatFun, ...], ...], cols: int) -> "RfMatrix":
+        """A matrix over ``entries`` as given, unchecked: rows of ``cols``
+        canonical ``RatFun``s over ``nvars`` variables each."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.rows = len(entries)
+        out.cols = cols
+        out.entries = entries
+        return out
+
     def _coerce_entry(self, x) -> RatFun:
         if isinstance(x, RatFun):
             if x.nvars != self.nvars:
@@ -772,11 +795,14 @@ class RfMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "RfMatrix":
-        return cls(nvars, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = RatFun.zero(nvars), RatFun.one(nvars)
+        return cls._of(nvars, tuple(
+            tuple(one if i == j else zero for j in range(n)) for i in range(n)
+        ), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, nvars: int) -> "RfMatrix":
-        return cls(nvars, [[0] * cols for _ in range(rows)])
+        return cls._of(nvars, ((RatFun.zero(nvars),) * cols,) * rows, cols)
 
     def at(self, i: int, j: int) -> RatFun:
         return self.entries[i][j]
@@ -788,54 +814,70 @@ class RfMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self) -> "RfMatrix":
-        return RfMatrix(self.nvars, [self.column(j) for j in range(self.cols)])
+        return RfMatrix._of(
+            self.nvars, tuple(self.column(j) for j in range(self.cols)), self.rows
+        )
+
+    def _check_shape(self, other: "RfMatrix", what: str) -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch in matrix {what}")
+        if self.nvars != other.nvars:
+            raise ValueError("matrices over different variable sets")
 
     def __matmul__(self, other: "RfMatrix") -> "RfMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        columns = [other.column(j) for j in range(other.cols)]
-        return RfMatrix(
-            self.nvars,
-            [[_dot(self.nvars, zip(row, col)) for col in columns] for row in self.entries],
-        )
+        if self.nvars != other.nvars:
+            raise ValueError("matrices over different variable sets")
+        nvars, zero = self.nvars, RatFun.zero(self.nvars)
+        other_rows = [_support(row) for row in other.entries]
+        out = []
+        for row in self.entries:
+            # pairs[j] = the (A_ik, B_kj) with both nonzero, k ascending
+            pairs: dict[int, list[tuple[RatFun, RatFun]]] = {}
+            for k, x in _support(row):
+                for j, y in other_rows[k]:
+                    pairs.setdefault(j, []).append((x, y))
+            out.append(tuple(
+                _dot(nvars, pairs[j]) if j in pairs else zero for j in range(other.cols)
+            ))
+        return RfMatrix._of(nvars, tuple(out), other.cols)
 
     def __add__(self, other: "RfMatrix") -> "RfMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return RfMatrix(
-            self.nvars,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        self._check_shape(other, "addition")
+        return RfMatrix._of(self.nvars, tuple(
+            tuple(y if x.is_zero() else x if y.is_zero() else x + y for x, y in zip(r, s))
+            for r, s in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __sub__(self, other: "RfMatrix") -> "RfMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return RfMatrix(
-            self.nvars,
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        self._check_shape(other, "subtraction")
+        return RfMatrix._of(self.nvars, tuple(
+            tuple(-y if x.is_zero() else x if y.is_zero() else x - y for x, y in zip(r, s))
+            for r, s in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __neg__(self) -> "RfMatrix":
-        return self.scaled(-1)
+        return RfMatrix._of(self.nvars, tuple(
+            tuple(e if e.is_zero() else -e for e in row) for row in self.entries
+        ), self.cols)
 
     def scaled(self, factor) -> "RfMatrix":
         f = self._coerce_entry(factor)
-        return RfMatrix(
-            self.nvars,
-            [[self.entries[i][j] * f for j in range(self.cols)] for i in range(self.rows)],
-        )
+        return RfMatrix._of(self.nvars, tuple(
+            tuple(e if e.is_zero() else e * f for e in row) for row in self.entries
+        ), self.cols)
 
     def apply(self, vector: Sequence[RatFun]) -> tuple[RatFun, ...]:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        vector = [self._coerce_entry(v) for v in vector]
-        return tuple(_dot(self.nvars, zip(row, vector)) for row in self.entries)
+        support = _support([self._coerce_entry(v) for v in vector])
+        zero = RatFun.zero(self.nvars)
+        out = []
+        for row in self.entries:
+            pairs = [(row[k], y) for k, y in support if row[k].num.terms]
+            out.append(_dot(self.nvars, pairs) if pairs else zero)
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -893,6 +935,11 @@ class RfMatrix:
 
     def __repr__(self) -> str:
         return f"RfMatrix({self.rows}x{self.cols}, nvars={self.nvars})"
+
+
+def _support(vector: Sequence[RatFun]) -> list[tuple[int, RatFun]]:
+    """The (index, entry) of each nonzero entry of ``vector``, in order."""
+    return [(k, e) for k, e in enumerate(vector) if e.num.terms]
 
 
 def _over_common_denominator(vector: Sequence[RatFun], nvars: int) -> tuple[list[Poly], Poly]:

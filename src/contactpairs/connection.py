@@ -13,12 +13,24 @@ pass over the function field), so theorem checks stay exact.  On a chart
 the bracket terms vanish and this is the coordinate formula; on a Lie frame
 the derivative terms vanish and it is the constant Koszul formula.
 
-Every sum here, the halved Koszul sum of each lowered symbol, the
-contraction with g⁻¹ and the covariant derivative, is one
-``algebra._dot``: one canonicalisation per result.  The validation of
-metric compatibility, e_a g_bc − Σ_d Γ^d_ab g_dc − Σ_d Γ^d_ac g_db = 0, is
-one ``_dot`` per (a, b ≤ c) as well, and torsion-freeness one per (a < b, c),
-so a connection that passes costs no gcd there: each identically zero
+The assembly touches only structural nonzeros.  The Koszul sums come from
+two sources: the nonzero derivatives e_a g_pq of the non-constant metric
+entries, and the nonzero values g([e_i, e_j], e_k) of the brackets of the
+indexed structure constants.  Each such term enters three lowered symbols
+with weight ±½, at its place in the formula above, and each lowered symbol
+is one ``algebra._dot`` over its terms.  Each lowered g(∇_a e_b, e_k) is
+then contracted with the nonzero entries of column k of g⁻¹, one ``_dot``
+per symbol, and a symbol that gets no term is the shared zero.  On the
+Heisenberg product h_7 × h_7 (dim 14) 36 of the 2744 symbols are nonzero.
+
+The validation makes the same exact zero tests as a loop over every index:
+metric compatibility, e_a g_bc − Σ_d Γ^d_ab g_dc − Σ_d Γ^d_ac g_db = 0, at
+(a, b ≤ c), then torsion-freeness, Γ^c_ab − Γ^c_ba − c^c_ab = 0, at
+(a < b, c), each one ``_dot``.  It tests only the triples that carry a term
+(a derivative, a product Γ·g with both factors nonzero, a nonzero symbol or
+a structure constant), in the loop's order, so the first failure and its
+message are the loop's; the residual of any other triple is identically
+zero.  A connection that passes costs no gcd there: each identically zero
 residual has a zero numerator over its common denominator.
 
 The RK4 cross-check is the numeric part, on plain Python floats.  It steps
@@ -38,9 +50,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFun, SingularMatrixError, _dot, format_point
+from .algebra import Poly, RatFun, SingularMatrixError, _dot, _support, format_point
 from .exterior import MetricField, Space, VectorField, directional_derivative
 from .pair import VerifiedPair, _reeb_gram, column_matrix
 from .structure import PreconditionError
@@ -103,89 +115,115 @@ def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
     except SingularMatrixError as exc:
         raise DegenerateMetricError("metric is degenerate over the function field") from exc
 
+    # lowered[a, b][k][slot] is the slot-th term of the Koszul formula for
+    # g(∇_a e_b, e_k), in the order e_a g_bk, e_b g_ak, e_k g_ab,
+    # g([e_a,e_b],e_k), g([e_b,e_k],e_a), g([e_k,e_a],e_b); each derivative
+    # D = e_a g_pq and each bracket value B = g([e_i,e_j],e_k) fills one slot
+    # of three symbols
+    lowered: dict[tuple[int, int], dict[int, list]] = {}
+
+    def enter(a: int, b: int, k: int, slot: int, value: RatFun) -> None:
+        lowered.setdefault((a, b), {}).setdefault(k, [None] * 6)[slot] = value
+
+    for p, row in enumerate(g.matrix.entries):
+        for q, entry in enumerate(row):
+            if entry.is_constant():  # every entry on a Lie frame
+                continue
+            for a in range(n):
+                d = entry.diff(a)
+                if not d.is_zero():
+                    enter(a, p, q, 0, d)
+                    enter(p, a, q, 1, d)
+                    enter(p, q, a, 2, d)
+    for (i, j), coeffs in space.nonzero_brackets():
+        for k, b in _support(g.matrix.apply(_column(space, coeffs))):
+            enter(i, j, k, 3, b)
+            enter(k, i, j, 4, b)
+            enter(j, k, i, 5, b)
+
     half, minus_half = space.scalar(Fraction(1, 2)), space.scalar(Fraction(-1, 2))
-    # de[a][b][k] = e_a g_bk and gb[a][b][k] = g([e_a, e_b], e_k); G is
-    # symmetric, so gb[a][b] is G times the coefficient column of [e_a, e_b]
-    de = [
-        [[_frame_derivative(g.matrix.at(b, k), a) for k in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
-    gb = [
-        [g.matrix.apply(_column(space, space.bracket_coeffs(a, b))) for b in range(n)]
-        for a in range(n)
-    ]
+    weights = (half, half, minus_half, half, minus_half, half)
+    g_inv_columns = [_support(g_inv.column(k)) for k in range(n)]
+    zero = space.zero()
+    symbols = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (a, b), terms in lowered.items():
+        # Γ^c_ab = Σ_k g^ck g(∇_a e_b, e_k), over the nonzero g^ck of column k
+        contraction: dict[int, list[tuple[RatFun, RatFun]]] = {}
+        for k in sorted(terms):
+            value = _dot(n, (
+                (term, weight) for term, weight in zip(terms[k], weights) if term is not None
+            ))
+            if value.is_zero():
+                continue
+            for c, inv in g_inv_columns[k]:
+                contraction.setdefault(c, []).append((inv, value))
+        for c, pairs in contraction.items():
+            symbols[a][b][c] = _dot(n, pairs)
 
-    symbols = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            # g(∇_a e_b, e_k), the Koszul formula halved
-            lowered = [
-                _dot(n, (
-                    (de[a][b][k], half), (de[b][a][k], half), (de[k][a][b], minus_half),
-                    (gb[a][b][k], half), (gb[b][k][a], minus_half), (gb[k][a][b], half),
-                ))
-                for k in range(n)
-            ]
-            row.append(tuple(_dot(n, zip(g_inv.row(c), lowered)) for c in range(n)))
-        symbols.append(tuple(row))
-
-    data = ChristoffelData(space, g, tuple(symbols))
+    data = ChristoffelData(
+        space, g, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
+    )
     if validate:
         _validate_connection(data)
     return data
 
 
-def _column(space: Space, coeffs: dict[int, Fraction]) -> list[RatFun]:
+def _column(space: Space, coeffs: Mapping[int, Fraction]) -> list[RatFun]:
     """The coefficient column of a bracket, as scalars."""
     zero = space.zero()
     return [space.scalar(coeffs[m]) if m in coeffs else zero for m in range(space.dim)]
 
 
-def _frame_derivative(f: RatFun, a: int) -> RatFun:
-    """e_a f; a constant, such as every scalar of a Lie frame, is not
-    differentiated."""
-    return RatFun.zero(f.nvars) if f.is_constant() else f.diff(a)
-
-
 def _validate_connection(data: ChristoffelData) -> None:
+    """Metric compatibility at every (a, b ≤ c), then torsion-freeness at
+    every (a < b, c), each as one exact zero test, in that order.  Only the
+    triples whose residual carries a term are tested: the residual of any
+    other is identically zero."""
     space = data.space
     n = space.dim
     g = data.metric.matrix
     one, minus_one = space.one(), space.scalar(-1)
-    minus_g = [[-e for e in row] for row in g.entries]
+    # minus_g[d] = {c: -g_dc} over the nonzero g_dc
+    minus_g = [{c: -e for c, e in _support(row)} for row in g.entries]
     # gammas[a][b] = the nonzero (d, Γ^d_ab)
     gammas = [[[] for _ in range(n)] for _ in range(n)]
     for a, b, d, gamma in data.nonzero():
         gammas[a][b].append((d, gamma))
-    for a in range(n):
-        for b in range(n):
-            # the residual is symmetric in (b, c), so its first failure has b <= c
-            for c in range(b, n):
-                # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c),
-                # with g(∇_a e_b, e_c) = sum_d Γ^d_ab g_dc, as one zero test
-                residual = _dot(n, (
-                    (_frame_derivative(g.at(b, c), a), one),
-                    *((gamma, minus_g[d][c]) for d, gamma in gammas[a][b]),
-                    *((gamma, minus_g[d][b]) for d, gamma in gammas[a][c]),
-                ))
-                if not residual.is_zero():
-                    raise AssertionError(
-                        f"metric compatibility violated at (a,b,c)=({a},{b},{c})"
-                    )
-    for a in range(n):
-        for b in range(a + 1, n):
-            structure = _column(space, space.bracket_coeffs(a, b))
-            for c in range(n):
-                # Γ^c_ab - Γ^c_ba - c^c_ab, as one zero test
-                torsion = _dot(n, (
-                    (data.gamma(a, b, c), one), (data.gamma(b, a, c), minus_one),
-                    (structure[c], minus_one),
-                ))
-                if not torsion.is_zero():
-                    raise AssertionError(
-                        f"torsion-freeness violated at (a,b,c)=({a},{b},{c})"
-                    )
+
+    # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c),
+    # with g(∇_a e_b, e_c) = sum_d Γ^d_ab g_dc; the residual is symmetric in
+    # (b, c), so its first failure has b <= c
+    derivatives = {
+        (a, b, c): d
+        for b, row in enumerate(g.entries)
+        for c in range(b, n)
+        if not row[c].is_constant()
+        for a in range(n)
+        if not (d := row[c].diff(a)).is_zero()
+    }
+    triples = set(derivatives)
+    for a, b, d, _ in data.nonzero():
+        triples.update((a, min(b, c), max(b, c)) for c in minus_g[d])
+    for a, b, c in sorted(triples):
+        residual = _dot(n, (
+            (derivatives.get((a, b, c), space.zero()), one),
+            *((gamma, minus_g[d][c]) for d, gamma in gammas[a][b] if c in minus_g[d]),
+            *((gamma, minus_g[d][b]) for d, gamma in gammas[a][c] if b in minus_g[d]),
+        ))
+        if not residual.is_zero():
+            raise AssertionError(f"metric compatibility violated at (a,b,c)=({a},{b},{c})")
+
+    # Γ^c_ab - Γ^c_ba - c^c_ab
+    triples = {(min(a, b), max(a, b), c) for a, b, c, _ in data.nonzero() if a != b}
+    triples.update((i, j, k) for (i, j), coeffs in space.nonzero_brackets() if i < j for k in coeffs)
+    for a, b, c in sorted(triples):
+        structure = space.bracket_coeffs(a, b)
+        torsion = _dot(n, (
+            (data.gamma(a, b, c), one), (data.gamma(b, a, c), minus_one),
+            (space.scalar(structure[c]) if c in structure else space.zero(), minus_one),
+        ))
+        if not torsion.is_zero():
+            raise AssertionError(f"torsion-freeness violated at (a,b,c)=({a},{b},{c})")
 
 
 def covariant_derivative(

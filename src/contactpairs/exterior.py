@@ -30,11 +30,14 @@ the first vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Poly, RatFun, RfMatrix, _as_fraction, _dot
 
 Index = tuple[int, ...]
+
+_NO_BRACKET: Mapping[int, Fraction] = MappingProxyType({})
 
 __all__ = [
     "Space",
@@ -118,7 +121,7 @@ class Space:
     identity.
     """
 
-    __slots__ = ("kind", "names", "_sc", "_dforms")
+    __slots__ = ("kind", "names", "_sc", "_brackets", "_dforms")
 
     CHART = "chart"
     LIE = "lie"
@@ -129,6 +132,14 @@ class Space:
         if len(set(self.names)) != len(self.names):
             raise ValueError("coordinate/covector names must be distinct")
         self._sc = sc or {}
+        # (i, j) -> the nonzero c^k_{ij} of [X_i, X_j], both orders, indexed once
+        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j, k), c in self._sc.items():
+            if not c:
+                continue
+            brackets.setdefault((i, j), {})[k] = c
+            brackets.setdefault((j, i), {})[k] = -c
+        self._brackets = {ij: MappingProxyType(coeffs) for ij, coeffs in brackets.items()}
         self._dforms: dict[int, "Form"] = {}
 
     @classmethod
@@ -212,15 +223,14 @@ class Space:
 
     # Lie structure ------------------------------------------------------------
 
-    def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
-        """Coefficients of [X_i, X_j] in the frame (antisymmetric in i, j)."""
-        if i == j:
-            return {}
-        flip = i > j
-        if flip:
-            i, j = j, i
-        out = {k: c for (a, b, k), c in self._sc.items() if (a, b) == (i, j)}
-        return {k: -c for k, c in out.items()} if flip else out
+    def bracket_coeffs(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """Coefficients of [X_i, X_j] in the frame (antisymmetric in i, j),
+        read-only."""
+        return self._brackets.get((i, j), _NO_BRACKET)
+
+    def nonzero_brackets(self) -> Iterable[tuple[tuple[int, int], Mapping[int, Fraction]]]:
+        """Each ordered pair (i, j) with [X_i, X_j] ≠ 0 and its coefficients."""
+        return self._brackets.items()
 
     def covector_differential(self, k: int) -> "Form":
         """d of the k-th frame covector: -sum_{i<j} c^k_{ij} w_i ∧ w_j (the
@@ -431,11 +441,12 @@ class VectorField:
 
     @classmethod
     def basis(cls, space: Space, index: int) -> "VectorField":
-        return cls(space, [1 if i == index else 0 for i in range(space.dim)])
+        one, zero = space.one(), space.zero()
+        return cls(space, [one if i == index else zero for i in range(space.dim)])
 
     @classmethod
     def zero_field(cls, space: Space) -> "VectorField":
-        return cls(space, [0] * space.dim)
+        return cls(space, [space.zero()] * space.dim)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

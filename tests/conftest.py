@@ -32,6 +32,13 @@ def chart_rung(h, k):
     return load_fixture_dict(workloads.chart_model(h, k, random.Random(1)))
 
 
+def lie_rung(h, k):
+    """The lie-ladder rung h_{2h+1} × h_{2k+1} with the identity metric, as
+    the benchmark generates it from seed 1."""
+    workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
+    return load_fixture_dict(workloads.heisenberg_product(h, k, random.Random(1)))
+
+
 def dense_chart_rung(h, k):
     """The pair of :func:`chart_rung` pulled back by a unimodular x = U·w,
     the dense family of ``scripts/bench_pair_axioms.py``."""

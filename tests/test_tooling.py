@@ -1,5 +1,6 @@
 """The tooling around the package still fits it."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -28,3 +29,18 @@ def test_cli_import_loads_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=ROOT, env=env
     )
     assert out.stdout == "False\n"
+
+
+# perfbench/workloads._verb_mix reads these two fixtures from tests/fixtures,
+# outside the directory the benchmark declares as its own.  An edit to either
+# changes the verb-mix workload, so it must be a change to the benchmark.
+VERB_MIX_FIXTURES = {
+    "flat2_mcp.json": "7b9bc8efb2507beeb76c6d8f53a200c8e25b69290c27f4fbe5045fbeaab82da0",
+    "twisted.json": "4db85e9cc9baa39d6c6a4d361ecb0a81dd9643842978c6e29712c0e1006ee7ff",
+}
+
+
+def test_verb_mix_fixtures_outside_the_benchmark_are_unchanged():
+    for name, digest in VERB_MIX_FIXTURES.items():
+        data = (ROOT / "tests" / "fixtures" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
