@@ -38,11 +38,11 @@ structural nonzeros: an entry of a product is one ``_dot`` over the indices
 where both factors are nonzero, or the shared zero when there is none, and
 a sum keeps the other entry wherever one is zero.
 
-One elimination kernel: ``_rref`` gives the rank (its pivot count), solves,
-kernels and inverses; Bareiss is kept only for ``RfMatrix.det``.  Skew
-matrices have their own: ``pfaffian_minor`` eliminates fraction-free on 2×2
-pivot blocks and gives a nonzero principal Pfaffian minor of a requested
-order, or the proof that the rank is too small for one.
+Two elimination kernels: ``_rref`` gives the rank (its pivot count), solves,
+kernels and inverses over the function field; ``pfaffian_minor`` eliminates
+skew matrices fraction-free on 2×2 pivot blocks and gives a nonzero principal
+Pfaffian minor of a requested order, or the proof that the rank is too small
+for one, and ``RfMatrix.det`` is the Pfaffian of [[0, A], [−Aᵀ, 0]].
 """
 
 from __future__ import annotations
@@ -271,6 +271,8 @@ class Poly:
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        if len(self.terms) < 2 and not any(next(iter(self.terms), ())):
+            return next(iter(self.terms.values()), Fraction(0))  # a constant reads no point
         pt = [_as_fraction(x) for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -683,6 +685,8 @@ class RatFun:
         )
 
     def eval(self, point: Sequence) -> Fraction:
+        if self.den.is_constant():  # canonical: the denominator is 1
+            return self.num.eval(point)
         d = self.den.eval(point)
         if d == 0:
             raise ZeroDivisionError(f"denominator {self.den} vanishes at {format_point(point)}")
@@ -893,12 +897,16 @@ class RfMatrix:
         return [[e.eval(point) for e in row] for row in self.entries]
 
     def det(self) -> RatFun:
+        """det A = (−1)^{n(n−1)/2}·Pf([[0, A], [−Aᵀ, 0]]), by
+        :func:`pfaffian_minor`."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return RatFun.one(self.nvars)
-        cleared, scale = _cleared_rows(self)
-        return RatFun(_bareiss(cleared, self.nvars)) / scale
+        n = self.rows
+        zeros = (RatFun.zero(self.nvars),) * n
+        skew = [zeros + row for row in self.entries]
+        skew += [row + zeros for row in (-self).transpose().entries]
+        pfaffian, _ = pfaffian_minor(RfMatrix._of(self.nvars, tuple(skew), 2 * n), n)
+        return -pfaffian if n * (n - 1) // 2 % 2 else pfaffian
 
     def inverse(self) -> "RfMatrix":
         """Exact inverse by one Gauss–Jordan pass over ``[A | I]``.
@@ -952,55 +960,6 @@ def _over_common_denominator(vector: Sequence[RatFun], nvars: int) -> tuple[list
     if lcm.is_constant():  # every denominator is 1
         return [e.num for e in vector], lcm
     return [divexact(e.num * lcm, e.den) if not e.is_zero() else Poly.zero(nvars) for e in vector], lcm
-
-
-def _cleared_rows(matrix: RfMatrix) -> tuple[list[list[Poly]], RatFun]:
-    """Clear denominators row by row.  Returns polynomial rows and the RatFun
-    by which the determinant of the cleared matrix exceeds the original."""
-    nvars = matrix.nvars
-    scale = RatFun.one(nvars)
-    out: list[list[Poly]] = []
-    for row in matrix.entries:
-        polys, lcm = _over_common_denominator(row, nvars)
-        out.append(polys)
-        scale = scale * RatFun(lcm)
-    return out, scale
-
-
-def _bareiss(mat: list[list[Poly]], nvars: int) -> Poly:
-    """Determinant of a square polynomial matrix by fraction-free Gaussian
-    elimination (Bareiss).  Pivots are chosen by lowest total degree, ties
-    broken by column index."""
-    n = len(mat)
-    prev = Poly.const(nvars, 1)
-    sign = 1
-    for r in range(n):
-        best = None
-        for j in range(r, n):
-            for i in range(r, n):
-                e = mat[i][j]
-                if not e.is_zero():
-                    key = (e.total_degree(), j, i)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            return Poly.zero(nvars)
-        _, pi, pj = best
-        if pi != r:
-            mat[pi], mat[r] = mat[r], mat[pi]
-            sign = -sign
-        if pj != r:
-            for row in mat:
-                row[pj], row[r] = row[r], row[pj]
-            sign = -sign
-        pivot = mat[r][r]
-        for i in range(r + 1, n):
-            head = mat[i][r]
-            for j in range(r + 1, n):
-                mat[i][j] = divexact(mat[i][j] * pivot - head * mat[r][j], prev)
-            mat[i][r] = Poly.zero(nvars)
-        prev = pivot
-    return mat[n - 1][n - 1]._scaled(Fraction(sign))
 
 
 @dataclass(frozen=True)

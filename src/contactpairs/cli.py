@@ -361,7 +361,7 @@ CHECKS: dict[str, Check] = {
     "reeb": Check(("reeb_", "splittings"), _reeb, ("pair",), gate=True),
     "structure": Check(("structure_",), _structure, ("reeb",), ("phi",)),
     "decomposable": Check(
-        ("decomposable", "induced_almost_contact_"), _decomposable, ("structure",)
+        ("decomposable", "induced_almost_contact"), _decomposable, ("structure",)
     ),
     "metric": Check((), lambda ctx: None, ("reeb",), ("metric",), gate=True),
     "compatible": Check(("compatible",), _compatible, ("structure", "metric"), ("phi",)),
@@ -482,13 +482,13 @@ def _evaluate(ctx: _Context, verb: str) -> None:
 
 
 def _filter_report(report: Report, verb: str) -> Report:
-    """Keep what the verb's checks wrote, plus the failed verdicts of the
-    prerequisites the run evaluated (a verb cannot exit 0 when the checks it
-    builds on are broken)."""
+    """Keep what the verb's checks wrote under their names and keys, plus the
+    failed verdicts of the prerequisites the run evaluated (a verb cannot exit
+    0 when the checks it builds on are broken)."""
     targets = VERBS[verb]
     if targets is None:
         return report
-    keys = tuple(key for name in targets for key in CHECKS[name].keys)
+    keys = (*targets, *(key for name in targets for key in CHECKS[name].keys))
     report.verdicts = {
         name: v for name, v in report.verdicts.items() if name.startswith(keys) or not v.ok
     }

@@ -622,22 +622,36 @@ def interior(field: VectorField, a: Form) -> Form:
     return a.contract(field)
 
 
-def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket, [X,Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij}."""
-    _check_same_space(x, y)
-    space = x.space
-    one, minus_one = space.one(), space.scalar(-1)
-    terms: list[list[tuple[RatFun, RatFun]]] = [[] for _ in range(space.dim)]
-    for k, (xk, yk) in enumerate(zip(x.components, y.components)):
-        terms[k].append((directional_derivative(x, yk), one))
+def _bracket_matrix(field: VectorField) -> RfMatrix:
+    """B_X, whose column b is [X, e_b]: B[k][b] = -e_b X^k + sum_i X^i c^k_{ib},
+    summed from the derivatives of the non-constant components of X and the
+    nonzero structure constants; every other entry is the shared zero."""
+    space, n = field.space, field.space.dim
+    minus_one = space.scalar(-1)
+    terms: dict[tuple[int, int], list[tuple[RatFun, RatFun]]] = {}
+    for k, xk in enumerate(field.components):
         if not xk.is_constant():
-            terms[k].append((directional_derivative(y, xk), minus_one))
-    for (i, j, k), c in space._sc.items():  # i < j; c^k_{ji} = -c^k_{ij}
-        for a, b, coeff in ((i, j, c), (j, i, -c)):
-            xa, yb = x.components[a], y.components[b]
-            if not (xa.is_zero() or yb.is_zero()):
-                terms[k].append((xa, yb * coeff))
-    return VectorField(space, [_dot(space.dim, pairs) for pairs in terms])
+            for b in range(n):
+                if not (dxk := xk.diff(b)).is_zero():
+                    terms.setdefault((k, b), []).append((dxk, minus_one))
+    for (i, b), coeffs in space.nonzero_brackets():  # _dot drops a zero X^i
+        for k, c in coeffs.items():
+            terms.setdefault((k, b), []).append((field.components[i], space.scalar(c)))
+    rows = [[space.zero()] * n for _ in range(n)]
+    for (k, b), pairs in terms.items():
+        rows[k][b] = _dot(n, pairs)
+    return RfMatrix._of(n, tuple(map(tuple, rows)), n)
+
+
+def bracket(x: VectorField, y: VectorField) -> VectorField:
+    """Lie bracket, [X, Y] = X(Y) + B_X·Y over the bracket matrix B_X, which is
+    [X,Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij}."""
+    _check_same_space(x, y)
+    applied = _bracket_matrix(x).apply(y.components)
+    return VectorField(x.space, [
+        bk if yk.is_constant() else bk + directional_derivative(x, yk)
+        for bk, yk in zip(applied, y.components)
+    ])
 
 
 def directional_derivative(field: VectorField, f: RatFun) -> RatFun:
@@ -660,7 +674,7 @@ def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:
 
         L_X Φ = X(Φ) + BΦ - ΦB,    L_X G = X(G) - BᵀG - GB,
 
-    with X(·) applied entrywise; B takes n brackets."""
+    with X(·) applied to the non-constant entries; B is formed once."""
     space = field.space
     if isinstance(tensor, Form):
         _check_same_space(field, tensor)
@@ -672,14 +686,12 @@ def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:
         return bracket(field, tensor)
     if isinstance(tensor, (EndoField, MetricField)):
         _check_same_space(field, tensor)
-        n = space.dim
-        columns = [bracket(field, VectorField.basis(space, b)).components for b in range(n)]
-        b_matrix = RfMatrix(n, columns).transpose()
+        b_matrix = _bracket_matrix(field)
         left = b_matrix if isinstance(tensor, EndoField) else -b_matrix.transpose()
         m = tensor.matrix
-        derivative = RfMatrix(
-            n, [[directional_derivative(field, e) for e in row] for row in m.entries]
-        )
+        derivative = RfMatrix._of(space.dim, tuple(
+            tuple(directional_derivative(field, e) for e in row) for row in m.entries
+        ), space.dim)
         return type(tensor)(space, derivative + left @ m - m @ b_matrix)
     raise TypeError(f"cannot take a Lie derivative of {type(tensor).__name__}")
 

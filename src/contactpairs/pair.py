@@ -296,15 +296,17 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
         fields.append(VectorField(pair.space, sol.particular))
     z1, z2 = fields
 
+    # rows a1, a2, then the contraction rows of d alpha1 and d alpha2
+    residual = system @ column_matrix(pair.space, fields)
     for i in (1, 2):
-        for j, z in ((1, z1), (2, z2)):
-            value = pair.alpha(i)(z)
-            expected = pair.space.one() if i == j else pair.space.zero()
-            if value != expected:
+        for j in (1, 2):
+            column = residual.column(j - 1)
+            value, rows = column[i - 1], column[2 + (i - 1) * n:2 + i * n]
+            if value != (1 if i == j else 0):
                 raise ReebSolveError(
                     f"alpha{i}(Z{j}) = {value.format(pair.space.names)}, expected {int(i == j)}"
                 )
-            contraction = pair.dalpha(i).contract(z)
+            contraction = Form(pair.space, 1, {(b,): c for b, c in enumerate(rows)})
             if not contraction.is_zero():
                 raise ReebSolveError(f"i_Z{j} d alpha{i} = {contraction} is nonzero")
     commutator = bracket(z1, z2)

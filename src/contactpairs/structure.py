@@ -10,8 +10,9 @@ fields.
 
 Each identity is a matrix product, with Z = (Z1 Z2), A the rows alpha1,
 alpha2 and F the column matrix of a frame: phi^2 + Id - Z A, phi Z and
-A phi; A (phi F) for decomposability; and phi^2 F + F - Z_i (alpha_i F) on
-the leaves, shared with the leafwise contact metric check.
+A phi; A (phi F) and W_i^T (phi F), W_i the table of d alpha_i, for
+decomposability; and phi^2 F + F - Z_i (alpha_i F) on the leaves, shared
+with the leafwise contact metric check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .algebra import RatFun, RfMatrix, generic_rank
-from .exterior import EndoField, VectorField
+from .exterior import EndoField
 from .pair import DistributionFrame, VerifiedPair, column_matrix
 from .verdicts import Verdict, matrix_residual_entries, residual_verdict
 
@@ -127,15 +128,15 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
     vp = cps.vp
     residuals = []
     for i in (1, 2):
-        dalpha = vp.pair.dalpha(i)
         images = cps.phi.matrix @ vp.tf(i).matrix
         alpha_images = (vp._alpha_matrix @ images).row(i - 1)
+        # column p of W_i^T (phi F_i) is i_{phi v_p} d alpha_i
+        contractions = vp.pair.dalpha_table(i).transpose() @ images
         for idx in range(images.cols):
             residuals.append((f"alpha{i}(phi TF{i}[{idx}])", alpha_images[idx]))
-            contraction = dalpha.contract(VectorField(vp.space, images.column(idx)))
             residuals.extend(
                 (f"(i_(phi TF{i}[{idx}]) d alpha{i})[{vp.space.names[b]}]", c)
-                for (b,), c in contraction.coeffs.items()
+                for b, c in enumerate(contractions.column(idx))
             )
     return residual_verdict(
         residuals,

@@ -584,6 +584,24 @@ def _random_qxy_matrices(seed, count):
         yield mat, deficient
 
 
+def test_det_matches_sympy():
+    """RfMatrix.det, the Pfaffian of [[0, A], [-A^T, 0]], against sympy's
+    determinant over Q(x, y) on random 2 x 2 to 4 x 4 matrices whose entries
+    have denominators."""
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=10, deadline=None)
+    @given(square_matrices())
+    def check(m):
+        ours = m.det()
+        theirs = _sympy_field_matrix(sympy, m.entries)
+        theirs = theirs.domain.to_sympy(theirs.det())
+        ours = _poly_to_sympy(sympy, ours.num) / _poly_to_sympy(sympy, ours.den)
+        assert sympy.cancel(ours - theirs) == 0, m.entries
+
+    check()
+
+
 def test_generic_rank_matches_sympy():
     """generic_rank against sympy's exact rank over Q(x, y) on random
     matrices, some of them rank-deficient."""

@@ -459,22 +459,48 @@ def test_lie_derivative_of_tensors_on_non_basis_fields(rng, backend):
 
 
 @pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
-def test_lie_derivative_of_tensors_makes_n_brackets(rng, backend, monkeypatch):
-    """The bracket matrix is formed once: one bracket [X, e_b] per basis field."""
+def test_lie_derivative_of_tensors_forms_the_bracket_matrix_once(rng, backend, monkeypatch):
+    """L_X phi and L_X g read one bracket matrix B_X and call no bracket."""
     s = FRAME_BACKENDS[backend]()
     phi, g = _random_tensors(rng, s)
     x = _random_field(rng, s)
-    calls = []
+    calls = {"bracket": 0, "_bracket_matrix": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return bracket(*args)
+    def counted(name):
+        original = getattr(exterior, name)
 
-    monkeypatch.setattr(exterior, "bracket", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(exterior, name, counted(name))
     for tensor in (phi, g):
-        calls.clear()
+        calls.update(bracket=0, _bracket_matrix=0)
         lie_derivative(x, tensor)
-        assert len(calls) == s.dim
+        assert calls == {"bracket": 0, "_bracket_matrix": 1}
+
+
+@pytest.mark.parametrize("backend", sorted(FRAME_BACKENDS))
+def test_bracket_is_the_frame_formula(rng, backend):
+    """[X,Y]^k = X(Y^k) - Y(X^k) + sum_{i,j} X^i Y^j c^k_{ij}, summed term by
+    term from the structure constants of each index pair."""
+    s = FRAME_BACKENDS[backend]()
+    for _ in range(6):
+        x, y = _random_field(rng, s), _random_field(rng, s)
+        expected = []
+        for k in range(s.dim):
+            value = directional_derivative(x, y.components[k]) - directional_derivative(
+                y, x.components[k]
+            )
+            for i in range(s.dim):
+                for j in range(s.dim):
+                    c = s.bracket_coeffs(i, j).get(k, 0)
+                    value = value + x.components[i] * y.components[j] * c
+            expected.append(value)
+        assert bracket(x, y) == VectorField(s, expected)
 
 
 def test_lie_derivative_of_constant_tensors_on_nilpotent():

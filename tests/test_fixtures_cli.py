@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactpairs.cli import CHECKS, VerbUsageError, main, run
+from contactpairs.cli import CHECKS, VERBS, VerbUsageError, main, run
 from contactpairs.fixtures import (
     FixtureError,
     bundled_fixture_names,
@@ -405,6 +405,37 @@ def test_failed_structure_is_the_skip_reason(capsys):
         assert report.skipped[key] == reason, key
     assert main(["compatible", str(fixture_path("bad_phi.json"))]) == 1
     assert f"compatible: skipped ({reason})" in capsys.readouterr().out
+
+
+ALL_FIXTURES = [bundled_fixture_path(n) for n in bundled_fixture_names()] + sorted(
+    FIXTURE_DIR.glob("*.json")
+)
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_single_verbs_keep_the_skip_records_of_their_checks(path):
+    """A skip record that ``theorems`` writes for a check, under the check's
+    name or under one of its report names that names no other check, is in
+    the report of every single verb naming that check, with the same reason,
+    unless the verb ran the check."""
+    try:
+        everything = run("theorems", path)
+    except FixtureError:
+        return
+    for verb, targets in VERBS.items():
+        if targets is None:
+            continue
+        try:
+            report = run(verb, path)
+        except VerbUsageError:
+            continue
+        for name in targets:
+            keys = CHECKS[name].keys
+            if any(v.startswith(keys) for v in report.verdicts):
+                continue  # the verb ran the check
+            for record, reason in everything.skipped.items():
+                if record == name or (record not in CHECKS and record.startswith(keys)):
+                    assert report.skipped.get(record) == reason, (verb, record)
 
 
 def _flat2_with(tmp_path, metric, points):

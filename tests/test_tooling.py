@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,18 @@ def test_verb_mix_fixtures_outside_the_benchmark_are_unchanged():
     for name, digest in VERB_MIX_FIXTURES.items():
         data = (ROOT / "tests" / "fixtures" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_optional_test_imports_are_declared_test_extras():
+    """Every module a test imports through ``pytest.importorskip`` is in the
+    ``test`` extras, so an install from them runs the oracles instead of
+    skipping them without a word."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extras = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    declared = {name.lower() for name in re.findall(r"\"([A-Za-z0-9_.-]+)", extras)}
+    skipped = {
+        name.lower()
+        for path in (ROOT / "tests").glob("*.py")
+        for name in re.findall(r"importorskip\(\"([^\"]+)\"\)", path.read_text(encoding="utf-8"))
+    }
+    assert skipped and skipped <= declared, skipped - declared

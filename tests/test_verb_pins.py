@@ -3,9 +3,10 @@ error), each reported verdict with its status, and each skip with its reason.
 On ``oblique_g6``, whose characteristic foliations are not orthogonal, the
 ``orthogonal`` and ``theorems`` reports are pinned with their witnesses too.
 
-A verb reports the checks it names and the failed checks they build on; the
-table pins that set for every verb.  Float residuals and outputs are left
-out, because their last digits depend on the platform's floating point.
+A verb reports the checks it names, with the skip record of each that could
+not run, and the failed checks they build on; the table pins that set for
+every verb.  Float residuals and outputs are left out, because their last
+digits depend on the platform's floating point.
 """
 
 import re
@@ -172,7 +173,7 @@ PINS = {
     ("r6_example", "decomposable"): (
         1,
         {"Failed": "decomposable"},
-        {},
+        {"induced_almost_contact": "requires decomposable phi"},
     ),
     ("r6_example", "compatible"): (
         0,
@@ -218,12 +219,12 @@ PINS = {
     ("r6_example", "killing"): (
         1,
         {"Failed": "associated"},
-        {},
+        {"killing": "requires an associated metric"},
     ),
     ("r6_example", "leaves"): (
         1,
         {"Failed": "associated decomposable"},
-        {},
+        {"leaves": "requires an associated metric and decomposable phi"},
     ),
     ("r6_example", "theorems"): (
         1,
@@ -398,12 +399,12 @@ PINS = {
     ("bad_phi", "killing"): (
         1,
         {"Failed": "structure_alpha_phi structure_phi_reeb structure_rank"},
-        {},
+        {"killing": "structure identities failed: structure_phi_reeb"},
     ),
     ("bad_phi", "leaves"): (
         1,
         {"Failed": "structure_alpha_phi structure_phi_reeb structure_rank"},
-        {},
+        {"leaves": "requires an associated metric and decomposable phi"},
     ),
     ("bad_phi", "theorems"): (
         1,
