@@ -188,20 +188,25 @@ def _top_level(data) -> None:
         raise FixtureError(f"expected 'chart' or 'lie', got {backend!r}", "$.backend")
 
 
-def _parse_scalar(text: str, space: Space, path: str) -> RatFun:
-    try:
-        return parse_expression(text, space)
-    except ExpressionError as exc:
-        raise FixtureError(f"bad expression {text!r}: {exc}", path) from exc
+def _parse_scalar(text: str, space: Space, path: str, parsed: dict[str, RatFun]) -> RatFun:
+    """The entry ``text``, parsed once per load: ``parsed`` holds the entries
+    the load has parsed so far, by text (a RatFun is canonical, so a shared
+    value is the value a second parse would give)."""
+    if text not in parsed:
+        try:
+            parsed[text] = parse_expression(text, space)
+        except ExpressionError as exc:
+            raise FixtureError(f"bad expression {text!r}: {exc}", path) from exc
+    return parsed[text]
 
 
-def _parse_matrix(value, space: Space, path: str):
+def _parse_matrix(value, space: Space, path: str, parsed: dict[str, RatFun]):
     n = space.dim
     rows = _string_rows(value, path)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise FixtureError(f"matrix must be {n}x{n}", path)
     return [
-        [_parse_scalar(rows[i][j], space, f"{path}[{i}][{j}]") for j in range(n)]
+        [_parse_scalar(rows[i][j], space, f"{path}[{i}][{j}]", parsed) for j in range(n)]
         for i in range(n)
     ]
 
@@ -247,7 +252,7 @@ def _build_space(data: dict) -> Space:
         raise FixtureError(str(exc), "$.structure_equations") from exc
 
 
-def _build_one_form(data: dict, key: str, space: Space) -> Form:
+def _build_one_form(data: dict, key: str, space: Space, parsed: dict[str, RatFun]) -> Form:
     coeffs = {}
     for name, text in _typed(data[key], dict, f"$.{key}", 1).items():
         try:
@@ -255,7 +260,7 @@ def _build_one_form(data: dict, key: str, space: Space) -> Form:
         except KeyError:
             raise FixtureError(f"unknown covector/coordinate {name!r}", f"$.{key}")
         path = f"$.{key}.{name}"
-        coeffs[(idx,)] = _parse_scalar(_typed(text, str, path), space, path)
+        coeffs[(idx,)] = _parse_scalar(_typed(text, str, path), space, path, parsed)
     try:
         return Form(space, 1, coeffs)
     except ValueError as exc:
@@ -277,8 +282,9 @@ def load_fixture_dict(data: dict) -> FixtureDoc:
             "$.type",
         )
 
-    alpha1 = _build_one_form(data, "alpha1", space)
-    alpha2 = _build_one_form(data, "alpha2", space)
+    parsed: dict[str, RatFun] = {}
+    alpha1 = _build_one_form(data, "alpha1", space, parsed)
+    alpha2 = _build_one_form(data, "alpha2", space, parsed)
 
     sample_points = []
     for p, point in enumerate(_string_rows(data["sample_points"], "$.sample_points", 1)):
@@ -299,7 +305,7 @@ def load_fixture_dict(data: dict) -> FixtureDoc:
     tensors = {}
     for key, kind in (("phi", EndoField), ("metric", MetricField), ("aux_metric", MetricField)):
         if key in data:
-            entries = _parse_matrix(data[key], space, f"$.{key}")
+            entries = _parse_matrix(data[key], space, f"$.{key}", parsed)
             try:
                 tensors[key] = kind(space, entries)
             except ValueError as exc:

@@ -415,8 +415,7 @@ def build_associated_by_polarization(
         phi_blocks.append(phi_block)
         g_blocks.append(g_block)
 
-    basis = column_matrix(vp.space, [*tg1, *tg2, vp.z1, vp.z2])
-    basis_inv = basis.inverse()
+    basis, basis_inv = vp._adapted_basis
 
     zero = RatFun.zero(n)
     phi_b = [[zero for _ in range(n)] for _ in range(n)]

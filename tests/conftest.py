@@ -41,8 +41,8 @@ def lie_rung(h, k):
 
 def dense_chart_rung(h, k):
     """The pair of :func:`chart_rung` pulled back by a unimodular x = U·w,
-    the dense family of ``scripts/bench_pair_axioms.py``."""
-    bench = _module("bench_pair_axioms", ROOT / "scripts" / "bench_pair_axioms.py")
+    the dense family of ``scripts/bench.py``."""
+    bench = _module("bench", ROOT / "scripts" / "bench.py")
     return load_fixture_dict(bench.dense_model(h, k))
 
 

@@ -21,6 +21,8 @@ from contactpairs.fixtures import (
 from contactpairs.pair import Status
 from contactpairs.report import render_report
 
+from conftest import lie_rung
+
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
@@ -497,6 +499,36 @@ def test_bad_matrix_entry_names_its_path_once(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: $.{key}[0][1]: bad expression '1/': ")
     assert err.count("$.") == 1
+
+
+def test_repeated_bad_entry_names_its_first_path(tmp_path, capsys):
+    """Each distinct entry text is parsed once per load, and a malformed one
+    still fails where it first occurs."""
+    data = json.loads(fixture_path("flat2_mcp.json").read_text())
+    data["phi"] = [["0", "1"], ["1/", "1/"]]
+    path = tmp_path / "repeated_bad_entry.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-pair", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: $.phi[1][0]: bad expression '1/': ")
+
+
+def test_load_parses_each_distinct_entry_text_once(monkeypatch):
+    from contactpairs import fixtures
+
+    data = lie_rung(3, 3).raw
+    texts = [*data["alpha1"].values(), *data["alpha2"].values()]
+    texts += [e for key in ("phi", "metric", "aux_metric") if key in data
+              for row in data[key] for e in row]
+    parsed = []
+
+    def counted(text, space, _inner=fixtures.parse_expression):
+        parsed.append(text)
+        return _inner(text, space)
+
+    monkeypatch.setattr(fixtures, "parse_expression", counted)
+    load_fixture_dict(data)
+    assert len(texts) > len(set(texts))
+    assert sorted(parsed) == sorted(set(texts))
 
 
 def test_pole_on_the_rk4_trajectory_is_a_skip(tmp_path):

@@ -301,6 +301,19 @@ def test_polarization_decomposable_flag(local_model):
     assert is_associated(cps_new, g).ok
 
 
+def test_both_polarizations_invert_the_adapted_basis_once(local_model, monkeypatch):
+    """The basis [TG1 TG2 Z1 Z2] and its inverse are cached on the verified
+    pair, so the joint and the per-block polarization share one inverse."""
+    vp = verified_pair(local_model.vp.pair)
+    k_aux = MetricField.euclidean(vp.space)
+    inverted = []
+    inverse = RfMatrix.inverse
+    monkeypatch.setattr(RfMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    for decomposable in (False, True):
+        build_associated_by_polarization(vp, k_aux, decomposable=decomposable)
+    assert len(inverted) == 1
+
+
 def test_polarization_random_aux_joint_agreement(nilpotent, rng):
     """Joint polarization with a generic auxiliary metric mixes the blocks:
     decomposability and orthogonality then fail together."""

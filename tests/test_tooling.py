@@ -10,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+BENCH = ROOT / "scripts" / "bench.py"
 
 
 def test_trace_boundaries_resolve():
@@ -19,6 +20,26 @@ def test_trace_boundaries_resolve():
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
     layertrace.check_boundaries()
+
+
+def test_bench_jobs_measure_their_smallest_case(tmp_path, monkeypatch):
+    """Each job of ``scripts/bench.py`` builds its cases and measures the
+    smallest one in-process on this tree, so a renamed function or a broken
+    import fails here rather than in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_under_test", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the jobs prepend src/ and perfbench/
+    spec.loader.exec_module(bench)
+    for name, job in bench.JOBS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        case = {**min(job.cases(workdir), key=lambda c: c["dim"]), "calls": 1}
+        rows = job.measure(ROOT, case)
+        assert rows, name
+        for row in rows:
+            assert isinstance(row["seconds"], float) and row["seconds"] > 0, (name, row)
+            assert "result" in row, (name, row)
 
 
 def test_cli_import_loads_no_numpy():
