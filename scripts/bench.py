@@ -26,9 +26,12 @@ finished.  The jobs:
     chart-ladder rungs (1,1), (2,1), (2,2) and on the lie-ladder rung (3,3)
     (fixtures from ``perfbench/workloads.py``, seed 1), and on the
     ``geodesy`` and ``build-compatible`` items of ``verb-mix``.  A call's
-    result is the residual's ``repr`` for RK4, a digest of the entries
-    (printed with sorted terms) for the inverse and the symbols.  A
-    ``christoffel`` call includes the ``inverse`` call it makes.
+    result is the residual's ``repr`` for RK4, a digest of the entries for
+    the inverse, and for ``christoffel`` the count and a digest of its
+    nonzero symbols (``ChristoffelData.nonzero()``).  Those are the symbols
+    of the first kind, g(∇_a e_b, e_k), computed with no inverse; a tree
+    whose ``christoffel`` still returns the second kind, Γ^c_ab by g⁻¹, gives
+    another result there by design.
 ``pair-axioms``
     Times ``verify_contact_pair`` on a loaded pair (``PAIR_CALLS`` times on a
     freshly loaded pair each, the median kept; a dense case is called once
@@ -218,7 +221,8 @@ def measure_calls(tree: Path, case: dict) -> list[dict]:
         (algebra.RfMatrix, "inverse", "inverse",
          lambda m: f"{m.rows}x{m.cols} {_digest(e for row in m.entries for e in row)}"),
         (connection, "christoffel", "christoffel",
-         lambda d: f"dim {d.space.dim} {_digest(e for _, _, _, e in d.nonzero())}"),
+         lambda d: f"dim {d.space.dim} nonzero {len(d.nonzero())} "
+                   f"{_digest(e for _, _, _, e in d.nonzero())}"),
     )
     originals = [getattr(owner, name) for owner, name, _, _ in patches]
     for (owner, name, kind, result_of), inner in zip(patches, originals):

@@ -67,7 +67,6 @@ from .connection import (
     ChristoffelData,
     GeodesyReport,
     christoffel,
-    covariant_derivative,
     numeric_geodesic_residual,
     reeb_geodesy,
 )
@@ -96,8 +95,8 @@ __all__ = [
     "are_foliations_orthogonal", "killing_check", "verify_restricted_contact_metric",
     "LeafContactMetric", "LeafMCP",
     # connection
-    "ChristoffelData", "GeodesyReport", "christoffel", "covariant_derivative",
-    "reeb_geodesy", "numeric_geodesic_residual",
+    "ChristoffelData", "GeodesyReport", "christoffel", "reeb_geodesy",
+    "numeric_geodesic_residual",
     # fixtures & CLI plumbing
     "parse_expression", "ExpressionError", "FixtureDoc", "FixtureError",
     "load_fixture", "bundled_fixture_path", "Report",

@@ -90,7 +90,8 @@ class _Context:
     share, each computed at most once.  The pair and structure verdicts are
     handed to the constructors that would re-derive them, ``d alpha_i`` is
     memoised on the pair, the decomposable verdict on the structure, and each
-    metric's Christoffel symbols travel inside its geodesy report."""
+    metric's Christoffel symbols of the first kind travel inside its geodesy
+    report to its RK4 cross-check."""
 
     def __init__(self, doc: FixtureDoc, verb: str):
         self.doc = doc
@@ -229,8 +230,9 @@ def _leaves(ctx: _Context) -> None:
 
 def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
     """Exact Reeb geodesy of ``g`` and, on a chart, the RK4 cross-check on the
-    same Christoffel symbols.  A Lie frame skips it: its fields and symbols
-    are constant, so the check would only re-evaluate the constant ∇_Z Z."""
+    same Christoffel symbols of the first kind, raised only where a Reeb
+    field meets them.  A Lie frame skips it: its fields and symbols are
+    constant, so the check would only re-evaluate the constant ∇_Z Z."""
     report = ctx.report
     try:
         geo = reeb_geodesy(ctx.vp, g)

@@ -1,47 +1,44 @@
 """Levi-Civita connection of a frame, the Reeb geodesy checks, and a
 fixed-step RK4 cross-check of the geodesic equation.
 
-The connection coefficients of a frame e_1, ..., e_n (a chart or a Lie
-frame, see :mod:`contactpairs.exterior`) come from the Koszul formula
+The connection of a frame e_1, ..., e_n (a chart or a Lie frame, see
+:mod:`contactpairs.exterior`) is held by its Christoffel symbols of the first
+kind L_{ab,k} = g(∇_{e_a} e_b, e_k), the Koszul formula
 
     2 g(∇_{e_a} e_b, e_k) = e_a g_bk + e_b g_ak - e_k g_ab
                             + g([e_a,e_b], e_k) - g([e_b,e_k], e_a)
                             + g([e_k,e_a], e_b),
 
-contracted once with the exact inverse of the metric (one Gauss–Jordan
-pass over the function field), so theorem checks stay exact.  On a chart
-the bracket terms vanish and this is the coordinate formula; on a Lie frame
-the derivative terms vanish and it is the constant Koszul formula.
+exact over the function field.  On a chart the bracket terms vanish and this
+is the coordinate formula; on a Lie frame the derivative terms vanish and it
+is the constant Koszul formula.  No symbol needs g⁻¹.
 
 The assembly touches only structural nonzeros.  The Koszul sums come from
 two sources: the nonzero derivatives e_a g_pq of the non-constant metric
 entries, and the nonzero values g([e_i, e_j], e_k) of the brackets of the
-indexed structure constants.  Each such term enters three lowered symbols
-with weight ±½, at its place in the formula above, and each lowered symbol
-is one ``algebra._dot`` over its terms.  Each lowered g(∇_a e_b, e_k) is
-then contracted with the nonzero entries of column k of g⁻¹, one ``_dot``
-per symbol, and a symbol that gets no term is the shared zero.  On the
-Heisenberg product h_7 × h_7 (dim 14) 36 of the 2744 symbols are nonzero.
+indexed structure constants.  Each such term enters three symbols with
+weight ±½, at its place in the formula above, and each symbol is one
+``algebra._dot`` over its terms; a symbol that gets no term is the shared
+zero.  Torsion-freeness and metric compatibility are this formula's own
+algebra, so they are not re-checked on every run: the tests hold them as
+the oracle of the kernel.
 
-The validation makes the same exact zero tests as a loop over every index:
-metric compatibility, e_a g_bc − Σ_d Γ^d_ab g_dc − Σ_d Γ^d_ac g_db = 0, at
-(a, b ≤ c), then torsion-freeness, Γ^c_ab − Γ^c_ba − c^c_ab = 0, at
-(a < b, c), each one ``_dot``.  It tests only the triples that carry a term
-(a derivative, a product Γ·g with both factors nonzero, a nonzero symbol or
-a structure constant), in the loop's order, so the first failure and its
-message are the loop's; the residual of any other triple is identically
-zero.  A connection that passes costs no gcd there: each identically zero
-residual has a zero numerator over its common denominator.
+The geodesy theorems are zero tests, so they are decided on covectors:
+(∇_X Y)♭_k = g(X(Y), e_k) + Σ X^a Y^b L_{ab,k} vanishes exactly when
+∇_X Y does, since g is nondegenerate.  Only a nonzero covector is raised to
+the vector it is g-dual to, by one exact solve, so that a witness names
+vector components.
 
 The RK4 cross-check is the numeric part, on plain Python floats.  It steps
 the flow of a Reeb field Z, each quotient it evaluates compiled to a pair of
 float programs once per call; a field component that reads no coordinate
 has the same value at every stage, so its increment is computed once per
 call.  The geodesic equation along the flow only needs Γ(Z, Z), the Γ terms
-of the exact ∇_Z Z, so those are contracted exactly once per call, and the
-residual pass evaluates them point by point beside a fourth-order
-five-point stencil for the acceleration.  The contraction is left as one
-quotient per distinct denominator, not reduced: the cross-check does no gcd.
+of the exact ∇_Z Z, so those are raised and contracted exactly once per
+call, and the residual pass evaluates them point by point beside a
+fourth-order five-point stencil for the acceleration.  The contraction is
+left as one quotient per distinct denominator, not reduced: the cross-check
+does no gcd.
 """
 
 from __future__ import annotations
@@ -52,9 +49,18 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Poly, RatFun, SingularMatrixError, _dot, _support, format_point
+from .algebra import (
+    InconsistentSystemError,
+    Poly,
+    RatFun,
+    RfMatrix,
+    _dot,
+    _support,
+    format_point,
+    solve_linear_exact,
+)
 from .exterior import MetricField, Space, VectorField, directional_derivative
-from .pair import VerifiedPair, _reeb_gram, column_matrix
+from .pair import VerifiedPair, _reeb_gram
 from .structure import PreconditionError
 from .verdicts import Verdict, residual_verdict
 
@@ -63,67 +69,66 @@ __all__ = [
     "GeodesyReport",
     "DegenerateMetricError",
     "christoffel",
-    "covariant_derivative",
     "reeb_geodesy",
     "numeric_geodesic_residual",
 ]
 
 
 class DegenerateMetricError(ArithmeticError):
-    """The metric is singular over the function field."""
+    """The metric is singular."""
 
 
 @dataclass(frozen=True)
 class ChristoffelData:
-    """Connection coefficients: symbols[a][b][c] is the coefficient of basis
-    direction c in ∇_{e_a} e_b."""
+    """Christoffel symbols of the first kind: symbols[a][b][k] is
+    g(∇_{e_a} e_b, e_k)."""
 
     space: Space
     metric: MetricField
     symbols: tuple[tuple[tuple[RatFun, ...], ...], ...]
 
-    def gamma(self, a: int, b: int, c: int) -> RatFun:
-        return self.symbols[a][b][c]
+    def gamma(self, a: int, b: int, k: int) -> RatFun:
+        return self.symbols[a][b][k]
 
     def nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
-        """Every (a, b, c, Γ^c_ab) with a nonzero symbol, found once."""
+        """Every (a, b, k, L_{ab,k}) with a nonzero symbol, found once."""
         return self._nonzero
 
     @cached_property
     def _nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
         n = self.space.dim
         return tuple(
-            (a, b, c, self.symbols[a][b][c])
+            (a, b, k, self.symbols[a][b][k])
             for a in range(n)
             for b in range(n)
-            for c in range(n)
-            if not self.symbols[a][b][c].is_zero()
+            for k in range(n)
+            if not self.symbols[a][b][k].is_zero()
         )
 
+    def raised(self, a: int, b: int) -> tuple[RatFun, ...]:
+        """Γ^·_ab, the vector g⁻¹ L_{ab,·}, by one exact solve, memoised."""
+        if (a, b) not in self._raised:
+            self._raised[a, b] = _raised(self.metric, self.symbols[a][b])
+        return self._raised[a, b]
 
-def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
-    """Levi-Civita connection coefficients of ``g`` (exact).
+    @cached_property
+    def _raised(self) -> dict[tuple[int, int], tuple[RatFun, ...]]:
+        return {}
 
-    Raises :class:`DegenerateMetricError` when the metric matrix is singular
-    over the function field.  With ``validate`` the defining properties
-    (symmetry/torsion-freeness and metric compatibility) are re-checked
-    exactly before returning."""
+
+def christoffel(g: MetricField) -> ChristoffelData:
+    """The Christoffel symbols of the first kind of ``g``, exact."""
     space = g.space
     n = space.dim
-    try:
-        g_inv = g.matrix.inverse()
-    except SingularMatrixError as exc:
-        raise DegenerateMetricError("metric is degenerate over the function field") from exc
-
-    # lowered[a, b][k][slot] is the slot-th term of the Koszul formula for
+    # terms[a, b][k][slot] is the slot-th term of the Koszul formula for
     # g(∇_a e_b, e_k), in the order e_a g_bk, e_b g_ak, e_k g_ab,
     # g([e_a,e_b],e_k), g([e_b,e_k],e_a), g([e_k,e_a],e_b); each derivative
     # D = e_a g_pq and each bracket value B = g([e_i,e_j],e_k) fills one slot
     # of three symbols
-    lowered: dict[tuple[int, int], dict[int, list]] = {}
+    terms: dict[tuple[int, int], dict[int, list]] = {}
 
     def enter(a: int, b: int, k: int, slot: int, value: RatFun) -> None:
-        lowered.setdefault((a, b), {}).setdefault(k, [None] * 6)[slot] = value
+        terms.setdefault((a, b), {}).setdefault(k, [None] * 6)[slot] = value
 
     for p, row in enumerate(g.matrix.entries):
         for q, entry in enumerate(row):
@@ -143,29 +148,14 @@ def christoffel(g: MetricField, validate: bool = True) -> ChristoffelData:
 
     half, minus_half = space.scalar(Fraction(1, 2)), space.scalar(Fraction(-1, 2))
     weights = (half, half, minus_half, half, minus_half, half)
-    g_inv_columns = [_support(g_inv.column(k)) for k in range(n)]
     zero = space.zero()
     symbols = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for (a, b), terms in lowered.items():
-        # Γ^c_ab = Σ_k g^ck g(∇_a e_b, e_k), over the nonzero g^ck of column k
-        contraction: dict[int, list[tuple[RatFun, RatFun]]] = {}
-        for k in sorted(terms):
-            value = _dot(n, (
-                (term, weight) for term, weight in zip(terms[k], weights) if term is not None
+    for (a, b), slots in terms.items():
+        for k, values in slots.items():
+            symbols[a][b][k] = _dot(n, (
+                (term, weight) for term, weight in zip(values, weights) if term is not None
             ))
-            if value.is_zero():
-                continue
-            for c, inv in g_inv_columns[k]:
-                contraction.setdefault(c, []).append((inv, value))
-        for c, pairs in contraction.items():
-            symbols[a][b][c] = _dot(n, pairs)
-
-    data = ChristoffelData(
-        space, g, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
-    )
-    if validate:
-        _validate_connection(data)
-    return data
+    return ChristoffelData(space, g, tuple(tuple(tuple(row) for row in plane) for plane in symbols))
 
 
 def _column(space: Space, coeffs: Mapping[int, Fraction]) -> list[RatFun]:
@@ -174,87 +164,59 @@ def _column(space: Space, coeffs: Mapping[int, Fraction]) -> list[RatFun]:
     return [space.scalar(coeffs[m]) if m in coeffs else zero for m in range(space.dim)]
 
 
-def _validate_connection(data: ChristoffelData) -> None:
-    """Metric compatibility at every (a, b ≤ c), then torsion-freeness at
-    every (a < b, c), each as one exact zero test, in that order.  Only the
-    triples whose residual carries a term are tested: the residual of any
-    other is identically zero."""
-    space = data.space
-    n = space.dim
-    g = data.metric.matrix
-    one, minus_one = space.one(), space.scalar(-1)
-    # minus_g[d] = {c: -g_dc} over the nonzero g_dc
-    minus_g = [{c: -e for c, e in _support(row)} for row in g.entries]
-    # gammas[a][b] = the nonzero (d, Γ^d_ab)
-    gammas = [[[] for _ in range(n)] for _ in range(n)]
-    for a, b, d, gamma in data.nonzero():
-        gammas[a][b].append((d, gamma))
-
-    # metric compatibility: e_a g(e_b, e_c) = g(∇_a e_b, e_c) + g(e_b, ∇_a e_c),
-    # with g(∇_a e_b, e_c) = sum_d Γ^d_ab g_dc; the residual is symmetric in
-    # (b, c), so its first failure has b <= c
-    derivatives = {
-        (a, b, c): d
-        for b, row in enumerate(g.entries)
-        for c in range(b, n)
-        if not row[c].is_constant()
-        for a in range(n)
-        if not (d := row[c].diff(a)).is_zero()
-    }
-    triples = set(derivatives)
-    for a, b, d, _ in data.nonzero():
-        triples.update((a, min(b, c), max(b, c)) for c in minus_g[d])
-    for a, b, c in sorted(triples):
-        residual = _dot(n, (
-            (derivatives.get((a, b, c), space.zero()), one),
-            *((gamma, minus_g[d][c]) for d, gamma in gammas[a][b] if c in minus_g[d]),
-            *((gamma, minus_g[d][b]) for d, gamma in gammas[a][c] if b in minus_g[d]),
-        ))
-        if not residual.is_zero():
-            raise AssertionError(f"metric compatibility violated at (a,b,c)=({a},{b},{c})")
-
-    # Γ^c_ab - Γ^c_ba - c^c_ab
-    triples = {(min(a, b), max(a, b), c) for a, b, c, _ in data.nonzero() if a != b}
-    triples.update((i, j, k) for (i, j), coeffs in space.nonzero_brackets() if i < j for k in coeffs)
-    for a, b, c in sorted(triples):
-        structure = space.bracket_coeffs(a, b)
-        torsion = _dot(n, (
-            (data.gamma(a, b, c), one), (data.gamma(b, a, c), minus_one),
-            (space.scalar(structure[c]) if c in structure else space.zero(), minus_one),
-        ))
-        if not torsion.is_zero():
-            raise AssertionError(f"torsion-freeness violated at (a,b,c)=({a},{b},{c})")
+def _require_nonsingular_at(g: MetricField, point: Sequence) -> None:
+    """Raise :class:`DegenerateMetricError` unless ``g`` is invertible at
+    ``point``, by Gaussian elimination on its values."""
+    rows = g.eval_at(point)
+    n = len(rows)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c]), None)
+        if p is None:
+            raise DegenerateMetricError(f"metric is singular at {format_point(point)}")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for row in rows[c + 1 :]:
+            if row[c]:
+                factor = row[c] / pivot[c]
+                row[c:] = [x - factor * y for x, y in zip(row[c:], pivot[c:])]
 
 
-def covariant_derivative(
-    data: ChristoffelData, x: VectorField, y: VectorField
-) -> VectorField:
-    """(∇_X Y)^c = X(Y^c) + sum_{a,b} X^a Y^b Γ^c_{ab}."""
-    space = data.space
-    if x.space != space or y.space != space:
-        raise ValueError("fields live on a different space")
-    n = space.dim
-    one = space.one()
-    xy = [
-        (a, b, xa * yb)
-        for a, xa in enumerate(x.components) if not xa.is_zero()
-        for b, yb in enumerate(y.components) if not yb.is_zero()
-    ]
-    comps = [
-        _dot(n, (
-            (directional_derivative(x, y.components[c]), one),
-            *((weight, data.gamma(a, b, c)) for a, b, weight in xy),
-        ))
-        for c in range(n)
-    ]
-    return VectorField(space, comps)
+def _raised(g: MetricField, covector: Sequence[RatFun]) -> tuple[RatFun, ...]:
+    """The v with g·v = ``covector``: the zero covector itself, else one exact
+    solve."""
+    if all(c.is_zero() for c in covector):
+        return tuple(covector)
+    degenerate = DegenerateMetricError("metric is degenerate over the function field")
+    try:
+        solution = solve_linear_exact(g.matrix, covector)
+    except InconsistentSystemError as exc:
+        raise degenerate from exc
+    if solution.kernel:
+        raise degenerate
+    return solution.particular
+
+
+def _lowered_nabla(data: ChristoffelData, x: VectorField, y: VectorField) -> tuple[RatFun, ...]:
+    """(∇_X Y)♭_k = g(X(Y), e_k) + Σ_{a,b} X^a Y^b L_{ab,k}, one ``_dot`` per k."""
+    dy = [directional_derivative(x, c) for c in y.components]
+    terms = [list(zip(row, dy)) for row in data.metric.matrix.entries]
+    weights: dict[tuple[int, int], RatFun] = {}
+    for a, b, k, symbol in data.nonzero():
+        xa, yb = x.components[a], y.components[b]
+        if xa.is_zero() or yb.is_zero():
+            continue
+        if (a, b) not in weights:
+            weights[a, b] = xa * yb
+        terms[k].append((weights[a, b], symbol))
+    return tuple(_dot(data.space.dim, pairs) for pairs in terms)
 
 
 @dataclass(frozen=True)
 class GeodesyReport:
     """Covariant derivatives of the Reeb fields along each other, their
     second-fundamental-form residuals with respect to span{Z1, Z2}, the
-    corresponding verdicts, and the validated connection they came from."""
+    corresponding verdicts, and the Christoffel symbols of the first kind
+    they came from."""
 
     derivatives: dict[tuple[int, int], VectorField]
     second_fundamental: dict[tuple[int, int], VectorField]
@@ -270,11 +232,17 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
     """For a compatible metric: ∇_{Z_i} Z_j = 0 for all i, j, and the
     second fundamental form of the Reeb orbits vanishes.
 
-    The Gram matrix g(Z_i, Z_j) = delta_ij is asserted first (it is a theorem
-    for compatible metrics, and the tangential projection below relies on
-    it); a violation raises :class:`PreconditionError` because it means the
-    compatibility hypothesis does not hold."""
+    Raises :class:`DegenerateMetricError` when ``g`` is singular at the first
+    sample point.  The Gram matrix g(Z_i, Z_j) = delta_ij is asserted next
+    (it is a theorem for compatible metrics, and the tangential projection
+    below relies on it); a violation raises :class:`PreconditionError`
+    because it means the compatibility hypothesis does not hold.
+
+    Both verdicts are decided on covectors, the lowered N♭ = (∇_{Z_i} Z_j)♭
+    and G·B = N♭ − (G Z)(Zᵀ N♭); a nonzero one is raised by one exact solve,
+    so that the witness names vector components."""
     space = vp.space
+    _require_nonsingular_at(g, vp.sample_points[0])
     gram = _reeb_gram(vp, g)
     for i in (1, 2):
         for j in (1, 2):
@@ -286,8 +254,18 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
                 )
 
     data = christoffel(g)
-    derivatives = {
-        (i, j): covariant_derivative(data, vp.z(i), vp.z(j)) for i in (1, 2) for j in (1, 2)
+    lowered = {
+        (i, j): _lowered_nabla(data, vp.z(i), vp.z(j)) for i in (1, 2) for j in (1, 2)
+    }
+    # G·B = N♭ − (G Z)(Zᵀ N♭): the columns of N♭ are the lowered ∇_{Z_i} Z_j,
+    # and Zᵀ N♭ holds their tangential coefficients g(∇_{Z_i} Z_j, Z_l)
+    flats = RfMatrix(space.dim, list(zip(*lowered.values())))
+    reeb = vp._reeb_matrix
+    second_flats = flats - (g.matrix @ reeb) @ (reeb.transpose() @ flats)
+    derivatives = {ij: VectorField(space, _raised(g, flat)) for ij, flat in lowered.items()}
+    second = {
+        ij: VectorField(space, _raised(g, second_flats.column(col)))
+        for col, ij in enumerate(lowered)
     }
     geodesic = residual_verdict(
         [
@@ -298,15 +276,6 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
         vp,
         detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2",
     )
-
-    # B = N - Z (Z^T G N): the columns of N are the ∇_{Z_i} Z_j, and Z^T G N
-    # holds their tangential coefficients g(∇_{Z_i} Z_j, Z_l)
-    nablas = column_matrix(space, list(derivatives.values()))
-    reeb = vp._reeb_matrix
-    b_matrix = nablas - reeb @ (reeb.transpose() @ g.matrix @ nablas)
-    second = {
-        ij: VectorField(space, b_matrix.column(col)) for col, ij in enumerate(derivatives)
-    }
     totally_geodesic = residual_verdict(
         [
             (f"B(Z{i}, Z{j})[{space.names[a]}]", c)
@@ -387,21 +356,25 @@ def _run(program: _Program, point: list[float]) -> float:
 
 
 def _gamma_along(data: ChristoffelData, z: VectorField) -> list[list[tuple[Poly, Poly]]]:
-    """Γ(Z, Z)^c = sum_{a,b} Γ^c_ab Z^a Z^b exactly, the Γ terms of ∇_Z Z: for
-    each c, one (numerator, denominator) pair per distinct denominator
-    Γ^c_ab.den · Z^a.den · Z^b.den of its terms, in ``data.nonzero()`` order.
-    The pairs are not brought over one denominator and reduced: that gcd is
-    of high degree on a rational field, and a float evaluation needs none."""
+    """Γ(Z, Z)^c = sum_{a,b} Γ^c_ab Z^a Z^b exactly, the Γ terms of ∇_Z Z,
+    with Γ^·_ab raised (:meth:`ChristoffelData.raised`) where Z^a, Z^b and
+    L_{ab,·} are nonzero: for each c, one (numerator, denominator) pair per
+    distinct denominator Γ^c_ab.den · Z^a.den · Z^b.den of its terms, in
+    (a, b, c) order.  The pairs are not brought over one denominator and
+    reduced: that gcd is of high degree on a rational field, and a float
+    evaluation needs none."""
     comps = z.components
+    pairs = dict.fromkeys(
+        (a, b) for a, b, *_ in data.nonzero() if not (comps[a].is_zero() or comps[b].is_zero())
+    )
     groups: list[dict[Poly, Poly]] = [{} for _ in comps]
-    for a, b, c, gamma in data.nonzero():
+    for a, b in pairs:
         za, zb = comps[a], comps[b]
-        if za.is_zero() or zb.is_zero():
-            continue
-        den = gamma.den * za.den * zb.den
-        num = gamma.num * za.num * zb.num
-        group = groups[c]
-        group[den] = group[den] + num if den in group else num
+        for c, gamma in _support(data.raised(a, b)):
+            den = gamma.den * za.den * zb.den
+            num = gamma.num * za.num * zb.num
+            group = groups[c]
+            group[den] = group[den] + num if den in group else num
     return [[(num, den) for den, num in group.items()] for group in groups]
 
 
@@ -467,7 +440,8 @@ def numeric_geodesic_residual(
     whose truncation error is dt⁴/90·|gamma⁽⁶⁾|, O(dt⁴); its rounding floor
     is of order 2⁻⁵³/dt².  Γ(Z, Z) is contracted exactly once per call
     (:func:`_gamma_along`) and evaluated point by point on plain floats, its
-    terms added to the acceleration in ``data.nonzero()`` order.
+    terms added to the acceleration in (a, b, c) order.  ``data`` holds the
+    Christoffel symbols of the first kind of ``g``, computed when not given.
 
     A vanishing denominator raises :class:`ZeroDivisionError` naming it and
     the first point where it vanishes, a stage point printed in full: the
@@ -478,13 +452,13 @@ def numeric_geodesic_residual(
     if dt <= 0:
         raise ValueError("dt must be positive")
     if data is None:
-        data = christoffel(g, validate=False)
+        data = christoffel(g)
     components = [_FloatRatFun.compile(c.num, c.den) for c in field.components]
     trajectory = _rk4_trajectory(components, start, int(round(t_end / dt)), dt)
 
     poles = [
         (den, _compile(den))
-        for den in dict.fromkeys(gamma.den for *_, gamma in data.nonzero())
+        for den in dict.fromkeys(symbol.den for *_, symbol in data.nonzero())
         if not den.is_constant()
     ]
     gamma_zz = [

@@ -1,4 +1,5 @@
-"""Shared builders: the three reference geometries and random-input helpers."""
+"""Shared builders: the three reference geometries, random-input helpers,
+and the textbook forms of the Levi-Civita connection."""
 
 import importlib.util
 import random
@@ -8,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from contactpairs.algebra import Poly, RatFun, RfMatrix
-from contactpairs.exterior import EndoField, Form, MetricField, Space, VectorField
+from contactpairs.algebra import Poly, RatFun, RfMatrix, _dot
+from contactpairs.exterior import (
+    EndoField,
+    Form,
+    MetricField,
+    Space,
+    VectorField,
+    directional_derivative,
+)
 from contactpairs.fixtures import load_fixture_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +52,71 @@ def dense_chart_rung(h, k):
     the dense family of ``scripts/bench.py``."""
     bench = _module("bench", ROOT / "scripts" / "bench.py")
     return load_fixture_dict(bench.dense_model(h, k))
+
+
+# --- the connection from its symbols of the first kind ------------------------
+# The package holds the Levi-Civita connection by L_ab,k = g(∇_a e_b, e_k)
+# alone; these are the textbook forms the tests check it against.
+
+
+def second_kind(data):
+    """Γ^c_ab = Σ_k g^ck L_ab,k, by the inverse of g: symbols[a][b][c]."""
+    n = data.space.dim
+    g_inv = data.metric.matrix.inverse()
+    return tuple(tuple(g_inv.apply(data.symbols[a][b]) for b in range(n)) for a in range(n))
+
+
+def covariant_derivative(gammas, x, y):
+    """(∇_X Y)^c = X(Y^c) + Σ_{a,b} X^a Y^b Γ^c_ab, on the symbols of the
+    second kind ``gammas`` (:func:`second_kind`)."""
+    space, n = x.space, x.space.dim
+    xy = [
+        (a, b, xa * yb)
+        for a, xa in enumerate(x.components) if not xa.is_zero()
+        for b, yb in enumerate(y.components) if not yb.is_zero()
+    ]
+    return VectorField(space, [
+        _dot(n, (
+            (directional_derivative(x, y.components[c]), space.one()),
+            *((weight, gammas[a][b][c]) for a, b, weight in xy),
+        ))
+        for c in range(n)
+    ])
+
+
+def frame_derivative(f, a):
+    """e_a f for a metric entry: zero for a constant, ∂_a f on a chart."""
+    return RatFun.zero(f.nvars) if f.is_constant() else f.diff(a)
+
+
+def levi_civita_violation(data):
+    """The first identity of the Levi-Civita connection that the symbols of
+    the first kind break, by a loop over every index, or None: metric
+    compatibility e_a g_bc = L_ab,c + L_ac,b at every (a, b ≤ c), then
+    torsion-freeness L_ab,k − L_ba,k = g([e_a,e_b], e_k) at every (a < b, k)."""
+    space, n = data.space, data.space.dim
+    g = data.metric.matrix
+    one, minus_one = space.one(), space.scalar(-1)
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                residual = _dot(n, (
+                    (frame_derivative(g.at(b, c), a), one),
+                    (data.gamma(a, b, c), minus_one), (data.gamma(a, c, b), minus_one),
+                ))
+                if not residual.is_zero():
+                    return f"metric compatibility violated at (a,b,c)=({a},{b},{c})"
+    for a in range(n):
+        for b in range(a + 1, n):
+            bracket = space.bracket_coeffs(a, b)
+            for k in range(n):
+                torsion = _dot(n, (
+                    (data.gamma(a, b, k), one), (data.gamma(b, a, k), minus_one),
+                    *((space.scalar(-c), g.at(m, k)) for m, c in bracket.items()),
+                ))
+                if not torsion.is_zero():
+                    return f"torsion-freeness violated at (a,b,k)=({a},{b},{k})"
+    return None
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

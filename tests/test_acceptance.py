@@ -36,7 +36,15 @@ from contactpairs.metric import (
 from contactpairs.pair import Status, kernel_frame, reeb_fields, verified_pair
 from contactpairs.structure import ContactPairStructure, is_decomposable
 
-from conftest import random_form, random_poly, random_spd_matrix, random_vector_field
+from conftest import (
+    covariant_derivative,
+    levi_civita_violation,
+    random_form,
+    random_poly,
+    random_spd_matrix,
+    random_vector_field,
+    second_kind,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 RK4_TOL = 1e-8
@@ -146,7 +154,7 @@ def test_criterion_3_geodesy_theorem(structures):
             assert field.is_zero(), (name, ij)
         for ij, field in report.second_fundamental.items():
             assert field.is_zero(), (name, ij)
-        data = christoffel(g, validate=False)
+        data = christoffel(g)
         for i in (1, 2):
             residual = numeric_geodesic_residual(
                 g, cps.vp.z(i), cps.vp.sample_points[0], t_end=1.0, dt=1e-3, data=data
@@ -288,14 +296,14 @@ def test_criterion_7_calculus_engine():
             space,
             [[(p * p) + 1, p], [p, (p * p) + 2]],
         )
-        data = christoffel(g)  # validate=True re-checks both properties exactly
+        data = christoffel(g)
+        assert levi_civita_violation(data) is None, trial
         x = random_vector_field(rng, space)
         y = random_vector_field(rng, space)
-        from contactpairs.connection import covariant_derivative
-
+        gammas = second_kind(data)
         torsion = (
-            covariant_derivative(data, x, y)
-            - covariant_derivative(data, y, x)
+            covariant_derivative(gammas, x, y)
+            - covariant_derivative(gammas, y, x)
             - bracket(x, y)
         )
         assert torsion.is_zero(), trial

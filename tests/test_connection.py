@@ -17,9 +17,7 @@ from contactpairs.connection import (
     _FloatRatFun,
     _gamma_along,
     _rk4_trajectory,
-    _validate_connection,
     christoffel,
-    covariant_derivative,
     numeric_geodesic_residual,
     reeb_geodesy,
 )
@@ -51,9 +49,12 @@ from conftest import (
     build_r6_metric,
     build_r6_space,
     chart_rung,
+    covariant_derivative,
+    levi_civita_violation,
     random_poly,
     random_spd_matrix,
     random_vector_field,
+    second_kind,
 )
 
 
@@ -83,10 +84,17 @@ def test_euclidean_symbols_vanish():
 
 
 def test_degenerate_metric_rejected():
-    s = Space.chart(["x", "y"])
-    x = RatFun.variable(2, 0)
+    """reeb_geodesy tests g at the first sample point before it uses it; the
+    RK4 cross-check finds no solution when it raises L(Z, Z)."""
+    s = build_flat2_space()
+    a1, a2 = build_flat2_forms(s)
+    vp = verified_pair(ContactPair(s, a1, a2, 0, 0, tuple(FLAT2_SAMPLES)))
+    x = s.coordinate(0)
+    g = MetricField(s, [[x, x], [x, x]])
+    with pytest.raises(DegenerateMetricError, match=r"^metric is singular at \(0, 0\)$"):
+        reeb_geodesy(vp, g)
     with pytest.raises(DegenerateMetricError):
-        christoffel(MetricField(s, [[x, x], [x, x]]))
+        numeric_geodesic_residual(g, VectorField.basis(s, 0), [1, 2])
 
 
 NIL_BRACKETS = {
@@ -123,10 +131,11 @@ def test_nilpotent_koszul_matches_oracle(nilpotent):
 
 def test_christoffel_validates_on_a_non_identity_lie_metric(rng):
     """The Koszul formula with both the bracket terms and a full constant
-    metric; validate re-checks torsion-freeness and metric compatibility."""
+    metric satisfies torsion-freeness and metric compatibility."""
     s = build_nilpotent_space()
-    data = christoffel(MetricField(s, random_spd_matrix(rng, s.dim, s.dim)), validate=True)
-    assert len(data.nonzero()) == 192
+    data = christoffel(MetricField(s, random_spd_matrix(rng, s.dim, s.dim)))
+    assert levi_civita_violation(data) is None
+    assert len(data.nonzero()) == 88
     assert all(gamma.is_constant() for *_, gamma in data.nonzero())
 
 
@@ -135,45 +144,47 @@ def test_christoffel_validates_on_a_chart_metric_with_a_denominator():
     x, y = s.coordinate(0), s.coordinate(1)
     one, zero = s.one(), s.zero()
     g = MetricField(s, [[1 / (1 + x * x), zero, zero], [zero, 1 + x * x, y], [zero, y, 1 + y * y]])
-    data = christoffel(g, validate=True)
-    assert any(not gamma.is_polynomial() for *_, gamma in data.nonzero())
-    assert data.gamma(0, 0, 0) == -x / (1 + x * x)  # ∂_x log sqrt(g_xx)
+    data = christoffel(g)
+    assert levi_civita_violation(data) is None
+    assert any(not symbol.is_polynomial() for *_, symbol in data.nonzero())
+    assert data.gamma(0, 0, 0) == -x / ((1 + x * x) * (1 + x * x))  # ∂_x g_xx / 2
+    assert second_kind(data)[0][0][0] == -x / (1 + x * x)  # ∂_x log sqrt(g_xx)
 
 
 def test_nilpotent_reeb_derivatives_vanish(nilpotent):
     vp, g = nilpotent
-    data = christoffel(g)
+    gammas = second_kind(christoffel(g))
     x2 = VectorField.basis(vp.space, 1)
     x3 = VectorField.basis(vp.space, 2)
-    assert covariant_derivative(data, x2, x3).is_zero()
-    assert covariant_derivative(data, x2, x2).is_zero()
+    assert covariant_derivative(gammas, x2, x3).is_zero()
+    assert covariant_derivative(gammas, x2, x2).is_zero()
 
 
 def test_r6_reeb_derivative_vanishes(r6):
     vp, g = r6
-    data = christoffel(g)
-    assert covariant_derivative(data, vp.z1, vp.z2).is_zero()
+    gammas = second_kind(christoffel(g))
+    assert covariant_derivative(gammas, vp.z1, vp.z2).is_zero()
 
 
 def test_torsion_free_randomized(rng):
     s = Space.chart(["u", "v"])
     u = s.coordinate(0)
     g = MetricField(s, [[u * u + 1, u], [u, s.one() + s.one()]])
-    data = christoffel(g)
+    gammas = second_kind(christoffel(g))
     for _ in range(20):
         x = random_vector_field(rng, s)
         y = random_vector_field(rng, s)
         torsion = (
-            covariant_derivative(data, x, y)
-            - covariant_derivative(data, y, x)
+            covariant_derivative(gammas, x, y)
+            - covariant_derivative(gammas, y, x)
             - bracket(x, y)
         )
         assert torsion.is_zero()
 
 
 def test_random_chart_metrics_validate(rng):
-    """christoffel(validate=True) re-checks metric compatibility and
-    torsion-freeness exactly; random nondegenerate metrics must pass."""
+    """The symbols of random nondegenerate metrics satisfy metric
+    compatibility and torsion-freeness exactly."""
     for _ in range(10):
         s = Space.chart(["u", "v"])
         p = random_poly(rng, 2, max_degree=1, max_terms=2)
@@ -181,44 +192,32 @@ def test_random_chart_metrics_validate(rng):
             s,
             [[RatFun(p * p) + 1, RatFun(p)], [RatFun(p), s.one() + s.one()]],
         )
-        christoffel(g)  # raises on any violation
+        assert levi_civita_violation(christoffel(g)) is None
 
 
 def _perturbed(data: ChristoffelData, changes) -> ChristoffelData:
     symbols = [[list(row) for row in plane] for plane in data.symbols]
-    for (a, b, c), delta in changes:
-        symbols[a][b][c] = symbols[a][b][c] + delta
+    for (a, b, k), delta in changes:
+        symbols[a][b][k] = symbols[a][b][k] + delta
     return ChristoffelData(
         data.space, data.metric, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
     )
 
 
-# The (a,b,c) each message names was recorded from the earlier check, which
-# summed both products Γ·g afresh for every (a,b,c).
 def test_validate_connection_rejects_a_perturbed_symbol(r6):
+    """L_12,0 += 1 breaks e_1 g_02 = L_10,2 + L_12,0 and nothing before it."""
     _, g = r6
     bad = _perturbed(christoffel(g), [((1, 2, 0), g.space.one())])
-    message = r"^metric compatibility violated at \(a,b,c\)=\(1,0,2\)$"
-    with pytest.raises(AssertionError, match=message):
-        _validate_connection(bad)
+    assert levi_civita_violation(bad) == "metric compatibility violated at (a,b,c)=(1,0,2)"
 
 
 def test_validate_connection_rejects_torsion(r6):
-    """Γ^d_ab += g^{dc} T_abc with T antisymmetric in (b, c) keeps the
-    connection metric but breaks Γ_ab = Γ_ba."""
+    """L_ab,k += T_abk with T antisymmetric in (b, k) keeps the connection
+    metric but breaks L_01,2 = L_10,2 + g([e_0,e_1], e_2)."""
     _, g = r6
-    g_inv = g.matrix.inverse()
-    lowered = [((0, 1, 2), g.space.one()), ((0, 2, 1), -g.space.one())]
-    changes = [
-        ((a, b, d), g_inv.at(d, c) * t)
-        for (a, b, c), t in lowered
-        for d in range(g.space.dim)
-        if not g_inv.at(d, c).is_zero()
-    ]
-    bad = _perturbed(christoffel(g), changes)
-    message = r"^torsion-freeness violated at \(a,b,c\)=\(0,1,2\)$"
-    with pytest.raises(AssertionError, match=message):
-        _validate_connection(bad)
+    one = g.space.one()
+    bad = _perturbed(christoffel(g), [((0, 1, 2), one), ((0, 2, 1), -one)])
+    assert levi_civita_violation(bad) == "torsion-freeness violated at (a,b,k)=(0,1,2)"
 
 
 # --- geodesy ------------------------------------------------------------------------
@@ -261,6 +260,34 @@ def test_reeb_geodesy_on_built_compatible_local_model():
     assert all(v.status is Status.VERIFIED for v in report.verdicts.values())
 
 
+def test_reeb_geodesy_failed_witnesses_name_vector_components(r6):
+    """g(Z_i, Z_j) = delta_ij holds but g_x1z1 = z1/4 bends the flow of Z1:
+    the lowered (∇_Z1 Z1)♭ = dx1/4 is raised to name vector components, the
+    witnesses the connection of the second kind gave, and the RK4 residual
+    of Z1 reads Γ(Z1, Z1) raised from L_z1z1,· alone."""
+    vp, g = r6
+    s = vp.space
+    rows = [list(row) for row in g.matrix.entries]
+    rows[0][4] = rows[4][0] = s.coordinate(4) / 4
+    bent = MetricField(s, rows)
+    report = reeb_geodesy(vp, bent)
+    witnesses = {key: (v.status, v.witness) for key, v in report.verdicts.items()}
+    assert witnesses == {
+        "geodesic": (Status.FAILED, "(∇_Z1 Z1)[x1] = (-4)/(x1^2*z1^2 + z1^2 - 16)"),
+        "totally_geodesic": (Status.FAILED, "B(Z1, Z1)[x1] = (-4)/(x1^2*z1^2 + z1^2 - 16)"),
+    }
+    nabla = report.derivatives[1, 1]
+    assert nabla == covariant_derivative(second_kind(christoffel(bent)), vp.z1, vp.z1)
+    assert [c.format(s.names) for c in nabla.components] == [
+        "(-4)/(x1^2*z1^2 + z1^2 - 16)", "(x1*z1)/(x1^2*z1^2 + z1^2 - 16)", "0", "0",
+        "(x1^2*z1 + z1)/(x1^2*z1^2 + z1^2 - 16)", "0",
+    ]
+    assert report.second_fundamental[1, 1] == nabla  # g(∇_Z1 Z1, Z_l) = 0
+    assert all(report.derivatives[ij].is_zero() for ij in ((1, 2), (2, 1), (2, 2)))
+    residuals = [repr(numeric_geodesic_residual(bent, z, R6_SAMPLES[0])) for z in (vp.z1, vp.z2)]
+    assert residuals == ["0.2665956455866824", ROUNDOFF]
+
+
 def test_reeb_geodesy_gram_precondition(r6):
     vp, g = r6
     doubled = MetricField(vp.space, g.matrix.scaled(2))
@@ -276,14 +303,14 @@ def test_backends_agree_on_abelian_example():
     metric_rows = [[2, 1], [1, 3]]
     lie = Space.lie_frame(names, structure_constants={})
     chart = Space.chart(names)
-    data_lie = christoffel(MetricField(lie, metric_rows))
-    data_chart = christoffel(MetricField(chart, metric_rows))
+    gammas_lie = second_kind(christoffel(MetricField(lie, metric_rows)))
+    gammas_chart = second_kind(christoffel(MetricField(chart, metric_rows)))
     for a in range(2):
         za_lie = VectorField.basis(lie, a)
         za_chart = VectorField.basis(chart, a)
         for b in range(2):
-            lhs = covariant_derivative(data_lie, za_lie, VectorField.basis(lie, b))
-            rhs = covariant_derivative(data_chart, za_chart, VectorField.basis(chart, b))
+            lhs = covariant_derivative(gammas_lie, za_lie, VectorField.basis(lie, b))
+            rhs = covariant_derivative(gammas_chart, za_chart, VectorField.basis(chart, b))
             assert lhs.is_zero() and rhs.is_zero()
 
 
@@ -302,7 +329,7 @@ def test_numeric_residual_flat_line():
 
 def test_numeric_residual_r6_reeb(r6):
     vp, g = r6
-    data = christoffel(g, validate=False)
+    data = christoffel(g)
     residual = numeric_geodesic_residual(
         g, vp.z1, [0] * 6, t_end=1.0, dt=1e-3, data=data
     )
@@ -315,7 +342,7 @@ def test_numeric_residual_compiles_field_and_gamma_zz_once_per_call(monkeypatch)
     doc = load_fixture(REPROS / "repro_x_dx.json")
     vp = verified_pair(doc.pair)
     g = build_compatible(ContactPairStructure(vp, doc.phi), MetricField.euclidean(vp.space))
-    data = christoffel(g, validate=False)
+    data = christoffel(g)
     compiled = []
     inner = _FloatRatFun.compile.__func__
     monkeypatch.setattr(
@@ -331,7 +358,7 @@ def test_numeric_residual_compiles_field_and_gamma_zz_once_per_call(monkeypatch)
         assert residual < 1e-8
         gamma_zz = [term for terms in _gamma_along(data, z) for term in terms]
         assert compiled == [*((c.num, c.den) for c in z.components), *gamma_zz]
-    # Z1 = (1/x) ∂x meets the one symbol Γ^x_xx; Z2 = ∂y meets none
+    # Z1 = (1/x) ∂x meets L_xx,·, which raises to Γ^x_xx alone; Z2 = ∂y meets none
     assert [len(terms) for terms in _gamma_along(data, vp.z(1))] == [1, 0]
     assert [len(terms) for terms in _gamma_along(data, vp.z(2))] == [0, 0]
 
@@ -363,8 +390,9 @@ def test_gamma_along_is_nabla_z_z_without_its_derivative_term(name):
     data, fields = _gamma_zz_case(name)
     assert data.nonzero()
     n = data.space.dim
+    gammas = second_kind(data)
     for z in fields:
-        nabla = covariant_derivative(data, z, z)
+        nabla = covariant_derivative(gammas, z, z)
         expected = [
             nabla.components[c] - directional_derivative(z, zc)
             for c, zc in enumerate(z.components)
@@ -465,8 +493,8 @@ def _flow_pole_cases():
     s = Space.chart(["x", "y"])
     x, y = s.coordinate(0), s.coordinate(1)
     g = MetricField(s, [[s.one(), s.zero()], [s.zero(), 1 / y]])
-    # the denominator of Γ^y_yy = -1/(2y) vanishes on y = 0, where the flow of ∂x stays
-    yield g, VectorField.basis(s, 0), christoffel(g), "x2", "(0.001, 0.0)"
+    # the denominator of L_yy,y = -1/(2y²) vanishes on y = 0, where the flow of ∂x stays
+    yield g, VectorField.basis(s, 0), christoffel(g), "x2^2", "(0.001, 0.0)"
     # the field's own pole is hit by the second RK4 stage of the first step
     field = VectorField(s, [s.one(), 1 / (2000 * x - 1)])
     yield MetricField.euclidean(s), field, None, "x1 - 1/2000", "(0.0005, -0.0005)"
@@ -568,7 +596,7 @@ def _oracle_metrics():
     warped = [[one, zero, zero], [zero, 2 + x * y, zero], [zero, zero, one]]
     for rows in (None, curved, warped):
         g = MetricField.euclidean(_XYZ) if rows is None else MetricField(_XYZ, rows)
-        yield g, christoffel(g, validate=False)
+        yield g, christoffel(g)
 
 
 _ORACLE_METRICS = list(_oracle_metrics())

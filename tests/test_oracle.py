@@ -8,8 +8,9 @@ shares no gcd, canonical form or sum kernel with the code under test.  A
 wrong nonzero rational function of low degree vanishes at a random point
 with small probability, so a few seeded points are enough.
 
-The Christoffel symbols of the small chart rungs are also compared with
-sympy's, symbol by symbol, when sympy is installed.
+The Christoffel symbols of the small chart rungs, of the first kind and
+raised to the second by the test-side g⁻¹, are also compared with sympy's,
+symbol by symbol, when sympy is installed.
 """
 
 import random
@@ -24,7 +25,7 @@ from contactpairs.metric import build_compatible
 from contactpairs.pair import verified_pair
 from contactpairs.structure import ContactPairStructure
 
-from conftest import chart_rung
+from conftest import chart_rung, second_kind
 
 
 def _points(rng, nvars, count):
@@ -136,14 +137,15 @@ def test_matrix_products_match_the_oracle(built_metric):
 
 
 def test_christoffel_symbols_match_the_oracle(built_metric):
-    """Γ^c_ab = Σ_k g^ck (∂_a g_bk + ∂_b g_ak − ∂_k g_ab) / 2 at each point,
-    with g⁻¹ inverted and ∂g interpolated from values of g."""
+    """L_ab,k = (∂_a g_bk + ∂_b g_ak − ∂_k g_ab) / 2 and Γ^c_ab = Σ_k g^ck L_ab,k
+    at each point, with g⁻¹ inverted and ∂g interpolated from values of g."""
     g, _ = built_metric
     n = g.space.dim
     entries = [e for row in g.matrix.entries for e in row]
     assert all(e.is_polynomial() for e in entries) and any(e.num.total_degree() > 0 for e in entries)
     degree = max(e.num.total_degree() for e in entries)
     data = christoffel(g)
+    gammas = second_kind(data)
     assert data.nonzero()
     for point in _points(random.Random(1980), n, 3):
         g_inv = _inverse(_values(g.matrix, point))
@@ -154,21 +156,23 @@ def test_christoffel_symbols_match_the_oracle(built_metric):
         for a in range(n):
             for b in range(n):
                 lowered = [(dg[a][b][k] + dg[b][a][k] - dg[k][a][b]) / 2 for k in range(n)]
+                assert [_value(data.gamma(a, b, k), point) for k in range(n)] == lowered, (a, b)
                 for c in range(n):
                     expected = sum((g_inv[c][k] * lowered[k] for k in range(n)), Fraction(0))
-                    assert _value(data.gamma(a, b, c), point) == expected, (a, b, c)
+                    assert _value(gammas[a][b][c], point) == expected, (a, b, c)
 
 
 @pytest.mark.parametrize("h, k", [(1, 1), (2, 1)])
 def test_christoffel_symbols_match_sympy(h, k):
-    """Γ^c_ab = Σ_m g^cm (∂_a g_bm + ∂_b g_am − ∂_m g_ab) / 2 in sympy, on the
-    metric build_compatible makes on chart rung (h, k) from its identity
-    aux_metric, with sympy's own inverse and derivatives."""
+    """L_ab,m = (∂_a g_bm + ∂_b g_am − ∂_m g_ab) / 2 and Γ^c_ab = Σ_m g^cm L_ab,m
+    in sympy, on the metric build_compatible makes on chart rung (h, k) from
+    its identity aux_metric, with sympy's own inverse and derivatives."""
     sympy = pytest.importorskip("sympy")
     doc = chart_rung(h, k)
     vp = verified_pair(doc.pair)
     g = build_compatible(ContactPairStructure(vp, doc.phi), doc.aux_metric)
     data = christoffel(g)
+    gammas = second_kind(data)
     xs = sympy.symbols(vp.space.names)
     n = len(xs)
 
@@ -189,10 +193,12 @@ def test_christoffel_symbols_match_sympy(h, k):
     for a in range(n):
         for b in range(n):
             lowered = [
-                sympy.diff(metric[b, m], xs[a]) + sympy.diff(metric[a, m], xs[b])
-                - sympy.diff(metric[a, b], xs[m])
+                (sympy.diff(metric[b, m], xs[a]) + sympy.diff(metric[a, m], xs[b])
+                 - sympy.diff(metric[a, b], xs[m])) / 2
                 for m in range(n)
             ]
+            for m in range(n):
+                assert sympy.cancel(to_sympy(data.gamma(a, b, m)) - lowered[m]) == 0, (a, b, m)
             for c in range(n):
-                theirs = sum(inverse[c, m] * lowered[m] for m in range(n)) / 2
-                assert sympy.cancel(to_sympy(data.gamma(a, b, c)) - theirs) == 0, (a, b, c)
+                theirs = sum(inverse[c, m] * lowered[m] for m in range(n))
+                assert sympy.cancel(to_sympy(gammas[a][b][c]) - theirs) == 0, (a, b, c)

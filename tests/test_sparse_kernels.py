@@ -1,13 +1,15 @@
 """The sparse exact kernels against the dense loops they replaced.
 
-``RfMatrix`` products, sums and transposes, ``christoffel`` and
-``_validate_connection`` touch only structural nonzeros.  Each is checked
-here against the dense formula it replaced, kept in this file as the
-reference: every index, every entry, a left fold of ``RatFun`` ``+`` and
-``*`` for the matrix kernels, and the full n³ Koszul loop for the
-connection.  The Christoffel symbols must agree term for term, in the order
-of their numerator's terms too, since the RK4 cross-check compiles them to
-float programs in that order.
+``RfMatrix`` products, sums and transposes and ``christoffel`` touch only
+structural nonzeros.  Each is checked here against the dense formula it
+replaced, kept in this file as the reference: every index, every entry, a
+left fold of ``RatFun`` ``+`` and ``*`` for the matrix kernels, and the full
+n³ Koszul loop for the connection.  The Christoffel symbols of the first
+kind must agree term for term, in the order of their numerator's terms too,
+since the RK4 cross-check compiles their denominators to float programs in
+that order.  The identities of the Levi-Civita connection, metric
+compatibility and torsion-freeness, are the oracle of the symbols: they
+hold on every case, and a planted symbol breaks them.
 """
 
 import random
@@ -17,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from contactpairs.algebra import Poly, RatFun, RfMatrix, _dot
-from contactpairs.connection import ChristoffelData, _validate_connection, christoffel
-from contactpairs.exterior import MetricField, Space
+from contactpairs.connection import ChristoffelData, christoffel
+from contactpairs.exterior import MetricField
 from contactpairs.fixtures import FixtureError, load_fixture
 from contactpairs.metric import build_compatible
 from contactpairs.pair import verified_pair
@@ -29,6 +31,8 @@ from conftest import (
     build_r6_metric,
     build_r6_space,
     chart_rung,
+    frame_derivative,
+    levi_civita_violation,
     lie_rung,
     random_spd_matrix,
 )
@@ -144,18 +148,12 @@ def _column(space, coeffs):
     return [space.scalar(coeffs[m]) if m in coeffs else space.zero() for m in range(space.dim)]
 
 
-def _frame_derivative(f, a):
-    return RatFun.zero(f.nvars) if f.is_constant() else f.diff(a)
-
-
 def _dense_symbols(g):
-    """The n³ Koszul loop: every lowered symbol a sum of six terms, each
-    contracted with a whole row of g⁻¹."""
+    """The n³ Koszul loop: every symbol of the first kind a sum of six terms."""
     space, n = g.space, g.space.dim
-    g_inv = g.matrix.inverse()
     half, minus_half = space.scalar(Fraction(1, 2)), space.scalar(Fraction(-1, 2))
     de = [
-        [[_frame_derivative(g.matrix.at(b, k), a) for k in range(n)] for b in range(n)]
+        [[frame_derivative(g.matrix.at(b, k), a) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
     gb = [
@@ -166,47 +164,19 @@ def _dense_symbols(g):
         ]
         for a in range(n)
     ]
-    symbols = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            lowered = [
+    return tuple(
+        tuple(
+            tuple(
                 _dot(n, (
                     (de[a][b][k], half), (de[b][a][k], half), (de[k][a][b], minus_half),
                     (gb[a][b][k], half), (gb[b][k][a], minus_half), (gb[k][a][b], half),
                 ))
                 for k in range(n)
-            ]
-            plane.append(tuple(_dot(n, zip(g_inv.row(c), lowered)) for c in range(n)))
-        symbols.append(tuple(plane))
-    return tuple(symbols)
-
-
-def _dense_validate(data):
-    """Compatibility at every (a, b ≤ c), then torsion at every (a < b, c)."""
-    space, n = data.space, data.space.dim
-    g = data.metric.matrix
-    one, minus_one = space.one(), space.scalar(-1)
-    for a in range(n):
-        for b in range(n):
-            for c in range(b, n):
-                residual = _dot(n, (
-                    (_frame_derivative(g.at(b, c), a), one),
-                    *((data.gamma(a, b, d), -g.at(d, c)) for d in range(n)),
-                    *((data.gamma(a, c, d), -g.at(d, b)) for d in range(n)),
-                ))
-                if not residual.is_zero():
-                    raise AssertionError(f"metric compatibility violated at (a,b,c)=({a},{b},{c})")
-    for a in range(n):
-        for b in range(a + 1, n):
-            structure = _column(space, _old_bracket_coeffs(space, a, b))
-            for c in range(n):
-                torsion = _dot(n, (
-                    (data.gamma(a, b, c), one), (data.gamma(b, a, c), minus_one),
-                    (structure[c], minus_one),
-                ))
-                if not torsion.is_zero():
-                    raise AssertionError(f"torsion-freeness violated at (a,b,c)=({a},{b},{c})")
+            )
+            for b in range(n)
+        )
+        for a in range(n)
+    )
 
 
 def _fixture_metrics():
@@ -259,17 +229,15 @@ def test_christoffel_symbols_match_the_dense_koszul_loop(case):
                 assert list(ours.den.terms.items()) == list(theirs.den.terms.items()), (a, b, c)
 
 
-def _message(check, data):
-    try:
-        check(data)
-    except AssertionError as exc:
-        return str(exc)
-    return None
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_christoffel_symbols_satisfy_the_levi_civita_identities(case):
+    assert levi_civita_violation(christoffel(_metric(case))) is None
 
 
-def _planted(data, a, b, c, delta):
+def _planted(data, changes):
     symbols = [[list(row) for row in plane] for plane in data.symbols]
-    symbols[a][b][c] = symbols[a][b][c] + delta
+    for (a, b, k), delta in changes:
+        symbols[a][b][k] = symbols[a][b][k] + delta
     return ChristoffelData(
         data.space, data.metric, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
     )
@@ -287,42 +255,32 @@ PLANTED = {
 
 @pytest.mark.parametrize("name", PLANTED)
 def test_a_planted_symbol_fails_validation_as_the_dense_loop_does(name):
-    """One wrong symbol, on a structural zero or on a nonzero symbol, the
-    zero connection, and one torsion that keeps the connection metric: the
-    same message."""
+    """The dense identity loop rejects one wrong symbol, on a structural zero
+    or on a nonzero symbol, at the one compatibility triple it enters; the
+    zero connection; and one torsion that keeps the connection metric."""
     g = PLANTED[name]()
     data = christoffel(g)
     space, n = g.space, g.space.dim
-    assert _message(_validate_connection, data) is None is _message(_dense_validate, data)
+    assert levi_civita_violation(data) is None
     rng = random.Random(name)
-    nonzero = [(a, b, c) for a, b, c, _ in data.nonzero()]
+    nonzero = [(a, b, k) for a, b, k, _ in data.nonzero()]
     plants = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4)] + rng.sample(nonzero, 2)
-    for a, b, c in plants:
-        for delta in (space.one(), -data.gamma(a, b, c)):
+    for a, b, k in plants:
+        for delta in (space.one(), -data.gamma(a, b, k)):
             if delta.is_zero():
                 continue
-            bad = _planted(data, a, b, c, delta)
-            message = _message(_dense_validate, bad)
-            assert message is not None
-            assert _message(_validate_connection, bad) == message
+            bad = _planted(data, [((a, b, k), delta)])
+            assert levi_civita_violation(bad) == (
+                f"metric compatibility violated at (a,b,c)=({a},{min(b, k)},{max(b, k)})"
+            )
 
     # the zero connection: its residuals are the metric derivatives alone on
-    # a chart and the structure constants alone on a Lie frame
+    # a chart and the brackets alone on a Lie frame
     zero_plane = tuple((space.zero(),) * n for _ in range(n))
-    flat = ChristoffelData(space, g, (zero_plane,) * n)
-    message = _message(_dense_validate, flat)
-    assert message is not None
-    assert _message(_validate_connection, flat) == message
+    assert levi_civita_violation(ChristoffelData(space, g, (zero_plane,) * n)) is not None
 
-    # Γ^d_ab += g^{dk} T_abk with T antisymmetric in (b, k) keeps the
-    # connection metric but breaks Γ_ab = Γ_ba
-    g_inv = g.matrix.inverse()
+    # L_ab,k += T_abk with T antisymmetric in (b, k) keeps the connection
+    # metric but breaks L_ab,k = L_ba,k + g([e_a,e_b], e_k)
     a, b, k = rng.sample(range(n), 3)
-    bad = data
-    for bb, kk, t in ((b, k, space.one()), (k, b, -space.one())):
-        for d in range(n):
-            if not g_inv.at(d, kk).is_zero():
-                bad = _planted(bad, a, bb, d, g_inv.at(d, kk) * t)
-    message = _message(_dense_validate, bad)
-    assert message is not None and message.startswith("torsion-freeness")
-    assert _message(_validate_connection, bad) == message
+    bad = _planted(data, [((a, b, k), space.one()), ((a, k, b), -space.one())])
+    assert levi_civita_violation(bad).startswith("torsion-freeness violated")

@@ -2,14 +2,20 @@
 
 import hashlib
 import importlib.util
+import json
 import os
+import random
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+from contactpairs import algebra, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 BENCH = ROOT / "scripts" / "bench.py"
 
 
@@ -40,6 +46,35 @@ def test_bench_jobs_measure_their_smallest_case(tmp_path, monkeypatch):
         for row in rows:
             assert isinstance(row["seconds"], float) and row["seconds"] > 0, (name, row)
             assert "result" in row, (name, row)
+
+
+def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
+    """``theorems`` decides the Reeb geodesy and runs the RK4 cross-check of
+    every metric without g⁻¹: no ``RfMatrix.inverse`` call is made under
+    ``cli._geodesy_of``, on chart rung (2,2) (its built metric) and on Lie
+    rung (3,3) (its identity metric)."""
+    spec = importlib.util.spec_from_file_location("workloads_under_test", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    inverse = algebra.RfMatrix.inverse
+    callers = []
+
+    def counted(self):
+        callers.append({frame.name for frame in traceback.extract_stack()})
+        return inverse(self)
+
+    monkeypatch.setattr(algebra.RfMatrix, "inverse", counted)
+    for make, h, k, key in (
+        (workloads.chart_model, 2, 2, "built_geodesic"),
+        (workloads.heisenberg_product, 3, 3, "geodesic"),
+    ):
+        doc = make(h, k, random.Random(1))
+        path = tmp_path / f"{doc['id']}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        report = cli.run("theorems", path)
+        assert report.verdicts[key].ok, doc["id"]
+    assert not [names for names in callers if "_geodesy_of" in names]
 
 
 def test_cli_import_loads_no_numpy():
