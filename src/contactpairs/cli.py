@@ -10,8 +10,8 @@ every failed prerequisite.  ``theorems`` runs every check that applies;
 0 all Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
 3 fixture and usage errors.
 
-Fixture data is checked exactly (tolerance plays no role for it); the
-numeric, polarization-produced instances are graded within ``NUMERIC_TOL``.
+Every identity is checked exactly, on fixture data and on the metrics the
+package builds alike; only the RK4 cross-check of the geodesy is numeric.
 --samples appends N extra random rational sample points (seeded by --seed)
 to the fixture's declared ones; they are validated like the declared ones.
 """
@@ -59,7 +59,7 @@ from .pair import (
     verify_contact_pair,
     verify_splittings,
 )
-from .report import Report, format_float, render_report
+from .report import Report, render_report
 from .structure import (
     ContactPairStructure,
     PreconditionError,
@@ -71,7 +71,6 @@ from .verdicts import Verdict
 
 __all__ = ["CHECKS", "VERBS", "run", "main", "VerbUsageError"]
 
-NUMERIC_TOL = 1e-9  # residual bound at the sample points for polarization outputs
 RK4_TOLERANCE = 1e-8
 RK4_DT = 1e-3
 RK4_T_END = 1.0
@@ -285,50 +284,35 @@ def _built(ctx: _Context) -> None:
 
 def _polarized(ctx: _Context) -> None:
     vp, report = ctx.vp, ctx.report
-    violation = polarization_precondition_violation(vp, ctx.aux)
+    violation = polarization_precondition_violation(vp)
     if violation:
         raise _NotApplicable(violation)
     for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
         try:
-            phi, g = build_associated_by_polarization(vp, ctx.aux, decomposable=flag)
-            cps = ContactPairStructure(vp, phi, tol=NUMERIC_TOL)
+            phi, g = build_associated_by_polarization(vp, decomposable=flag)
+            cps = ContactPairStructure(vp, phi)
         except (PolarizationError, StructureValidationError) as exc:
             report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
             continue
-        assoc = is_associated(cps, g)
-        report.verdicts[f"{prefix}_associated"] = assoc.verdict
-        report.residuals[f"{prefix}_associated_max"] = _max_abs_at_samples(
-            assoc, vp.sample_points
-        )
+        report.verdicts[f"{prefix}_associated"] = is_associated(cps, g).verdict
         spd_failures = [p for p in vp.sample_points if not g.is_positive_definite_at(p)]
         report.verdicts[f"{prefix}_spd"] = (
             Verdict.failed(f"not positive definite at {format_point(spd_failures[0])}")
             if spd_failures
             else Verdict.verified("positive definite at all sample points")
         )
-        orthogonal = are_foliations_orthogonal(vp, g, NUMERIC_TOL)
+        orthogonal = are_foliations_orthogonal(vp, g)
         if flag:
             report.verdicts["polarized_decomposable_check"] = cps.decomposable
             report.verdicts["polarized_decomposable_orthogonal"] = orthogonal
         report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
             cps, g, orthogonal
         )
-        # the numeric products, evaluated at the base sample point
         base = vp.sample_points[0]
-        report.outputs[f"{prefix}_phi_at_base"] = _float_grid(phi.matrix, base)
-        report.outputs[f"{prefix}_metric_at_base"] = _float_grid(g.matrix, base)
-
-
-def _float_grid(matrix, point) -> list[list[str]]:
-    return [[format_float(float(x)) for x in row] for row in matrix.eval_at(point)]
-
-
-def _max_abs_at_samples(assoc, points) -> float:
-    """The largest |residual| of the associated-metric identities at the points."""
-    matrices = (assoc.pairing_residual, assoc.skew_residual, assoc.reeb_residuals)
-    entries = [e for m in matrices for row in m.entries for e in row]
-    values = (abs(float(e.eval(p))) for e in entries if not e.is_zero() for p in points)
-    return max(values, default=0.0)
+        for name, matrix in (("phi", phi.matrix), ("metric", g.matrix)):
+            report.outputs[f"{prefix}_{name}_at_base"] = [
+                [str(x) for x in row] for row in matrix.eval_at(base)
+            ]
 
 
 # --- the registry --------------------------------------------------------------------

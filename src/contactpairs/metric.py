@@ -6,38 +6,35 @@ A metric g is *compatible* with (alpha1, alpha2, phi) when
 
 and *associated* when additionally g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)
 and g(X, Z_i) = alpha_i(X).  Both predicates are exact matrix identities in
-basis coordinates; a structure with a positive tolerance grades nonzero
-residuals at the sample points instead (for numeric, polarization-produced
-data).
+basis coordinates.
 
 Every table over frames is one product with their column matrices F, F'
 (Z = (Z1 Z2), α the 2 x n matrix with rows alpha1, alpha2, W_l the value
 table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf
-pairings F^T G phi F, polarization's k table, Z^T G Z), 2-form tables
-F^T W_l F, images phi F, the duality rows (Z^T G - α) F, compatibility
-phi^T G phi - G + α^T α, and a leaf frame's invariance E·(phi F) = 0.
+pairings F^T G phi F, Z^T G Z), 2-form tables F^T W_l F (and polarization's
+F^T (W_1 + W_2) F), images phi F, the duality rows (Z^T G - α) F,
+compatibility phi^T G phi - G + α^T α, and a leaf frame's invariance
+E·(phi F) = 0.
 
-The polarization construction represents the restriction of
-d alpha1 + d alpha2 to a characteristic subbundle frame as a k-skew operator
-A (k(u, A v) = d alpha(u, v)), polar-decomposes it numerically, and extends
-by zero on the Reeb fields.  The numeric part runs on lists of plain floats
-at the first sample point: the Cholesky factor L of k and its inverse by
-forward substitution, the skew representative Â = L⁻¹ S L⁻ᵀ, the
-eigendecomposition of P = ÂᵀÂ by cyclic Jacobi rotations, and then
-φ = L⁻ᵀ Â P^{-1/2} Lᵀ and g = L P^{1/2} Lᵀ.  Note that d alpha_i vanishes
-identically on TG_i, so the per-block (decomposable) variant effectively
-polarizes d alpha_j on TG_i for j != i; using the sum keeps one formula for
-both variants.
+The polarization construction is exact over the function field.  A
+symplectic (Darboux) basis B of d alpha1 + d alpha2 on TG1 ⊕ TG2, found by
+symplectic Gram–Schmidt in the frame coordinates of [TG1 | TG2], with the
+Reeb fields gives the frame (B, Z1, Z2) in which g is the identity and phi
+maps e_p to −f_p and f_p to e_p (McDuff–Salamon, *Introduction to
+Symplectic Topology*, linear symplectic bases; Blair, *Riemannian Geometry
+of Contact and Symplectic Manifolds*, associated metrics).  The inverse of
+that frame is read off its Darboux relations, so no matrix is inverted.
+Note that d alpha_i vanishes identically on TG_i, so the 2-form is
+block-diagonal on [TG1 | TG2]: a basis taken in frame order is per-block
+(decomposable phi), and one started from TG1[0] + TG2[0] mixes the blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .algebra import RatFun, RfMatrix, format_point
+from .algebra import RatFun, RfMatrix, _dot, format_point
 from .exterior import EndoField, MetricField, lie_derivative
 from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, pair_axioms
 from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
@@ -74,7 +71,7 @@ class MetricValidationError(ValueError):
 
 
 class PolarizationError(RuntimeError):
-    """The numeric polarization could not be carried out."""
+    """The polarization could not be carried out."""
 
 
 def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
@@ -153,10 +150,8 @@ class AssociatedCheckReport:
 
 
 def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckReport:
-    """Exact checks of G·Phi = A and g(·, Z_i) = alpha_i, graded at the
-    structure's own ``tol``."""
+    """Exact checks of G·Phi = A and g(·, Z_i) = alpha_i."""
     vp = cps.vp
-    tol = cps.tol
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
     a_matrix = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
@@ -169,16 +164,14 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
         "pairing": residual_verdict(
             matrix_residual_entries(pairing),
             vp,
-            tol,
             detail="g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
         ),
         "reeb": residual_verdict(
-            _reeb_duality(vp, duality), vp, tol, detail="g(X, Z_i) = alpha_i(X)"
+            _reeb_duality(vp, duality), vp, detail="g(X, Z_i) = alpha_i(X)"
         ),
         "skew": residual_verdict(
             matrix_residual_entries(skew),
             vp,
-            tol,
             detail="g(phi X, Y) = -g(X, phi Y)",
         ),
     }
@@ -187,8 +180,8 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
 
 @dataclass(frozen=True)
 class MetricContactPair:
-    """Contact pair structure plus an associated metric (enforced within the
-    structure's ``tol`` at construction).  ``associated`` is the
+    """Contact pair structure plus an associated metric (enforced at
+    construction).  ``associated`` is the
     :func:`is_associated` report of (cps, g); a caller that has it already
     passes it in, and it is computed otherwise."""
 
@@ -255,191 +248,86 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
 # --- polarization ---------------------------------------------------------------
 
 
-def polarization_precondition_violation(vp: VerifiedPair, k_aux: MetricField) -> str | None:
-    """Polarization is numeric and restricted to constant-coefficient data:
-    both d alpha_i and the auxiliary metric must have constant coefficients
-    (always true on Lie frames; true on Darboux-type charts)."""
+def polarization_precondition_violation(vp: VerifiedPair) -> str | None:
+    """Polarization is restricted to constant-coefficient 2-forms: both
+    d alpha_i must have constant coefficients (always true on Lie frames;
+    true on Darboux-type charts)."""
     for i in (1, 2):
         if any(not c.is_constant() for c in vp.pair.dalpha(i).coeffs.values()):
             return f"d alpha{i} has non-constant coefficients"
-    if any(
-        not e.is_constant() for row in k_aux.matrix.entries for e in row
-    ):
-        return "the auxiliary metric has non-constant coefficients"
     return None
 
 
-_FloatMatrix = list[list[float]]
+def _darboux_frame(s: RfMatrix) -> RfMatrix:
+    """The columns e_1, f_1, e_2, f_2, … of a symplectic basis of the
+    nondegenerate skew form ω(u, v) = uᵀ S v, so that DᵀSD = Ω with
+    ω(e_p, f_p) = 1 and every other pairing 0.
 
-
-def _float_matrix(entries: Sequence[Sequence[RatFun]], point) -> _FloatMatrix:
-    return [[float(e.eval(point)) for e in row] for row in entries]
-
-
-def _transpose(a: _FloatMatrix) -> _FloatMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def _matmul(a: _FloatMatrix, b: _FloatMatrix) -> _FloatMatrix:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _cholesky(k: _FloatMatrix) -> _FloatMatrix:
-    """The lower-triangular L with L·Lᵀ = k, read from k's lower triangle."""
-    n = len(k)
-    low = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        pivot = k[j][j] - sum(x * x for x in low[j][:j])
-        if not pivot > 0.0:
-            raise PolarizationError("auxiliary metric is not positive definite on the subbundle")
-        low[j][j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            dot = sum(x * y for x, y in zip(low[i][:j], low[j][:j]))
-            low[i][j] = (k[i][j] - dot) / low[j][j]
-    return low
-
-
-def _lower_inverse(low: _FloatMatrix) -> _FloatMatrix:
-    """L⁻¹ of a lower-triangular L, column by column by forward substitution."""
-    n = len(low)
-    inv = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            dot = sum(low[i][m] * inv[m][j] for m in range(j, i))
-            inv[i][j] = (float(i == j) - dot) / low[i][i]
-    return inv
-
-
-def _jacobi_eigh(a: _FloatMatrix) -> tuple[list[float], _FloatMatrix]:
-    """Eigenvalues and eigenvector columns of the symmetric ``a``, by cyclic
-    Jacobi rotations until the off-diagonal part is below the rounding of
-    ``a`` (Golub–Van Loan, *Matrix Computations*, §8.5)."""
-    n = len(a)
-    a = [row.copy() for row in a]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    floor = (2.0**-52) ** 2 * sum(x * x for row in a for x in row)
-    for _ in range(50):  # the off-diagonal part falls quadratically, in a few sweeps
-        if sum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n)) <= floor:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p][q] == 0.0:
-                    continue
-                # the rotation J with (JᵀaJ)[p][q] = 0, tan θ = t the smaller root
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for row in a:  # a ← a·J
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-                a[p], a[q] = (  # a ← Jᵀ·a
-                    [c * x - s * y for x, y in zip(a[p], a[q])],
-                    [s * x + c * y for x, y in zip(a[p], a[q])],
-                )
-                for row in v:  # v ← v·J
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-    return [a[i][i] for i in range(n)], v
-
-
-# the smallest eigenvalue of the polarized block that counts as nonsingular
-_EIG_TOL = 1e-12
-
-
-def _polarize_block(
-    s_values: _FloatMatrix, k_values: _FloatMatrix
-) -> tuple[_FloatMatrix, _FloatMatrix]:
-    """Polar-decompose the k-skew operator representing the restricted 2-form.
-
-    Returns (phi_block, g_block) in the frame coordinates of the block."""
-    chol = _cholesky(k_values)
-    chol_t, inv = _transpose(chol), _lower_inverse(chol)
-    inv_t = _transpose(inv)
-    # skew representative in k-orthonormal coordinates: L⁻¹ S L⁻ᵀ
-    a_hat = _matmul(_matmul(inv, s_values), inv_t)
-    eigenvalues, vectors = _jacobi_eigh(_matmul(_transpose(a_hat), a_hat))
-    if min(eigenvalues) <= _EIG_TOL:
-        raise PolarizationError(
-            f"restricted 2-form is singular on the subbundle "
-            f"(eigenvalue {min(eigenvalues):.3e}); pair conditions violated"
-        )
-    roots = [math.sqrt(e) for e in eigenvalues]
-    vectors_t = _transpose(vectors)
-    sqrt_p = _matmul([[x * r for x, r in zip(row, roots)] for row in vectors], vectors_t)
-    inv_sqrt_p = _matmul([[x / r for x, r in zip(row, roots)] for row in vectors], vectors_t)
-    phi_hat = _matmul(a_hat, inv_sqrt_p)
-    phi_block = _matmul(_matmul(inv_t, phi_hat), chol_t)
-    g_block = _matmul(_matmul(chol, sqrt_p), chol_t)
-    # bitwise symmetry for exact ingestion
-    g_block = [
-        [(x + y) / 2.0 for x, y in zip(row, col)] for row, col in zip(g_block, zip(*g_block))
-    ]
-    return phi_block, g_block
+    Symplectic Gram–Schmidt on the unit vectors, in order: take the first
+    remaining vector e, as its partner f the remaining v with ω(e, v) ≠ 0 of
+    lowest ``degree_size`` (lowest index on a tie), scaled to ω(e, f) = 1,
+    and project every other v to v − ω(v, f)e + ω(v, e)f, which is ω-orthogonal
+    to e and f."""
+    m, nvars = s.rows, s.nvars
+    zero, one = RatFun.zero(nvars), RatFun.one(nvars)
+    rest = [[one if i == j else zero for i in range(m)] for j in range(m)]
+    columns = []
+    while rest:
+        e = rest.pop(0)
+        s_e = s.apply(e)
+        with_e = [_dot(nvars, zip(v, s_e)) for v in rest]  # ω(v, e) = −ω(e, v)
+        partners = [(w.degree_size(), q) for q, w in enumerate(with_e) if not w.is_zero()]
+        if not partners:
+            raise PolarizationError(
+                "d alpha1 + d alpha2 is degenerate on TG1 ⊕ TG2; pair conditions violated"
+            )
+        q = min(partners)[1]
+        scale = -with_e.pop(q).inverse()
+        f = [x * scale for x in rest.pop(q)]
+        s_f = s.apply(f)
+        for p, (v, ve) in enumerate(zip(rest, with_e)):
+            vf = _dot(nvars, zip(v, s_f))
+            if ve.is_zero() and vf.is_zero():
+                continue
+            rest[p] = [_dot(nvars, ((one, x), (-vf, a), (ve, b))) for x, a, b in zip(v, e, f)]
+        columns += [e, f]
+    return RfMatrix(nvars, columns).transpose()
 
 
 def build_associated_by_polarization(
-    vp: VerifiedPair,
-    k_aux: MetricField,
-    decomposable: bool,
+    vp: VerifiedPair, decomposable: bool
 ) -> tuple[EndoField, MetricField]:
-    """Produce (phi, g) with g associated to (alpha1, alpha2, phi).
+    """Produce (phi, g) with g associated to (alpha1, alpha2, phi), exactly.
 
-    The restriction of d alpha1 + d alpha2 to the characteristic subbundles
-    is polarized numerically at the first sample point: jointly on TG1 ⊕ TG2,
-    or per block when ``decomposable`` is set, which forces phi to preserve
-    the characteristic subbundles.  The result is extended by
-    g(·, Z_i) = alpha_i and phi(Z_i) = 0."""
-    if k_aux.space != vp.space:
-        raise ValueError("auxiliary metric lives on a different space")
-    reason = polarization_precondition_violation(vp, k_aux)
+    With F = [TG1 | TG2] and W the table of d alpha1 + d alpha2, the
+    columns of B = F·D, D the :func:`_darboux_frame` of FᵀWF, span
+    TG1 ⊕ TG2 with BᵀWB = Ω.  Then phi e = −f, phi f = e, phi Z_i = 0 and
+    g the identity in the frame (B, Z1, Z2) give phi = P·W and
+    g = AᵀA − W·P·W, with P = BBᵀ and A the rows alpha1, alpha2, since the
+    rows [−ΩBᵀW ; A] invert [B | Z1 Z2] (i_{Z_j} d alpha_i = 0).  FᵀWF is
+    block-diagonal, as d alpha_i vanishes on TG_i, so with ``decomposable``
+    every Darboux pair lies in one block and phi preserves both subbundles;
+    otherwise, when both blocks are nonempty, the frame starts from
+    e = TG1[0] + TG2[0], which mixes them."""
+    reason = polarization_precondition_violation(vp)
     if reason:
         raise PolarizationError(reason)
-    point = vp.sample_points[0]
-    n = vp.dim
-
-    dsum = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
     tg1, tg2 = vp.tg1.vectors, vp.tg2.vectors
-    phi_blocks = []
-    g_blocks = []
-    for vectors in [tg1, tg2] if decomposable else [tg1 + tg2]:
-        frame = column_matrix(vp.space, vectors)
-        if frame.cols == 0:  # a TG block is empty for types with h = 0 or k = 0
-            phi_blocks.append([])
-            g_blocks.append([])
-            continue
-        s_exact = frame.transpose() @ dsum @ frame
-        k_exact = frame.transpose() @ k_aux.matrix @ frame
-        phi_block, g_block = _polarize_block(
-            _float_matrix(s_exact.entries, point), _float_matrix(k_exact.entries, point)
-        )
-        phi_blocks.append(phi_block)
-        g_blocks.append(g_block)
-
-    basis, basis_inv = vp._adapted_basis
-
-    zero = RatFun.zero(n)
-    phi_b = [[zero for _ in range(n)] for _ in range(n)]
-    g_b = [[zero for _ in range(n)] for _ in range(n)]
-    offset = 0
-    for phi_block, g_block in zip(phi_blocks, g_blocks):
-        m = len(phi_block)
-        for p in range(m):
-            for q in range(m):
-                phi_b[offset + p][offset + q] = RatFun.const(n, Fraction(phi_block[p][q]))
-                g_b[offset + p][offset + q] = RatFun.const(n, Fraction(g_block[p][q]))
-        offset += m
-    g_b[offset][offset] = RatFun.one(n)
-    g_b[offset + 1][offset + 1] = RatFun.one(n)
-
-    phi_matrix = basis @ RfMatrix(n, phi_b) @ basis_inv
-    g_matrix = basis_inv.transpose() @ RfMatrix(n, g_b) @ basis_inv
-    return EndoField(vp.space, phi_matrix), MetricField(vp.space, g_matrix)
+    if not decomposable and tg1 and tg2:
+        tg1 = (tg1[0] + tg2[0], *tg1[1:])
+    frame = column_matrix(vp.space, [*tg1, *tg2])
+    w = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
+    darboux = frame @ _darboux_frame(frame.transpose() @ w @ frame)
+    phi = darboux @ (darboux.transpose() @ w)
+    alphas = vp._alpha_matrix
+    g = alphas.transpose() @ alphas - w @ phi
+    return EndoField(vp.space, phi), MetricField(vp.space, g)
 
 
 # --- orthogonality and Killing fields -----------------------------------------------
 
 
-def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0) -> Verdict:
+def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField) -> Verdict:
     """g(u, v) = 0 for every u in the TF1 frame and v in the TF2 frame."""
     table = vp.tf1.matrix.transpose() @ g.matrix @ vp.tf2.matrix
     residuals = [
@@ -448,10 +336,7 @@ def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField, tol: float = 0.0
         for q in range(table.cols)
     ]
     return residual_verdict(
-        residuals,
-        vp,
-        tol,
-        detail="the characteristic foliations are g-orthogonal",
+        residuals, vp, detail="the characteristic foliations are g-orthogonal"
     )
 
 
@@ -497,9 +382,9 @@ def decomposability_orthogonality_agreement(
     foliations are orthogonal; the two verdicts must match.  Decomposability
     is the structure's own verdict (:attr:`ContactPairStructure.decomposable`);
     ``orthogonal`` may hand in :func:`are_foliations_orthogonal` of the same
-    ``(cps.vp, g, cps.tol)`` when the caller already has it."""
+    ``(cps.vp, g)`` when the caller already has it."""
     dec = cps.decomposable
-    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g, cps.tol)
+    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g)
     if dec.ok == orth.ok:
         value = "both hold" if dec.ok else "both fail"
         return Verdict.verified(f"decomposability ⟺ orthogonality ({value})")
@@ -528,43 +413,33 @@ class LeafMCP:
     i: int
 
 
-def _require_invariant(
-    cps: ContactPairStructure, frame: DistributionFrame, images: RfMatrix
-) -> list[tuple[str, RatFun]]:
+def _require_invariant(frame: DistributionFrame, images: RfMatrix) -> None:
     """Raise unless the images phi F lie in span F, i.e. E·(phi F) = 0 for
-    the frame's equations E, each column graded at the structure's ``tol``.
-    Returns the labelled entries of E·(phi F), which the caller grades with
-    its identities: at ``tol > 0`` they may be nonzero within ``tol``."""
+    the frame's equations E."""
     if not frame.equations.rows:
-        return []
-    label = frame.label
+        return
     leaving = frame.equations @ images
-    residuals = []
     for q in range(images.cols):
-        column = [(f"E·phi({label}[{q}])[{r}]", c) for r, c in enumerate(leaving.column(q))]
-        if not residual_verdict(column, cps.vp, cps.tol).ok:
+        if not all(c.is_zero() for c in leaving.column(q)):
             raise PreconditionError(
-                f"frame {label} is not phi-invariant: phi({label}[{q}]) leaves the span"
+                f"frame {frame.label} is not phi-invariant: "
+                f"phi({frame.label}[{q}]) leaves the span"
             )
-        residuals.extend(column)
-    return residuals
 
 
 def verify_restricted_contact_metric(
     mcp: MetricContactPair, frame: DistributionFrame, mode
 ) -> Verdict:
-    """Bundle-level verification of the structures induced on leaves, graded
-    at the structure's own ``tol``.
+    """Bundle-level verification of the structures induced on leaves.
 
     ``LeafContactMetric(i)`` expects the characteristic frame of alpha_j
     (j != i) and checks g(u, phi v) = d alpha_i(u, v), g(u, Z_i) = alpha_i(u)
     and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
     expects a frame of ker d alpha_i and checks that the restricted pair is a
     contact pair of the induced type (:func:`pair_axioms` on alpha_l(F) and
-    F^T W_l F, exact whatever ``tol``) with the restricted metric associated.
-    Both modes raise :class:`PreconditionError` unless E·(phi F) = 0 for the
-    frame's equations E; at ``tol > 0`` an E·(phi F) that vanishes only
-    within ``tol`` makes the verdict at best SampleVerified.  Every
+    F^T W_l F) with the restricted metric associated.  Both modes raise
+    :class:`PreconditionError` unless E·(phi F) = 0 for the frame's
+    equations E.  Every
     restricted table is a product with the frame's column matrix F: the
     images phi F, the pairings F^T G phi F, the 2-form tables F^T W_l F,
     alpha_l(F) and the duality rows (Z^T G - α) F of ``mcp.associated``.
@@ -575,7 +450,6 @@ def verify_restricted_contact_metric(
             "restriction to the characteristic leaves needs decomposable phi"
         )
     vp = mcp.vp
-    tol = mcp.cps.tol
     label = frame.label
     f = frame.matrix
     f_t = f.transpose()
@@ -591,7 +465,7 @@ def verify_restricted_contact_metric(
                 f"Z{i} not in span({label})",
                 "the Reeb field must be tangent to the leaves",
             )
-        invariance = _require_invariant(mcp.cps, frame, images)
+        _require_invariant(frame, images)
         pairing = pairings - tables[i]
         square = _leaf_square_residual(mcp.cps, frame, i, images)
         residuals = []
@@ -606,9 +480,8 @@ def verify_restricted_contact_metric(
                 for a, c in enumerate(square.column(p))
             )
         return residual_verdict(
-            residuals + invariance,
+            residuals,
             vp,
-            tol,
             detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
         )
 
@@ -627,7 +500,7 @@ def verify_restricted_contact_metric(
                     f"Z{l} not in span({label})",
                     "both Reeb fields are tangent to the leaves of ker d alpha_i",
                 )
-        invariance = _require_invariant(mcp.cps, frame, images)
+        _require_invariant(frame, images)
 
         alphas = vp._alpha_matrix @ f
         axioms = pair_axioms(
@@ -641,7 +514,6 @@ def verify_restricted_contact_metric(
         volume = [axioms["volume_form"]] if "volume_form" in axioms else []
         verdicts = [
             *volume,
-            residual_verdict(invariance, vp, tol),
             axioms["dalpha1_power_zero"],
             axioms["dalpha2_power_zero"],
         ]
@@ -661,7 +533,6 @@ def verify_restricted_contact_metric(
             residual_verdict(
                 associated_residuals,
                 vp,
-                tol,
                 detail="restricted metric is associated to the restricted pair",
             )
         )

@@ -462,12 +462,6 @@ class VerifiedPair:
         """The 2 x n matrix A with rows alpha1, alpha2."""
         return RfMatrix(self.dim, [one_form_row(self.pair.alpha1), one_form_row(self.pair.alpha2)])
 
-    @cached_property
-    def _adapted_basis(self) -> tuple[RfMatrix, RfMatrix]:
-        """The n x n matrix B with columns TG1, TG2, Z1, Z2, and its inverse."""
-        basis = column_matrix(self.space, [*self.tg1.vectors, *self.tg2.vectors, self.z1, self.z2])
-        return basis, basis.inverse()
-
 
 def _reeb_gram(vp: VerifiedPair, g: MetricField) -> RfMatrix:
     """The 2 x 2 Gram matrix Z^T G Z of the Reeb fields under the metric g."""

@@ -45,13 +45,11 @@ class PreconditionError(RuntimeError):
     """An operation was invoked outside its stated hypotheses."""
 
 
-def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict[str, Verdict]:
+def verify_structure(vp: VerifiedPair, phi: EndoField) -> dict[str, Verdict]:
     """Check the defining and derived identities of (alpha1, alpha2, phi).
 
     The squared identity is checked as an exact n x n matrix identity in basis
-    coordinates, so failures come with entry-level witnesses.  ``tol`` > 0
-    grades nonzero residuals by evaluation at the pair's sample points
-    (needed for numeric, polarization-produced phi)."""
+    coordinates, so failures come with entry-level witnesses."""
     if phi.space != vp.space:
         raise ValueError("phi lives on a different space")
     n = vp.dim
@@ -63,7 +61,6 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
         "phi_squared": residual_verdict(
             matrix_residual_entries(squared_residual),
             vp,
-            tol,
             detail="phi^2 = -Id + alpha1⊗Z1 + alpha2⊗Z2",
         )
     }
@@ -76,7 +73,7 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
         residuals = [
             (f"{label.format(i)}[{names[b]}]", table.at(i - 1, b)) for i in (1, 2) for b in range(n)
         ]
-        out[key] = residual_verdict(residuals, vp, tol, detail=detail)
+        out[key] = residual_verdict(residuals, vp, detail=detail)
 
     rank = generic_rank(phi.matrix)
     if rank == n - 2:
@@ -89,18 +86,17 @@ def verify_structure(vp: VerifiedPair, phi: EndoField, tol: float = 0.0) -> dict
 @dataclass(frozen=True)
 class ContactPairStructure:
     """Verified pair plus endomorphism; the two defining identities are
-    enforced at construction (within ``tol`` for numeric phi).  ``verdicts``
-    may hand in :func:`verify_structure` of the same ``(vp, phi, tol)``
-    when the caller already has it; it is not stored."""
+    enforced at construction.  ``verdicts`` may hand in
+    :func:`verify_structure` of the same ``(vp, phi)`` when the caller
+    already has it; it is not stored."""
 
     vp: VerifiedPair
     phi: EndoField
-    tol: float = 0.0
     verdicts: InitVar[dict[str, Verdict] | None] = None
 
     def __post_init__(self, verdicts):
         if verdicts is None:
-            verdicts = verify_structure(self.vp, self.phi, self.tol)
+            verdicts = verify_structure(self.vp, self.phi)
         for key in ("phi_squared", "phi_reeb"):
             if not verdicts[key].ok:
                 raise StructureValidationError(
@@ -124,7 +120,7 @@ class ContactPairStructure:
 def is_decomposable(cps: ContactPairStructure) -> Verdict:
     """phi preserves both characteristic subbundles: for every frame vector v
     of TF_i, alpha_i(phi v) = 0 and i_{phi v} d alpha_i = 0 (equivalently phi
-    maps each TG_i onto itself).  Graded at the structure's own ``tol``."""
+    maps each TG_i onto itself)."""
     vp = cps.vp
     residuals = []
     for i in (1, 2):
@@ -138,12 +134,7 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
                 (f"(i_(phi TF{i}[{idx}]) d alpha{i})[{vp.space.names[b]}]", c)
                 for b, c in enumerate(contractions.column(idx))
             )
-    return residual_verdict(
-        residuals,
-        vp,
-        cps.tol,
-        detail="phi(TF_i) ⊂ TF_i for i = 1, 2",
-    )
+    return residual_verdict(residuals, vp, detail="phi(TF_i) ⊂ TF_i for i = 1, 2")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Three-valued check results.
 
 Exact checks come back Verified or Failed.  Checks that cannot be decided
-globally (positivity of a non-constant polynomial) or that run on numeric
-data (polarization outputs) degrade honestly to SampleVerified, recording how
-many sample points were inspected.  Every Failed verdict carries a
-reproducible witness.
+globally (positivity of a non-constant polynomial) degrade honestly to
+SampleVerified, recording how many sample points were inspected.  Every
+Failed verdict carries a reproducible witness.
 """
 
 from __future__ import annotations
@@ -83,47 +82,17 @@ def combine_verdicts(verdicts: Iterable[Verdict], detail: str | None = None) -> 
 
 
 def residual_verdict(
-    residuals: Sequence[tuple[str, RatFun]],
-    pair,
-    tol: float = 0.0,
-    detail: str = "",
+    residuals: Sequence[tuple[str, RatFun]], pair, detail: str = ""
 ) -> Verdict:
-    """Verified when every labelled residual is identically zero; otherwise,
-    with a positive tolerance, SampleVerified when all residuals evaluate
-    within tol at every sample point; otherwise Failed with the first
-    offending residual (and point, for the numeric path) as witness.
-
-    ``pair`` is what the residuals live on (a pair, verified pair or
-    structure): its sample points grade them and its space's coordinate
-    names print the witness."""
-    sample_points = pair.sample_points
-    nonzero = [(label, r) for label, r in residuals if not r.is_zero()]
-    if not nonzero:
-        return Verdict.verified(detail)
-    if tol > 0.0:
-        worst = 0.0
-        for label, r in nonzero:
-            for point in sample_points:
-                try:
-                    value = abs(float(r.eval(point)))
-                except ZeroDivisionError as exc:
-                    return Verdict.failed(
-                        f"{label} at {format_point(point)}", f"undefined residual: {exc}"
-                    )
-                if value > tol:
-                    return Verdict.failed(
-                        f"{label} at {format_point(point)}",
-                        f"residual {value:.3e} exceeds tol {tol:.1e}",
-                    )
-                worst = max(worst, value)
-        return Verdict.sample_verified(
-            len(sample_points),
-            detail or f"max residual {worst:.3e} within tol {tol:.1e}",
-        )
-    label, r = nonzero[0]
-    return Verdict.failed(
-        f"{label} = {r.format(pair.space.names)}", detail or "nonzero symbolic residual"
-    )
+    """Verified when every labelled residual is identically zero, otherwise
+    Failed with the first nonzero one as witness, printed in the coordinate
+    names of ``pair``'s space (a pair, verified pair or structure)."""
+    for label, r in residuals:
+        if not r.is_zero():
+            return Verdict.failed(
+                f"{label} = {r.format(pair.space.names)}", detail or "nonzero symbolic residual"
+            )
+    return Verdict.verified(detail)
 
 
 def nonvanishing_verdict(

@@ -18,7 +18,7 @@ from contactpairs.exterior import (
     VectorField,
     directional_derivative,
 )
-from contactpairs.fixtures import load_fixture_dict
+from contactpairs.fixtures import bundled_fixture_path, load_fixture, load_fixture_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +45,17 @@ def lie_rung(h, k):
     the benchmark generates it from seed 1."""
     workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
     return load_fixture_dict(workloads.heisenberg_product(h, k, random.Random(1)))
+
+
+def fixture_doc(name):
+    """The fixture ``name``: a ladder rung "chart_h_k" or "lie_h_k", one of
+    ``tests/fixtures`` or a bundled one."""
+    family, _, rung = name.partition("_")
+    if family in ("chart", "lie") and rung:
+        h, k = map(int, rung.split("_"))
+        return (chart_rung if family == "chart" else lie_rung)(h, k)
+    local = ROOT / "tests" / "fixtures" / f"{name}.json"
+    return load_fixture(local if local.exists() else bundled_fixture_path(name))
 
 
 def dense_chart_rung(h, k):

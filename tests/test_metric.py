@@ -4,10 +4,17 @@ Killing fields, and leafwise restriction."""
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from contactpairs.algebra import InconsistentSystemError, RfMatrix, solve_linear_exact
+from contactpairs.algebra import (
+    InconsistentSystemError,
+    RatFun,
+    RfMatrix,
+    pfaffian_minor,
+    solve_linear_exact,
+)
 from contactpairs.exterior import EndoField, Form, MetricField, VectorField
 from contactpairs.fixtures import (
     FixtureError,
@@ -21,7 +28,7 @@ from contactpairs.metric import (
     MetricContactPair,
     MetricValidationError,
     PolarizationError,
-    _polarize_block,
+    _darboux_frame,
     _require_invariant,
     are_foliations_orthogonal,
     build_associated_by_polarization,
@@ -56,10 +63,9 @@ from conftest import (
     build_r6_metric,
     build_r6_phi,
     build_r6_space,
+    fixture_doc,
     random_spd_matrix,
 )
-
-TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -224,55 +230,106 @@ def test_build_compatible_rejects_degenerate_aux(r6):
 # --- polarization ------------------------------------------------------------------------
 
 
-def test_polarize_block_trivial_two_block():
-    s = [[0.0, 1.0], [-1.0, 0.0]]
-    phi_block, g_block = _polarize_block(s, [[1.0, 0.0], [0.0, 1.0]])
-    assert phi_block == s
-    assert g_block == [[1.0, 0.0], [0.0, 1.0]]
+def _omega(m, nvars):
+    """The standard symplectic matrix: ω(e_p, f_p) = 1 on the pairs (2p, 2p + 1)."""
+    return RfMatrix(nvars, [
+        [(j == i + 1 and i % 2 == 0) - (i == j + 1 and j % 2 == 0) for j in range(m)]
+        for i in range(m)
+    ])
 
 
-def test_polarize_block_rejects_singular_form():
-    with pytest.raises(PolarizationError, match="singular"):
-        _polarize_block([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+def test_darboux_frame_of_the_standard_form():
+    omega = _omega(4, 1)
+    assert _darboux_frame(omega) == RfMatrix.identity(4, 1)
 
 
-def _numpy_polarize_block(s, k):
-    """The polarization through LAPACK: Cholesky, triangular solves, eigh."""
-    chol = np.linalg.cholesky(k)
-    a_hat = np.linalg.solve(chol, np.linalg.solve(chol, s).T).T
-    eigenvalues, vectors = np.linalg.eigh(a_hat.T @ a_hat)
-    sqrt_p = vectors @ np.diag(np.sqrt(eigenvalues)) @ vectors.T
-    inv_sqrt_p = vectors @ np.diag(1.0 / np.sqrt(eigenvalues)) @ vectors.T
-    phi_block = np.linalg.solve(chol.T, a_hat @ inv_sqrt_p @ chol.T)
-    return phi_block, chol @ sqrt_p @ chol.T
+def test_darboux_frame_rejects_a_degenerate_form():
+    with pytest.raises(PolarizationError, match="degenerate"):
+        _darboux_frame(RfMatrix.zeros(2, 2, 1))
+    x = RatFun.variable(1, 0)
+    rank_two = RfMatrix(1, [[0, x, 0], [-x, 0, 0], [0, 0, 0]])  # odd order: never full rank
+    with pytest.raises(PolarizationError, match="degenerate"):
+        _darboux_frame(rank_two)
+
+
+def _entry(a, b, c):
+    """a + bx, or (a + bx)/(x + c) for c != 0."""
+    x = RatFun.variable(1, 0)
+    return (a + b * x) / (x + c) if c else a + b * x
+
+
+_entries = st.builds(_entry, st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([0, 1, 2]))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
-def test_polarize_block_matches_numpy_on_general_blocks(m):
-    """A skew form whose k-operator is not orthogonal, and a k that is not the
-    identity: the plain-float Cholesky and Jacobi eigensolver agree with
-    LAPACK, and the result is a k-compatible complex structure."""
-    rng = np.random.default_rng(m)
-    b = rng.normal(size=(m, m))
-    c = rng.normal(size=(m, m))
-    s, k = b - b.T, c @ c.T + m * np.eye(m)
-    phi_block, g_block = _polarize_block(s.tolist(), k.tolist())
-    phi, g = np.array(phi_block), np.array(g_block)
-    expected_phi, expected_g = _numpy_polarize_block(s, k)
-    assert np.allclose(phi, expected_phi, rtol=0, atol=1e-9)
-    assert np.allclose(g, expected_g, rtol=0, atol=1e-9 * np.abs(expected_g).max())
-    assert (g == g.T).all()
-    assert np.allclose(phi @ phi, -np.eye(m), atol=1e-9)
-    assert np.allclose(g @ phi, s, atol=1e-9)  # g(X, φY) = s(X, Y)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_darboux_frame_is_symplectic(m, data):
+    """On a random nondegenerate skew S over Q(x), with entries (a + bx) or
+    (a + bx)/(x + c), the frame D satisfies DᵀSD = Ω exactly."""
+    upper = {(i, j): data.draw(_entries) for i in range(m) for j in range(i + 1, m)}
+    s = RfMatrix(1, [
+        [upper[i, j] if i < j else -upper[j, i] if j < i else 0 for j in range(m)]
+        for i in range(m)
+    ])
+    # nondegenerate where its value at x = 1/3 is: a cheap sufficient test
+    assume(not pfaffian_minor(RfMatrix(1, s.eval_at([Fraction(1, 3)])), m // 2)[0].is_zero())
+    d = _darboux_frame(s)
+    assert d.transpose() @ s @ d == _omega(m, 1)
+
+
+POLARIZATION_CASES = ["nilpotent_g6", "local_model_1_1", "oblique_g6", "chart_2_2"]
+
+
+@pytest.mark.parametrize("name", POLARIZATION_CASES)
+def test_per_block_polarization_is_decomposable_and_orthogonal(name):
+    """Every Darboux pair of the per-block frame lies in one TG block, so
+    phi is decomposable and the characteristic foliations are orthogonal."""
+    vp = verified_pair(fixture_doc(name).pair)
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    cps = ContactPairStructure(vp, phi)
+    assert is_associated(cps, g).verdict.status is Status.VERIFIED
+    assert is_decomposable(cps).status is Status.VERIFIED
+    assert are_foliations_orthogonal(vp, g).status is Status.VERIFIED
+    assert decomposability_orthogonality_agreement(cps, g).detail.endswith("(both hold)")
+
+
+@pytest.mark.parametrize("name", POLARIZATION_CASES)
+def test_joint_polarization_fails_both_sides_of_the_agreement(name):
+    """The joint frame starts from TG1[0] + TG2[0], which mixes the blocks:
+    phi is not decomposable and the foliations are not orthogonal, and the
+    equivalence theorem holds on its "both fail" side."""
+    vp = verified_pair(fixture_doc(name).pair)
+    phi, g = build_associated_by_polarization(vp, decomposable=False)
+    cps = ContactPairStructure(vp, phi)
+    assert is_associated(cps, g).verdict.status is Status.VERIFIED
+    assert is_decomposable(cps).status is Status.FAILED
+    assert are_foliations_orthogonal(vp, g).status is Status.FAILED
+    agreement = decomposability_orthogonality_agreement(cps, g)
+    assert agreement.status is Status.VERIFIED
+    assert agreement.detail.endswith("(both fail)")
+
+
+def test_both_polarizations_invert_the_adapted_basis_once(local_model, monkeypatch):
+    """The inverse of the adapted basis [B | Z1 Z2] is written down, not
+    computed: the rows [−ΩBᵀW ; A] invert it, so neither the joint nor the
+    per-block polarization makes any ``RfMatrix.inverse`` call."""
+    vp = verified_pair(local_model.vp.pair)
+    inverted = []
+    inverse = RfMatrix.inverse
+    monkeypatch.setattr(RfMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    for decomposable in (False, True):
+        build_associated_by_polarization(vp, decomposable=decomposable)
+    assert inverted == []
 
 
 def test_polarization_recovers_nilpotent_reference(nilpotent):
     cps, g_ref = nilpotent
     vp = cps.vp
-    phi, g = build_associated_by_polarization(vp, g_ref, decomposable=True)
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
     assert phi.matrix == cps.phi.matrix
     assert g.matrix == g_ref.matrix
-    cps_new = ContactPairStructure(vp, phi, tol=TOL)
+    cps_new = ContactPairStructure(vp, phi)
     report = is_associated(cps_new, g)
     assert report.ok
     assert is_decomposable(cps_new).ok
@@ -281,11 +338,10 @@ def test_polarization_recovers_nilpotent_reference(nilpotent):
 def test_polarization_local_model(local_model):
     cps = local_model
     vp = cps.vp
-    k_aux = MetricField.euclidean(cps.space)
-    phi, g = build_associated_by_polarization(vp, k_aux, decomposable=False)
-    cps_new = ContactPairStructure(vp, phi, tol=TOL)
+    phi, g = build_associated_by_polarization(vp, decomposable=False)
+    cps_new = ContactPairStructure(vp, phi)
     report = is_associated(cps_new, g)
-    assert report.ok, report.verdict
+    assert report.verdict.status is Status.VERIFIED, report.verdict
     for point in vp.sample_points:
         assert g.is_positive_definite_at(point)
 
@@ -293,55 +349,10 @@ def test_polarization_local_model(local_model):
 def test_polarization_decomposable_flag(local_model):
     cps = local_model
     vp = cps.vp
-    phi, g = build_associated_by_polarization(
-        vp, MetricField.euclidean(cps.space), decomposable=True
-    )
-    cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    assert is_decomposable(cps_new).ok
-    assert is_associated(cps_new, g).ok
-
-
-def test_both_polarizations_invert_the_adapted_basis_once(local_model, monkeypatch):
-    """The basis [TG1 TG2 Z1 Z2] and its inverse are cached on the verified
-    pair, so the joint and the per-block polarization share one inverse."""
-    vp = verified_pair(local_model.vp.pair)
-    k_aux = MetricField.euclidean(vp.space)
-    inverted = []
-    inverse = RfMatrix.inverse
-    monkeypatch.setattr(RfMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
-    for decomposable in (False, True):
-        build_associated_by_polarization(vp, k_aux, decomposable=decomposable)
-    assert len(inverted) == 1
-
-
-def test_polarization_random_aux_joint_agreement(nilpotent, rng):
-    """Joint polarization with a generic auxiliary metric mixes the blocks:
-    decomposability and orthogonality then fail together."""
-    cps, _ = nilpotent
-    vp = cps.vp
-    mixed = 0
-    for _ in range(5):
-        k_aux = MetricField(cps.space, random_spd_matrix(rng, 6, 6))
-        phi, g = build_associated_by_polarization(vp, k_aux, decomposable=False)
-        cps_new = ContactPairStructure(vp, phi, tol=TOL)
-        assert is_associated(cps_new, g).ok
-        agreement = decomposability_orthogonality_agreement(cps_new, g)
-        assert agreement.status is Status.VERIFIED, agreement
-        if not is_decomposable(cps_new).ok:
-            mixed += 1
-    assert mixed >= 1  # generic k_aux does mix the blocks
-
-
-def test_polarization_random_aux_decomposable_agreement(nilpotent, rng):
-    cps, _ = nilpotent
-    vp = cps.vp
-    for _ in range(5):
-        k_aux = MetricField(cps.space, random_spd_matrix(rng, 6, 6))
-        phi, g = build_associated_by_polarization(vp, k_aux, decomposable=True)
-        cps_new = ContactPairStructure(vp, phi, tol=TOL)
-        assert is_decomposable(cps_new).ok
-        assert are_foliations_orthogonal(vp, g, tol=TOL).ok
-        assert decomposability_orthogonality_agreement(cps_new, g).ok
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    cps_new = ContactPairStructure(vp, phi)
+    assert is_decomposable(cps_new).status is Status.VERIFIED
+    assert is_associated(cps_new, g).verdict.status is Status.VERIFIED
 
 
 # --- orthogonality ---------------------------------------------------------------------
@@ -427,9 +438,7 @@ def test_polarization_with_empty_blocks():
     vp = verified_pair(
         ContactPair(space, alpha1, alpha2, 0, 0, ((Fraction(0), Fraction(0)),))
     )
-    phi, g = build_associated_by_polarization(
-        vp, MetricField.euclidean(space), decomposable=True
-    )
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
     assert phi.matrix.is_zero()
     assert g.matrix == RfMatrix.identity(2, 2)
     cps = ContactPairStructure(vp, phi)
@@ -513,7 +522,7 @@ def test_leaf_invariance_membership_agrees_with_frame_solve():
             except InconsistentSystemError:
                 x = None
             try:
-                _require_invariant(cps, frame, images)
+                _require_invariant(frame, images)
                 member = True
             except PreconditionError:
                 member = False
@@ -540,12 +549,12 @@ def test_leaf_mcp_rejects_frame_phi_leaves(nilpotent):
 
 
 def test_leaf_restriction_numeric_path_rejects_frame_phi_leaves(nilpotent):
-    """With polarized phi and a positive tolerance, the frame (Z1, TG2[0])
-    is still refused: E·(phi F) exceeds tol at the sample points."""
-    cps, g_ref = nilpotent
+    """With polarized phi, the frame (Z1, TG2[0]) is still refused:
+    E·(phi F) is not zero."""
+    cps, _ = nilpotent
     vp = cps.vp
-    phi, g = build_associated_by_polarization(vp, g_ref, decomposable=True)
-    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    mcp = MetricContactPair(ContactPairStructure(vp, phi), g)
     frame = DistributionFrame(vp.space, (vp.z1, vp.tg2.vectors[0]), "leaf")
     with pytest.raises(
         PreconditionError, match=r"^frame leaf is not phi-invariant: phi\(leaf\[1\]\) leaves the span"
@@ -553,63 +562,19 @@ def test_leaf_restriction_numeric_path_rejects_frame_phi_leaves(nilpotent):
         verify_restricted_contact_metric(mcp, frame, LeafContactMetric(1))
 
 
-def test_leaf_invariance_is_graded_at_tol(nilpotent):
-    """At a positive tolerance, a frame that phi maps to within tol of its
-    span passes: adding 1e-12 to phi[w1][w2] moves phi(TF2[0]) = phi(e_w2)
-    out of span TF2 by 1e-12."""
-    cps, g = nilpotent
-    vp = cps.vp
-    n = vp.dim
-    nudge = RfMatrix(n, [
-        [Fraction(1, 10**12) if (a, b) == (0, 1) else 0 for b in range(n)] for a in range(n)
-    ])
-    phi = EndoField(vp.space, cps.phi.matrix + nudge)
-    assert not (vp.tf2.equations @ phi.matrix @ vp.tf2.matrix).is_zero()
-    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
-    verdict = verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1))
-    assert verdict.status is Status.SAMPLE_VERIFIED, verdict
-
-
-@pytest.mark.parametrize(
-    "entry, frame, mode",
-    [
-        ((2, 1), lambda vp: vp.tf2, LeafContactMetric(1)),
-        ((4, 0), lambda vp: kernel_frame(vp.pair, 1), LeafMCP(1)),
-    ],
-    ids=["contact metric on TF2", "metric contact pair on ker d alpha1"],
-)
-def test_invariance_within_tol_is_at_best_sample_verified(nilpotent, entry, frame, mode):
-    """A nudge of 1e-12 at ``entry`` of phi moves phi F out of span F while
-    every restricted identity still vanishes exactly: the invariance held
-    only within tol, so the verdict is SampleVerified, not Verified."""
-    cps, g = nilpotent
-    vp = cps.vp
-    n = vp.dim
-    nudge = RfMatrix(n, [
-        [Fraction(1, 10**12) if (a, b) == entry else 0 for b in range(n)] for a in range(n)
-    ])
-    phi = EndoField(vp.space, cps.phi.matrix + nudge)
-    f = frame(vp)
-    assert not (f.equations @ phi.matrix @ f.matrix).is_zero()
-    mcp = MetricContactPair(ContactPairStructure(vp, phi, tol=TOL), g)
-    verdict = verify_restricted_contact_metric(mcp, f, mode)
-    assert verdict.status is Status.SAMPLE_VERIFIED, verdict
-
-
 def test_leaf_restriction_numeric_path(nilpotent):
-    """With a positive tolerance the restriction machinery works on
-    polarization-produced (float-rational) data."""
-    cps, g_ref = nilpotent
+    """The restriction machinery verifies the structures that the per-block
+    polarization induces on the leaves."""
+    cps, _ = nilpotent
     vp = cps.vp
-    phi, g = build_associated_by_polarization(vp, g_ref, decomposable=True)
-    cps_new = ContactPairStructure(vp, phi, tol=TOL)
-    mcp = MetricContactPair(cps_new, g)
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    mcp = MetricContactPair(ContactPairStructure(vp, phi), g)
     verdict = verify_restricted_contact_metric(mcp, vp.tf2, LeafContactMetric(1))
-    assert verdict.ok, verdict
+    assert verdict.status is Status.VERIFIED, verdict
     verdict = verify_restricted_contact_metric(
         mcp, kernel_frame(vp.pair, 2), LeafMCP(2)
     )
-    assert verdict.ok, verdict
+    assert verdict.status is Status.VERIFIED, verdict
 
 
 def test_leaf_identities_trivial_on_reeb(nilpotent):

@@ -11,6 +11,10 @@ with small probability, so a few seeded points are enough.
 The Christoffel symbols of the small chart rungs, of the first kind and
 raised to the second by the test-side g⁻¹, are also compared with sympy's,
 symbol by symbol, when sympy is installed.
+
+The polarized structures are re-checked against the identities that define
+an associated metric, on their values at fresh random points, with the
+oracle's own products and its own determinants for positive definiteness.
 """
 
 import random
@@ -21,11 +25,11 @@ import pytest
 from contactpairs.algebra import Poly, RatFun, RfMatrix
 from contactpairs.connection import christoffel
 from contactpairs.fixtures import bundled_fixture_path, load_fixture
-from contactpairs.metric import build_compatible
+from contactpairs.metric import build_associated_by_polarization, build_compatible
 from contactpairs.pair import verified_pair
 from contactpairs.structure import ContactPairStructure
 
-from conftest import chart_rung, second_kind
+from conftest import chart_rung, fixture_doc, second_kind
 
 
 def _points(rng, nvars, count):
@@ -70,6 +74,22 @@ def _inverse(a):
                 f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
     return [row[n:] for row in rows]
+
+
+def _det(a):
+    """det a by Gaussian elimination over the rationals."""
+    rows, det = [list(row) for row in a], Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
 
 
 def _partial(r, point, a, degree):
@@ -202,3 +222,32 @@ def test_christoffel_symbols_match_sympy(h, k):
             for c in range(n):
                 theirs = sum(inverse[c, m] * lowered[m] for m in range(n))
                 assert sympy.cancel(to_sympy(gammas[a][b][c]) - theirs) == 0, (a, b, c)
+
+
+@pytest.mark.parametrize(
+    "name", ["local_model_1_1", "nilpotent_g6", "r6_example", "chart_1_1", "chart_2_2", "lie_3_3"]
+)
+def test_polarized_structures_match_the_oracle(name):
+    """At 3 fresh random points, both polarizations satisfy GΦ = W (the
+    table of d alpha1 + d alpha2), Φ² = −I + ZA and GZ = Aᵀ, with A the rows
+    alpha1, alpha2 and Z the columns Z1, Z2, and every leading principal
+    minor of G is positive.  The construction reads no metric, so the
+    identity metric of Lie rung (3,3) plays no part."""
+    vp = verified_pair(fixture_doc(name).pair)
+    n = vp.dim
+    w = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
+    rng = random.Random(2026)
+    for flag in (False, True):
+        phi, g = build_associated_by_polarization(vp, decomposable=flag)
+        for point in _points(rng, phi.matrix.nvars, 3):
+            phi_at, g_at, w_at, a_at, z_at = (
+                _values(m, point)
+                for m in (phi.matrix, g.matrix, w, vp._alpha_matrix, vp._reeb_matrix)
+            )
+            za = _product(z_at, a_at)
+            assert _product(g_at, phi_at) == w_at, (name, flag, point)
+            assert _product(phi_at, phi_at) == [
+                [za[i][j] - (i == j) for j in range(n)] for i in range(n)
+            ], (name, flag, point)
+            assert _product(g_at, z_at) == [list(col) for col in zip(*a_at)], (name, flag, point)
+            assert all(_det([row[:k] for row in g_at[:k]]) > 0 for k in range(1, n + 1))

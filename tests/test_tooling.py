@@ -12,6 +12,7 @@ import traceback
 from pathlib import Path
 
 from contactpairs import algebra, cli
+from contactpairs.fixtures import bundled_fixture_path
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -49,10 +50,10 @@ def test_bench_jobs_measure_their_smallest_case(tmp_path, monkeypatch):
 
 
 def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
-    """``theorems`` decides the Reeb geodesy and runs the RK4 cross-check of
-    every metric without g⁻¹: no ``RfMatrix.inverse`` call is made under
-    ``cli._geodesy_of``, on chart rung (2,2) (its built metric) and on Lie
-    rung (3,3) (its identity metric)."""
+    """``theorems`` and ``polarize`` invert no matrix: no ``RfMatrix.inverse``
+    call is made in a whole ``theorems`` run on chart rung (2,2) (its built
+    and polarized metrics, their geodesy and RK4) and on Lie rung (3,3) (its
+    identity metric), nor in ``polarize`` on ``local_model_1_1``."""
     spec = importlib.util.spec_from_file_location("workloads_under_test", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
@@ -61,10 +62,11 @@ def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
     callers = []
 
     def counted(self):
-        callers.append({frame.name for frame in traceback.extract_stack()})
+        callers.append([frame.name for frame in traceback.extract_stack()])
         return inverse(self)
 
     monkeypatch.setattr(algebra.RfMatrix, "inverse", counted)
+    runs = []
     for make, h, k, key in (
         (workloads.chart_model, 2, 2, "built_geodesic"),
         (workloads.heisenberg_product, 3, 3, "geodesic"),
@@ -72,9 +74,12 @@ def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
         doc = make(h, k, random.Random(1))
         path = tmp_path / f"{doc['id']}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        report = cli.run("theorems", path)
-        assert report.verdicts[key].ok, doc["id"]
-    assert not [names for names in callers if "_geodesy_of" in names]
+        runs.append(("theorems", path, key))
+    runs.append(("polarize", bundled_fixture_path("local_model_1_1"), "polarized_associated"))
+    for verb, path, key in runs:
+        report = cli.run(verb, path)
+        assert report.verdicts[key].ok, (verb, path.name)
+    assert callers == []
 
 
 def test_cli_import_loads_no_numpy():

@@ -25,8 +25,6 @@ from contactpairs.structure import (
 )
 from contactpairs.pair import DistributionFrame
 
-TOL = 1e-9
-
 
 @pytest.fixture(scope="module")
 def model_2_1():
@@ -96,12 +94,10 @@ def test_2_1_structure_and_metric_constructions(model_2_1):
 
 def test_2_1_polarization(model_2_1):
     vp = model_2_1
-    phi, g = build_associated_by_polarization(
-        vp, MetricField.euclidean(vp.space), decomposable=True
-    )
-    cps = ContactPairStructure(vp, phi, tol=TOL)
-    assert is_associated(cps, g).ok
-    assert is_decomposable(cps).ok
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    cps = ContactPairStructure(vp, phi)
+    assert is_associated(cps, g).verdict.status is Status.VERIFIED
+    assert is_decomposable(cps).status is Status.VERIFIED
 
 
 def test_rational_structure_constants_via_cli(tmp_path):
@@ -123,10 +119,8 @@ def test_rational_structure_constants_via_cli(tmp_path):
     }
     doc = load_fixture_dict(data)
     vp = verified_pair(doc.pair)
-    phi, g = build_associated_by_polarization(
-        vp, MetricField.euclidean(vp.space), decomposable=True
-    )
-    cps = ContactPairStructure(vp, phi, tol=TOL)
+    phi, g = build_associated_by_polarization(vp, decomposable=True)
+    cps = ContactPairStructure(vp, phi)
     report = is_associated(cps, g)
     assert report.ok, report.verdict
 

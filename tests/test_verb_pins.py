@@ -5,8 +5,10 @@ On ``oblique_g6``, whose characteristic foliations are not orthogonal, the
 
 A verb reports the checks it names, with the skip record of each that could
 not run, and the failed checks they build on; the table pins that set for
-every verb.  Float residuals and outputs are left out, because their last
-digits depend on the platform's floating point.
+every verb.  The only float values in a report are the RK4 residuals, which
+are left out, because their last digits depend on the platform's floating
+point.  The exact polarized structures of ``local_model_1_1`` at its base
+point are pinned entry by entry.
 """
 
 import re
@@ -489,3 +491,35 @@ def test_failed_witnesses_pinned(fixture_id, verb):
     report = run(verb, _path(fixture_id))
     failed = {name: v.witness for name, v in report.verdicts.items() if not v.ok}
     assert failed == WITNESSES[(fixture_id, verb)]
+
+
+def _rows(*rows: str) -> list[list[str]]:
+    return [row.split() for row in rows]
+
+
+# ``polarize`` on local_model_1_1: phi and g of both polarizations at the base
+# point (0, ..., 0), in the coordinates x1, x2, x3, y1, y2, y3
+POLARIZED_AT_BASE = {
+    "polarized_phi_at_base": _rows(
+        "0 2 0 0 1 0", "-1 0 0 1 0 0", "0 0 0 0 0 0",
+        "0 1 0 0 1 0", "1 0 0 -2 0 0", "0 0 0 0 0 0",
+    ),
+    "polarized_metric_at_base": _rows(
+        "1 0 0 -1 0 0", "0 2 0 0 1 0", "0 0 1 0 0 0",
+        "-1 0 0 2 0 0", "0 1 0 0 1 0", "0 0 0 0 0 1",
+    ),
+    "polarized_decomposable_phi_at_base": _rows(
+        "0 1 0 0 0 0", "-1 0 0 0 0 0", "0 0 0 0 0 0",
+        "0 0 0 0 1 0", "0 0 0 -1 0 0", "0 0 0 0 0 0",
+    ),
+    "polarized_decomposable_metric_at_base": _rows(
+        "1 0 0 0 0 0", "0 1 0 0 0 0", "0 0 1 0 0 0",
+        "0 0 0 1 0 0", "0 0 0 0 1 0", "0 0 0 0 0 1",
+    ),
+}
+
+
+def test_polarized_outputs_at_base_pinned():
+    report = run("polarize", bundled_fixture_path("local_model_1_1"))
+    assert report.outputs == POLARIZED_AT_BASE
+    assert report.residuals == {}
