@@ -51,8 +51,6 @@ from .structure import (
 )
 from .metric import (
     AssociatedCheckReport,
-    LeafContactMetric,
-    LeafMCP,
     MetricContactPair,
     are_foliations_orthogonal,
     build_associated_by_polarization,
@@ -93,7 +91,6 @@ __all__ = [
     "MetricContactPair", "AssociatedCheckReport", "is_compatible", "is_associated",
     "compatible_corollaries", "build_compatible", "build_associated_by_polarization",
     "are_foliations_orthogonal", "killing_check", "verify_restricted_contact_metric",
-    "LeafContactMetric", "LeafMCP",
     # connection
     "ChristoffelData", "GeodesyReport", "christoffel", "reeb_geodesy",
     "numeric_geodesic_residual",

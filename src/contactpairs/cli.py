@@ -33,8 +33,6 @@ from .connection import numeric_geodesic_residual, reeb_geodesy
 from .exterior import MetricField
 from .fixtures import FixtureDoc, FixtureError, load_fixture, load_fixture_dict
 from .metric import (
-    LeafContactMetric,
-    LeafMCP,
     MetricContactPair,
     MetricValidationError,
     PolarizationError,
@@ -54,7 +52,6 @@ from .pair import (
     FrameRankError,
     PairValidationError,
     ReebSolveError,
-    kernel_frame,
     verified_pair,
     verify_contact_pair,
     verify_splittings,
@@ -147,7 +144,8 @@ def _reeb(ctx: _Context) -> str | None:
     except (ReebSolveError, FrameRankError, PairValidationError) as exc:
         ctx.report.verdicts["reeb_solve"] = Verdict.failed(str(exc))
         return str(exc)
-    # reeb_fields, inside verified_pair, has proved these identities exactly
+    # reeb_fields, inside verified_pair, solved the first two identities
+    # exactly (they are the rows of its system) and checked the third
     for key, detail in (
         ("reeb_normalization", "alpha_i(Z_j) = delta_ij"),
         ("reeb_contraction", "i_{Z_j} d alpha_i = 0"),
@@ -179,7 +177,7 @@ def _decomposable(ctx: _Context) -> str | None:
         return "requires decomposable phi"
     for i in (1, 2):
         ctx.report.verdicts[f"induced_almost_contact_{i}"] = verify_induced_almost_contact(
-            ctx.cps, ctx.vp.tf(2 if i == 1 else 1), i
+            ctx.cps, i
         )
     return None
 
@@ -217,14 +215,9 @@ def _killing(ctx: _Context) -> None:
 
 
 def _leaves(ctx: _Context) -> None:
-    mcp, vp, verdicts = ctx.mcp, ctx.vp, ctx.report.verdicts
     for i in (1, 2):
-        verdicts[f"leaf_contact_metric_{i}"] = verify_restricted_contact_metric(
-            mcp, vp.tf(2 if i == 1 else 1), LeafContactMetric(i)
-        )
-        verdicts[f"leaf_mcp_{i}"] = verify_restricted_contact_metric(
-            mcp, kernel_frame(vp.pair, i), LeafMCP(i)
-        )
+        for key, verdict in verify_restricted_contact_metric(ctx.mcp, i).items():
+            ctx.report.verdicts[f"{key}_{i}"] = verdict
 
 
 def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
@@ -271,7 +264,7 @@ def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
 def _built(ctx: _Context) -> None:
     try:
         built = build_compatible(ctx.cps, ctx.aux)
-    except (MetricValidationError, PreconditionError) as exc:
+    except MetricValidationError as exc:
         ctx.report.verdicts["built_compatible"] = Verdict.failed(str(exc))
         return
     ctx.report.verdicts["built_compatible"] = is_compatible(ctx.cps, built)

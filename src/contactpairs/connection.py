@@ -57,6 +57,7 @@ from .algebra import (
     _dot,
     _support,
     format_point,
+    format_poly,
     solve_linear_exact,
 )
 from .exterior import MetricField, Space, VectorField, directional_derivative
@@ -317,22 +318,25 @@ def _pow(x: float, k: int) -> float:
         return -math.inf if x < 0 and k % 2 else math.inf
 
 
-def _pole(den: Poly, point: Sequence[float]) -> ZeroDivisionError:
-    return ZeroDivisionError(f"denominator {den} vanishes at {format_point(point)}")
+def _pole(den: Poly, names: Sequence[str], point: Sequence[float]) -> ZeroDivisionError:
+    return ZeroDivisionError(
+        f"denominator {format_poly(den, names)} vanishes at {format_point(point)}"
+    )
 
 
 @dataclass(frozen=True)
 class _FloatRatFun:
-    """A quotient num/den of polynomials compiled to two float programs,
-    evaluated at one point."""
+    """A quotient num/den of polynomials in the coordinates ``names``
+    compiled to two float programs, evaluated at one point."""
 
-    pole: Poly  # the denominator, named when it vanishes
+    pole: Poly  # the denominator, printed with ``names`` when it vanishes
+    names: Sequence[str]
     num: _Program
     den: _Program
 
     @classmethod
-    def compile(cls, num: Poly, den: Poly) -> "_FloatRatFun":
-        return cls(den, _compile(num), _compile(den))
+    def compile(cls, num: Poly, den: Poly, names: Sequence[str]) -> "_FloatRatFun":
+        return cls(den, names, _compile(num), _compile(den))
 
     @property
     def reads_coordinates(self) -> bool:
@@ -341,7 +345,7 @@ class _FloatRatFun:
     def at(self, point: list[float]) -> float:
         den = _run(self.den, point)
         if den == 0.0:
-            raise _pole(self.pole, point)
+            raise _pole(self.pole, self.names, point)
         return _run(self.num, point) / den
 
 
@@ -443,17 +447,19 @@ def numeric_geodesic_residual(
     terms added to the acceleration in (a, b, c) order.  ``data`` holds the
     Christoffel symbols of the first kind of ``g``, computed when not given.
 
-    A vanishing denominator raises :class:`ZeroDivisionError` naming it and
-    the first point where it vanishes, a stage point printed in full: the
-    field's on the RK4 stages, then, at each interior point x[1], ...,
-    x[steps - 1] in turn, each distinct non-constant denominator of the
-    nonzero Christoffel symbols in ``data.nonzero()`` order.  A residual row
+    A vanishing denominator raises :class:`ZeroDivisionError` naming it, in
+    the field's coordinates, and the first point where it vanishes, a stage
+    point printed in full: the field's on the RK4 stages, then, at each
+    interior point x[1], ..., x[steps - 1] in turn, each distinct
+    non-constant denominator of the nonzero Christoffel symbols in
+    ``data.nonzero()`` order.  A residual row
     holding a NaN, as past a blow-up, does not count."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if data is None:
         data = christoffel(g)
-    components = [_FloatRatFun.compile(c.num, c.den) for c in field.components]
+    names = field.space.names
+    components = [_FloatRatFun.compile(c.num, c.den, names) for c in field.components]
     trajectory = _rk4_trajectory(components, start, int(round(t_end / dt)), dt)
 
     poles = [
@@ -462,7 +468,7 @@ def numeric_geodesic_residual(
         if not den.is_constant()
     ]
     gamma_zz = [
-        (c, [_FloatRatFun.compile(num, den) for num, den in terms])
+        (c, [_FloatRatFun.compile(num, den, names) for num, den in terms])
         for c, terms in enumerate(_gamma_along(data, field))
         if terms
     ]
@@ -473,7 +479,7 @@ def numeric_geodesic_residual(
         x = trajectory[s]
         for den, program in poles:
             if _run(program, x) == 0.0:
-                raise _pole(den, x)
+                raise _pole(den, names, x)
         if not 2 <= s <= last - 2:
             continue
         row = [

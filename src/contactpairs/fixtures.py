@@ -311,28 +311,27 @@ def load_fixture_dict(data: dict) -> FixtureDoc:
             except ValueError as exc:
                 raise FixtureError(str(exc), f"$.{key}") from exc
 
-    # A metric must be finite and positive definite at every sample point; an
-    # aux_metric only finite (build_compatible reports a non-definite one).
+    # Every field must be finite at every sample point, that is no denominator
+    # may vanish there, and a metric also positive definite there
+    # (build_compatible reports a non-definite aux_metric).
     metric, aux_metric = tensors.get("metric"), tensors.get("aux_metric")
+    coefficients = {
+        "alpha1": alpha1.coeffs.values(),
+        "alpha2": alpha2.coeffs.values(),
+        **{key: [c for row in t.matrix.entries for c in row] for key, t in tensors.items()},
+    }
+    denominators = {
+        key: {c.den for c in cs if not c.den.is_constant()} for key, cs in coefficients.items()
+    }
     for p, point in enumerate(pair.sample_points):
         path = f"$.sample_points[{p}]"
-        try:
-            positive = metric is None or metric.is_positive_definite_at(point)
-        except ZeroDivisionError as exc:
-            raise FixtureError(
-                f"metric has a pole at sample point {format_point(point)}", path
-            ) from exc
-        if not positive:
+        for key, dens in denominators.items():
+            if any(den.eval(point) == 0 for den in dens):
+                raise FixtureError(f"{key} has a pole at sample point {format_point(point)}", path)
+        if metric is not None and not metric.is_positive_definite_at(point):
             raise FixtureError(
                 f"metric is not positive definite at sample point {format_point(point)}", path
             )
-        if aux_metric is not None:
-            try:
-                aux_metric.eval_at(point)
-            except ZeroDivisionError as exc:
-                raise FixtureError(
-                    f"aux_metric has a pole at sample point {format_point(point)}", path
-                ) from exc
 
     return FixtureDoc(
         fixture_id=fixture_id,

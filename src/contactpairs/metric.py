@@ -12,9 +12,11 @@ Every table over frames is one product with their column matrices F, F'
 (Z = (Z1 Z2), α the 2 x n matrix with rows alpha1, alpha2, W_l the value
 table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf
 pairings F^T G phi F, Z^T G Z), 2-form tables F^T W_l F (and polarization's
-F^T (W_1 + W_2) F), images phi F, the duality rows (Z^T G - α) F,
-compatibility phi^T G phi - G + α^T α, and a leaf frame's invariance
-E·(phi F) = 0.
+F^T (W_1 + W_2) F), images phi F, the duality rows (Z^T G - α) F and
+compatibility phi^T G phi - G + α^T α.  The leaf checks take the leaf
+index i and read the frames off the pair, TF_j (j != i) and ker d alpha_i;
+the Reeb equations and decomposability already place the Reeb fields in
+them and make them phi-invariant.
 
 The polarization construction is exact over the function field.  A
 symplectic (Darboux) basis B of d alpha1 + d alpha2 on TG1 ⊕ TG2, found by
@@ -36,10 +38,16 @@ from fractions import Fraction
 
 from .algebra import RatFun, RfMatrix, _dot, format_point
 from .exterior import EndoField, MetricField, lie_derivative
-from .pair import DistributionFrame, VerifiedPair, _reeb_gram, column_matrix, pair_axioms
+from .pair import (
+    DistributionFrame,
+    VerifiedPair,
+    _reeb_gram,
+    column_matrix,
+    kernel_frame,
+    pair_axioms,
+)
 from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
 from .verdicts import (
-    Status,
     Verdict,
     combine_verdicts,
     matrix_residual_entries,
@@ -51,8 +59,6 @@ __all__ = [
     "AssociatedCheckReport",
     "MetricValidationError",
     "PolarizationError",
-    "LeafContactMetric",
-    "LeafMCP",
     "is_compatible",
     "compatible_corollaries",
     "is_associated",
@@ -215,8 +221,17 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
         g(X, Y) = (k(X, Y) + k(phi X, phi Y)
                    + alpha1(X)alpha1(Y) + alpha2(X)alpha2(Y)) / 2
 
-    The output is post-checked exactly against :func:`is_compatible` and for
-    positive definiteness at every sample point."""
+    Raises :class:`MetricValidationError` unless h is positive definite at
+    every sample point.  The result needs no check (Blair, *Riemannian
+    Geometry of Contact and Symplectic Manifolds*, the averaging of
+    compatible metrics).  The identities phi^2 = -Id + Z A and phi Z = 0,
+    which the structure enforces, give phi^3 = -phi and A phi = 0, so
+    k(phi^2 X, phi^2 Y) = k(X, Y) - A^T A and g is compatible exactly.  And
+    2 g(X, X) = h(phi^2 X, phi^2 X) + h(phi X, phi X) + 2|A X|^2 vanishes only
+    where phi X = 0 = A X, that is X = 0.  So g is positive definite wherever
+    h is and alpha1, alpha2, phi and Z are finite, as at every sample point:
+    the loader refuses a pole of alpha1, alpha2 or phi there, and the volume
+    coefficient, nonzero there, keeps the Reeb system solvable."""
     vp = cps.vp
     if h_aux.space != vp.space:
         raise ValueError("auxiliary metric lives on a different space")
@@ -232,17 +247,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
     g_matrix = (k_matrix + phi.transpose() @ k_matrix @ phi + alpha_term).scaled(
         Fraction(1, 2)
     )
-    g = MetricField(vp.space, g_matrix)
-
-    check = is_compatible(cps, g)
-    if check.status is not Status.VERIFIED:
-        raise MetricValidationError(f"construction failed compatibility: {check.witness}")
-    for point in vp.sample_points:
-        if not g.is_positive_definite_at(point):
-            raise MetricValidationError(
-                f"constructed metric is not positive definite at {format_point(point)}"
-            )
-    return g
+    return MetricField(vp.space, g_matrix)
 
 
 # --- polarization ---------------------------------------------------------------
@@ -397,149 +402,99 @@ def decomposability_orthogonality_agreement(
 # --- leafwise (restricted) verification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafContactMetric:
-    """Check the contact metric structure induced by (alpha_i, Z_i, phi, g)
-    on the leaves tangent to the characteristic frame of alpha_j, j != i."""
+def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:
+    """The structures the metric contact pair induces on the leaves of index
+    i, by name.
 
-    i: int
+    ``leaf_contact_metric``: on the leaves of TF_j (j != i), (alpha_i, Z_i,
+    phi, g) is a contact metric structure: g(u, phi v) = d alpha_i(u, v),
+    g(u, Z_i) = alpha_i(u) and phi^2 u = -u + alpha_i(u) Z_i on the frame
+    vectors.  ``leaf_mcp``: on the leaves of ker d alpha_i
+    (:func:`kernel_frame`), the restricted pair is a contact pair of type
+    (h, 0) for i = 2 and (0, k) for i = 1 (:func:`pair_axioms` on alpha_l(F)
+    and F^T W_l F), and the restricted metric is associated to it.
 
-
-@dataclass(frozen=True)
-class LeafMCP:
-    """Check the metric contact pair induced on the leaves of ker d alpha_i
-    (type (h, 0) for i = 2, type (0, k) for i = 1)."""
-
-    i: int
-
-
-def _require_invariant(frame: DistributionFrame, images: RfMatrix) -> None:
-    """Raise unless the images phi F lie in span F, i.e. E·(phi F) = 0 for
-    the frame's equations E."""
-    if not frame.equations.rows:
-        return
-    leaving = frame.equations @ images
-    for q in range(images.cols):
-        if not all(c.is_zero() for c in leaving.column(q)):
-            raise PreconditionError(
-                f"frame {frame.label} is not phi-invariant: "
-                f"phi({frame.label}[{q}]) leaves the span"
-            )
-
-
-def verify_restricted_contact_metric(
-    mcp: MetricContactPair, frame: DistributionFrame, mode
-) -> Verdict:
-    """Bundle-level verification of the structures induced on leaves.
-
-    ``LeafContactMetric(i)`` expects the characteristic frame of alpha_j
-    (j != i) and checks g(u, phi v) = d alpha_i(u, v), g(u, Z_i) = alpha_i(u)
-    and phi^2 u = -u + alpha_i(u) Z_i on frame vectors.  ``LeafMCP(i)``
-    expects a frame of ker d alpha_i and checks that the restricted pair is a
-    contact pair of the induced type (:func:`pair_axioms` on alpha_l(F) and
-    F^T W_l F) with the restricted metric associated.  Both modes raise
-    :class:`PreconditionError` unless E·(phi F) = 0 for the frame's
-    equations E.  Every
-    restricted table is a product with the frame's column matrix F: the
-    images phi F, the pairings F^T G phi F, the 2-form tables F^T W_l F,
-    alpha_l(F) and the duality rows (Z^T G - α) F of ``mcp.associated``.
-    Decomposability is the structure's own verdict
-    (:attr:`ContactPairStructure.decomposable`)."""
+    Raises :class:`PreconditionError` unless phi is decomposable (the
+    structure's own verdict, :attr:`ContactPairStructure.decomposable`).
+    Nothing else about the two frames needs checking.  The Reeb equations
+    alpha_j(Z_i) = 0 and i_{Z_l} d alpha_i = 0 put Z_i in TF_j and Z1, Z2 in
+    ker d alpha_i = TF_i ⊕ R·Z_i; decomposable phi maps each TF_l into itself
+    and phi Z_i = 0, so phi maps both frames into their spans; and
+    :func:`kernel_frame` has the rank 2h' + 2k' + 2 of the induced type.
+    Every restricted table is a product with the frame's column matrix F:
+    the images phi F, the pairings F^T G phi F, the 2-form tables F^T W_l F,
+    alpha_l(F) and the duality rows (Z^T G - α) F of ``mcp.associated``."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
             "restriction to the characteristic leaves needs decomposable phi"
         )
     vp = mcp.vp
-    label = frame.label
-    f = frame.matrix
+    return {
+        "leaf_contact_metric": _leaf_contact_metric(mcp, i, vp.tf(2 if i == 1 else 1)),
+        "leaf_mcp": _leaf_mcp(mcp, i, kernel_frame(vp.pair, i)),
+    }
+
+
+def _leaf_contact_metric(mcp: MetricContactPair, i: int, frame: DistributionFrame) -> Verdict:
+    vp, label, f = mcp.vp, frame.label, frame.matrix
     f_t = f.transpose()
     images = mcp.phi.matrix @ f
-    pairings = f_t @ mcp.g.matrix @ images
+    pairing = f_t @ mcp.g.matrix @ images - f_t @ vp.pair.dalpha_table(i) @ f
     duality = mcp.associated.reeb_residuals @ f
-    tables = {l: f_t @ vp.pair.dalpha_table(l) @ f for l in (1, 2)}
-
-    if isinstance(mode, LeafContactMetric):
-        i = mode.i
-        if not frame.contains(vp.z(i)):
-            return Verdict.failed(
-                f"Z{i} not in span({label})",
-                "the Reeb field must be tangent to the leaves",
-            )
-        _require_invariant(frame, images)
-        pairing = pairings - tables[i]
-        square = _leaf_square_residual(mcp.cps, frame, i, images)
-        residuals = []
-        for p in range(frame.size):
-            residuals.extend(
-                (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
-                for q in range(frame.size)
-            )
-            residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
-            residuals.extend(
-                (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
-                for a, c in enumerate(square.column(p))
-            )
-        return residual_verdict(
-            residuals,
-            vp,
-            detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
-        )
-
-    if isinstance(mode, LeafMCP):
-        i = mode.i
-        h_ind, k_ind = (vp.pair.h, 0) if i == 2 else (0, vp.pair.k)
-        expected = 2 * h_ind + 2 * k_ind + 2
-        if frame.size != expected:
-            return Verdict.failed(
-                f"frame rank {frame.size} != {expected}",
-                f"leaves of ker d alpha{i} have dimension {expected}",
-            )
-        for l, z in ((1, vp.z1), (2, vp.z2)):
-            if not frame.contains(z):
-                return Verdict.failed(
-                    f"Z{l} not in span({label})",
-                    "both Reeb fields are tangent to the leaves of ker d alpha_i",
-                )
-        _require_invariant(frame, images)
-
-        alphas = vp._alpha_matrix @ f
-        axioms = pair_axioms(
-            (alphas.row(0), alphas.row(1)),
-            (tables[1], tables[2]),
-            (h_ind, k_ind),
-            vp.sample_points,
-            vp.space.names,
-            frame=label,
-        )
-        volume = [axioms["volume_form"]] if "volume_form" in axioms else []
-        verdicts = [
-            *volume,
-            axioms["dalpha1_power_zero"],
-            axioms["dalpha2_power_zero"],
-        ]
-
-        associated = pairings - (tables[1] + tables[2])
-        associated_residuals = [
-            (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
-            for p in range(frame.size)
+    square = _leaf_square_residual(mcp.cps, frame, i, images)
+    residuals = []
+    for p in range(frame.size):
+        residuals.extend(
+            (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
             for q in range(frame.size)
-        ]
-        associated_residuals.extend(
-            (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
-            for l in (1, 2)
-            for p in range(frame.size)
         )
-        verdicts.append(
-            residual_verdict(
-                associated_residuals,
-                vp,
-                detail="restricted metric is associated to the restricted pair",
-            )
+        residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
+        residuals.extend(
+            (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
+            for a, c in enumerate(square.column(p))
         )
+    return residual_verdict(
+        residuals,
+        vp,
+        detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
+    )
 
-        return combine_verdicts(
-            verdicts,
-            detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {label}",
-        )
 
-    raise TypeError(f"unknown restriction mode {mode!r}")
+def _leaf_mcp(mcp: MetricContactPair, i: int, frame: DistributionFrame) -> Verdict:
+    vp, label, f = mcp.vp, frame.label, frame.matrix
+    f_t = f.transpose()
+    tables = tuple(f_t @ vp.pair.dalpha_table(l) @ f for l in (1, 2))
+    h_ind, k_ind = (vp.pair.h, 0) if i == 2 else (0, vp.pair.k)
+    alphas = vp._alpha_matrix @ f
+    axioms = pair_axioms(
+        (alphas.row(0), alphas.row(1)),
+        tables,
+        (h_ind, k_ind),
+        vp.sample_points,
+        vp.space.names,
+        frame=label,
+    )
+    volume = [axioms["volume_form"]] if "volume_form" in axioms else []
+    verdicts = [*volume, axioms["dalpha1_power_zero"], axioms["dalpha2_power_zero"]]
+
+    associated = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - (tables[0] + tables[1])
+    duality = mcp.associated.reeb_residuals @ f
+    residuals = [
+        (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
+        for p in range(frame.size)
+        for q in range(frame.size)
+    ]
+    residuals.extend(
+        (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
+        for l in (1, 2)
+        for p in range(frame.size)
+    )
+    verdicts.append(
+        residual_verdict(
+            residuals, vp, detail="restricted metric is associated to the restricted pair"
+        )
+    )
+    return combine_verdicts(
+        verdicts,
+        detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {label}",
+    )

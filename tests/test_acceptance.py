@@ -22,8 +22,6 @@ from contactpairs.exterior import (
 )
 from contactpairs.fixtures import bundled_fixture_path, load_fixture
 from contactpairs.metric import (
-    LeafContactMetric,
-    LeafMCP,
     MetricContactPair,
     are_foliations_orthogonal,
     build_associated_by_polarization,
@@ -34,7 +32,7 @@ from contactpairs.metric import (
     is_compatible,
     verify_restricted_contact_metric,
 )
-from contactpairs.pair import Status, kernel_frame, reeb_fields, verified_pair
+from contactpairs.pair import Status, reeb_fields, verified_pair
 from contactpairs.structure import ContactPairStructure, is_decomposable
 
 from conftest import (
@@ -211,6 +209,8 @@ def test_criterion_5_constructors(structures):
             h_aux = MetricField(cps.space, random_spd_matrix(rng, 6, 6))
             g = build_compatible(cps, h_aux)
             assert is_compatible(cps, g).status is Status.VERIFIED, name
+            for point in cps.sample_points:
+                assert g.is_positive_definite_at(point), (name, point)
             built += 1
 
     polarized = 0
@@ -230,7 +230,7 @@ def test_criterion_5_constructors(structures):
     _report(
         "5",
         True,
-        f"build_compatible exact on {built} random SPD auxiliaries; "
+        f"build_compatible exact and positive definite on {built} random SPD auxiliaries; "
         f"polarization exactly associated on {polarized} runs",
     )
 
@@ -238,21 +238,12 @@ def test_criterion_5_constructors(structures):
 def test_criterion_6_leafwise_structures(structures):
     cps, g = structures["nilpotent_g6"]
     mcp = MetricContactPair(cps, g)
-    vp = cps.vp
     results = {
-        "TF2 contact metric": verify_restricted_contact_metric(
-            mcp, vp.tf2, LeafContactMetric(1)
-        ),
-        "TF1 contact metric": verify_restricted_contact_metric(
-            mcp, vp.tf1, LeafContactMetric(2)
-        ),
-        "ker dalpha1 pair": verify_restricted_contact_metric(
-            mcp, kernel_frame(vp.pair, 1), LeafMCP(1)
-        ),
-        "ker dalpha2 pair": verify_restricted_contact_metric(
-            mcp, kernel_frame(vp.pair, 2), LeafMCP(2)
-        ),
+        (i, key): verdict
+        for i in (1, 2)
+        for key, verdict in verify_restricted_contact_metric(mcp, i).items()
     }
+    assert len(results) == 4
     for label, verdict in results.items():
         assert verdict.status is Status.VERIFIED, (label, verdict)
     _report("6", True, "restricted structures exact on both TF frames and both "

@@ -348,7 +348,9 @@ def test_numeric_residual_compiles_field_and_gamma_zz_once_per_call(monkeypatch)
     monkeypatch.setattr(
         _FloatRatFun,
         "compile",
-        classmethod(lambda cls, num, den: compiled.append((num, den)) or inner(cls, num, den)),
+        classmethod(
+            lambda cls, num, den, names: compiled.append((num, den)) or inner(cls, num, den, names)
+        ),
     )
     for i in (1, 2):
         compiled.clear()
@@ -494,10 +496,10 @@ def _flow_pole_cases():
     x, y = s.coordinate(0), s.coordinate(1)
     g = MetricField(s, [[s.one(), s.zero()], [s.zero(), 1 / y]])
     # the denominator of L_yy,y = -1/(2y²) vanishes on y = 0, where the flow of ∂x stays
-    yield g, VectorField.basis(s, 0), christoffel(g), "x2^2", "(0.001, 0.0)"
+    yield g, VectorField.basis(s, 0), christoffel(g), "y^2", "(0.001, 0.0)"
     # the field's own pole is hit by the second RK4 stage of the first step
     field = VectorField(s, [s.one(), 1 / (2000 * x - 1)])
-    yield MetricField.euclidean(s), field, None, "x1 - 1/2000", "(0.0005, -0.0005)"
+    yield MetricField.euclidean(s), field, None, "x - 1/2000", "(0.0005, -0.0005)"
 
 
 @pytest.mark.parametrize(
@@ -527,7 +529,7 @@ _positive_points = st.lists(
 @given(_positive_polys, _positive_polys, _positive_points)
 def test_numeric_residual_compiled_program_matches_exact_eval(num, den, points):
     exact = RatFun(num, den)
-    r = _FloatRatFun.compile(exact.num, exact.den)
+    r = _FloatRatFun.compile(exact.num, exact.den, ("x", "y"))
     for point in points:
         values = [float(v) for v in point]
         assert r.at(values) == pytest.approx(float(exact.eval(point)), rel=1e-12)
@@ -561,9 +563,10 @@ def _reference_residual(g, field, start, t_end, dt, data):
     """The RK4 cross-check on the numpy step loop: every Christoffel symbol
     evaluated at every interior point, raising at a pole, then the five-point
     stencil on whole arrays plus Γ(Z, Z) point by point."""
-    components = [_FloatRatFun.compile(c.num, c.den) for c in field.components]
+    names = field.space.names
+    components = [_FloatRatFun.compile(c.num, c.den, names) for c in field.components]
     trajectory = _reference_trajectory(components, start, int(round(t_end / dt)), dt)
-    gammas = [_FloatRatFun.compile(r.num, r.den) for *_, r in data.nonzero()]
+    gammas = [_FloatRatFun.compile(r.num, r.den, names) for *_, r in data.nonzero()]
     for point in trajectory[1:-1].tolist():
         for f in gammas:
             f.at(point)
@@ -572,7 +575,7 @@ def _reference_residual(g, field, start, t_end, dt, data):
     far = (trajectory[4:] - x) + (trajectory[:-4] - x)
     acceleration = (16.0 * near - far) / (12.0 * dt * dt)
     gamma_zz = [
-        [_FloatRatFun.compile(num, den) for num, den in terms]
+        [_FloatRatFun.compile(num, den, names) for num, den in terms]
         for terms in _gamma_along(data, field)
     ]
     rows = []
@@ -631,7 +634,7 @@ _components = st.one_of(
 def test_numeric_residual_matches_numpy_step_loop(t_end, dt, metric, components, start):
     g, data = _ORACLE_METRICS[metric]
     field = VectorField(_XYZ, components)
-    compiled = [_FloatRatFun.compile(c.num, c.den) for c in components]
+    compiled = [_FloatRatFun.compile(c.num, c.den, _XYZ.names) for c in components]
     steps = int(round(t_end / dt))
     with np.errstate(all="ignore"):  # a flow may blow up to inf and NaN
         trajectory = _reference_trajectory(compiled, start, steps, dt)
@@ -652,4 +655,4 @@ def test_numeric_residual_pole_on_a_stage_point_matches_numpy_step_loop():
         with pytest.raises(ZeroDivisionError) as info:
             residual(g, field, [0, 0, 0], 1.0, 1e-3, data)
         messages.append(str(info.value))
-    assert messages == ["denominator x1 - 1/2000 vanishes at (0.0005, -0.0005, 0.001)"] * 2
+    assert messages == ["denominator x - 1/2000 vanishes at (0.0005, -0.0005, 0.001)"] * 2

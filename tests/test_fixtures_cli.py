@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -467,13 +468,28 @@ def test_extra_samples_are_validated_like_declared_points(tmp_path, capsys):
     assert "$.sample_points[1]" in err and "not positive definite" in err
 
 
-@pytest.mark.parametrize("verb", ["build-compatible", "theorems"])
-def test_aux_metric_pole_at_sample_point_is_a_fixture_error(verb, capsys):
-    path = fixture_path("aux_pole.json")
-    with pytest.raises(FixtureError, match=r"^\$\.sample_points\[0\]: aux_metric has a pole"):
+_POLES = (("aux_pole", "aux_metric"), ("alpha_pole", "alpha2"), ("phi_pole", "phi"))
+
+
+@pytest.mark.parametrize(
+    "name, field, verb",
+    [
+        # aux_pole's cases keep their plain verb ids
+        pytest.param(name, field, verb, id=verb if name == "aux_pole" else f"{name}-{verb}")
+        for name, field in _POLES
+        for verb in ("build-compatible", "theorems")
+    ],
+)
+def test_aux_metric_pole_at_sample_point_is_a_fixture_error(name, field, verb, capsys):
+    """A pole of any field at a sample point is refused by the loader, so
+    no verb evaluates it there: alpha_pole's alpha2 = dy + dx/x and
+    phi_pole's phi(d/dy2) = -(1/x1) d/dy1 at the origin."""
+    path = fixture_path(f"{name}.json")
+    message = f"$.sample_points[0]: {field} has a pole"
+    with pytest.raises(FixtureError, match=f"^{re.escape(message)}"):
         load_fixture(path)
     assert main([verb, str(path)]) == 3
-    assert "error: $.sample_points[0]: aux_metric has a pole" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_non_definite_aux_metric_is_a_failed_build(tmp_path):
@@ -531,19 +547,33 @@ def test_load_parses_each_distinct_entry_text_once(monkeypatch):
     assert sorted(parsed) == sorted(set(texts))
 
 
-def test_pole_on_the_rk4_trajectory_is_a_skip(tmp_path):
+@pytest.mark.parametrize(
+    "names, denominator",
+    [
+        (None, "x3^3 - 3/2*x3^2 + 3/4*x3 - 1/8"),
+        (["p", "q", "r", "s", "t", "u"], "r^3 - 3/2*r^2 + 3/4*r - 1/8"),
+    ],
+    ids=["rk4_pole", "renamed_coordinates"],
+)
+def test_pole_on_the_rk4_trajectory_is_a_skip(names, denominator, tmp_path):
     """The metric's 1/(1-2*x3)^2 is finite at the sample point, but the flow
     of Z1 = d/dx3 reaches x3 = 1/2, where a Christoffel denominator vanishes:
-    the RK4 cross-check is skipped, and the exact verdicts stand."""
+    the RK4 cross-check is skipped, and the exact verdicts stand.  The skip
+    reason names the denominator in the fixture's own coordinates."""
+    path = fixture_path("rk4_pole.json")
+    if names is not None:
+        text = path.read_text()
+        for old, new in zip(json.loads(text)["coordinates"], names):
+            text = re.sub(rf"\b{old}\b", new, text)
+        path = tmp_path / "renamed.json"
+        path.write_text(text)
     out = tmp_path / "report.json"
-    assert main(["geodesy", str(fixture_path("rk4_pole.json")), "--out", str(out)]) == 0
+    assert main(["geodesy", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["verdicts"]["geodesic"]["status"] == "Verified"
     assert report["verdicts"]["totally_geodesic"]["status"] == "Verified"
     assert "geodesy_rk4" not in report["verdicts"] and not report["residuals"]
-    assert report["skipped"]["geodesy_rk4"].startswith(
-        "denominator x3^3 - 3/2*x3^2 + 3/4*x3 - 1/8 vanishes at ("
-    )
+    assert report["skipped"]["geodesy_rk4"].startswith(f"denominator {denominator} vanishes at (")
 
 
 def test_theorems_computes_each_shared_verdict_once(monkeypatch):

@@ -231,17 +231,17 @@ def test_build_phi_rejects_non_spanning_frame(local_model):
 def test_induced_almost_contact_nilpotent(nilpotent):
     vp, phi = nilpotent
     cps = ContactPairStructure(vp, phi)
-    v1 = verify_induced_almost_contact(cps, vp.tf2, 1)
-    assert v1.status is Status.VERIFIED
-    v2 = verify_induced_almost_contact(cps, vp.tf1, 2)
-    assert v2.status is Status.VERIFIED
+    for i, leaf in ((1, "TF2"), (2, "TF1")):
+        verdict = verify_induced_almost_contact(cps, i)
+        assert verdict.status is Status.VERIFIED
+        assert verdict.detail.endswith(f"(alpha{i}, Z{i}, phi) on {leaf}")
 
 
 def test_induced_almost_contact_requires_decomposable(r6):
     vp, phi = r6
     cps = ContactPairStructure(vp, phi)
     with pytest.raises(PreconditionError):
-        verify_induced_almost_contact(cps, vp.tf2, 1)
+        verify_induced_almost_contact(cps, 1)
 
 
 def test_induced_identity_trivial_on_reeb(nilpotent):

@@ -1,9 +1,11 @@
 """The tooling around the package still fits it."""
 
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import traceback
 from pathlib import Path
 
+import contactpairs
 from contactpairs import algebra, cli
 from contactpairs.fixtures import bundled_fixture_path
 
@@ -80,6 +83,20 @@ def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
         report = cli.run(verb, path)
         assert report.verdicts[key].ok, (verb, path.name)
     assert callers == []
+
+
+def test_every_exported_name_resolves():
+    """Every name in ``contactpairs.__all__`` and in the ``__all__`` of each
+    of its modules is an attribute of that module, so no export outlives
+    what it names (``from contactpairs import *`` would raise)."""
+    modules = [contactpairs] + [
+        importlib.import_module(f"contactpairs.{info.name}")
+        for info in pkgutil.iter_modules(contactpairs.__path__)
+    ]
+    assert len(modules) > 2
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_cli_import_loads_no_numpy():
