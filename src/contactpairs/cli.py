@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .algebra import format_point
 from .connection import numeric_geodesic_residual, reeb_geodesy
@@ -288,12 +288,7 @@ def _polarized(ctx: _Context) -> None:
             report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
             continue
         report.verdicts[f"{prefix}_associated"] = is_associated(cps, g).verdict
-        spd_failures = [p for p in vp.sample_points if not g.is_positive_definite_at(p)]
-        report.verdicts[f"{prefix}_spd"] = (
-            Verdict.failed(f"not positive definite at {format_point(spd_failures[0])}")
-            if spd_failures
-            else Verdict.verified("positive definite at all sample points")
-        )
+        report.verdicts[f"{prefix}_spd"] = _spd_at(g, vp.sample_points)
         orthogonal = are_foliations_orthogonal(vp, g)
         if flag:
             report.verdicts["polarized_decomposable_check"] = cps.decomposable
@@ -302,10 +297,25 @@ def _polarized(ctx: _Context) -> None:
             cps, g, orthogonal
         )
         base = vp.sample_points[0]
-        for name, matrix in (("phi", phi.matrix), ("metric", g.matrix)):
-            report.outputs[f"{prefix}_{name}_at_base"] = [
-                [str(x) for x in row] for row in matrix.eval_at(base)
-            ]
+        for name, tensor in (("phi", phi), ("metric", g)):
+            try:
+                values = tensor.eval_at(base)
+            except ZeroDivisionError as exc:
+                report.skipped[f"{prefix}_{name}_at_base"] = str(exc)
+                continue
+            report.outputs[f"{prefix}_{name}_at_base"] = [[str(x) for x in row] for row in values]
+
+
+def _spd_at(g: MetricField, points: Sequence[Sequence]) -> Verdict:
+    """Positive definiteness of ``g`` at each point in turn; Failed at the
+    first point where it is not, or where an entry has a pole."""
+    for point in points:
+        try:
+            if not g.is_positive_definite_at(point):
+                return Verdict.failed(f"not positive definite at {format_point(point)}")
+        except ZeroDivisionError as exc:
+            return Verdict.failed(str(exc), "the metric has a pole at a sample point")
+    return Verdict.verified("positive definite at all sample points")
 
 
 # --- the registry --------------------------------------------------------------------

@@ -31,14 +31,13 @@ vector components.
 
 The RK4 cross-check is the numeric part, on plain Python floats.  It steps
 the flow of a Reeb field Z, each quotient it evaluates compiled to a pair of
-float programs once per call; a field component that reads no coordinate
-has the same value at every stage, so its increment is computed once per
-call.  The geodesic equation along the flow only needs Γ(Z, Z), the Γ terms
-of the exact ∇_Z Z, so those are raised and contracted exactly once per
-call, and the residual pass evaluates them point by point beside a
-fourth-order five-point stencil for the acceleration.  The contraction is
-left as one quotient per distinct denominator, not reduced: the cross-check
-does no gcd.
+float programs once per call, and works on coordinate columns.  A field that
+reads no coordinate has the same increment in every step, so each column is
+a running sum; a column that never moves has the acceleration 0.0, which is
+not formed.  Γ(Z, Z), the Γ terms of the exact ∇_Z Z, is raised and
+contracted once per call, one quotient per distinct denominator (the
+cross-check does no gcd).  Only when it has terms, a Christoffel denominator
+is non-constant or a NaN shows does the residual pass go point by point.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -57,10 +57,9 @@ from .algebra import (
     _dot,
     _support,
     format_point,
-    format_poly,
     solve_linear_exact,
 )
-from .exterior import MetricField, Space, VectorField, directional_derivative
+from .exterior import MetricField, Space, VectorField, _pole, directional_derivative
 from .pair import VerifiedPair, _reeb_gram
 from .structure import PreconditionError
 from .verdicts import Verdict, residual_verdict
@@ -318,12 +317,6 @@ def _pow(x: float, k: int) -> float:
         return -math.inf if x < 0 and k % 2 else math.inf
 
 
-def _pole(den: Poly, names: Sequence[str], point: Sequence[float]) -> ZeroDivisionError:
-    return ZeroDivisionError(
-        f"denominator {format_poly(den, names)} vanishes at {format_point(point)}"
-    )
-
-
 @dataclass(frozen=True)
 class _FloatRatFun:
     """A quotient num/den of polynomials in the coordinates ``names``
@@ -394,32 +387,32 @@ def _field_at(
 
 def _rk4_trajectory(
     components: list[_FloatRatFun], start: Sequence, steps: int, dt: float
-) -> list[list[float]]:
+) -> list[Sequence[float]]:
     """The start point and ``steps`` classical RK4 steps of the flow of the
-    compiled field, one list of coordinates per point.  Each coordinate goes
+    compiled field, one column of values per coordinate.  Each coordinate goes
     through x + (0.5·dt)·k for a stage point and
     x + (dt/6)·(((k1 + 2·k2) + 2·k3) + k4) for the next point."""
-    moving = [(j, c) for j, c in enumerate(components) if c.reads_coordinates]
     half, sixth = 0.5 * dt, dt / 6.0
     x = [float(v) for v in start]
+    # The field at the start point, raising as the first stage would, if
+    # there is one.  A component that reads no coordinate keeps this value at
+    # every stage, so its increment is the same in every step.
+    k = [c.at(x) for c in components] if steps else [0.0] * len(x)
+    increment = [sixth * (((kj + 2.0 * kj) + 2.0 * kj) + kj) for kj in k]
+    moving = [(j, c) for j, c in enumerate(components) if c.reads_coordinates]
+    if not moving:  # the step loop's own additions, in its order
+        return [list(accumulate(repeat(d, steps), initial=xj)) for xj, d in zip(x, increment)]
     trajectory = [x]
-    if steps:
-        # The field at the start point, raising as the first stage would.  A
-        # component that reads no coordinate keeps this value at every stage,
-        # so its increment is the same in every step.
-        k = [c.at(x) for c in components]
-        increment = [sixth * (((kj + 2.0 * kj) + 2.0 * kj) + kj) for kj in k]
     for _ in range(steps):
-        if moving:
-            k1 = _field_at(moving, k, x)
-            k2 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k1)])
-            k3 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k2)])
-            k4 = _field_at(moving, k, [xj + dt * kj for xj, kj in zip(x, k3)])
-            for j, _ in moving:
-                increment[j] = sixth * (((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j])
+        k1 = _field_at(moving, k, x)
+        k2 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k1)])
+        k3 = _field_at(moving, k, [xj + half * kj for xj, kj in zip(x, k2)])
+        k4 = _field_at(moving, k, [xj + dt * kj for xj, kj in zip(x, k3)])
+        for j, _ in moving:
+            increment[j] = sixth * (((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j])
         x = [xj + d for xj, d in zip(x, increment)]
         trajectory.append(x)
-    return trajectory
+    return list(zip(*trajectory))
 
 
 def numeric_geodesic_residual(
@@ -442,25 +435,27 @@ def numeric_geodesic_residual(
         / (12·dt²),
 
     whose truncation error is dt⁴/90·|gamma⁽⁶⁾|, O(dt⁴); its rounding floor
-    is of order 2⁻⁵³/dt².  Γ(Z, Z) is contracted exactly once per call
-    (:func:`_gamma_along`) and evaluated point by point on plain floats, its
-    terms added to the acceleration in (a, b, c) order.  ``data`` holds the
-    Christoffel symbols of the first kind of ``g``, computed when not given.
+    is of order 2⁻⁵³/dt².  It is formed per coordinate column, and is 0.0
+    on a column that stays at its finite start value.  Γ(Z, Z)
+    (:func:`_gamma_along`) is evaluated point by point on plain floats, its
+    terms added in (a, b, c) order.  ``data`` holds the Christoffel symbols
+    of the first kind of ``g``, computed when not given.
 
     A vanishing denominator raises :class:`ZeroDivisionError` naming it, in
     the field's coordinates, and the first point where it vanishes, a stage
     point printed in full: the field's on the RK4 stages, then, at each
     interior point x[1], ..., x[steps - 1] in turn, each distinct
     non-constant denominator of the nonzero Christoffel symbols in
-    ``data.nonzero()`` order.  A residual row
-    holding a NaN, as past a blow-up, does not count."""
+    ``data.nonzero()`` order.  A residual row holding a NaN, as past a
+    blow-up, does not count."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if data is None:
         data = christoffel(g)
     names = field.space.names
     components = [_FloatRatFun.compile(c.num, c.den, names) for c in field.components]
-    trajectory = _rk4_trajectory(components, start, int(round(t_end / dt)), dt)
+    steps = int(round(t_end / dt))
+    columns = _rk4_trajectory(components, start, steps, dt)
 
     poles = [
         (den, _compile(den))
@@ -473,19 +468,27 @@ def numeric_geodesic_residual(
         if terms
     ]
     scale = 12.0 * dt * dt
-    last = len(trajectory) - 1
+    stencils = [
+        (j, [
+            (16.0 * ((after - xc) + (before - xc)) - ((after2 - xc) + (before2 - xc))) / scale
+            for before2, before, xc, after, after2 in zip(col, col[1:], col[2:], col[3:], col[4:])
+        ])
+        for j, col in enumerate(columns)
+        if not (math.isfinite(col[0]) and col.count(col[0]) == len(col))
+    ]
+    if not (poles or gamma_zz or any(any(map(math.isnan, col)) for _, col in stencils)):
+        return max([0.0, *(max(map(abs, col), default=0.0) for _, col in stencils)])
     worst = 0.0
-    for s in range(1, last):
-        x = trajectory[s]
+    for s in range(1, steps):
+        x = [col[s] for col in columns]
         for den, program in poles:
             if _run(program, x) == 0.0:
                 raise _pole(den, names, x)
-        if not 2 <= s <= last - 2:
+        if not 2 <= s <= steps - 2:
             continue
-        row = [
-            (16.0 * ((after - xc) + (before - xc)) - ((after2 - xc) + (before2 - xc))) / scale
-            for before2, before, xc, after, after2 in zip(*trajectory[s - 2 : s + 3])
-        ]
+        row = [0.0] * len(columns)
+        for j, col in stencils:
+            row[j] = col[s - 2]
         for c, terms in gamma_zz:
             for f in terms:
                 row[c] += f.at(x)

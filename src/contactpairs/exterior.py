@@ -33,7 +33,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import Poly, RatFun, RfMatrix, _as_fraction, _dot
+from .algebra import Poly, RatFun, RfMatrix, _as_fraction, _dot, format_point, format_poly
 
 Index = tuple[int, ...]
 
@@ -270,6 +270,14 @@ def _check_same_space(a, b) -> None:
         raise ValueError("objects live on different spaces")
 
 
+def _pole(den: Poly, names: Sequence[str], point: Sequence) -> ZeroDivisionError:
+    """The error of the denominator ``den`` vanishing at ``point``, naming it
+    in the coordinates ``names``."""
+    return ZeroDivisionError(
+        f"denominator {format_poly(den, names)} vanishes at {format_point(point)}"
+    )
+
+
 class Form:
     """Exterior form of fixed degree with RatFun coefficients on strictly
     increasing index tuples.  Degrees above the space dimension are allowed
@@ -398,8 +406,9 @@ class Form:
         for idx, c in self.coeffs.items():
             try:
                 out[idx] = c.eval(point)
-            except ZeroDivisionError as exc:
-                raise ZeroDivisionError(f"coefficient {idx}: {exc}") from None
+            except ZeroDivisionError:
+                error = _pole(c.den, self.space.names, point)
+                raise ZeroDivisionError(f"coefficient {idx}: {error}") from None
         return out
 
     def __eq__(self, other) -> bool:
@@ -474,8 +483,9 @@ class VectorField:
         for i, c in enumerate(self.components):
             try:
                 out.append(c.eval(point))
-            except ZeroDivisionError as exc:
-                raise ZeroDivisionError(f"component {self.space.names[i]}: {exc}") from None
+            except ZeroDivisionError:
+                error = _pole(c.den, self.space.names, point)
+                raise ZeroDivisionError(f"component {self.space.names[i]}: {error}") from None
         return out
 
     def __eq__(self, other) -> bool:
@@ -525,10 +535,7 @@ class EndoField:
         return self.matrix.is_zero()
 
     def eval_at(self, point: Sequence) -> list[list[Fraction]]:
-        try:
-            return self.matrix.eval_at(point)
-        except ZeroDivisionError as exc:
-            raise ZeroDivisionError(f"endomorphism entry: {exc}") from None
+        return _matrix_at(self, point, "endomorphism entry")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndoField):
@@ -537,6 +544,18 @@ class EndoField:
 
     def __repr__(self) -> str:
         return f"EndoField({self.space!r})"
+
+
+def _matrix_at(tensor, point: Sequence, what: str) -> list[list[Fraction]]:
+    """The values of the matrix of ``tensor`` (an :class:`EndoField` or a
+    :class:`MetricField`) at ``point``.  A pole raises
+    :class:`ZeroDivisionError` naming the first vanishing denominator in row
+    order, in the coordinates of the space."""
+    try:
+        return tensor.matrix.eval_at(point)
+    except ZeroDivisionError:
+        den = next(e.den for row in tensor.matrix.entries for e in row if e.den.eval(point) == 0)
+        raise ZeroDivisionError(f"{what}: {_pole(den, tensor.space.names, point)}") from None
 
 
 class MetricField:
@@ -569,10 +588,7 @@ class MetricField:
         return _dot(self.space.dim, zip(a.components, self.matrix.apply(b.components)))
 
     def eval_at(self, point: Sequence) -> list[list[Fraction]]:
-        try:
-            return self.matrix.eval_at(point)
-        except ZeroDivisionError as exc:
-            raise ZeroDivisionError(f"metric entry: {exc}") from None
+        return _matrix_at(self, point, "metric entry")
 
     def is_positive_definite_at(self, point: Sequence) -> bool:
         """Sylvester's criterion with exact rational arithmetic.  A row with a

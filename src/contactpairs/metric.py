@@ -161,8 +161,9 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
     a_matrix = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
-    pairing = g.matrix @ cps.phi.matrix - a_matrix
-    skew = cps.phi.matrix.transpose() @ g.matrix + g.matrix @ cps.phi.matrix
+    g_phi = g.matrix @ cps.phi.matrix
+    pairing = g_phi - a_matrix
+    skew = g_phi.transpose() + g_phi  # Φᵀ G = (G Φ)ᵀ, as G is symmetric
 
     duality = _duality_rows(vp, g)
 

@@ -640,7 +640,8 @@ def test_numeric_residual_matches_numpy_step_loop(t_end, dt, metric, components,
         trajectory = _reference_trajectory(compiled, start, steps, dt)
         expected = _reference_residual(g, field, start, t_end, dt, data)
         residual = numeric_geodesic_residual(g, field, start, t_end, dt, data)
-    assert np.array(_rk4_trajectory(compiled, start, steps, dt)).tobytes() == trajectory.tobytes()
+    columns = _rk4_trajectory(compiled, start, steps, dt)
+    assert np.array(columns).T.tobytes() == trajectory.tobytes()
     assert repr(residual) == repr(expected)
 
 
@@ -656,3 +657,102 @@ def test_numeric_residual_pole_on_a_stage_point_matches_numpy_step_loop():
             residual(g, field, [0, 0, 0], 1.0, 1e-3, data)
         messages.append(str(info.value))
     assert messages == ["denominator x - 1/2000 vanishes at (0.0005, -0.0005, 0.001)"] * 2
+
+
+# --- the column kernel against the step loop -------------------------------------------
+
+
+def _fixed_columns(field, start, t_end, dt):
+    names = field.space.names
+    compiled = [_FloatRatFun.compile(c.num, c.den, names) for c in field.components]
+    columns = _rk4_trajectory(compiled, start, int(round(t_end / dt)), dt)
+    return sum(len(set(col)) == 1 for col in columns)
+
+
+def test_column_kernel_on_chart_rung_2_2_matches_the_step_loop():
+    """The Reeb fields of chart rung (2,2) are constant and move one
+    coordinate each: 9 of its 10 columns stay fixed, and the residual on the
+    built metric is the step loop's to the last digit."""
+    doc = chart_rung(2, 2)
+    vp = verified_pair(doc.pair)
+    g = build_compatible(ContactPairStructure(vp, doc.phi), doc.aux_metric)
+    data = christoffel(g)
+    start = vp.sample_points[0]
+    residuals = []
+    for z in (vp.z1, vp.z2):
+        assert _fixed_columns(z, start, 1.0, 1e-3) == 9
+        residual = numeric_geodesic_residual(g, z, start, 1.0, 1e-3, data)
+        assert repr(residual) == repr(_reference_residual(g, z, start, 1.0, 1e-3, data))
+        residuals.append(repr(residual))
+    assert residuals == [ROUNDOFF, ROUNDOFF]
+
+
+@pytest.mark.parametrize("metric", [0, 1], ids=["euclidean", "curved"])
+def test_column_kernel_on_a_constant_field_matches_the_step_loop(metric):
+    """A constant field with a zero and two nonzero increments: running sums
+    against the step loop, bit for bit, with no Γ(Z, Z) and no pole
+    (euclidean) and with both (curved)."""
+    g, data = _ORACLE_METRICS[metric]
+    one = _XYZ.one()
+    field = VectorField(_XYZ, [Fraction(3, 7) * one, _XYZ.zero(), -2 * one])
+    start = [Fraction(1, 3), -1, Fraction(1, 2)]
+    compiled = [_FloatRatFun.compile(c.num, c.den, _XYZ.names) for c in field.components]
+    columns = _rk4_trajectory(compiled, start, 1000, 1e-3)
+    expected = _reference_trajectory(compiled, start, 1000, 1e-3)
+    assert np.array(columns).T.tobytes() == expected.tobytes()
+    assert _fixed_columns(field, start, 1.0, 1e-3) == 1
+    residual = numeric_geodesic_residual(g, field, start, 1.0, 1e-3, data)
+    assert repr(residual) == repr(_reference_residual(g, field, start, 1.0, 1e-3, data))
+    assert (residual < 1e-8) == (metric == 0)
+
+
+def test_column_kernel_blow_up_beside_fixed_columns_matches_the_step_loop():
+    """x³ ∂x + ∂z from x = 1 blows up at t = 1/2 while y stays put: the x
+    column reaches inf, its stencil NaN, and those rows do not count."""
+    x = _XYZ.coordinate(0)
+    field = VectorField(_XYZ, [x * x * x, _XYZ.zero(), _XYZ.one()])
+    g, data = _ORACLE_METRICS[0]
+    start = [1, 0, 0]
+    names = _XYZ.names
+    compiled = [_FloatRatFun.compile(c.num, c.den, names) for c in field.components]
+    column = _rk4_trajectory(compiled, start, 1000, 1e-3)[0]
+    assert math.inf in column  # and inf - inf is a NaN of the stencil
+    with np.errstate(all="ignore"):
+        expected = _reference_residual(g, field, start, 1.0, 1e-3, data)
+    residual = numeric_geodesic_residual(g, field, start, 1.0, 1e-3, data)
+    assert repr(residual) == repr(expected) == "inf"
+
+
+def _two_poles(second):
+    """diag(1/(1 − 2x), ``second``, 1): L_xx,x has the denominator
+    (x − 1/2)², first in ``data.nonzero()`` order, and ∂x of ``second``
+    brings a later one."""
+    x = _XYZ.coordinate(0)
+    one, zero = _XYZ.one(), _XYZ.zero()
+    rows = [[1 / (1 - 2 * x), zero, zero], [zero, second, zero], [zero, zero, one]]
+    return MetricField(_XYZ, rows)
+
+
+@pytest.mark.parametrize(
+    "second, den, where",
+    [
+        (1 / (1 - 4 * _XYZ.coordinate(0)), "x^2 - 1/2*x + 1/16", "(0.25, 0.25, 0.0)"),
+        (1 / ((1 - 2 * _XYZ.coordinate(0)) ** 2), "x^2 - x + 1/4", "(0.5, 0.5, 0.0)"),
+    ],
+    ids=["earlier point", "same point"],
+)
+def test_column_kernel_names_the_first_pole_in_point_then_denominator_order(second, den, where):
+    """∂x + ∂y on a metric with Γ(Z, Z) terms and two pole denominators: the
+    one hit at the earlier trajectory point is named, and at one point the
+    first in ``data.nonzero()`` order, as the step loop names it."""
+    g = _two_poles(second)
+    data = christoffel(g)
+    one = _XYZ.one()
+    field = VectorField(_XYZ, [one, one, _XYZ.zero()])
+    assert any(_gamma_along(data, field))
+    messages = []
+    for residual in (_reference_residual, numeric_geodesic_residual):
+        with pytest.raises(ZeroDivisionError) as info:
+            residual(g, field, [0, 0, 0], 1.0, 1 / 64, data)
+        messages.append(str(info.value))
+    assert messages == [f"denominator {den} vanishes at {where}"] * 2

@@ -538,6 +538,31 @@ def test_eval_at_reports_offending_entry():
         eval_at(f, [0, 1])
 
 
+@pytest.mark.parametrize(
+    "point, den, first",
+    [([0, 1], "y - 1", 0), ([0, 2], "x^2", 1)],
+    ids=["both vanish", "one vanishes"],
+)
+def test_pole_is_named_in_the_chart_coordinates(point, den, first):
+    """A pole of a form, vector, endomorphism or metric entry names the first
+    vanishing denominator, in row order for a matrix, written in the chart's
+    coordinates."""
+    s = Space.chart(["x", "y"])
+    x, y = s.coordinate(0), s.coordinate(1)
+    entries = [[1 / (y - 1), s.zero()], [s.zero(), 1 / (x * x)]]
+    pole = f"denominator {den} vanishes at ({point[0]}, {point[1]})"
+    cases = [
+        (MetricField(s, entries), f"metric entry: {pole}"),
+        (EndoField(s, entries), f"endomorphism entry: {pole}"),
+        (VectorField(s, [entries[0][0], entries[1][1]]), f"component {s.names[first]}: {pole}"),
+        (Form(s, 1, {(0,): entries[0][0], (1,): entries[1][1]}), f"coefficient {(first,)}: {pole}"),
+    ]
+    for tensor, message in cases:
+        with pytest.raises(ZeroDivisionError) as info:
+            tensor.eval_at(point)
+        assert str(info.value) == message, type(tensor).__name__
+
+
 def test_eval_constant_form_anywhere():
     s = build_nilpotent_space()
     w = Form(s, 2, {(4, 5): Fraction(3, 2)})

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactpairs import cli
 from contactpairs.cli import CHECKS, VERBS, VerbUsageError, main, run
+from contactpairs.exterior import MetricField
 from contactpairs.fixtures import (
     FixtureError,
     bundled_fixture_names,
@@ -502,6 +504,31 @@ def test_non_definite_aux_metric_is_a_failed_build(tmp_path):
     assert report.verdicts["built_compatible"].witness == (
         "auxiliary metric is not positive definite at (0, 1)"
     )
+    assert report.exit_code() == 1
+
+
+def test_pole_of_the_polarized_metric_is_a_failed_spd_verdict(monkeypatch):
+    """A polarized g with a pole at the base point gives a Failed ``*_spd``
+    verdict that names the denominator in the chart's coordinates and the
+    point, and no ``*_metric_at_base`` output, only its skip record."""
+    build = cli.build_associated_by_polarization
+
+    def with_pole(vp, decomposable):
+        phi, g = build(vp, decomposable=decomposable)
+        x, y = vp.space.coordinate(0), vp.space.coordinate(1)
+        rows = [list(row) for row in g.matrix.entries]
+        rows[1][1] = rows[1][1] + 1 / (x * x + y)
+        return phi, MetricField(vp.space, rows)
+
+    monkeypatch.setattr(cli, "build_associated_by_polarization", with_pole)
+    report = run("polarize", fixture_path("named_coords.json"))
+    pole = "metric entry: denominator x^2 + y vanishes at (0, 0)"
+    for prefix in ("polarized", "polarized_decomposable"):
+        spd = report.verdicts[f"{prefix}_spd"]
+        assert (spd.status, spd.witness) == (Status.FAILED, pole), prefix
+        assert f"{prefix}_metric_at_base" not in report.outputs
+        assert report.skipped[f"{prefix}_metric_at_base"] == pole
+        assert report.outputs[f"{prefix}_phi_at_base"] == [["0", "0"], ["0", "0"]]
     assert report.exit_code() == 1
 
 

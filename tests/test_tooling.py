@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import random
@@ -11,10 +12,11 @@ import re
 import subprocess
 import sys
 import traceback
+import types
 from pathlib import Path
 
 import contactpairs
-from contactpairs import algebra, cli
+from contactpairs import algebra, cli, connection
 from contactpairs.fixtures import bundled_fixture_path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +85,49 @@ def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
         report = cli.run(verb, path)
         assert report.verdicts[key].ok, (verb, path.name)
     assert callers == []
+
+
+def test_rk4_of_a_constant_field_runs_no_float_program_per_point(tmp_path, monkeypatch):
+    """On chart rung (2,2) the Reeb fields are constant and meet no pole and
+    no Γ(Z, Z) term on the built metric, so each RK4 call of ``theorems``
+    evaluates each field component once, at the start point, and runs no
+    other float program: neither a step loop nor a residual pass point by
+    point.  Only the stencil of the one coordinate that moves is formed."""
+    spec = importlib.util.spec_from_file_location("workloads_under_test", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    counts = {}
+
+    def counting(name, inner):
+        def counted(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return counted
+
+    monkeypatch.setattr(connection._FloatRatFun, "at", counting("at", connection._FloatRatFun.at))
+    monkeypatch.setattr(connection, "_run", counting("run", connection._run))
+    isnan = counting("isnan", math.isnan)
+    monkeypatch.setattr(connection, "math", types.SimpleNamespace(**{**vars(math), "isnan": isnan}))
+    residual = cli.numeric_geodesic_residual
+    calls = []
+
+    def recorded(g, field, *args, **kwargs):
+        counts.update(at=0, run=0, isnan=0)
+        value = residual(g, field, *args, **kwargs)
+        calls.append((field.space.dim, counts["at"], counts["run"], counts["isnan"]))
+        return value
+
+    monkeypatch.setattr(cli, "numeric_geodesic_residual", recorded)
+    doc = workloads.chart_model(2, 2, random.Random(1))
+    path = tmp_path / f"{doc['id']}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = cli.run("theorems", path)
+    assert report.verdicts["built_geodesy_rk4"].ok
+    # at runs the numerator and the denominator program of a component, and
+    # the NaN scan reads the 997 stencil values of the one moving coordinate
+    assert calls == [(10, 10, 20, 997)] * 2
 
 
 def test_every_exported_name_resolves():
