@@ -21,13 +21,14 @@ dimension is fitted by least squares, for each tree over the dims it
 finished.  The jobs:
 
 ``calls``
-    Times every ``numeric_geodesic_residual``, ``RfMatrix.inverse`` and
-    ``christoffel`` call made by ``cli.run`` on ``theorems`` on the
+    Times every ``numeric_geodesic_residual`` and ``christoffel`` call made
+    by ``cli.run`` on ``theorems`` on the
     chart-ladder rungs (1,1), (2,1), (2,2) and on the lie-ladder rung (3,3)
     (fixtures from ``perfbench/workloads.py``, seed 1), and on the
-    ``geodesy`` and ``build-compatible`` items of ``verb-mix``.  A call's
-    result is the residual's ``repr`` for RK4, a digest of the entries for
-    the inverse, and for ``christoffel`` the count and a digest of its
+    ``geodesy`` and ``build-compatible`` items of ``verb-mix``, and keeps
+    each call's minimum over the rounds, which drift of a shared machine
+    only raises.  A call's result is the residual's ``repr`` for RK4, and
+    for ``christoffel`` the count and a digest of its
     nonzero symbols (``ChristoffelData.nonzero()``).  Those are the symbols
     of the first kind, g(∇_a e_b, e_k), computed with no inverse; a tree
     whose ``christoffel`` still returns the second kind, Γ^c_ab by g⁻¹, gives
@@ -169,9 +170,9 @@ def dense_model(h: int, k: int) -> dict:
     return pull_back(doc, unimodular(doc["dimension"], random.Random(1 + doc["dimension"])))
 
 
-# --- calls: per-call cost of RK4, the exact inverse and the Christoffel symbols ------
+# --- calls: per-call cost of RK4 and the Christoffel symbols --------------------------
 
-TIMED = ("rk4", "inverse", "christoffel")
+TIMED = ("rk4", "christoffel")
 RK4_VERBS = ("geodesy", "build-compatible")
 CALLS_CAP_S = 300.0
 LADDER_ITEMS = (
@@ -203,7 +204,7 @@ def measure_calls(tree: Path, case: dict) -> list[dict]:
     """Time every timed call ``cli.run`` makes on the case, once, with the
     package of ``tree``; the package is left unpatched afterwards."""
     sys.path.insert(0, str(tree / "src"))
-    from contactpairs import algebra, cli, connection
+    from contactpairs import cli, connection
 
     made: list[tuple[str, float, str]] = []
 
@@ -218,8 +219,6 @@ def measure_calls(tree: Path, case: dict) -> list[dict]:
 
     patches = (
         (cli, "numeric_geodesic_residual", "rk4", repr),
-        (algebra.RfMatrix, "inverse", "inverse",
-         lambda m: f"{m.rows}x{m.cols} {_digest(e for row in m.entries for e in row)}"),
         (connection, "christoffel", "christoffel",
          lambda d: f"dim {d.space.dim} nonzero {len(d.nonzero())} "
                    f"{_digest(e for _, _, _, e in d.nonzero())}"),
@@ -241,22 +240,22 @@ def measure_calls(tree: Path, case: dict) -> list[dict]:
 
 
 def _calls_record(cases: list[dict], runs: dict) -> dict:
-    """Each call's median time over the rounds, by function, in case order.
+    """Each call's minimum time over the rounds, by function, in case order.
     The k-th call of a function on a case is paired with the other tree's
     k-th; a call only one tree makes has null for the other's time."""
     record = {kind: {"calls": []} for kind in TIMED}
     for case in cases:
-        medians = {}
+        fastest = {}
         for side in SIDES:
             done = [run for run in runs[(case["id"], side)] if run is not None]
             if not done or len(done) != len(runs[(case["id"], side)]):
                 raise SystemExit(f"{case['id']} ({side}): stopped at the cap")
-            medians[side] = [
-                {**calls[0], "seconds": statistics.median(c["seconds"] for c in calls)}
+            fastest[side] = [
+                {**calls[0], "seconds": min(c["seconds"] for c in calls)}
                 for calls in zip(*done, strict=True)
             ]
         for kind in TIMED:
-            before, after = ([c for c in medians[side] if c["kind"] == kind] for side in SIDES)
+            before, after = ([c for c in fastest[side] if c["kind"] == kind] for side in SIDES)
             record[kind]["calls"] += [
                 {
                     "item": (b or a)["item"],
@@ -407,7 +406,7 @@ class Job:
 
 JOBS = {
     "calls": Job(
-        "seconds per call (median over rounds, trees alternating within each round), "
+        "seconds per call (minimum over rounds, trees alternating within each round), "
         "parent vs change, by function",
         _calls_cases, measure_calls, _calls_record, CALLS_CAP_S,
     ),

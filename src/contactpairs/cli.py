@@ -53,14 +53,12 @@ from .pair import (
     PairValidationError,
     ReebSolveError,
     verified_pair,
-    verify_contact_pair,
     verify_splittings,
 )
 from .report import Report, render_report
 from .structure import (
     ContactPairStructure,
     PreconditionError,
-    StructureValidationError,
     verify_induced_almost_contact,
     verify_structure,
 )
@@ -83,23 +81,22 @@ class _NotApplicable(Exception):
 
 class _Context:
     """One run: the fixture, the report, and the intermediates the checks
-    share, each computed at most once.  The pair and structure verdicts are
-    handed to the constructors that would re-derive them, ``d alpha_i`` is
-    memoised on the pair, the decomposable verdict on the structure, and each
-    metric's Christoffel symbols of the first kind travel inside its geodesy
-    report to its RK4 cross-check."""
+    share, each computed at most once.  The pair memoises its axiom verdicts
+    and ``d alpha_i``, the structure its decomposable verdict.  The structure
+    and the metric contact pair are built with ``_of``, unchecked: every
+    check that reads ``cps`` runs after ``structure`` has passed, and every
+    one that reads ``mcp`` after ``associated`` has, so they pass exactly
+    when the public constructors would accept.  Each metric's Christoffel
+    symbols of the first kind travel inside its geodesy report to its RK4
+    cross-check."""
 
     def __init__(self, doc: FixtureDoc, verb: str):
         self.doc = doc
         self.report = Report(doc.fixture_id, verb)
 
     @cached_property
-    def pair_verdicts(self):
-        return verify_contact_pair(self.doc.pair)
-
-    @cached_property
     def vp(self):
-        return verified_pair(self.doc.pair, self.pair_verdicts)
+        return verified_pair(self.doc.pair)
 
     @cached_property
     def structure_verdicts(self):
@@ -107,7 +104,7 @@ class _Context:
 
     @cached_property
     def cps(self):
-        return ContactPairStructure(self.vp, self.doc.phi, verdicts=self.structure_verdicts)
+        return ContactPairStructure._of(self.vp, self.doc.phi)
 
     @cached_property
     def associated(self):
@@ -115,7 +112,7 @@ class _Context:
 
     @cached_property
     def mcp(self):
-        return MetricContactPair(self.cps, self.doc.metric, associated=self.associated)
+        return MetricContactPair._of(self.cps, self.doc.metric, self.associated)
 
     @cached_property
     def orthogonal(self):
@@ -132,7 +129,7 @@ class _Context:
 
 
 def _pair(ctx: _Context) -> str | None:
-    verdicts = ctx.pair_verdicts
+    verdicts = ctx.doc.pair.axioms
     ctx.report.verdicts.update(verdicts)
     ctx.report.skipped.update(verdicts.skipped)
     return None if all(v.ok for v in verdicts.values()) else "contact pair conditions failed"
@@ -203,9 +200,7 @@ def _orthogonal(ctx: _Context) -> None:
 
 
 def _agreement(ctx: _Context) -> None:
-    verdict = decomposability_orthogonality_agreement(
-        ctx.cps, ctx.doc.metric, orthogonal=ctx.orthogonal
-    )
+    verdict = decomposability_orthogonality_agreement(ctx.cps.decomposable, ctx.orthogonal)
     ctx.report.verdicts["decomposable_orthogonal_agreement"] = verdict
 
 
@@ -283,10 +278,10 @@ def _polarized(ctx: _Context) -> None:
     for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
         try:
             phi, g = build_associated_by_polarization(vp, decomposable=flag)
-            cps = ContactPairStructure(vp, phi)
-        except (PolarizationError, StructureValidationError) as exc:
+        except PolarizationError as exc:
             report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
             continue
+        cps = ContactPairStructure._of(vp, phi)  # a structure by construction
         report.verdicts[f"{prefix}_associated"] = is_associated(cps, g).verdict
         report.verdicts[f"{prefix}_spd"] = _spd_at(g, vp.sample_points)
         orthogonal = are_foliations_orthogonal(vp, g)
@@ -294,7 +289,7 @@ def _polarized(ctx: _Context) -> None:
             report.verdicts["polarized_decomposable_check"] = cps.decomposable
             report.verdicts["polarized_decomposable_orthogonal"] = orthogonal
         report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
-            cps, g, orthogonal
+            cps.decomposable, orthogonal
         )
         base = vp.sample_points[0]
         for name, tensor in (("phi", phi), ("metric", g)):

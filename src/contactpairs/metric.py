@@ -188,23 +188,32 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
 @dataclass(frozen=True)
 class MetricContactPair:
     """Contact pair structure plus an associated metric (enforced at
-    construction).  ``associated`` is the
-    :func:`is_associated` report of (cps, g); a caller that has it already
-    passes it in, and it is computed otherwise."""
+    construction).  ``associated`` is the :func:`is_associated` report of
+    (cps, g); :meth:`_of` builds one from a report the caller has already
+    checked."""
 
     cps: ContactPairStructure
     g: MetricField
-    associated: AssociatedCheckReport | None = field(default=None, repr=False, compare=False)
+    associated: AssociatedCheckReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        report = self.associated
-        if report is None:
-            report = is_associated(self.cps, self.g)
-            object.__setattr__(self, "associated", report)
+        report = is_associated(self.cps, self.g)
         if not report.ok:
             raise MetricValidationError(
                 f"metric is not associated: {report.verdict.witness}"
             )
+        object.__setattr__(self, "associated", report)
+
+    @classmethod
+    def _of(
+        cls, cps: ContactPairStructure, g: MetricField, associated: AssociatedCheckReport
+    ) -> MetricContactPair:
+        """The metric contact pair of an ``associated`` report that is ok."""
+        mcp = object.__new__(cls)
+        object.__setattr__(mcp, "cps", cps)
+        object.__setattr__(mcp, "g", g)
+        object.__setattr__(mcp, "associated", associated)
+        return mcp
 
     @property
     def vp(self) -> VerifiedPair:
@@ -314,7 +323,11 @@ def build_associated_by_polarization(
     block-diagonal, as d alpha_i vanishes on TG_i, so with ``decomposable``
     every Darboux pair lies in one block and phi preserves both subbundles;
     otherwise, when both blocks are nonempty, the frame starts from
-    e = TG1[0] + TG2[0], which mixes them."""
+    e = TG1[0] + TG2[0], which mixes them.
+
+    phi needs no check as a structure: BᵀWB = Ω, AB = 0 and WZ = 0 give
+    phi²B = BΩBᵀWB = −B, phi Z = 0 and phi²Z = 0, and (−Id + ZA) takes the
+    same values on the basis [B | Z1 Z2], so phi² = −Id + ZA."""
     reason = polarization_precondition_violation(vp)
     if reason:
         raise PolarizationError(reason)
@@ -382,20 +395,16 @@ def killing_agreement(results: dict[str, Verdict]) -> Verdict:
 
 
 def decomposability_orthogonality_agreement(
-    cps: ContactPairStructure, g: MetricField, orthogonal: Verdict | None = None
+    decomposable: Verdict, orthogonal: Verdict
 ) -> Verdict:
-    """For an associated metric, phi is decomposable iff the characteristic
-    foliations are orthogonal; the two verdicts must match.  Decomposability
-    is the structure's own verdict (:attr:`ContactPairStructure.decomposable`);
-    ``orthogonal`` may hand in :func:`are_foliations_orthogonal` of the same
-    ``(cps.vp, g)`` when the caller already has it."""
-    dec = cps.decomposable
-    orth = orthogonal if orthogonal is not None else are_foliations_orthogonal(cps.vp, g)
-    if dec.ok == orth.ok:
-        value = "both hold" if dec.ok else "both fail"
+    """For an associated metric, phi is decomposable (:func:`is_decomposable`)
+    iff the characteristic foliations are orthogonal
+    (:func:`are_foliations_orthogonal`); the two verdicts must match."""
+    if decomposable.ok == orthogonal.ok:
+        value = "both hold" if decomposable.ok else "both fail"
         return Verdict.verified(f"decomposability ⟺ orthogonality ({value})")
     return Verdict.failed(
-        f"decomposable={dec.status.value}, orthogonal={orth.status.value}",
+        f"decomposable={decomposable.status.value}, orthogonal={orthogonal.status.value}",
         "the equivalence theorem is violated",
     )
 

@@ -21,14 +21,16 @@ degree stays at most 2, where every entry of W1 + W2 + a1 a2ᵀ − a2 a1ᵀ is
 already quadratic and its minors grow with their order.  The same function
 decides the pair induced on the leaves of a frame, on the restricted tables.
 
-Frames keep the equations whose kernel they span, so membership is one
-product; of the splittings only TM = TF1 ⊕ TF2 takes a rank.
+A frame is its vectors.  The splittings TM = TF1 ⊕ TF2 and
+TF_i = TG_i ⊕ R·Z_j hold by construction once :func:`verified_pair` returns
+(:func:`verify_splittings` gives the proof), so no frame tests membership
+and no splitting takes a rank.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -37,7 +39,6 @@ from .algebra import (
     InconsistentSystemError,
     RatFun,
     RfMatrix,
-    generic_rank,
     kernel_basis,
     pfaffian_minor,
     solve_linear_exact,
@@ -149,6 +150,11 @@ class ContactPair:
     @cached_property
     def _dalphas(self) -> tuple[Form, Form]:
         return ext_d(self.alpha1), ext_d(self.alpha2)
+
+    @cached_property
+    def axioms(self) -> AxiomVerdicts:
+        """:func:`verify_contact_pair` of the pair, computed once."""
+        return verify_contact_pair(self)
 
     def dalpha_table(self, i: int) -> RfMatrix:
         """The value table W_i[a][b] = d alpha_i(e_a, e_b); both tables are
@@ -305,34 +311,19 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
 
 @dataclass(frozen=True)
 class DistributionFrame:
-    """Generically independent polynomial vector fields and equations E with
-    ker E = their span.  A kernel frame keeps the rows it was solved from (an
-    RREF kernel basis is independent by construction); a frame given by
-    vectors alone takes E = kernel_basis(F^T), and its rank n - #E must be
-    its size."""
+    """Polynomial vector fields spanning a distribution generically.  The
+    package's frames are RREF kernel bases, independent by construction; a
+    caller's frame is checked where it enters
+    (:class:`~contactpairs.structure.SubbundleComplexStructure`)."""
 
     space: Space
     vectors: tuple[VectorField, ...]
     label: str = "custom"
-    equations: RfMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.vectors:
             if v.space != self.space:
                 raise ValueError("frame vector on a different space")
-        if self.equations is not None:
-            return
-        n = self.space.dim
-        # the 0 x 0 transpose of an empty frame would lose n
-        equations = (
-            RfMatrix(n, kernel_basis(self.matrix.transpose())) if self.vectors
-            else RfMatrix.identity(n, n)
-        )
-        object.__setattr__(self, "equations", equations)
-        if (rank := n - equations.rows) != self.size:
-            raise FrameRankError(
-                f"frame {self.label}: {self.size} vectors have generic rank {rank}"
-            )
 
     @property
     def size(self) -> int:
@@ -344,20 +335,13 @@ class DistributionFrame:
         once; every table of the frame is a product with it."""
         return column_matrix(self.space, self.vectors)
 
-    def contains(self, *fields: VectorField) -> bool:
-        """Generic membership of every field: E·v = 0."""
-        if not (fields and self.equations.rows):
-            return True
-        return (self.equations @ column_matrix(self.space, fields)).is_zero()
-
 
 def _kernel_frame_from_rows(
     space: Space, rows: list[Sequence[RatFun]], label: str
 ) -> DistributionFrame:
-    equations = RfMatrix(space.dim, rows)
-    basis = kernel_basis(equations)
+    basis = kernel_basis(RfMatrix(space.dim, rows))
     vectors = tuple(VectorField(space, [RatFun(p) for p in vec]) for vec in basis)
-    return DistributionFrame(space, vectors, label, equations)
+    return DistributionFrame(space, vectors, label)
 
 
 def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
@@ -457,17 +441,13 @@ def _reeb_gram(vp: VerifiedPair, g: MetricField) -> RfMatrix:
     return z.transpose() @ g.matrix @ z
 
 
-def verified_pair(
-    pair: ContactPair, verdicts: dict[str, Verdict] | None = None
-) -> VerifiedPair:
-    """Run the axiom checks, solve the Reeb system, and build all frames.
+def verified_pair(pair: ContactPair) -> VerifiedPair:
+    """Run the axiom checks (:attr:`ContactPair.axioms`), solve the Reeb
+    system, and build all frames.
 
     Raises :class:`PairValidationError` when any defining condition Fails
-    (SampleVerified volume coefficients are accepted).  ``verdicts`` may hand
-    in :func:`verify_contact_pair` of ``pair`` when the caller already has it."""
-    if verdicts is None:
-        verdicts = verify_contact_pair(pair)
-    for name, verdict in verdicts.items():
+    (SampleVerified volume coefficients are accepted)."""
+    for name, verdict in pair.axioms.items():
         if not verdict.ok:
             raise PairValidationError(f"{name}: {verdict.witness or verdict.detail}")
     z1, z2 = reeb_fields(pair)
@@ -483,27 +463,18 @@ def verified_pair(
 
 
 def verify_splittings(vp: VerifiedPair) -> Verdict:
-    """TM = TF1 ⊕ TF2 by rank, and TF_i = TG_i ⊕ R·Z_j (j != i) by Z_j ∉ TG_i,
-    the size count and TG_i ∪ {Z_j} ⊂ TF_i, all generically."""
-    n = vp.dim
-    rank = generic_rank(column_matrix(vp.space, vp.tf1.vectors + vp.tf2.vectors))
-    if rank != n:
-        return Verdict.failed(
-            f"rank(TF1 ∪ TF2) = {rank} != {n}",
-            "TF1 ⊕ TF2 does not span the tangent bundle",
-        )
-    for i in (1, 2):
-        j = 2 if i == 1 else 1
-        tf, tg, z = vp.tf(i), vp.tg(i), vp.z(j)
-        direct_sum = tg.size + (not tg.contains(z))
-        if direct_sum != tf.size:
-            return Verdict.failed(
-                f"rank(TG{i} + Z{j}) = {direct_sum} != rank(TF{i}) = {tf.size}"
-            )
-        if not tf.contains(*tg.vectors, z):
-            return Verdict.failed(
-                f"TG{i} ⊕ R·Z{j} and TF{i} span different subbundles"
-            )
+    """TM = TF1 ⊕ TF2 and TF_i = TG_i ⊕ R·Z_j (j != i), read off the
+    construction of ``vp``; nothing is recomputed.
+
+    TF1 ∩ TF2 is the kernel of the Reeb system, whose rows are alpha_i and
+    i_· d alpha_i for i = 1, 2, and :func:`reeb_fields` rejects a nontrivial
+    kernel; the frame ranks 2k + 1 and 2h + 1, which
+    :func:`characteristic_frame` enforces, sum to n.  The equations of TG_i
+    contain those of TF_i, so TG_i ⊂ TF_i; the Reeb equations
+    alpha_i(Z_j) = 0 and i_{Z_j} d alpha_i = 0 put Z_j in TF_i; and
+    alpha_j(Z_j) = 1 keeps Z_j out of TG_i, which lies in ker alpha_j.  So
+    TG_i ⊕ R·Z_j ⊂ TF_i, of rank size(TG_i) + 1 = size(TF_i) by
+    :func:`g_frame`."""
     return Verdict.verified(
-        f"rank(TF1) + rank(TF2) = {vp.tf1.size} + {vp.tf2.size} = {n}"
+        f"rank(TF1) + rank(TF2) = {vp.tf1.size} + {vp.tf2.size} = {vp.dim}"
     )

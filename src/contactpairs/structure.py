@@ -20,12 +20,12 @@ checked again.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import RatFun, RfMatrix, generic_rank
 from .exterior import EndoField
-from .pair import DistributionFrame, VerifiedPair, column_matrix
+from .pair import DistributionFrame, FrameRankError, VerifiedPair, column_matrix
 from .verdicts import Verdict, matrix_residual_entries, residual_verdict
 
 __all__ = [
@@ -89,22 +89,27 @@ def verify_structure(vp: VerifiedPair, phi: EndoField) -> dict[str, Verdict]:
 @dataclass(frozen=True)
 class ContactPairStructure:
     """Verified pair plus endomorphism; the two defining identities are
-    enforced at construction.  ``verdicts`` may hand in
-    :func:`verify_structure` of the same ``(vp, phi)`` when the caller
-    already has it; it is not stored."""
+    enforced at construction.  :meth:`_of` builds one from a phi the package
+    has itself constructed or already verified, with no check."""
 
     vp: VerifiedPair
     phi: EndoField
-    verdicts: InitVar[dict[str, Verdict] | None] = None
 
-    def __post_init__(self, verdicts):
-        if verdicts is None:
-            verdicts = verify_structure(self.vp, self.phi)
+    def __post_init__(self):
+        verdicts = verify_structure(self.vp, self.phi)
         for key in ("phi_squared", "phi_reeb"):
             if not verdicts[key].ok:
                 raise StructureValidationError(
                     f"{key}: {verdicts[key].witness or verdicts[key].detail}"
                 )
+
+    @classmethod
+    def _of(cls, vp: VerifiedPair, phi: EndoField) -> ContactPairStructure:
+        """The structure of a phi known to satisfy both identities."""
+        cps = object.__new__(cls)
+        object.__setattr__(cps, "vp", vp)
+        object.__setattr__(cps, "phi", phi)
+        return cps
 
     @property
     def space(self):
@@ -143,13 +148,18 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
 @dataclass(frozen=True)
 class SubbundleComplexStructure:
     """Complex structure on a frame (of TG1 ⊕ TG2 or a single TG_i):
-    a square matrix in frame coordinates squaring to -Id exactly."""
+    a square matrix in frame coordinates squaring to -Id exactly.  The frame
+    must be generically independent."""
 
     frame: DistributionFrame
     matrix: RfMatrix
 
     def __post_init__(self):
         m = self.frame.size
+        if (rank := generic_rank(self.frame.matrix)) != m:
+            raise FrameRankError(
+                f"frame {self.frame.label}: {m} vectors have generic rank {rank}"
+            )
         if self.matrix.rows != m or self.matrix.cols != m:
             raise ValueError(f"matrix must be {m} x {m} for a frame of size {m}")
         eye = RfMatrix.identity(m, self.matrix.nvars)
@@ -162,10 +172,11 @@ def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoF
 
     The frame need not be orthonormal or split along the TG blocks; any frame
     that generically spans TG1 ⊕ TG2 works.  The result needs no check.  The
-    frame F holds TG1 and TG2 and has their size, so it spans TG1 ⊕ TG2 and
-    A F = 0 for A the rows alpha1, alpha2; with A Z = Id and B = [F | Z1 Z2],
-    (-Id + Z A) B = [-F | 0] = B·diag(J^2, 0) = phi^2 B, and
-    phi Z_i = B·diag(J, 0)·e_{m+i} = 0."""
+    frame F is independent, of size n - 2, and A F = 0 for A the rows alpha1,
+    alpha2.  A Z = Id gives rank A = 2, so ker alpha1 ∩ ker alpha2 has rank
+    n - 2 and contains TG1 ⊕ TG2, of that rank: F spans TG1 ⊕ TG2.  With
+    B = [F | Z1 Z2], (-Id + Z A) B = [-F | 0] = B·diag(J^2, 0) = phi^2 B,
+    and phi Z_i = B·diag(J, 0)·e_{m+i} = 0."""
     frame = j_structure.frame
     if frame.space != vp.space:
         raise ValueError("frame lives on a different space")
@@ -175,7 +186,7 @@ def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoF
         raise StructureValidationError(
             f"frame has {frame.size} vectors; TG1 ⊕ TG2 needs {m}"
         )
-    if not frame.contains(*vp.tg1.vectors, *vp.tg2.vectors):
+    if not (vp._alpha_matrix @ frame.matrix).is_zero():
         raise StructureValidationError("frame does not span TG1 ⊕ TG2 generically")
 
     basis = column_matrix(vp.space, [*frame.vectors, vp.z1, vp.z2])

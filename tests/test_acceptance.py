@@ -172,7 +172,9 @@ def test_criterion_4_equivalence_theorem(structures):
     # exact MCP fixtures
     for name in ("nilpotent_g6", "flat2_mcp"):
         cps, g = structures[name]
-        verdict = decomposability_orthogonality_agreement(cps, g)
+        verdict = decomposability_orthogonality_agreement(
+            cps.decomposable, are_foliations_orthogonal(cps.vp, g)
+        )
         assert verdict.status is Status.VERIFIED, (name, verdict)
 
     # both polarizations: per block both sides hold, jointly both fail
@@ -190,7 +192,7 @@ def test_criterion_4_equivalence_theorem(structures):
             orth = are_foliations_orthogonal(vp, g)
             expected = Status.VERIFIED if flag else Status.FAILED
             assert (dec.status, orth.status) == (expected, expected), (vp.space, flag)
-            agreement = decomposability_orthogonality_agreement(cps_new, g)
+            agreement = decomposability_orthogonality_agreement(dec, orth)
             assert agreement.status is Status.VERIFIED, (vp.space, flag, agreement)
     _report(
         "4",

@@ -24,7 +24,7 @@ from contactpairs.fixtures import (
 from contactpairs.pair import Status
 from contactpairs.report import render_report
 
-from conftest import lie_rung
+from conftest import fixture_doc, lie_rung
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -603,27 +603,40 @@ def test_pole_on_the_rk4_trajectory_is_a_skip(names, denominator, tmp_path):
     assert report["skipped"]["geodesy_rk4"].startswith(f"denominator {denominator} vanishes at (")
 
 
-def test_theorems_computes_each_shared_verdict_once(monkeypatch):
-    """The pair, structure and orthogonality verdicts of a run are handed on
-    to the constructors and the agreement check, not computed again."""
-    from contactpairs import cli, metric, pair, structure
+def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
+    """The pair axioms are memoised on the pair, the structure verdicts are
+    computed once and read by the check that reports them, the polarized phi
+    is not verified again, and the associated report and the orthogonality
+    verdict of each metric are handed on to the checks that read them.  On
+    nilpotent_g6 that is one metric; on chart rung (2,2), which has no metric
+    and so runs polarize, the two polarized ones.  The one rank is rank(phi)
+    of the structure check."""
+    from contactpairs import algebra, metric, pair, structure
 
+    chart = tmp_path / "chart_2_2.json"
+    chart.write_text(json.dumps(fixture_doc("chart_2_2").raw), encoding="utf-8")
     homes = {
         "verify_contact_pair": pair,
         "verify_structure": structure,
         "are_foliations_orthogonal": metric,
+        "is_associated": metric,
+        "generic_rank": algebra,
     }
-    calls = dict.fromkeys(homes, 0)
-    for name, home in homes.items():
+    calls = {}
+    for fn, home in homes.items():
 
-        def counted(*args, _inner=getattr(home, name), _name=name, **kwargs):
+        def counted(*args, _inner=getattr(home, fn), _name=fn, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
 
-        for module in (home, cli):
-            monkeypatch.setattr(module, name, counted)
-    assert run("theorems", bundled_fixture_path("nilpotent_g6")).exit_code() == 0
-    assert calls == dict.fromkeys(calls, 1)
+        for module in (home, cli, pair, structure, metric):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counted)
+    per_metric = ("are_foliations_orthogonal", "is_associated")
+    for path, metrics in ((bundled_fixture_path("nilpotent_g6"), 1), (chart, 2)):
+        calls.update(dict.fromkeys(homes, 0))
+        assert run("theorems", path).exit_code() == 0
+        assert calls == {**dict.fromkeys(homes, 1), **dict.fromkeys(per_metric, metrics)}, path
 
 
 def test_witnesses_use_the_fixture_coordinate_names(capsys):

@@ -161,15 +161,13 @@ def test_mcp_constructor_enforces_associatedness(r6, nilpotent):
     cps_bad, g_bad = r6
     with pytest.raises(MetricValidationError):
         MetricContactPair(cps_bad, g_bad)
-    with pytest.raises(MetricValidationError):
-        MetricContactPair(cps_bad, g_bad, associated=is_associated(cps_bad, g_bad))
 
 
 def test_mcp_keeps_the_associated_report(nilpotent):
     cps, g = nilpotent
-    report = is_associated(cps, g)
-    assert MetricContactPair(cps, g, associated=report).associated is report
-    assert MetricContactPair(cps, g).associated.ok
+    mcp = MetricContactPair(cps, g)
+    assert mcp.associated.ok
+    assert mcp.associated == is_associated(cps, g)
 
 
 def test_combine_verdicts():
@@ -283,7 +281,10 @@ def test_per_block_polarization_is_decomposable_and_orthogonal(name):
     assert is_associated(cps, g).verdict.status is Status.VERIFIED
     assert is_decomposable(cps).status is Status.VERIFIED
     assert are_foliations_orthogonal(vp, g).status is Status.VERIFIED
-    assert decomposability_orthogonality_agreement(cps, g).detail.endswith("(both hold)")
+    agreement = decomposability_orthogonality_agreement(
+        cps.decomposable, are_foliations_orthogonal(vp, g)
+    )
+    assert agreement.detail.endswith("(both hold)")
 
 
 @pytest.mark.parametrize("name", POLARIZATION_CASES)
@@ -297,7 +298,9 @@ def test_joint_polarization_fails_both_sides_of_the_agreement(name):
     assert is_associated(cps, g).verdict.status is Status.VERIFIED
     assert is_decomposable(cps).status is Status.FAILED
     assert are_foliations_orthogonal(vp, g).status is Status.FAILED
-    agreement = decomposability_orthogonality_agreement(cps, g)
+    agreement = decomposability_orthogonality_agreement(
+        cps.decomposable, are_foliations_orthogonal(vp, g)
+    )
     assert agreement.status is Status.VERIFIED
     assert agreement.detail.endswith("(both fail)")
 
@@ -372,7 +375,10 @@ def test_perturbed_metric_breaks_orthogonality(r6):
 
 def test_equivalence_on_exact_fixtures(nilpotent, flat2):
     for cps, g in (nilpotent, flat2):
-        assert decomposability_orthogonality_agreement(cps, g).status is Status.VERIFIED
+        agreement = decomposability_orthogonality_agreement(
+            cps.decomposable, are_foliations_orthogonal(cps.vp, g)
+        )
+        assert agreement.status is Status.VERIFIED
 
 
 # --- Killing fields -----------------------------------------------------------------------

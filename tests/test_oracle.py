@@ -229,9 +229,9 @@ def test_christoffel_symbols_match_sympy(h, k):
 )
 def test_polarized_structures_match_the_oracle(name):
     """At 3 fresh random points, both polarizations satisfy GΦ = W (the
-    table of d alpha1 + d alpha2), Φ² = −I + ZA and GZ = Aᵀ, with A the rows
-    alpha1, alpha2 and Z the columns Z1, Z2, and every leading principal
-    minor of G is positive.  The construction reads no metric, so the
+    table of d alpha1 + d alpha2), Φ² = −I + ZA, ΦZ = 0 and GZ = Aᵀ, with A
+    the rows alpha1, alpha2 and Z the columns Z1, Z2, and every leading
+    principal minor of G is positive.  The construction reads no metric, so the
     identity metric of Lie rung (3,3) plays no part."""
     vp = verified_pair(fixture_doc(name).pair)
     n = vp.dim
@@ -250,4 +250,5 @@ def test_polarized_structures_match_the_oracle(name):
                 [za[i][j] - (i == j) for j in range(n)] for i in range(n)
             ], (name, flag, point)
             assert _product(g_at, z_at) == [list(col) for col in zip(*a_at)], (name, flag, point)
+            assert _product(phi_at, z_at) == [[0, 0] for _ in range(n)], (name, flag, point)
             assert all(_det([row[:k] for row in g_at[:k]]) > 0 for k in range(1, n + 1))

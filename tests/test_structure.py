@@ -2,13 +2,14 @@
 
 import pytest
 
-from contactpairs.algebra import RatFun, RfMatrix
+from contactpairs.algebra import RatFun, RfMatrix, generic_rank
 from contactpairs.exterior import EndoField, VectorField
 from contactpairs.pair import (
     ContactPair,
     DistributionFrame,
     FrameRankError,
     Status,
+    column_matrix,
     verified_pair,
 )
 from contactpairs.structure import (
@@ -23,9 +24,12 @@ from contactpairs.structure import (
 )
 
 from conftest import (
+    FLAT2_SAMPLES,
     LOCAL_MODEL_SAMPLES,
     NILPOTENT_SAMPLES,
     R6_SAMPLES,
+    build_flat2_forms,
+    build_flat2_space,
     build_local_model_forms,
     build_local_model_phi,
     build_local_model_space,
@@ -132,7 +136,8 @@ def test_decomposable_preserves_tg_spans(nilpotent, local_model):
         for i in (1, 2):
             tg = vp.tg(i)
             for v in tg.vectors:
-                assert tg.contains(EndoField.apply(phi, v))
+                spanned = column_matrix(vp.space, [*tg.vectors, EndoField.apply(phi, v)])
+                assert generic_rank(spanned) == tg.size
 
 
 # --- build_phi -------------------------------------------------------------------
@@ -208,12 +213,6 @@ def test_build_phi_rejects_bad_j(local_model):
 def test_build_phi_rejects_non_spanning_frame(local_model):
     vp, _ = local_model
     s = vp.space
-    # TG1 ∪ 2·TG1 is dependent: rejected when the frame is built
-    doubled = tuple(v * s.scalar(2) for v in vp.tg1.vectors)
-    with pytest.raises(FrameRankError, match=r"^frame bad: 4 vectors have generic rank 2$"):
-        DistributionFrame(s, vp.tg1.vectors + doubled, "bad")
-    # TG1 ∪ {Z1, Z2} is independent and of the right size, but misses TG2
-    frame = DistributionFrame(s, vp.tg1.vectors + (vp.z1, vp.z2), "TG1+Z")
     one, zero = RatFun.one(s.dim), RatFun.zero(s.dim)
     rotation = RfMatrix(s.dim, [
         [zero, -one, zero, zero],
@@ -221,8 +220,25 @@ def test_build_phi_rejects_non_spanning_frame(local_model):
         [zero, zero, zero, -one],
         [zero, zero, one, zero],
     ])
+    # TG1 ∪ 2·TG1 is dependent: rejected when the complex structure is built
+    doubled = tuple(v * s.scalar(2) for v in vp.tg1.vectors)
+    with pytest.raises(FrameRankError, match=r"^frame bad: 4 vectors have generic rank 2$"):
+        SubbundleComplexStructure(DistributionFrame(s, vp.tg1.vectors + doubled, "bad"), rotation)
+    # TG1 ∪ {Z1, Z2} is independent and of the right size, but misses TG2
+    frame = DistributionFrame(s, vp.tg1.vectors + (vp.z1, vp.z2), "TG1+Z")
     with pytest.raises(StructureValidationError, match="^frame does not span TG1 ⊕ TG2 generically$"):
         build_phi(vp, SubbundleComplexStructure(frame, rotation))
+
+
+def test_build_phi_on_the_empty_frame():
+    """On a type (0, 0) pair TG1 ⊕ TG2 = 0: the empty frame has rank 0 and
+    A·F = 0 holds vacuously, and phi is zero on the Reeb basis."""
+    s = build_flat2_space()
+    vp = verified_pair(ContactPair(s, *build_flat2_forms(s), 0, 0, tuple(FLAT2_SAMPLES)))
+    j = SubbundleComplexStructure(DistributionFrame(s, (), "empty"), RfMatrix(s.dim, []))
+    phi = build_phi(vp, j)
+    assert phi.matrix.is_zero()
+    assert ContactPairStructure(vp, phi).phi is phi
 
 
 # --- induced almost contact structures -----------------------------------------------
