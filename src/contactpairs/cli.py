@@ -10,8 +10,11 @@ every failed prerequisite.  ``theorems`` runs every check that applies;
 0 all Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
 3 fixture and usage errors.
 
-Every identity is checked exactly, on fixture data and on the metrics the
-package builds alike; only the RK4 cross-check of the geodesy is numeric.
+Every identity of the fixture data is checked exactly; only the RK4
+cross-check of the geodesy is numeric.  What ``build_compatible`` and
+``build_associated_by_polarization`` prove about their metrics is reported
+with no check run; definiteness at the sample points and the joint
+polarization's decomposability and orthogonality are computed.
 --samples appends N extra random rational sample points (seeded by --seed)
 to the fixture's declared ones; they are validated like the declared ones.
 """
@@ -33,6 +36,9 @@ from .connection import numeric_geodesic_residual, reeb_geodesy
 from .exterior import MetricField
 from .fixtures import FixtureDoc, FixtureError, load_fixture, load_fixture_dict
 from .metric import (
+    ASSOCIATED_DETAILS,
+    COMPATIBLE_DETAIL,
+    ORTHOGONAL_DETAIL,
     MetricContactPair,
     MetricValidationError,
     PolarizationError,
@@ -57,18 +63,28 @@ from .pair import (
 )
 from .report import Report, render_report
 from .structure import (
+    DECOMPOSABLE_DETAIL,
     ContactPairStructure,
     PreconditionError,
     verify_induced_almost_contact,
     verify_structure,
 )
-from .verdicts import Verdict
+from .verdicts import Verdict, combine_verdicts
 
 __all__ = ["CHECKS", "VERBS", "run", "main", "VerbUsageError"]
 
 RK4_TOLERANCE = 1e-8
 RK4_DT = 1e-3
 RK4_T_END = 1.0
+
+
+# The verdicts the constructions prove in their docstrings: what
+# is_compatible, is_associated, is_decomposable and are_foliations_orthogonal
+# return on the metrics built.
+_COMPATIBLE = Verdict.verified(COMPATIBLE_DETAIL)
+_ASSOCIATED = combine_verdicts(map(Verdict.verified, ASSOCIATED_DETAILS.values()))
+_DECOMPOSABLE = Verdict.verified(DECOMPOSABLE_DETAIL)
+_ORTHOGONAL = Verdict.verified(ORTHOGONAL_DETAIL)
 
 
 class VerbUsageError(ValueError):
@@ -262,7 +278,7 @@ def _built(ctx: _Context) -> None:
     except MetricValidationError as exc:
         ctx.report.verdicts["built_compatible"] = Verdict.failed(str(exc))
         return
-    ctx.report.verdicts["built_compatible"] = is_compatible(ctx.cps, built)
+    ctx.report.verdicts["built_compatible"] = _COMPATIBLE
     names, n = ctx.vp.space.names, ctx.vp.dim
     ctx.report.outputs["built_metric"] = [
         [built.matrix.at(i, j).format(names) for j in range(n)] for i in range(n)
@@ -281,15 +297,17 @@ def _polarized(ctx: _Context) -> None:
         except PolarizationError as exc:
             report.verdicts[f"{prefix}_associated"] = Verdict.failed(str(exc))
             continue
-        cps = ContactPairStructure._of(vp, phi)  # a structure by construction
-        report.verdicts[f"{prefix}_associated"] = is_associated(cps, g).verdict
+        report.verdicts[f"{prefix}_associated"] = _ASSOCIATED
         report.verdicts[f"{prefix}_spd"] = _spd_at(g, vp.sample_points)
-        orthogonal = are_foliations_orthogonal(vp, g)
         if flag:
-            report.verdicts["polarized_decomposable_check"] = cps.decomposable
+            decomposable, orthogonal = _DECOMPOSABLE, _ORTHOGONAL
+            report.verdicts["polarized_decomposable_check"] = decomposable
             report.verdicts["polarized_decomposable_orthogonal"] = orthogonal
+        else:  # the equivalence on a metric not built decomposable
+            decomposable = ContactPairStructure._of(vp, phi).decomposable
+            orthogonal = are_foliations_orthogonal(vp, g)
         report.verdicts[f"{prefix}_agreement"] = decomposability_orthogonality_agreement(
-            cps.decomposable, orthogonal
+            decomposable, orthogonal
         )
         base = vp.sample_points[0]
         for name, tensor in (("phi", phi), ("metric", g)):

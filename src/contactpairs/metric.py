@@ -29,6 +29,9 @@ that frame is read off its Darboux relations, so no matrix is inverted.
 Note that d alpha_i vanishes identically on TG_i, so the 2-form is
 block-diagonal on [TG1 | TG2]: a basis taken in frame order is per-block
 (decomposable phi), and one started from TG1[0] + TG2[0] mixes the blocks.
+The constructions prove their metrics compatible, resp. associated and, per
+block, phi decomposable and the foliations orthogonal; those verdicts are
+reported from the proofs with the checks' detail texts, not recomputed.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ class PolarizationError(RuntimeError):
     """The polarization could not be carried out."""
 
 
+# The Verified detail texts of the checks below.  A verdict that a
+# construction proves reads the same text as the check it replaces.
+COMPATIBLE_DETAIL = "g(phi X, phi Y) = g(X, Y) - alpha1(X)alpha1(Y) - alpha2(X)alpha2(Y)"
+ASSOCIATED_DETAILS = {
+    "pairing": "g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
+    "reeb": "g(X, Z_i) = alpha_i(X)",
+    "skew": "g(phi X, Y) = -g(X, phi Y)",
+}
+ORTHOGONAL_DETAIL = "the characteristic foliations are g-orthogonal"
+
+
 def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     """Exact check of  phi^T G phi = G - a1 a1^T - a2 a2^T."""
     vp = cps.vp
@@ -88,11 +102,7 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     phi = cps.phi.matrix
     alphas = vp._alpha_matrix
     residual = phi.transpose() @ g.matrix @ phi - g.matrix + alphas.transpose() @ alphas
-    return residual_verdict(
-        matrix_residual_entries(residual),
-        vp,
-        detail="g(phi X, phi Y) = g(X, Y) - alpha1(X)alpha1(Y) - alpha2(X)alpha2(Y)",
-    )
+    return residual_verdict(matrix_residual_entries(residual), vp, detail=COMPATIBLE_DETAIL)
 
 
 def _duality_rows(vp: VerifiedPair, g: MetricField) -> RfMatrix:
@@ -133,16 +143,11 @@ def compatible_corollaries(cps: ContactPairStructure, g: MetricField) -> dict[st
 
 @dataclass(frozen=True)
 class AssociatedCheckReport:
-    """Residuals of the associated-metric identities.
-
-    ``pairing_residual`` is G·Phi - A with A[a][b] = (d alpha1 + d alpha2)
-    applied to the basis pair (a, b); ``skew_residual`` is Phi^T G + G Phi
-    (implied by the pairing identity, asserted separately as a sanity check);
-    row i of ``reeb_residuals`` is g(Z_i, ·) - alpha_i.
+    """The verdicts of the associated-metric identities, by name
+    (``pairing``, ``reeb``, ``skew``), and the duality rows the leaf checks
+    restrict: row i of ``reeb_residuals`` is g(Z_i, ·) - alpha_i.
     """
 
-    pairing_residual: RfMatrix
-    skew_residual: RfMatrix
     reeb_residuals: RfMatrix
     verdicts: dict[str, Verdict]
 
@@ -167,22 +172,16 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
 
     duality = _duality_rows(vp, g)
 
-    verdicts = {
-        "pairing": residual_verdict(
-            matrix_residual_entries(pairing),
-            vp,
-            detail="g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
-        ),
-        "reeb": residual_verdict(
-            _reeb_duality(vp, duality), vp, detail="g(X, Z_i) = alpha_i(X)"
-        ),
-        "skew": residual_verdict(
-            matrix_residual_entries(skew),
-            vp,
-            detail="g(phi X, Y) = -g(X, phi Y)",
-        ),
+    residuals = {
+        "pairing": matrix_residual_entries(pairing),
+        "reeb": _reeb_duality(vp, duality),
+        "skew": matrix_residual_entries(skew),
     }
-    return AssociatedCheckReport(pairing, skew, duality, verdicts)
+    verdicts = {
+        key: residual_verdict(residuals[key], vp, detail=detail)
+        for key, detail in ASSOCIATED_DETAILS.items()
+    }
+    return AssociatedCheckReport(duality, verdicts)
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,18 @@ def build_associated_by_polarization(
 
     phi needs no check as a structure: BᵀWB = Ω, AB = 0 and WZ = 0 give
     phi²B = BΩBᵀWB = −B, phi Z = 0 and phi²Z = 0, and (−Id + ZA) takes the
-    same values on the basis [B | Z1 Z2], so phi² = −Id + ZA."""
+    same values on the basis [B | Z1 Z2], so phi² = −Id + ZA.
+
+    Nor does g need a check of :func:`is_associated`.  AP = 0 gives
+    G·phi = −WPWPW = −WBΩBᵀW, which is W on the basis [B | Z1 Z2]
+    (−WBΩBᵀWB = −WBΩ² = WB, and −WBΩBᵀWZ = 0 = WZ): g(X, phi Y) =
+    (d alpha1 + d alpha2)(X, Y).  AZ = Id and WZ = 0 give GZ = Aᵀ:
+    g(X, Z_i) = alpha_i(X).  G is symmetric and W skew, so
+    phiᵀG + G·phi = Wᵀ + W = 0.  With ``decomposable``, B = [B1 | B2] with
+    the columns of B_i in TG_i, and TF_i = TG_i ⊕ ℝZ_j (j ≠ i).  g is the
+    identity in the frame [B1 | B2 | Z1 Z2], so TF1 ⊥ TF2
+    (:func:`are_foliations_orthogonal`); and phi maps each Darboux pair to
+    itself and Z_j to 0, so phi(TF_i) ⊂ TF_i (:func:`is_decomposable`)."""
     reason = polarization_precondition_violation(vp)
     if reason:
         raise PolarizationError(reason)
@@ -354,9 +364,7 @@ def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField) -> Verdict:
         for p in range(table.rows)
         for q in range(table.cols)
     ]
-    return residual_verdict(
-        residuals, vp, detail="the characteristic foliations are g-orthogonal"
-    )
+    return residual_verdict(residuals, vp, detail=ORTHOGONAL_DETAIL)
 
 
 def killing_check(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:

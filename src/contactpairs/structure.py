@@ -125,6 +125,11 @@ class ContactPairStructure:
         return is_decomposable(self)
 
 
+# The Verified detail text of is_decomposable, also read where a
+# construction proves decomposability.
+DECOMPOSABLE_DETAIL = "phi(TF_i) ⊂ TF_i for i = 1, 2"
+
+
 def is_decomposable(cps: ContactPairStructure) -> Verdict:
     """phi preserves both characteristic subbundles: for every frame vector v
     of TF_i, alpha_i(phi v) = 0 and i_{phi v} d alpha_i = 0 (equivalently phi
@@ -142,7 +147,7 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
                 (f"(i_(phi TF{i}[{idx}]) d alpha{i})[{vp.space.names[b]}]", c)
                 for b, c in enumerate(contractions.column(idx))
             )
-    return residual_verdict(residuals, vp, detail="phi(TF_i) ⊂ TF_i for i = 1, 2")
+    return residual_verdict(residuals, vp, detail=DECOMPOSABLE_DETAIL)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,17 @@ from contactpairs.fixtures import (
     load_fixture,
     load_fixture_dict,
 )
-from contactpairs.pair import Status
+from contactpairs.metric import (
+    are_foliations_orthogonal,
+    build_associated_by_polarization,
+    build_compatible,
+    decomposability_orthogonality_agreement,
+    is_associated,
+    is_compatible,
+)
+from contactpairs.pair import Status, verified_pair
 from contactpairs.report import render_report
+from contactpairs.structure import ContactPairStructure, is_decomposable
 
 from conftest import fixture_doc, lie_rung
 
@@ -353,8 +362,8 @@ def test_geodesy_verb():
 def test_polarize_verb_on_metric_fixture():
     report = run("polarize", bundled_fixture_path("r6_example"))
     assert report.exit_code() <= 2
-    assert report.verdicts["polarized_associated"].ok
-    assert report.verdicts["polarized_decomposable_check"].ok
+    assert report.verdicts["polarized_spd"].ok
+    assert report.verdicts["polarized_agreement"].ok
 
 
 def test_killing_and_leaves_verbs():
@@ -607,10 +616,15 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
     """The pair axioms are memoised on the pair, the structure verdicts are
     computed once and read by the check that reports them, the polarized phi
     is not verified again, and the associated report and the orthogonality
-    verdict of each metric are handed on to the checks that read them.  On
-    nilpotent_g6 that is one metric; on chart rung (2,2), which has no metric
-    and so runs polarize, the two polarized ones.  The one rank is rank(phi)
-    of the structure check."""
+    verdict of the fixture's metric are handed on to the checks that read
+    them.  The one rank is rank(phi) of the structure check.
+
+    On nilpotent_g6 the fixture's metric is checked once: compatible,
+    associated, orthogonal, and phi decomposable.  Chart rung (2,2) has no
+    metric, so it builds one and polarizes two.  Their constructions prove
+    compatibility, associatedness, and the per-block polarization's
+    decomposability and orthogonality, so the only such checks left are the
+    fixture phi's decomposability and the joint polarization's two."""
     from contactpairs import algebra, metric, pair, structure
 
     chart = tmp_path / "chart_2_2.json"
@@ -620,6 +634,8 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
         "verify_structure": structure,
         "are_foliations_orthogonal": metric,
         "is_associated": metric,
+        "is_compatible": metric,
+        "is_decomposable": structure,
         "generic_rank": algebra,
     }
     calls = {}
@@ -632,11 +648,49 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
         for module in (home, cli, pair, structure, metric):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted)
-    per_metric = ("are_foliations_orthogonal", "is_associated")
-    for path, metrics in ((bundled_fixture_path("nilpotent_g6"), 1), (chart, 2)):
+    checked = {
+        bundled_fixture_path("nilpotent_g6"): {},
+        chart: {
+            "is_associated": 0,
+            "is_compatible": 0,
+            "are_foliations_orthogonal": 1,
+            "is_decomposable": 2,
+        },
+    }
+    for path, counts in checked.items():
         calls.update(dict.fromkeys(homes, 0))
         assert run("theorems", path).exit_code() == 0
-        assert calls == {**dict.fromkeys(homes, 1), **dict.fromkeys(per_metric, metrics)}, path
+        assert calls == {**dict.fromkeys(homes, 1), **counts}, path
+
+
+@pytest.mark.parametrize("name", ["local_model_1_1", "nilpotent_g6", "chart_2_2", "lie_3_3"])
+def test_constructed_verdicts_equal_their_checks(name, tmp_path):
+    """What build-compatible and polarize report with no check run, by the
+    constructions' proofs, is what the checks return on the metrics built:
+    is_compatible on build_compatible's metric, is_associated on each
+    polarized (phi, g), and on the per-block one is_decomposable,
+    are_foliations_orthogonal and their agreement."""
+    doc = fixture_doc(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc.raw), encoding="utf-8")
+    vp = verified_pair(doc.pair)
+
+    built = run("build-compatible", path).verdicts
+    cps = ContactPairStructure(vp, doc.phi)
+    g = build_compatible(cps, doc.aux_metric or MetricField.euclidean(vp.space))
+    assert built["built_compatible"] == is_compatible(cps, g)
+
+    polarized = run("polarize", path).verdicts
+    for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
+        phi, g = build_associated_by_polarization(vp, decomposable=flag)
+        cps = ContactPairStructure(vp, phi)
+        assert polarized[f"{prefix}_associated"] == is_associated(cps, g).verdict, prefix
+    decomposable, orthogonal = is_decomposable(cps), are_foliations_orthogonal(vp, g)
+    assert polarized["polarized_decomposable_check"] == decomposable
+    assert polarized["polarized_decomposable_orthogonal"] == orthogonal
+    assert polarized["polarized_decomposable_agreement"] == (
+        decomposability_orthogonality_agreement(decomposable, orthogonal)
+    )
 
 
 def test_witnesses_use_the_fixture_coordinate_names(capsys):

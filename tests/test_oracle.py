@@ -13,8 +13,13 @@ raised to the second by the test-side g⁻¹, are also compared with sympy's,
 symbol by symbol, when sympy is installed.
 
 The polarized structures are re-checked against the identities that define
-an associated metric, on their values at fresh random points, with the
+an associated metric, and the per-block one also against decomposability
+and orthogonality, on their values at fresh random points, with the
 oracle's own products and its own determinants for positive definiteness.
+The metric ``build_compatible`` makes is re-checked against compatibility
+the same way.  The command line reports these verdicts from the
+constructions' proofs, so these checks are what catches a broken
+construction.
 """
 
 import random
@@ -24,6 +29,7 @@ import pytest
 
 from contactpairs.algebra import Poly, RatFun, RfMatrix
 from contactpairs.connection import christoffel
+from contactpairs.exterior import MetricField
 from contactpairs.fixtures import bundled_fixture_path, load_fixture
 from contactpairs.metric import build_associated_by_polarization, build_compatible
 from contactpairs.pair import verified_pair
@@ -59,6 +65,10 @@ def _values(m, point):
 
 def _product(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def _inverse(a):
@@ -231,11 +241,15 @@ def test_polarized_structures_match_the_oracle(name):
     """At 3 fresh random points, both polarizations satisfy GΦ = W (the
     table of d alpha1 + d alpha2), Φ² = −I + ZA, ΦZ = 0 and GZ = Aᵀ, with A
     the rows alpha1, alpha2 and Z the columns Z1, Z2, and every leading
-    principal minor of G is positive.  The construction reads no metric, so the
-    identity metric of Lie rung (3,3) plays no part."""
+    principal minor of G is positive.  The per-block one also satisfies
+    TF1ᵀ G TF2 = 0 (orthogonal foliations) and, for i = 1, 2,
+    alpha_i(Φ TF_i) = 0 and W_iᵀ Φ TF_i = 0 (decomposable Φ), with W_i the
+    table of d alpha_i.  The construction reads no metric, so the identity
+    metric of Lie rung (3,3) plays no part."""
     vp = verified_pair(fixture_doc(name).pair)
     n = vp.dim
-    w = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
+    tables = [vp.pair.dalpha_table(i) for i in (1, 2)]
+    w = tables[0] + tables[1]
     rng = random.Random(2026)
     for flag in (False, True):
         phi, g = build_associated_by_polarization(vp, decomposable=flag)
@@ -249,6 +263,38 @@ def test_polarized_structures_match_the_oracle(name):
             assert _product(phi_at, phi_at) == [
                 [za[i][j] - (i == j) for j in range(n)] for i in range(n)
             ], (name, flag, point)
-            assert _product(g_at, z_at) == [list(col) for col in zip(*a_at)], (name, flag, point)
+            assert _product(g_at, z_at) == _transpose(a_at), (name, flag, point)
             assert _product(phi_at, z_at) == [[0, 0] for _ in range(n)], (name, flag, point)
             assert all(_det([row[:k] for row in g_at[:k]]) > 0 for k in range(1, n + 1))
+            if not flag:
+                continue
+            tf = [_values(vp.tf(i).matrix, point) for i in (1, 2)]
+            assert not any(map(any, _product(_transpose(tf[0]), _product(g_at, tf[1])))), point
+            for i in (1, 2):
+                images = _product(phi_at, tf[i - 1])
+                assert not any(_product(a_at, images)[i - 1]), (name, i, point)
+                w_i = _transpose(_values(tables[i - 1], point))
+                assert not any(map(any, _product(w_i, images))), (name, i, point)
+
+
+@pytest.mark.parametrize(
+    "name", ["local_model_1_1", "nilpotent_g6", "r6_example", "chart_1_1", "chart_2_2", "lie_3_3"]
+)
+def test_built_compatible_metric_matches_the_oracle(name):
+    """At 3 fresh random points, the metric build_compatible makes from the
+    fixture's phi and aux_metric (the identity when it has none) satisfies
+    ΦᵀGΦ = G − AᵀA, with A the rows alpha1, alpha2."""
+    doc = fixture_doc(name)
+    vp = verified_pair(doc.pair)
+    g = build_compatible(
+        ContactPairStructure(vp, doc.phi), doc.aux_metric or MetricField.euclidean(vp.space)
+    )
+    rng = random.Random(2026)
+    for point in _points(rng, g.matrix.nvars, 3):
+        phi_at, g_at, a_at = (
+            _values(m, point) for m in (doc.phi.matrix, g.matrix, vp._alpha_matrix)
+        )
+        aa = _product(_transpose(a_at), a_at)
+        assert _product(_transpose(phi_at), _product(g_at, phi_at)) == [
+            [x - y for x, y in zip(row, aa_row)] for row, aa_row in zip(g_at, aa)
+        ], (name, point)

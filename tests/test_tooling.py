@@ -80,7 +80,7 @@ def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
         path = tmp_path / f"{doc['id']}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         runs.append(("theorems", path, key))
-    runs.append(("polarize", bundled_fixture_path("local_model_1_1"), "polarized_associated"))
+    runs.append(("polarize", bundled_fixture_path("local_model_1_1"), "polarized_spd"))
     for verb, path, key in runs:
         report = cli.run(verb, path)
         assert report.verdicts[key].ok, (verb, path.name)
