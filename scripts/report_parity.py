@@ -15,7 +15,11 @@ The fixtures, the same files for both trees, are the bundled ones,
 ``tests/fixtures`` (which holds copies of the two ``perfbench/fixtures``
 reproductions), and the generated chart rungs (1,1), (2,1), (2,2) and Lie
 rungs (1,1), (2,2), (3,3) of ``perfbench/workloads.py`` (each ladder from
-seed 1), the benchmark's ladders up to their top rungs.  The
+seed 1), the benchmark's ladders up to their top rungs.  On these every
+verb runs.  The dense rungs (1,1) and (2,2) of ``scripts/bench.py``'s
+``dense_model``, whose kernel frames carry non-constant denominators, run
+only ``verify-pair`` and ``reeb``, since ``theorems`` and ``polarize`` do not
+finish on them.  The
 script prints the number of identical cases and the first differing line of
 each other case, writes every differing case in full to ``--out``, and exits
 1 when any case differs.
@@ -35,28 +39,36 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLES = ((0, 0), (3, 7))  # (--samples, --seed)
 CHART_RUNGS = ((1, 1), (2, 1), (2, 2))
 LIE_RUNGS = ((1, 1), (2, 2), (3, 3))
+DENSE_RUNGS = ((1, 1), (2, 2))
+DENSE_VERBS = ("verify-pair", "reeb")
 
 
-def _fixtures(workdir: Path) -> list[Path]:
+def _fixtures(workdir: Path) -> list[tuple[str, tuple[str, ...] | None]]:
+    """Every fixture's path with the verbs to run on it, None for every verb."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import bench
     import workloads
+
+    def written(doc: dict) -> str:
+        path = workdir / f"{doc['id']}.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        return str(path)
 
     paths = sorted((ROOT / "src" / "contactpairs" / "data").glob("*.json"))
     paths += sorted((ROOT / "tests" / "fixtures").glob("*.json"))
+    fixtures = [(str(path), None) for path in paths]
     for make, rungs in (
         (workloads.chart_model, CHART_RUNGS),
         (workloads.heisenberg_product, LIE_RUNGS),
     ):
         rng = random.Random(1)
-        for h, k in rungs:
-            doc = make(h, k, rng)
-            path = workdir / f"{doc['id']}.json"
-            path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-            paths.append(path)
-    return paths
+        fixtures += [(written(make(h, k, rng)), None) for h, k in rungs]
+    fixtures += [(written(bench.dense_model(h, k)), DENSE_VERBS) for h, k in DENSE_RUNGS]
+    return fixtures
 
 
-def dump(tree: Path, fixtures: list[Path]) -> dict[str, str]:
+def dump(tree: Path, fixtures: list[tuple[str, tuple[str, ...] | None]]) -> dict[str, str]:
     """Every case's outcome with the package of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     from contactpairs.cli import VERBS, VerbUsageError, run
@@ -64,8 +76,9 @@ def dump(tree: Path, fixtures: list[Path]) -> dict[str, str]:
     from contactpairs.report import render_report
 
     out = {}
-    for path in fixtures:
-        for verb in VERBS:
+    for name, verbs in fixtures:
+        path = Path(name)
+        for verb in verbs or VERBS:
             for samples, seed in SAMPLES:
                 case = f"{verb} {path.name} --samples {samples} --seed {seed}"
                 try:
@@ -92,7 +105,7 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare with")
     parser.add_argument("--out", type=Path, help="write the differing cases here as JSON")
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--fixtures", type=Path, nargs="*", help=argparse.SUPPRESS)
+    parser.add_argument("--fixtures", type=json.loads, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
         print(json.dumps(dump(args.dump.resolve(), args.fixtures)))
@@ -101,10 +114,10 @@ def main() -> int:
         parser.error("--parent is required")
 
     with tempfile.TemporaryDirectory() as tmp:
-        fixtures = [str(p) for p in _fixtures(Path(tmp))]
+        fixtures = json.dumps(_fixtures(Path(tmp)))
         children = {
             side: subprocess.Popen(
-                [sys.executable, __file__, "--dump", str(tree), "--fixtures", *fixtures],
+                [sys.executable, __file__, "--dump", str(tree), "--fixtures", fixtures],
                 stdout=subprocess.PIPE,
                 text=True,
             )

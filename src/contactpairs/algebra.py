@@ -33,7 +33,18 @@ one ``RatFun(num, den)`` is built at the end.  So a sum costs at most one
 gcd, and a sum that is identically zero has a zero numerator and costs
 none, which makes an identity check a gcd-free zero test.  Every result is
 the same as the left fold of ``+`` and ``*`` would give, because the
-canonical form of a rational function is unique.  Matrix kernels touch only
+canonical form of a rational function is unique.  Most entries are
+polynomials, so a product whose two denominators are both the shared
+constant 1 (an identity test) takes a fast path: its terms go into one term
+dict with no denominator product, no ``Poly`` hash and no canonicalisation,
+and a sum of such products alone is returned as a polynomial ``RatFun``.
+That dict sits in the same group dict as the others, under a sentinel key,
+so the groups and their terms are inserted in the order they always were;
+the float compile of ``connection`` reads terms in dict order, and the RK4
+residuals it prints to 17 digits depend on that order.  Point evaluation
+has the same fast path: ``RfMatrix.eval_at`` reads the point as
+``Fraction``s once, a zero entry as one shared 0 and a constant entry as its
+coefficient, and evaluates only the rest.  Matrix kernels touch only
 structural nonzeros: an entry of a product is one ``_dot`` over the indices
 where both factors are nonzero, or the shared zero when there is none, and
 a sum keeps the other entry wherever one is zero.
@@ -54,6 +65,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
+
+_ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 Exponents = tuple[int, ...]
 
@@ -99,6 +112,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def _read_point(point: Sequence, nvars: int) -> list[Fraction]:
+    """``point`` as ``Fraction``s, checked to have one coordinate per variable."""
+    if len(point) != nvars:
+        raise ValueError(f"point has length {len(point)}, expected {nvars}")
+    return [_as_fraction(x) for x in point]
 
 
 def format_point(point: Sequence) -> str:
@@ -166,7 +186,7 @@ class Poly:
 
     def constant_value(self) -> Fraction:
         if not self.terms:
-            return Fraction(0)
+            return _ZERO
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.terms[(0,) * self.nvars]
@@ -208,7 +228,7 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, _ZERO) + c
             if s:
                 terms[e] = s
             else:
@@ -269,18 +289,20 @@ class Poly:
         return Poly._of(self.nvars, terms)
 
     def eval(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         if len(self.terms) < 2 and not any(next(iter(self.terms), ())):
-            return next(iter(self.terms.values()), Fraction(0))  # a constant reads no point
-        pt = [_as_fraction(x) for x in point]
-        total = Fraction(0)
+            if len(point) != self.nvars:
+                raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+            return next(iter(self.terms.values()), _ZERO)  # a constant reads no point
+        return self._value(_read_point(point, self.nvars))
+
+    def _value(self, pt: Sequence[Fraction]) -> Fraction:
+        """The value at ``pt``, a point already read as ``Fraction``s."""
+        total = _ZERO
         for e, c in self.terms.items():
-            value = c
             for x, k in zip(pt, e):
                 if k:
-                    value *= x**k
-            total += value
+                    c *= x**k
+            total += c
         return total
 
     def __eq__(self, other) -> bool:
@@ -687,10 +709,16 @@ class RatFun:
     def eval(self, point: Sequence) -> Fraction:
         if self.den.is_constant():  # canonical: the denominator is 1
             return self.num.eval(point)
-        d = self.den.eval(point)
+        return self._value(_read_point(point, self.nvars), point)
+
+    def _value(self, pt: Sequence[Fraction], point: Sequence) -> Fraction:
+        """``eval`` at ``pt``, the ``point`` read as ``Fraction``s."""
+        if self.den.is_constant():
+            return self.num._value(pt)
+        d = self.den._value(pt)
         if d == 0:
             raise ZeroDivisionError(f"denominator {self.den} vanishes at {format_point(point)}")
-        return self.num.eval(point) / d
+        return self.num._value(pt) / d
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
@@ -714,34 +742,49 @@ class RatFun:
         return f"({format_poly(self.num, names)})/({format_poly(self.den, names)})"
 
 
+_OVER_ONE = object()  # the key of the products over denominator 1 in ``_dot``
+
+
 def _dot(nvars: int, pairs: Iterable[tuple[RatFun, RatFun]]) -> RatFun:
     """Σ x·y over ``pairs``, canonicalised once.
 
     Each product is an uncanonicalised numerator/denominator pair; the
     numerators are summed as polynomials, one sum per distinct denominator,
     the sums are brought over the product of their denominators, and one
-    ``RatFun`` is built from the result.  A sum that vanishes identically
-    has a zero numerator and costs no gcd."""
-    groups: dict[Poly, dict[Exponents, Fraction]] = {}
+    ``RatFun`` is built from the result.  A product of two polynomials
+    (both denominators the shared ``_one``) goes straight into the group
+    keyed ``_OVER_ONE``, with no denominator product and no ``Poly`` hash,
+    and a sum of such products alone is a polynomial ``RatFun``.  A sum
+    that vanishes identically has a zero numerator and costs no gcd."""
+    one = _one(nvars)
+    groups: dict[object, dict[Exponents, Fraction]] = {}
     for x, y in pairs:
-        if not (x.num.terms and y.num.terms):
+        a, b = x.num.terms, y.num.terms
+        if not (a and b):
             continue
-        den = x.den * y.den
-        acc = groups.get(den)
+        if x.den is one and y.den is one:
+            key = _OVER_ONE
+        else:
+            key = x.den * y.den
+        acc = groups.get(key)
         if acc is None:
-            acc = groups[den] = {}
-        _add_product(acc, x.num.terms, y.num.terms)
+            acc = groups[key] = {}
+        _add_product(acc, a, b)
     num = den = None
     for d, terms in groups.items():
         if not terms:
             continue
         n = Poly._of(nvars, terms)
+        if d is _OVER_ONE:
+            d = one
         if num is None:
             num, den = n, d
         else:
             num, den = num * d + n * den, den * d
     if num is None:
         return RatFun.zero(nvars)
+    if den is one:
+        return RatFun(num)
     return RatFun(num, den)
 
 
@@ -894,7 +937,24 @@ class RfMatrix:
         )
 
     def eval_at(self, point: Sequence) -> list[list[Fraction]]:
-        return [[e.eval(point) for e in row] for row in self.entries]
+        """The value of each entry at ``point``, as ``RatFun.eval`` gives it.
+        A zero entry reads as one shared 0 and a constant entry as its
+        coefficient; the point is read as ``Fraction``s once, for the rest."""
+        pt = _read_point(point, self.nvars)
+        one, origin = _one(self.nvars), (0,) * self.nvars
+        out = []
+        for row in self.entries:
+            values = []
+            for e in row:
+                terms = e.num.terms
+                if not terms:
+                    values.append(_ZERO)
+                elif e.den is one and len(terms) == 1 and origin in terms:
+                    values.append(terms[origin])
+                else:
+                    values.append(e._value(pt, point))
+            out.append(values)
+        return out
 
     def det(self) -> RatFun:
         """det A = (−1)^{n(n−1)/2}·Pf([[0, A], [−Aᵀ, 0]]), by
@@ -959,7 +1019,17 @@ def _over_common_denominator(vector: Sequence[RatFun], nvars: int) -> tuple[list
         lcm = divexact(lcm * e.den, poly_gcd(lcm, e.den))
     if lcm.is_constant():  # every denominator is 1
         return [e.num for e in vector], lcm
-    return [divexact(e.num * lcm, e.den) if not e.is_zero() else Poly.zero(nvars) for e in vector], lcm
+    cofactors: dict[Poly, Poly] = {}  # den -> lcm/den, one exact division per distinct den
+    out = []
+    for e in vector:
+        if e.is_zero():
+            out.append(Poly.zero(nvars))
+            continue
+        q = cofactors.get(e.den)
+        if q is None:
+            q = cofactors[e.den] = divexact(lcm, e.den)
+        out.append(e.num * q)
+    return out, lcm
 
 
 @dataclass(frozen=True)

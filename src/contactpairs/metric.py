@@ -100,8 +100,7 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
     phi = cps.phi.matrix
-    alphas = vp._alpha_matrix
-    residual = phi.transpose() @ g.matrix @ phi - g.matrix + alphas.transpose() @ alphas
+    residual = phi.transpose() @ g.matrix @ phi - g.matrix + vp._alpha_gram
     return residual_verdict(matrix_residual_entries(residual), vp, detail=COMPATIBLE_DETAIL)
 
 
@@ -249,7 +248,7 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
             raise MetricValidationError(
                 f"auxiliary metric is not positive definite at {format_point(point)}"
             )
-    alpha_term = vp._alpha_matrix.transpose() @ vp._alpha_matrix
+    alpha_term = vp._alpha_gram
     phi = cps.phi.matrix
     phi2 = phi @ phi
     k_matrix = phi2.transpose() @ h_aux.matrix @ phi2 + alpha_term
@@ -348,8 +347,7 @@ def build_associated_by_polarization(
     w = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
     darboux = frame @ _darboux_frame(frame.transpose() @ w @ frame)
     phi = darboux @ (darboux.transpose() @ w)
-    alphas = vp._alpha_matrix
-    g = alphas.transpose() @ alphas - w @ phi
+    g = vp._alpha_gram - w @ phi
     return EndoField(vp.space, phi), MetricField(vp.space, g)
 
 

@@ -434,6 +434,12 @@ class VerifiedPair:
         """The 2 x n matrix A with rows alpha1, alpha2."""
         return RfMatrix(self.dim, [one_form_row(self.pair.alpha1), one_form_row(self.pair.alpha2)])
 
+    @cached_property
+    def _alpha_gram(self) -> RfMatrix:
+        """The n x n matrix AᵀA = alpha1 ⊗ alpha1 + alpha2 ⊗ alpha2, shared by
+        the compatibility identity and both metric constructions."""
+        return self._alpha_matrix.transpose() @ self._alpha_matrix
+
 
 def _reeb_gram(vp: VerifiedPair, g: MetricField) -> RfMatrix:
     """The 2 x 2 Gram matrix Z^T G Z of the Reeb fields under the metric g."""

@@ -25,7 +25,10 @@ from contactpairs.algebra import (
     solve_linear_exact,
     _dot,
     _one,
+    format_point,
+    format_poly,
 )
+from contactpairs.exterior import EndoField, Space
 
 
 def P(nvars, terms):
@@ -305,6 +308,76 @@ def test_dot_is_the_left_fold(pairs):
     for x, y in pairs:
         fold = fold + x * y
     assert _dot(2, pairs) == fold
+
+
+# zero, constant, polynomial and rational entries, so that a sum mixes the
+# products over denominator 1 with the products grouped by denominator
+mixed_entries = st.one_of(
+    st.just(RatFun.zero(2)),
+    coeffs.map(lambda c: RatFun.const(2, c)),
+    polys.map(RatFun),
+    dot_entries,
+)
+
+
+def _grouped_by_denominator(pairs):
+    """Σ x·y with every product keyed by its denominator product, 1·1
+    included: the reference for the group and term order of ``_dot``, which
+    the float compile of ``connection`` reads."""
+    groups = {}
+    for x, y in pairs:
+        if x.num.terms and y.num.terms:
+            algebra._add_product(groups.setdefault(x.den * y.den, {}), x.num.terms, y.num.terms)
+    num = den = None
+    for d, terms in groups.items():
+        if terms:
+            n = Poly._of(2, terms)
+            num, den = (n, d) if num is None else (num * d + n * den, den * d)
+    return RatFun.zero(2) if num is None else RatFun(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(mixed_entries, mixed_entries), max_size=6))
+def test_dot_on_mixed_pairs_is_the_left_fold(pairs):
+    fold = RatFun.zero(2)
+    for x, y in pairs:
+        fold = fold + x * y
+    result = _dot(2, pairs)
+    assert result == fold
+    reference = _grouped_by_denominator(pairs)
+    assert list(result.num.terms) == list(reference.num.terms)
+    assert list(result.den.terms) == list(reference.den.terms)
+    if all(x.is_polynomial() and y.is_polynomial() for x, y in pairs):
+        assert result.den is _one(2)
+
+
+small_fractions = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(mixed_entries, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.tuples(small_fractions, small_fractions),
+)
+def test_eval_at_is_the_entrywise_eval(rows, point):
+    """``RfMatrix.eval_at`` gives what ``RatFun.eval`` gives entry by entry,
+    and a pole still raises through ``_matrix_at`` naming the first vanishing
+    denominator in row order."""
+    matrix = RfMatrix(2, rows)
+    endo = EndoField(Space.chart(["x", "y"]), matrix)
+    try:
+        expected = [[e.eval(point) for e in row] for row in rows]
+    except ZeroDivisionError:
+        den = next(e.den for row in rows for e in row if e.den.eval(point) == 0)
+        with pytest.raises(ZeroDivisionError) as info:
+            endo.eval_at(point)
+        assert str(info.value) == (
+            f"endomorphism entry: denominator {format_poly(den, ('x', 'y'))} "
+            f"vanishes at {format_point(point)}"
+        )
+        return
+    assert matrix.eval_at(point) == expected
+    assert endo.eval_at(point) == expected
 
 
 def test_dot_of_a_vanishing_sum_takes_no_gcd(monkeypatch):
