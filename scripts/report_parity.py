@@ -15,8 +15,11 @@ The fixtures, the same files for both trees, are the bundled ones,
 ``tests/fixtures`` (which holds copies of the two ``perfbench/fixtures``
 reproductions), and the generated chart rungs (1,1), (2,1), (2,2) and Lie
 rungs (1,1), (2,2), (3,3) of ``perfbench/workloads.py`` (each ladder from
-seed 1), the benchmark's ladders up to their top rungs.  On these every
-verb runs.  The dense rungs (1,1) and (2,2) of ``scripts/bench.py``'s
+seed 1), the benchmark's ladders up to their top rungs, and chart rungs
+(1,1) and (2,2) with the (phi, g) of their per-block and of their joint
+polarization as ``phi`` and ``metric`` (``polarized_model``, built with this
+checkout's package), whose metrics are not constant.  On these every verb
+runs.  The dense rungs (1,1) and (2,2) of ``scripts/bench.py``'s
 ``dense_model``, whose kernel frames carry non-constant denominators, run
 only ``verify-pair`` and ``reeb``, since ``theorems`` and ``polarize`` do not
 finish on them.  The
@@ -41,12 +44,32 @@ CHART_RUNGS = ((1, 1), (2, 1), (2, 2))
 LIE_RUNGS = ((1, 1), (2, 2), (3, 3))
 DENSE_RUNGS = ((1, 1), (2, 2))
 DENSE_VERBS = ("verify-pair", "reeb")
+POLARIZED_RUNGS = ("chart_model_1_1", "chart_model_2_2")
+
+
+def polarized_model(doc: dict, decomposable: bool) -> dict:
+    """The fixture ``doc`` with the (phi, g) that
+    ``build_associated_by_polarization`` makes from its pair, per block
+    (``decomposable``) or joint, as ``phi`` and ``metric``, and no
+    ``aux_metric``."""
+    from contactpairs.fixtures import load_fixture_dict
+    from contactpairs.metric import build_associated_by_polarization
+    from contactpairs.pair import verified_pair
+
+    vp = verified_pair(load_fixture_dict(doc).pair)
+    phi, g = build_associated_by_polarization(vp, decomposable=decomposable)
+    out = {key: value for key, value in doc.items() if key != "aux_metric"}
+    out["id"] = f"{doc['id']}_{'block' if decomposable else 'joint'}_polarized"
+    for key, tensor in (("phi", phi), ("metric", g)):
+        out[key] = [[e.format(vp.space.names) for e in row] for row in tensor.matrix.entries]
+    return out
 
 
 def _fixtures(workdir: Path) -> list[tuple[str, tuple[str, ...] | None]]:
     """Every fixture's path with the verbs to run on it, None for every verb."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "scripts"))
+    sys.path.insert(0, str(ROOT / "src"))
     import bench
     import workloads
 
@@ -57,13 +80,21 @@ def _fixtures(workdir: Path) -> list[tuple[str, tuple[str, ...] | None]]:
 
     paths = sorted((ROOT / "src" / "contactpairs" / "data").glob("*.json"))
     paths += sorted((ROOT / "tests" / "fixtures").glob("*.json"))
-    fixtures = [(str(path), None) for path in paths]
+    docs = []
     for make, rungs in (
         (workloads.chart_model, CHART_RUNGS),
         (workloads.heisenberg_product, LIE_RUNGS),
     ):
         rng = random.Random(1)
-        fixtures += [(written(make(h, k, rng)), None) for h, k in rungs]
+        docs += [make(h, k, rng) for h, k in rungs]
+    docs += [
+        polarized_model(doc, decomposable)
+        for doc in docs
+        if doc["id"] in POLARIZED_RUNGS
+        for decomposable in (True, False)
+    ]
+    fixtures = [(str(path), None) for path in paths]
+    fixtures += [(written(doc), None) for doc in docs]
     fixtures += [(written(bench.dense_model(h, k)), DENSE_VERBS) for h, k in DENSE_RUNGS]
     return fixtures
 

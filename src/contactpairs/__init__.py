@@ -55,7 +55,6 @@ from .metric import (
     are_foliations_orthogonal,
     build_associated_by_polarization,
     build_compatible,
-    compatible_corollaries,
     is_associated,
     is_compatible,
     killing_check,
@@ -89,8 +88,8 @@ __all__ = [
     "is_decomposable", "build_phi", "verify_induced_almost_contact",
     # metric
     "MetricContactPair", "AssociatedCheckReport", "is_compatible", "is_associated",
-    "compatible_corollaries", "build_compatible", "build_associated_by_polarization",
-    "are_foliations_orthogonal", "killing_check", "verify_restricted_contact_metric",
+    "build_compatible", "build_associated_by_polarization", "are_foliations_orthogonal",
+    "killing_check", "verify_restricted_contact_metric",
     # connection
     "ChristoffelData", "GeodesyReport", "christoffel", "reeb_geodesy",
     "numeric_geodesic_residual",

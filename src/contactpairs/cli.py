@@ -12,9 +12,12 @@ every failed prerequisite.  ``theorems`` runs every check that applies;
 
 Every identity of the fixture data is checked exactly; only the RK4
 cross-check of the geodesy is numeric.  What ``build_compatible`` and
-``build_associated_by_polarization`` prove about their metrics is reported
-with no check run; definiteness at the sample points and the joint
-polarization's decomposability and orthogonality are computed.
+``build_associated_by_polarization`` prove about their metrics, what
+``is_compatible`` proves of a compatible metric, and what
+``verify_induced_almost_contact`` and ``verify_restricted_contact_metric``
+prove on the leaves are reported with no check run; definiteness at the
+sample points, the joint polarization's decomposability and orthogonality,
+and the restricted volumes on the leaves are computed.
 --samples appends N extra random rational sample points (seeded by --seed)
 to the fixture's declared ones; they are validated like the declared ones.
 """
@@ -37,6 +40,7 @@ from .exterior import MetricField
 from .fixtures import FixtureDoc, FixtureError, load_fixture, load_fixture_dict
 from .metric import (
     ASSOCIATED_DETAILS,
+    COMPATIBLE_COROLLARY_DETAILS,
     COMPATIBLE_DETAIL,
     ORTHOGONAL_DETAIL,
     MetricContactPair,
@@ -45,7 +49,6 @@ from .metric import (
     are_foliations_orthogonal,
     build_associated_by_polarization,
     build_compatible,
-    compatible_corollaries,
     decomposability_orthogonality_agreement,
     is_associated,
     is_compatible,
@@ -80,8 +83,12 @@ RK4_T_END = 1.0
 
 # The verdicts the constructions prove in their docstrings: what
 # is_compatible, is_associated, is_decomposable and are_foliations_orthogonal
-# return on the metrics built.
+# return on the metrics built.  And the corollaries is_compatible proves.
 _COMPATIBLE = Verdict.verified(COMPATIBLE_DETAIL)
+_COROLLARIES = {
+    f"compatible_{key}": Verdict.verified(detail)
+    for key, detail in COMPATIBLE_COROLLARY_DETAILS.items()
+}
 _ASSOCIATED = combine_verdicts(map(Verdict.verified, ASSOCIATED_DETAILS.values()))
 _DECOMPOSABLE = Verdict.verified(DECOMPOSABLE_DETAIL)
 _ORTHOGONAL = Verdict.verified(ORTHOGONAL_DETAIL)
@@ -128,7 +135,7 @@ class _Context:
 
     @cached_property
     def mcp(self):
-        return MetricContactPair._of(self.cps, self.doc.metric, self.associated)
+        return MetricContactPair._of(self.cps, self.doc.metric)
 
     @cached_property
     def orthogonal(self):
@@ -200,8 +207,7 @@ def _compatible(ctx: _Context) -> str | None:
     ctx.report.verdicts["compatible"] = verdict
     if not verdict.ok:
         return "requires a compatible metric"
-    for key, corollary in compatible_corollaries(ctx.cps, ctx.doc.metric).items():
-        ctx.report.verdicts[f"compatible_{key}"] = corollary
+    ctx.report.verdicts.update(_COROLLARIES)
     return None
 
 

@@ -725,8 +725,8 @@ class FrameForm:
     """Alternating tensor indexed by the vectors of a frame (not by the
     ambient basis); coefficients stay in the ambient scalar ring.  Its wedge
     expansion of forms restricted to a subbundle frame is the reference
-    against which the tests check :func:`contactpairs.pair.pair_axioms`,
-    which decides the leaf conditions by Pfaffians."""
+    against which the tests check the Pfaffians of
+    :func:`contactpairs.pair.pair_axioms` on the restricted tables of a leaf."""
 
     __slots__ = ("size", "degree", "coeffs", "nvars")
 

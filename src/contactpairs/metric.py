@@ -10,13 +10,14 @@ basis coordinates.
 
 Every table over frames is one product with their column matrices F, F'
 (Z = (Z1 Z2), α the 2 x n matrix with rows alpha1, alpha2, W_l the value
-table of d alpha_l): Gram matrices F^T G F' (orthogonality, the leaf
-pairings F^T G phi F, Z^T G Z), 2-form tables F^T W_l F (and polarization's
-F^T (W_1 + W_2) F), images phi F, the duality rows (Z^T G - α) F and
-compatibility phi^T G phi - G + α^T α.  The leaf checks take the leaf
-index i and read the frames off the pair, TF_j (j != i) and ker d alpha_i;
-the Reeb equations and decomposability already place the Reeb fields in
-them and make them phi-invariant.
+table of d alpha_l): the Gram matrix TF1^T G TF2 (orthogonality), 2-form
+tables F^T W_l F (the restricted volume, and polarization's
+F^T (W_1 + W_2) F), the duality rows Z^T G - α and compatibility
+phi^T G phi - G + α^T α.  What compatibility, associatedness and the frame
+equations imply is not recomputed: the corollaries g(Z_i, ·) = alpha_i and
+g(Z_i, Z_j) = delta_ij (proved in :func:`is_compatible`) and, on the leaves,
+every identity but the restricted volume (proved in
+:func:`verify_restricted_contact_metric`).
 
 The polarization construction is exact over the function field.  A
 symplectic (Darboux) basis B of d alpha1 + d alpha2 on TG1 ⊕ TG2, found by
@@ -30,30 +31,25 @@ Note that d alpha_i vanishes identically on TG_i, so the 2-form is
 block-diagonal on [TG1 | TG2]: a basis taken in frame order is per-block
 (decomposable phi), and one started from TG1[0] + TG2[0] mixes the blocks.
 The constructions prove their metrics compatible, resp. associated and, per
-block, phi decomposable and the foliations orthogonal; those verdicts are
-reported from the proofs with the checks' detail texts, not recomputed.
+block, phi decomposable and the foliations orthogonal.  Those verdicts, like
+the corollaries and the leaf identities, are reported from the proofs with
+the detail texts below, not recomputed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RatFun, RfMatrix, _dot, format_point
 from .exterior import EndoField, MetricField, lie_derivative
-from .pair import (
-    DistributionFrame,
-    VerifiedPair,
-    _reeb_gram,
-    column_matrix,
-    kernel_frame,
-    pair_axioms,
-)
-from .structure import ContactPairStructure, PreconditionError, _leaf_square_residual
+from .pair import VerifiedPair, column_matrix, kernel_frame, volume_coefficient
+from .structure import ContactPairStructure, PreconditionError
 from .verdicts import (
     Verdict,
     combine_verdicts,
     matrix_residual_entries,
+    nonvanishing_verdict,
     residual_verdict,
 )
 
@@ -63,7 +59,6 @@ __all__ = [
     "MetricValidationError",
     "PolarizationError",
     "is_compatible",
-    "compatible_corollaries",
     "is_associated",
     "build_compatible",
     "build_associated_by_polarization",
@@ -86,6 +81,11 @@ class PolarizationError(RuntimeError):
 # The Verified detail texts of the checks below.  A verdict that a
 # construction proves reads the same text as the check it replaces.
 COMPATIBLE_DETAIL = "g(phi X, phi Y) = g(X, Y) - alpha1(X)alpha1(Y) - alpha2(X)alpha2(Y)"
+# The detail texts of the corollaries that is_compatible proves.
+COMPATIBLE_COROLLARY_DETAILS = {
+    "reeb_duality": "g(Z_i, X) = alpha_i(X)",
+    "reeb_orthonormality": "g(Z_i, Z_j) = delta_ij",
+}
 ASSOCIATED_DETAILS = {
     "pairing": "g(X, phi Y) = (d alpha1 + d alpha2)(X, Y)",
     "reeb": "g(X, Z_i) = alpha_i(X)",
@@ -95,7 +95,16 @@ ORTHOGONAL_DETAIL = "the characteristic foliations are g-orthogonal"
 
 
 def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
-    """Exact check of  phi^T G phi = G - a1 a1^T - a2 a2^T."""
+    """Exact check of  phi^T G phi = G - A^T A, with A the rows alpha1, alpha2.
+
+    Where it holds, its corollaries need no check (Blair, *Riemannian
+    Geometry of Contact and Symplectic Manifolds*, the compatible metrics).
+    With Z = (Z1 Z2), the product of the identity with Z on the right is
+    phi^T G (phi Z) = GZ - A^T (AZ).  phi Z = 0, which the structure
+    enforces, and AZ = Id, rows of the Reeb equations, leave GZ = A^T:
+    g(Z_i, X) = alpha_i(X).  Then Z^T G Z = (AZ)^T = Id:
+    g(Z_i, Z_j) = delta_ij.  Both read their text from
+    ``COMPATIBLE_COROLLARY_DETAILS``."""
     vp = cps.vp
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
@@ -104,50 +113,11 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
     return residual_verdict(matrix_residual_entries(residual), vp, detail=COMPATIBLE_DETAIL)
 
 
-def _duality_rows(vp: VerifiedPair, g: MetricField) -> RfMatrix:
-    """The 2 x n matrix Z^T G - α: row i holds g(Z_i, ·) - alpha_i, so its
-    product with a frame F pairs every frame vector at once."""
-    return vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix
-
-
-def _reeb_duality(vp: VerifiedPair, duality: RfMatrix) -> list[tuple[str, RatFun]]:
-    """The labelled residuals g(Z_i, e_b) - alpha_i(e_b) for i = 1, 2."""
-    return [
-        (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
-        for i in (1, 2)
-        for b in range(vp.dim)
-    ]
-
-
-def compatible_corollaries(cps: ContactPairStructure, g: MetricField) -> dict[str, Verdict]:
-    """Consequences every compatible metric must satisfy: g(Z_i, ·) = alpha_i
-    and g(Z_i, Z_j) = delta_ij."""
-    vp = cps.vp
-    gram = _reeb_gram(vp, g) - RfMatrix.identity(2, vp.dim)
-    return {
-        "reeb_duality": residual_verdict(
-            _reeb_duality(vp, _duality_rows(vp, g)), vp, detail="g(Z_i, X) = alpha_i(X)"
-        ),
-        "reeb_orthonormality": residual_verdict(
-            [
-                (f"g(Z{i}, Z{j}) - {int(i == j)}", gram.at(i - 1, j - 1))
-                for i in (1, 2)
-                for j in (1, 2)
-            ],
-            vp,
-            detail="g(Z_i, Z_j) = delta_ij",
-        ),
-    }
-
-
 @dataclass(frozen=True)
 class AssociatedCheckReport:
     """The verdicts of the associated-metric identities, by name
-    (``pairing``, ``reeb``, ``skew``), and the duality rows the leaf checks
-    restrict: row i of ``reeb_residuals`` is g(Z_i, ·) - alpha_i.
-    """
+    (``pairing``, ``reeb``, ``skew``)."""
 
-    reeb_residuals: RfMatrix
     verdicts: dict[str, Verdict]
 
     @property
@@ -168,31 +138,33 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     g_phi = g.matrix @ cps.phi.matrix
     pairing = g_phi - a_matrix
     skew = g_phi.transpose() + g_phi  # Φᵀ G = (G Φ)ᵀ, as G is symmetric
-
-    duality = _duality_rows(vp, g)
+    duality = vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix  # Z^T G - α
 
     residuals = {
         "pairing": matrix_residual_entries(pairing),
-        "reeb": _reeb_duality(vp, duality),
+        "reeb": [
+            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
+            for i in (1, 2)
+            for b in range(vp.dim)
+        ],
         "skew": matrix_residual_entries(skew),
     }
-    verdicts = {
-        key: residual_verdict(residuals[key], vp, detail=detail)
-        for key, detail in ASSOCIATED_DETAILS.items()
-    }
-    return AssociatedCheckReport(duality, verdicts)
+    return AssociatedCheckReport(
+        {
+            key: residual_verdict(residuals[key], vp, detail=detail)
+            for key, detail in ASSOCIATED_DETAILS.items()
+        }
+    )
 
 
 @dataclass(frozen=True)
 class MetricContactPair:
     """Contact pair structure plus an associated metric (enforced at
-    construction).  ``associated`` is the :func:`is_associated` report of
-    (cps, g); :meth:`_of` builds one from a report the caller has already
-    checked."""
+    construction).  :meth:`_of` builds one from a metric the caller has
+    already found associated."""
 
     cps: ContactPairStructure
     g: MetricField
-    associated: AssociatedCheckReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         report = is_associated(self.cps, self.g)
@@ -200,17 +172,13 @@ class MetricContactPair:
             raise MetricValidationError(
                 f"metric is not associated: {report.verdict.witness}"
             )
-        object.__setattr__(self, "associated", report)
 
     @classmethod
-    def _of(
-        cls, cps: ContactPairStructure, g: MetricField, associated: AssociatedCheckReport
-    ) -> MetricContactPair:
-        """The metric contact pair of an ``associated`` report that is ok."""
+    def _of(cls, cps: ContactPairStructure, g: MetricField) -> MetricContactPair:
+        """The metric contact pair of a g known to be associated."""
         mcp = object.__new__(cls)
         object.__setattr__(mcp, "cps", cps)
         object.__setattr__(mcp, "g", g)
-        object.__setattr__(mcp, "associated", associated)
         return mcp
 
     @property
@@ -427,8 +395,8 @@ def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str
     g(u, Z_i) = alpha_i(u) and phi^2 u = -u + alpha_i(u) Z_i on the frame
     vectors.  ``leaf_mcp``: on the leaves of ker d alpha_i
     (:func:`kernel_frame`), the restricted pair is a contact pair of type
-    (h, 0) for i = 2 and (0, k) for i = 1 (:func:`pair_axioms` on alpha_l(F)
-    and F^T W_l F), and the restricted metric is associated to it.
+    (h, 0) for i = 2 and (0, k) for i = 1, and the restricted metric is
+    associated to it.
 
     Raises :class:`PreconditionError` unless phi is decomposable (the
     structure's own verdict, :attr:`ContactPairStructure.decomposable`).
@@ -437,80 +405,42 @@ def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str
     ker d alpha_i = TF_i ⊕ R·Z_i; decomposable phi maps each TF_l into itself
     and phi Z_i = 0, so phi maps both frames into their spans; and
     :func:`kernel_frame` has the rank 2h' + 2k' + 2 of the induced type.
-    Every restricted table is a product with the frame's column matrix F:
-    the images phi F, the pairings F^T G phi F, the 2-form tables F^T W_l F,
-    alpha_l(F) and the duality rows (Z^T G - α) F of ``mcp.associated``."""
+
+    Only the restricted volume coefficient is computed, from alpha_l(F) and
+    the tables F^T W_l F, with F the frame's column matrix and W_l the table
+    of d alpha_l.  The rest follows from what ``mcp`` guarantees, with A the
+    rows alpha1, alpha2 and Z = (Z1 Z2).  g is associated: G phi = W_1 + W_2
+    and Z^T G = A.  On TF_j the frame equations give W_j F = 0 and
+    alpha_j F = 0, so F^T G phi F - F^T W_i F = F^T W_j F = 0 and
+    (Z^T G - A) F = 0, and the square identity is the induced almost contact
+    structure (:func:`~contactpairs.structure.verify_induced_almost_contact`).
+    On ker d alpha_i, W_i F = 0, so F^T W_i F = 0 and (d alpha_i)^1 vanishes
+    on the leaves; and rank F^T W_j F <= rank W_j, below 2p for the exponent
+    p of the pair's own power condition of d alpha_j, which holds as the pair
+    verified, and which is the induced type's exponent too.  The restricted
+    metric is associated, F^T (G phi - W_1 - W_2) F = 0 and
+    (Z^T G - A) F = 0, as the ambient one is."""
     if not mcp.cps.decomposable.ok:
         raise PreconditionError(
             "restriction to the characteristic leaves needs decomposable phi"
         )
     vp = mcp.vp
-    return {
-        "leaf_contact_metric": _leaf_contact_metric(mcp, i, vp.tf(2 if i == 1 else 1)),
-        "leaf_mcp": _leaf_mcp(mcp, i, kernel_frame(vp.pair, i)),
-    }
-
-
-def _leaf_contact_metric(mcp: MetricContactPair, i: int, frame: DistributionFrame) -> Verdict:
-    vp, label, f = mcp.vp, frame.label, frame.matrix
-    f_t = f.transpose()
-    images = mcp.phi.matrix @ f
-    pairing = f_t @ mcp.g.matrix @ images - f_t @ vp.pair.dalpha_table(i) @ f
-    duality = mcp.associated.reeb_residuals @ f
-    square = _leaf_square_residual(mcp.cps, frame, i, images)
-    residuals = []
-    for p in range(frame.size):
-        residuals.extend(
-            (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
-            for q in range(frame.size)
-        )
-        residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
-        residuals.extend(
-            (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
-            for a, c in enumerate(square.column(p))
-        )
-    return residual_verdict(
-        residuals,
-        vp,
-        detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
-    )
-
-
-def _leaf_mcp(mcp: MetricContactPair, i: int, frame: DistributionFrame) -> Verdict:
-    vp, label, f = mcp.vp, frame.label, frame.matrix
-    f_t = f.transpose()
-    tables = tuple(f_t @ vp.pair.dalpha_table(l) @ f for l in (1, 2))
-    h_ind, k_ind = (vp.pair.h, 0) if i == 2 else (0, vp.pair.k)
+    leaf, kernel = vp.tf(2 if i == 1 else 1), kernel_frame(vp.pair, i)
+    f = kernel.matrix
+    tables = tuple(f.transpose() @ vp.pair.dalpha_table(l) @ f for l in (1, 2))
     alphas = vp._alpha_matrix @ f
-    axioms = pair_axioms(
-        (alphas.row(0), alphas.row(1)),
-        tables,
-        (h_ind, k_ind),
+    degrees = (vp.pair.h, 0) if i == 2 else (0, vp.pair.k)
+    volume = nonvanishing_verdict(
+        volume_coefficient((alphas.row(0), alphas.row(1)), tables, degrees),
         vp.sample_points,
-        vp.space.names,
-        frame=label,
+        f"restricted volume coefficient on {kernel.label}",
     )
-    volume = [axioms["volume_form"]] if "volume_form" in axioms else []
-    verdicts = [*volume, axioms["dalpha1_power_zero"], axioms["dalpha2_power_zero"]]
-
-    associated = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - (tables[0] + tables[1])
-    duality = mcp.associated.reeb_residuals @ f
-    residuals = [
-        (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
-        for p in range(frame.size)
-        for q in range(frame.size)
-    ]
-    residuals.extend(
-        (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
-        for l in (1, 2)
-        for p in range(frame.size)
-    )
-    verdicts.append(
-        residual_verdict(
-            residuals, vp, detail="restricted metric is associated to the restricted pair"
-        )
-    )
-    return combine_verdicts(
-        verdicts,
-        detail=f"metric contact pair of type ({h_ind}, {k_ind}) induced on {label}",
-    )
+    return {
+        "leaf_contact_metric": Verdict.verified(
+            f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {leaf.label}"
+        ),
+        "leaf_mcp": combine_verdicts(
+            [volume],
+            detail=f"metric contact pair of type {degrees} induced on {kernel.label}",
+        ),
+    }

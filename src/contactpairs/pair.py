@@ -18,8 +18,9 @@ the bordered table [[W1 + W2, a1, a2], [−a1ᵀ, 0, −1], [−a2ᵀ, 1, 0]].  
 bordered form keeps the W block as it is: each minor the elimination forms
 takes at most one entry from each border row, so on a constant 2-form its
 degree stays at most 2, where every entry of W1 + W2 + a1 a2ᵀ − a2 a1ᵀ is
-already quadratic and its minors grow with their order.  The same function
-decides the pair induced on the leaves of a frame, on the restricted tables.
+already quadratic and its minors grow with their order.  The leaf checks
+take the volume coefficient of the pair induced on the leaves of a frame
+from the restricted tables; its power conditions follow from the pair's own.
 
 A frame is its vectors.  The splittings TM = TF1 ⊕ TF2 and
 TF_i = TG_i ⊕ R·Z_j hold by construction once :func:`verified_pair` returns
@@ -209,12 +210,10 @@ def pair_axioms(
     degrees: tuple[int, int],
     sample_points: Sequence[Sequence],
     names: Sequence[str],
-    frame: str = "",
 ) -> AxiomVerdicts:
     """The three conditions of a pair of type ``degrees`` = (h, k), from the
-    rows a_i of alpha_i and the tables W_i of d alpha_i; with ``frame``, of
-    the pair induced on the leaves of that frame, its labels marked
-    ``|frame``.  ``names`` print the witnesses.
+    rows a_i of alpha_i and the tables W_i of d alpha_i.  ``names`` print the
+    witnesses.
 
     Power condition i (p = h + 1 or k + 1) is exact: Verified when W_i has
     rank below 2p, else Failed with the coefficient p!·Pf(W_i[I, I]) of
@@ -222,12 +221,11 @@ def pair_axioms(
     :func:`volume_coefficient` is graded by :func:`nonvanishing_verdict`; its
     formula holds only under both power conditions, so when one fails the
     volume is skipped, with the reason."""
-    bar = f"|{frame}" if frame else ""
     powers = {}
     failed = []
     for i, (table, degree) in enumerate(zip(tables, degrees), 1):
         power = degree + 1
-        condition = f"(d alpha{i}{bar})^{power}"
+        condition = f"(d alpha{i})^{power}"
         pfaffian, index = pfaffian_minor(table, power)
         if pfaffian.is_zero():
             powers[f"dalpha{i}_power_zero"] = Verdict.verified(f"{condition} = 0")
@@ -245,9 +243,11 @@ def pair_axioms(
         return AxiomVerdicts(powers, {"volume_form": reason})
 
     coeff = volume_coefficient(rows, tables, degrees)
-    label = f"restricted volume coefficient on {frame}" if frame else "volume coefficient"
     volume = nonvanishing_verdict(
-        coeff, sample_points, label, constant_detail=f"constant {label} {coeff.num}"
+        coeff,
+        sample_points,
+        "volume coefficient",
+        constant_detail=f"constant volume coefficient {coeff.num}",
     )
     return AxiomVerdicts({"volume_form": volume, **powers})
 

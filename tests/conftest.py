@@ -1,5 +1,6 @@
 """Shared builders: the three reference geometries, random-input helpers,
-and the textbook forms of the Levi-Civita connection."""
+the textbook forms of the Levi-Civita connection, and the residual checks
+of the identities the package proves instead of computing."""
 
 import importlib.util
 import random
@@ -19,6 +20,14 @@ from contactpairs.exterior import (
     directional_derivative,
 )
 from contactpairs.fixtures import bundled_fixture_path, load_fixture, load_fixture_dict
+from contactpairs.pair import (
+    _reeb_gram,
+    column_matrix,
+    kernel_frame,
+    pair_axioms,
+    volume_coefficient,
+)
+from contactpairs.verdicts import combine_verdicts, nonvanishing_verdict, residual_verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +65,30 @@ def fixture_doc(name):
         return (chart_rung if family == "chart" else lie_rung)(h, k)
     local = ROOT / "tests" / "fixtures" / f"{name}.json"
     return load_fixture(local if local.exists() else bundled_fixture_path(name))
+
+
+def polarized_doc(name):
+    """The fixture ``name`` (:func:`fixture_doc`) with the (phi, g) of its
+    per-block polarization as ``phi`` and ``metric``, as
+    ``scripts/report_parity.py`` writes it."""
+    parity = _module("report_parity", ROOT / "scripts" / "report_parity.py")
+    return load_fixture_dict(parity.polarized_model(fixture_doc(name).raw, decomposable=True))
+
+
+# The cases of the leaf identities: three fixtures whose own metric is
+# associated, with decomposable phi, and the per-block polarized (phi, g)
+# (:func:`polarized_doc`) of three chart fixtures.
+LEAF_CASES = [
+    pytest.param(name, polarized, id=f"{name}-polarized" if polarized else name)
+    for name, polarized in (
+        ("nilpotent_g6", False),
+        ("flat2_mcp", False),
+        ("lie_3_3", False),
+        ("local_model_1_1", True),
+        ("chart_1_1", True),
+        ("chart_2_2", True),
+    )
+]
 
 
 def dense_chart_rung(h, k):
@@ -128,6 +161,130 @@ def levi_civita_violation(data):
                 if not torsion.is_zero():
                     return f"torsion-freeness violated at (a,b,k)=({a},{b},{k})"
     return None
+
+
+# --- the retired residual checks -----------------------------------------------
+# The package reports these verdicts from the proofs in the docstrings of
+# is_compatible, verify_induced_almost_contact and
+# verify_restricted_contact_metric; these are the residual checks it ran
+# before, which the tests compare the reported verdicts with.
+
+
+def compatible_corollaries(cps, g):
+    """g(Z_i, ·) = alpha_i and g(Z_i, Z_j) = delta_ij, by their residuals."""
+    vp = cps.vp
+    duality = vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix
+    gram = _reeb_gram(vp, g) - RfMatrix.identity(2, vp.dim)
+    return {
+        "reeb_duality": residual_verdict(
+            [
+                (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
+                for i in (1, 2)
+                for b in range(vp.dim)
+            ],
+            vp,
+            detail="g(Z_i, X) = alpha_i(X)",
+        ),
+        "reeb_orthonormality": residual_verdict(
+            [
+                (f"g(Z{i}, Z{j}) - {int(i == j)}", gram.at(i - 1, j - 1))
+                for i in (1, 2)
+                for j in (1, 2)
+            ],
+            vp,
+            detail="g(Z_i, Z_j) = delta_ij",
+        ),
+    }
+
+
+def _leaf_square_residual(cps, f, i):
+    """phi^2 F + F - Z_i (alpha_i F) for the column matrix F of a frame."""
+    vp = cps.vp
+    z_i = column_matrix(vp.space, [vp.z(i)])
+    alpha_i = RfMatrix(vp.dim, [vp._alpha_matrix.row(i - 1)])
+    return cps.phi.matrix @ (cps.phi.matrix @ f) + f - z_i @ (alpha_i @ f)
+
+
+def induced_almost_contact(cps, i):
+    """phi^2 v = -v + alpha_i(v) Z_i on the TF_j frame (j != i)."""
+    vp = cps.vp
+    leaf = vp.tf(2 if i == 1 else 1)
+    square = _leaf_square_residual(cps, leaf.matrix, i)
+    return residual_verdict(
+        [
+            (f"(phi^2 - (-Id + alpha{i}⊗Z{i}))({leaf.label}[{p}])[{vp.space.names[a]}]", c)
+            for p in range(square.cols)
+            for a, c in enumerate(square.column(p))
+        ],
+        vp,
+        detail=f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf.label}",
+    )
+
+
+def leaf_contact_metric(mcp, i):
+    """On the TF_j frame F (j != i): F^T G phi F = F^T W_i F, row i of
+    (Z^T G - A) F vanishes and phi^2 F + F - Z_i alpha_i F = 0."""
+    vp, frame = mcp.vp, mcp.vp.tf(2 if i == 1 else 1)
+    label, f = frame.label, frame.matrix
+    f_t = f.transpose()
+    pairing = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - f_t @ vp.pair.dalpha_table(i) @ f
+    duality = (vp._reeb_matrix.transpose() @ mcp.g.matrix - vp._alpha_matrix) @ f
+    square = _leaf_square_residual(mcp.cps, f, i)
+    residuals = []
+    for p in range(frame.size):
+        residuals.extend(
+            (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
+            for q in range(frame.size)
+        )
+        residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
+        residuals.extend(
+            (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
+            for a, c in enumerate(square.column(p))
+        )
+    return residual_verdict(
+        residuals,
+        vp,
+        detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
+    )
+
+
+def leaf_mcp(mcp, i):
+    """On the frame F of ker d alpha_i: the pair axioms of alpha_l(F) and
+    F^T W_l F for the induced type, the volume under its restricted label,
+    and F^T (G phi - W_1 - W_2) F = 0 = (Z^T G - A) F."""
+    vp, frame = mcp.vp, kernel_frame(mcp.vp.pair, i)
+    label, f = frame.label, frame.matrix
+    f_t = f.transpose()
+    tables = tuple(f_t @ vp.pair.dalpha_table(l) @ f for l in (1, 2))
+    degrees = (vp.pair.h, 0) if i == 2 else (0, vp.pair.k)
+    alphas = vp._alpha_matrix @ f
+    rows = (alphas.row(0), alphas.row(1))
+    axioms = pair_axioms(rows, tables, degrees, vp.sample_points, vp.space.names)
+    verdicts = [axioms["dalpha1_power_zero"], axioms["dalpha2_power_zero"]]
+    if "volume_form" in axioms:
+        volume = volume_coefficient(rows, tables, degrees)
+        volume_label = f"restricted volume coefficient on {label}"
+        verdicts.insert(0, nonvanishing_verdict(volume, vp.sample_points, volume_label))
+    associated = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - (tables[0] + tables[1])
+    duality = (vp._reeb_matrix.transpose() @ mcp.g.matrix - vp._alpha_matrix) @ f
+    residuals = [
+        (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
+        for p in range(frame.size)
+        for q in range(frame.size)
+    ]
+    residuals.extend(
+        (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
+        for l in (1, 2)
+        for p in range(frame.size)
+    )
+    verdicts.append(
+        residual_verdict(
+            residuals, vp, detail="restricted metric is associated to the restricted pair"
+        )
+    )
+    return combine_verdicts(
+        verdicts, detail=f"metric contact pair of type {degrees} induced on {label}"
+    )
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

@@ -26,7 +26,6 @@ from contactpairs.metric import (
     are_foliations_orthogonal,
     build_associated_by_polarization,
     build_compatible,
-    compatible_corollaries,
     decomposability_orthogonality_agreement,
     is_associated,
     is_compatible,
@@ -37,6 +36,7 @@ from contactpairs.structure import ContactPairStructure, is_decomposable
 
 from conftest import (
     chart_rung,
+    compatible_corollaries,
     covariant_derivative,
     levi_civita_violation,
     random_form,

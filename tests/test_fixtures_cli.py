@@ -22,6 +22,7 @@ from contactpairs.fixtures import (
     load_fixture_dict,
 )
 from contactpairs.metric import (
+    MetricContactPair,
     are_foliations_orthogonal,
     build_associated_by_polarization,
     build_compatible,
@@ -33,7 +34,16 @@ from contactpairs.pair import Status, verified_pair
 from contactpairs.report import render_report
 from contactpairs.structure import ContactPairStructure, is_decomposable
 
-from conftest import fixture_doc, lie_rung
+from conftest import (
+    LEAF_CASES,
+    compatible_corollaries,
+    fixture_doc,
+    induced_almost_contact,
+    leaf_contact_metric,
+    leaf_mcp,
+    lie_rung,
+    polarized_doc,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -615,16 +625,21 @@ def test_pole_on_the_rk4_trajectory_is_a_skip(names, denominator, tmp_path):
 def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
     """The pair axioms are memoised on the pair, the structure verdicts are
     computed once and read by the check that reports them, the polarized phi
-    is not verified again, and the associated report and the orthogonality
-    verdict of the fixture's metric are handed on to the checks that read
-    them.  The one rank is rank(phi) of the structure check.
+    is not verified again, and the orthogonality verdict of the fixture's
+    metric is handed on to the agreement that reads it.  The associated
+    report is read only by the check that reports it: the leaf checks prove
+    what they would take from it.  The one rank is rank(phi) of the
+    structure check.
 
     On nilpotent_g6 the fixture's metric is checked once: compatible,
-    associated, orthogonal, and phi decomposable.  Chart rung (2,2) has no
-    metric, so it builds one and polarizes two.  Their constructions prove
-    compatibility, associatedness, and the per-block polarization's
-    decomposability and orthogonality, so the only such checks left are the
-    fixture phi's decomposability and the joint polarization's two."""
+    associated, orthogonal, and phi decomposable.  Its 5 Pfaffians are the
+    pair's two powers and volume and one restricted volume per leaf index;
+    the restricted powers follow from the pair's own.  Chart rung (2,2) has
+    no metric, so it runs no leaf check, builds one metric and polarizes
+    two.  Their constructions prove compatibility, associatedness, and the
+    per-block polarization's decomposability and orthogonality, so the only
+    such checks left are the fixture phi's decomposability and the joint
+    polarization's two."""
     from contactpairs import algebra, metric, pair, structure
 
     chart = tmp_path / "chart_2_2.json"
@@ -637,6 +652,7 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
         "is_compatible": metric,
         "is_decomposable": structure,
         "generic_rank": algebra,
+        "pfaffian_minor": algebra,
     }
     calls = {}
     for fn, home in homes.items():
@@ -649,12 +665,13 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted)
     checked = {
-        bundled_fixture_path("nilpotent_g6"): {},
+        bundled_fixture_path("nilpotent_g6"): {"pfaffian_minor": 5},
         chart: {
             "is_associated": 0,
             "is_compatible": 0,
             "are_foliations_orthogonal": 1,
             "is_decomposable": 2,
+            "pfaffian_minor": 3,
         },
     }
     for path, counts in checked.items():
@@ -691,6 +708,31 @@ def test_constructed_verdicts_equal_their_checks(name, tmp_path):
     assert polarized["polarized_decomposable_agreement"] == (
         decomposability_orthogonality_agreement(decomposable, orthogonal)
     )
+
+
+@pytest.mark.parametrize("name, polarized", LEAF_CASES)
+def test_proved_verdicts_equal_their_residual_checks(name, polarized, tmp_path):
+    """What theorems reports with no residual computed, by the proofs of
+    is_compatible, verify_induced_almost_contact and
+    verify_restricted_contact_metric, is what the residual checks of
+    ``conftest.py`` return: both compatible corollaries, and for i = 1, 2
+    the induced almost contact structure and both leaf verdicts."""
+    doc = polarized_doc(name) if polarized else fixture_doc(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc.raw), encoding="utf-8")
+    cps = ContactPairStructure(verified_pair(doc.pair), doc.phi)
+    mcp = MetricContactPair(cps, doc.metric)
+    expected = {
+        f"compatible_{key}": verdict
+        for key, verdict in compatible_corollaries(cps, doc.metric).items()
+    }
+    for i in (1, 2):
+        expected[f"induced_almost_contact_{i}"] = induced_almost_contact(cps, i)
+        expected[f"leaf_contact_metric_{i}"] = leaf_contact_metric(mcp, i)
+        expected[f"leaf_mcp_{i}"] = leaf_mcp(mcp, i)
+    assert all(v.ok for v in expected.values()), expected
+    verdicts = run("theorems", path).verdicts
+    assert {key: verdicts.get(key) for key in expected} == expected
 
 
 def test_witnesses_use_the_fixture_coordinate_names(capsys):

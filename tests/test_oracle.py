@@ -17,25 +17,33 @@ an associated metric, and the per-block one also against decomposability
 and orthogonality, on their values at fresh random points, with the
 oracle's own products and its own determinants for positive definiteness.
 The metric ``build_compatible`` makes is re-checked against compatibility
-the same way.  The command line reports these verdicts from the
-constructions' proofs, so these checks are what catches a broken
-construction.
+and its corollaries GZ = Aᵀ and ZᵀGZ = I the same way, and so is every
+fixture metric that is compatible.  On the leaf cases the identities the
+leaf checks prove are re-evaluated on the frames' values.  The command line
+reports these verdicts from the proofs, so these checks are what catches a
+broken construction or proof.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactpairs.algebra import Poly, RatFun, RfMatrix
 from contactpairs.connection import christoffel
 from contactpairs.exterior import MetricField
-from contactpairs.fixtures import bundled_fixture_path, load_fixture
-from contactpairs.metric import build_associated_by_polarization, build_compatible
-from contactpairs.pair import verified_pair
+from contactpairs.fixtures import (
+    FixtureError,
+    bundled_fixture_names,
+    bundled_fixture_path,
+    load_fixture,
+)
+from contactpairs.metric import build_associated_by_polarization, build_compatible, is_compatible
+from contactpairs.pair import kernel_frame, verified_pair
 from contactpairs.structure import ContactPairStructure
 
-from conftest import chart_rung, fixture_doc, second_kind
+from conftest import LEAF_CASES, chart_rung, fixture_doc, polarized_doc, second_kind
 
 
 def _points(rng, nvars, count):
@@ -69,6 +77,20 @@ def _product(a, b):
 
 def _transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def _difference(a, b):
+    return [[x - y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
+
+
+def _is_zero(a):
+    return not any(map(any, a))
+
+
+def _reeb_corollaries_hold(g_at, a_at, z_at):
+    """GZ = Aᵀ and ZᵀGZ = I, the corollaries of compatibility."""
+    gz = _product(g_at, z_at)
+    return gz == _transpose(a_at) and _product(_transpose(z_at), gz) == [[1, 0], [0, 1]]
 
 
 def _inverse(a):
@@ -298,3 +320,86 @@ def test_built_compatible_metric_matches_the_oracle(name):
         assert _product(_transpose(phi_at), _product(g_at, phi_at)) == [
             [x - y for x, y in zip(row, aa_row)] for row, aa_row in zip(g_at, aa)
         ], (name, point)
+        assert _reeb_corollaries_hold(g_at, a_at, _values(vp._reeb_matrix, point)), (name, point)
+
+
+def test_compatible_fixture_metrics_match_the_oracle():
+    """At 3 fresh random points, every fixture metric that is_compatible
+    finds compatible satisfies GZ = Aᵀ and ZᵀGZ = I, with A the rows
+    alpha1, alpha2 and Z the columns Z1, Z2: the bundled fixtures, those of
+    ``tests/fixtures``, Lie rung (3,3) and the per-block polarized metrics of
+    the leaf cases."""
+    names = [n.removesuffix(".json") for n in bundled_fixture_names()]
+    names += sorted(p.stem for p in (Path(__file__).parent / "fixtures").glob("*.json"))
+    docs = {}
+    for name in [*names, "lie_3_3"]:
+        try:
+            docs[name] = fixture_doc(name)
+        except FixtureError:
+            continue
+    for name in ("local_model_1_1", "chart_1_1", "chart_2_2"):
+        docs[f"{name}-polarized"] = polarized_doc(name)
+    rng = random.Random(2026)
+    checked = []
+    for name, doc in docs.items():
+        if doc.phi is None or doc.metric is None:
+            continue
+        try:
+            cps = ContactPairStructure(verified_pair(doc.pair), doc.phi)
+        except (ValueError, RuntimeError):
+            continue
+        if not is_compatible(cps, doc.metric).ok:
+            continue
+        vp = cps.vp
+        for point in _points(rng, vp._reeb_matrix.nvars, 3):
+            g_at, a_at, z_at = (
+                _values(m, point) for m in (doc.metric.matrix, vp._alpha_matrix, vp._reeb_matrix)
+            )
+            assert _reeb_corollaries_hold(g_at, a_at, z_at), (name, point)
+        checked.append(name)
+    expected = {"nilpotent_g6", "r6_example", "flat2_mcp", "lie_3_3", "chart_2_2-polarized"}
+    assert expected <= set(checked), checked
+
+
+@pytest.mark.parametrize("name, polarized", LEAF_CASES)
+def test_leaf_identities_match_the_oracle(name, polarized):
+    """At 3 fresh random points, for i = 1, 2 and j != i, with A the rows
+    alpha1, alpha2, Z the columns Z1, Z2, W_l the table of d alpha_l and
+    W = W_1 + W_2: on the TF_j frame F, Φ²F + F − Z_i α_i F = 0,
+    FᵀGΦF = FᵀW_iF and (ZᵀG − A)F = 0; on the frame F of ker d alpha_i,
+    FᵀW_iF = 0, Fᵀ(GΦ − W)F = 0 and (ZᵀG − A)F = 0.  These are the
+    identities the leaf checks prove instead of computing."""
+    doc = polarized_doc(name) if polarized else fixture_doc(name)
+    vp = verified_pair(doc.pair)
+    frames = {i: (vp.tf(3 - i).matrix, kernel_frame(vp.pair, i).matrix) for i in (1, 2)}
+    rng = random.Random(2026)
+    for point in _points(rng, vp._reeb_matrix.nvars, 3):
+        phi_at, g_at, a_at, z_at, *w_at = (
+            _values(m, point)
+            for m in (
+                doc.phi.matrix,
+                doc.metric.matrix,
+                vp._alpha_matrix,
+                vp._reeb_matrix,
+                vp.pair.dalpha_table(1),
+                vp.pair.dalpha_table(2),
+            )
+        )
+        g_phi = _product(g_at, phi_at)
+        pairing = _difference(_difference(g_phi, w_at[0]), w_at[1])  # GΦ − W
+        duality = _difference(_product(_transpose(z_at), g_at), a_at)  # ZᵀG − A
+        for i in (1, 2):
+            leaf, kernel = (_values(f, point) for f in frames[i])
+            z_i, alpha_i = [[row[i - 1]] for row in z_at], [a_at[i - 1]]
+            square = _product(phi_at, _product(phi_at, leaf))
+            za = _product(z_i, _product(alpha_i, leaf))
+            minus_leaf = [[-x for x in row] for row in leaf]
+            assert _difference(square, za) == minus_leaf, (name, i, point)
+            leaf_t, kernel_t = _transpose(leaf), _transpose(kernel)
+            assert _product(leaf_t, _product(g_phi, leaf)) == _product(
+                leaf_t, _product(w_at[i - 1], leaf)
+            ), (name, i, point)
+            assert _is_zero(_product(kernel_t, _product(w_at[i - 1], kernel))), (name, i, point)
+            assert _is_zero(_product(kernel_t, _product(pairing, kernel))), (name, i, point)
+            for frame in (leaf, kernel):
+                assert _is_zero(_product(duality, frame)), (name, i, point)

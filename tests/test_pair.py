@@ -499,7 +499,8 @@ def test_leaf_axioms_match_frame_form_expansion(rung):
     """The pair induced on the leaves of ker d alpha_i, decided on the
     restricted tables, has the restricted volume coefficient FrameForm
     expands, and both restricted powers vanish: on every verifiable fixture,
-    and on each chart rung."""
+    and on each chart rung.  The leaf checks compute only that volume; this
+    is the oracle of the powers they prove."""
     if rung is None:
         pairs = [vp.pair for _, vp in _verifiable_fixtures()]
     else:
@@ -512,7 +513,7 @@ def test_leaf_axioms_match_frame_form_expansion(rung):
             alphas = RfMatrix(pair.dim, rows) @ f
             leaf_rows = (alphas.row(0), alphas.row(1))
             leaf_tables = tuple(f.transpose() @ pair.dalpha_table(l) @ f for l in (1, 2))
-            axioms = pair_axioms(leaf_rows, leaf_tables, degrees, pair.sample_points, pair.space.names, "leaf")
+            axioms = pair_axioms(leaf_rows, leaf_tables, degrees, pair.sample_points, pair.space.names)
             assert axioms["dalpha1_power_zero"].status is Status.VERIFIED
             assert axioms["dalpha2_power_zero"].status is Status.VERIFIED
             b1, b2 = (FrameForm.one_form(r) for r in leaf_rows)
