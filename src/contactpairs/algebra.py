@@ -46,12 +46,15 @@ has the same fast path: ``RfMatrix.eval_at`` reads the point as
 ``Fraction``s once, a zero entry as one shared 0 and a constant entry as its
 coefficient, and evaluates only the rest.  Matrix kernels touch only
 structural nonzeros: an entry of a product is one ``_dot`` over the indices
-where both factors are nonzero, or the shared zero when there is none, and
-a sum keeps the other entry wherever one is zero.
+where both factors are nonzero, or the shared zero when there is none, a
+sum keeps the other entry wherever one is zero, and the elimination keeps
+each row as a dict of its nonzeros.
 
-Two elimination kernels: ``_rref`` gives the rank (its pivot count), solves,
-kernels and inverses over the function field; ``pfaffian_minor`` eliminates
-skew matrices fraction-free on 2×2 pivot blocks and gives a nonzero principal
+Two elimination kernels: ``_rref`` gives the rank (its pivot count), solves
+(several right-hand sides in one pass), kernels and inverses over the
+function field, on sparse rows whose pivot search reads each entry's weight,
+computed once when the entry is made; ``pfaffian_minor`` eliminates skew
+matrices fraction-free on 2×2 pivot blocks and gives a nonzero principal
 Pfaffian minor of a requested order, or the proof that the rank is too small
 for one, and ``RfMatrix.det`` is the Pfaffian of [[0, A], [−Aᵀ, 0]].
 """
@@ -93,7 +96,15 @@ class ExactDivisionError(ArithmeticError):
 
 
 class InconsistentSystemError(ValueError):
-    """A·x = b has no solution over the rational-function field."""
+    """A·x = b has no solution over the rational-function field.
+
+    ``column`` is the index of the right-hand side b among those solved
+    together, and ``nullity`` the dimension of the kernel of A."""
+
+    def __init__(self, message: str, column: int = 0, nullity: int = 0):
+        super().__init__(message)
+        self.column = column
+        self.nullity = nullity
 
 
 class SingularMatrixError(ArithmeticError):
@@ -801,7 +812,8 @@ class RfMatrix:
     sum touches only the structural nonzeros: each entry of ``@`` and
     ``apply`` is one ``_dot`` over the indices where both factors are
     nonzero (the shared zero when there is none), and ``+``/``-`` return
-    the other operand, or its negation, where one entry is zero."""
+    the other operand, or its negation, where one entry is zero, and an
+    operand's own zero where both are."""
 
     __slots__ = ("nvars", "rows", "cols", "entries")
 
@@ -900,7 +912,7 @@ class RfMatrix:
     def __sub__(self, other: "RfMatrix") -> "RfMatrix":
         self._check_shape(other, "subtraction")
         return RfMatrix._of(self.nvars, tuple(
-            tuple(-y if x.is_zero() else x if y.is_zero() else x - y for x, y in zip(r, s))
+            tuple(x if y.is_zero() else -y if x.is_zero() else x - y for x, y in zip(r, s))
             for r, s in zip(self.entries, other.entries)
         ), self.cols)
 
@@ -976,17 +988,20 @@ class RfMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        identity = RfMatrix.identity(n, self.nvars).entries
-        _, reduced, pivots = _rref(
-            [list(row) for row in self.entries], [list(row) for row in identity], self.nvars
-        )
+        one = RatFun.one(self.nvars)
+        rows = _sparse_rows(self)
+        for i, row in enumerate(rows):
+            row[n + i] = one
+        reduced, pivots = _rref(rows, n, self.nvars)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular over the function field")
         # row r of the reduced [A | I] is the row of A^-1 for its pivot column
+        zero = RatFun.zero(self.nvars)
         inverse = [None] * n
         for r, c in pivots:
-            inverse[c] = reduced[r]
-        return RfMatrix(self.nvars, inverse)
+            row = reduced[r]
+            inverse[c] = tuple(row.get(j, zero) for j in range(n, 2 * n))
+        return RfMatrix._of(self.nvars, tuple(inverse), n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RfMatrix):
@@ -1034,83 +1049,102 @@ def _over_common_denominator(vector: Sequence[RatFun], nvars: int) -> tuple[list
 
 @dataclass(frozen=True)
 class LinearSolution:
-    particular: tuple[RatFun, ...]
+    """One particular solution per right-hand side, and a kernel basis."""
+
+    particulars: tuple[tuple[RatFun, ...], ...]
     kernel: tuple[tuple[RatFun, ...], ...]
+
+    @property
+    def particular(self) -> tuple[RatFun, ...]:
+        """The particular solution of the first right-hand side."""
+        return self.particulars[0]
 
 
 def _rref(
-    rows: list[list[RatFun]], rhs: list[list[RatFun]] | None, nvars: int
-) -> tuple[list[list[RatFun]], list[list[RatFun]] | None, list[tuple[int, int]]]:
-    """Reduced row echelon form of ``[rows | rhs]`` over the function field,
-    with pivots in the columns of ``rows`` only; ``rhs`` holds one row of
-    right-hand sides per row, or is None.  Pivots are chosen by lowest
-    combined num/den degree, ties broken by column then row index.  Exact-zero
-    entries of the pivot row are skipped in the row operations, and each
-    updated entry ``row[j] - factor·b`` is one ``_dot``, one canonicalisation."""
+    rows: list[dict[int, RatFun]], n: int, nvars: int
+) -> tuple[list[dict[int, RatFun]], list[tuple[int, int]]]:
+    """Reduced row echelon form over the function field, on sparse rows.
+
+    Each row is a ``{column: entry}`` dict of its nonzeros and is reduced in
+    place; columns ``>= n`` are right-hand sides and take no pivot.  Pivots
+    are chosen by lowest combined num/den degree (``degree_size``, computed
+    once per entry when the entry is made), ties broken by column then row
+    index; the search scans only the nonzeros of the remaining rows, since
+    every pivot column is zero there.  The pivot row is scaled by the
+    inverse pivot, and each updated entry ``row[j] - factor·b`` of another
+    row is one ``_dot``, one canonicalisation; an entry that cancels leaves
+    the dict.  Returns the rows and the (row, column) of each pivot."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    if rhs is not None:
-        rows = [row + extra for row, extra in zip(rows, rhs)]
+    weights = [{j: e.degree_size() for j, e in row.items() if j < n} for row in rows]
     pivots: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
     one = RatFun.one(nvars)
-    r = 0
-    while r < m:
+    zero = RatFun.zero(nvars)
+    for r in range(m):
         best = None
-        for j in range(n):
-            if j in used_cols:
-                continue
-            for i in range(r, m):
-                e = rows[i][j]
-                if not e.is_zero():
-                    key = (e.degree_size(), j, i)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
+        for i in range(r, m):
+            for j, w in weights[i].items():
+                if best is None or (w, j, i) < best:
+                    best = (w, j, i)
         if best is None:
             break
-        _, pi, pj = best
+        _, pj, pi = best
         rows[pi], rows[r] = rows[r], rows[pi]
-        inv = rows[r][pj].inverse()
-        pivot_row = rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
-        nonzero = [(j, b) for j, b in enumerate(pivot_row) if not b.is_zero()]
-        for i in range(m):
-            if i == r:
+        weights[pi], weights[r] = weights[r], weights[pi]
+        pivot_row = rows[r]
+        inv = pivot_row.pop(pj).inverse()
+        if inv != one:
+            pivot_row = {j: e * inv for j, e in pivot_row.items()}
+        nonzero = list(pivot_row.items())
+        pivot_row[pj] = one
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            if i == r or pj not in row:
                 continue
-            factor = rows[i][pj]
-            if factor.is_zero():
-                continue
-            minus = -factor
-            row = rows[i]
+            minus = -row.pop(pj)
+            weight, searched = weights[i], i > r  # rows above r are not searched again
+            weight.pop(pj, None)
             for j, b in nonzero:
-                row[j] = _dot(nvars, ((row[j], one), (minus, b)))
+                e = _dot(nvars, ((row.get(j, zero), one), (minus, b)))
+                if e.num.terms:
+                    row[j] = e
+                    if searched and j < n:
+                        weight[j] = e.degree_size()
+                else:  # only an entry the row had can cancel
+                    del row[j]
+                    weight.pop(j, None)
         pivots.append((r, pj))
-        used_cols.add(pj)
-        r += 1
-    if rhs is None:
-        return rows, None, pivots
-    return [row[:n] for row in rows], [row[n:] for row in rows], pivots
+    return rows, pivots
+
+
+def _sparse_rows(matrix: RfMatrix) -> list[dict[int, RatFun]]:
+    """The rows of ``matrix`` as ``{column: entry}`` dicts of their nonzeros."""
+    return [dict(_support(row)) for row in matrix.entries]
 
 
 def _kernel_from_rref(
-    rows: list[list[RatFun]], pivots: list[tuple[int, int]], n: int, nvars: int
+    rows: list[dict[int, RatFun]], pivots: list[tuple[int, int]], n: int, nvars: int
 ) -> list[tuple[RatFun, ...]]:
+    """One kernel vector per free column f: 1 at f, −row[f] at the pivot
+    column of each row, and zero elsewhere."""
     pivot_cols = {c for _, c in pivots}
+    zero, one = RatFun.zero(nvars), RatFun.one(nvars)
     kernel = []
     for free in range(n):
         if free in pivot_cols:
             continue
-        v = [RatFun.zero(nvars) for _ in range(n)]
-        v[free] = RatFun.one(nvars)
+        v = [zero] * n
+        v[free] = one
         for r, c in pivots:
-            v[c] = -rows[r][free]
+            e = rows[r].get(free)
+            if e is not None:
+                v[c] = -e
         kernel.append(tuple(v))
     return kernel
 
 
 def generic_rank(matrix: RfMatrix) -> int:
     """Rank over the rational-function field: the pivot count of its RREF."""
-    _, _, pivots = _rref([list(row) for row in matrix.entries], None, matrix.nvars)
-    return len(pivots)
+    return len(_rref(_sparse_rows(matrix), matrix.cols, matrix.nvars)[1])
 
 
 def pfaffian_minor(matrix: RfMatrix, pairs: int) -> tuple[RatFun, tuple[int, ...]]:
@@ -1187,29 +1221,41 @@ def pfaffian_minor(matrix: RfMatrix, pairs: int) -> tuple[RatFun, tuple[int, ...
     return RatFun(prev._scaled(Fraction(sign)), scale), index
 
 
-def solve_linear_exact(matrix: RfMatrix, rhs: Sequence) -> LinearSolution:
-    """Solve A·x = b exactly over the rational-function field.
+def solve_linear_exact(matrix: RfMatrix, *rhs: Sequence) -> LinearSolution:
+    """Solve A·x = b exactly over the rational-function field, for each
+    right-hand side b of ``rhs``, in one elimination of [A | b ...].
 
-    Returns a particular solution together with a kernel basis; raises
-    :class:`InconsistentSystemError` when no solution exists.
+    Returns one particular solution per right-hand side together with a
+    kernel basis of A; raises :class:`InconsistentSystemError` for the first
+    right-hand side that has no solution.
     """
-    if len(rhs) != matrix.rows:
-        raise ValueError(f"rhs length {len(rhs)} does not match {matrix.rows} rows")
-    nvars = matrix.nvars
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    b = [[matrix._coerce_entry(x)] for x in rhs]
-    rows, b, pivots = _rref(rows, b, nvars)
+    nvars, n = matrix.nvars, matrix.cols
+    rows = _sparse_rows(matrix)
+    for c, b in enumerate(rhs):
+        if len(b) != matrix.rows:
+            raise ValueError(f"rhs length {len(b)} does not match {matrix.rows} rows")
+        for row, x in zip(rows, b):
+            x = matrix._coerce_entry(x)
+            if x.num.terms:
+                row[n + c] = x
+    rows, pivots = _rref(rows, n, nvars)
     rank = len(pivots)
-    for i in range(rank, matrix.rows):
-        if not b[i][0].is_zero():
-            raise InconsistentSystemError(
-                f"row {i} reduces to 0 = {b[i][0]}; system has no solution"
-            )
-    particular = [RatFun.zero(nvars) for _ in range(matrix.cols)]
-    for r, c in pivots:
-        particular[c] = b[r][0]
-    kernel = _kernel_from_rref(rows, pivots, matrix.cols, nvars)
-    return LinearSolution(tuple(particular), tuple(kernel))
+    zero = RatFun.zero(nvars)
+    particulars = []
+    for c in range(n, n + len(rhs)):
+        for i in range(rank, matrix.rows):
+            if c in rows[i]:
+                raise InconsistentSystemError(
+                    f"row {i} reduces to 0 = {rows[i][c]}; system has no solution",
+                    column=c - n,
+                    nullity=n - rank,
+                )
+        particular = [zero] * n
+        for r, p in pivots:
+            particular[p] = rows[r].get(c, zero)
+        particulars.append(tuple(particular))
+    kernel = _kernel_from_rref(rows, pivots, n, nvars)
+    return LinearSolution(tuple(particulars), tuple(kernel))
 
 
 def clear_denominators(vector: Sequence[RatFun]) -> list[Poly]:
@@ -1249,7 +1295,6 @@ def kernel_basis(matrix: RfMatrix) -> list[list[Poly]]:
             v[j] = Poly.const(nvars, 1)
             basis.append(v)
         return basis
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    rows, _, pivots = _rref(rows, None, nvars)
+    rows, pivots = _rref(_sparse_rows(matrix), matrix.cols, nvars)
     kernel = _kernel_from_rref(rows, pivots, matrix.cols, nvars)
     return [clear_denominators(v) for v in kernel]

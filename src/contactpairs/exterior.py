@@ -6,7 +6,9 @@ the frame e_a = ∂_a, whose structure constants vanish; a Lie frame is a
 left-invariant frame, whose scalars are constants.  Forms, vector fields,
 endomorphism fields and metrics all carry
 :class:`~contactpairs.algebra.RatFun` coefficients; on Lie-frame spaces the
-coefficients must be constants and mixing is a constructor error.
+coefficients must be constants and mixing is a constructor error.  The
+package's own Reeb fields and frame vectors skip that check through the
+trusted ``VectorField._of``: solved from constant entries, they are constant.
 
 Every differential operation is one frame formula for both kinds of space,
 
@@ -447,6 +449,16 @@ class VectorField:
         if space.is_lie and any(not c.is_constant() for c in comps):
             raise ValueError("Lie-frame vector fields must have constant components")
         self.components = comps
+
+    @classmethod
+    def _of(cls, space: Space, components: tuple[RatFun, ...]) -> "VectorField":
+        """A field over ``components`` as given, unchecked: ``space.dim``
+        canonical ``RatFun``s over ``space.dim`` variables, constant on a Lie
+        frame."""
+        out = object.__new__(cls)
+        out.space = space
+        out.components = components
+        return out
 
     @classmethod
     def basis(cls, space: Space, index: int) -> "VectorField":

@@ -87,7 +87,8 @@ def one_form_row(form: Form) -> tuple[RatFun, ...]:
 
 
 def two_form_matrix(form: Form) -> RfMatrix:
-    """Antisymmetric value table M[a][b] = omega(e_a, e_b)."""
+    """Antisymmetric value table M[a][b] = omega(e_a, e_b), built unchecked
+    from the form's canonical coefficients and their negations."""
     space = form.space
     n = space.dim
     zero = space.zero()
@@ -95,12 +96,17 @@ def two_form_matrix(form: Form) -> RfMatrix:
     for (a, b), c in form.coeffs.items():
         mat[a][b] = c
         mat[b][a] = -c
-    return RfMatrix(n, mat)
+    return RfMatrix._of(n, tuple(map(tuple, mat)), n)
 
 
 def column_matrix(space: Space, vectors: Sequence[VectorField]) -> RfMatrix:
-    """The dim x len(vectors) matrix whose columns are the given fields."""
-    return RfMatrix(space.dim, [[v.components[a] for v in vectors] for a in range(space.dim)])
+    """The dim x len(vectors) matrix whose columns are the given fields,
+    built unchecked from their canonical components."""
+    return RfMatrix._of(
+        space.dim,
+        tuple(tuple(v.components[a] for v in vectors) for a in range(space.dim)),
+        len(vectors),
+    )
 
 
 @dataclass(frozen=True)
@@ -270,10 +276,13 @@ def verify_contact_pair(pair: ContactPair) -> AxiomVerdicts:
 
 
 def _reeb_system(pair: ContactPair) -> RfMatrix:
+    """The rows alpha1, alpha2 and the contraction rows of d alpha1 and
+    d alpha2, read from the pair's canonical coefficients as they are (on a
+    Lie frame every entry is constant)."""
     rows = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     for i in (1, 2):
         rows.extend(pair.contraction_rows(i))
-    return RfMatrix(pair.dim, rows)
+    return RfMatrix._of(pair.dim, tuple(rows), pair.dim)
 
 
 def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
@@ -284,25 +293,31 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
     nonzero (which signals the pair conditions fail away from the sample
     set).  The normalization alpha_i(Z_j) = delta_ij and the contractions
     i_{Z_j} d alpha_i = 0 are the rows of the system, so the unique exact
-    solution satisfies them identically.
+    solution satisfies them identically.  Z1 and Z2 are the two right-hand
+    sides of one elimination; the errors come in the order of solving for
+    Z1 and then Z2 (Z1 inconsistent, then the kernel, then Z2 inconsistent).
+    The fields are built unchecked: the solution of a system over the
+    canonical entries of a Lie frame is constant, since the field
+    operations keep constants constant.
     """
     system = _reeb_system(pair)
-    n = pair.dim
-    fields = []
-    for j in (1, 2):
-        rhs = [0] * (2 * n + 2)
-        rhs[j - 1] = 1
-        try:
-            sol = solve_linear_exact(system, rhs)
-        except InconsistentSystemError as exc:
-            raise ReebSolveError(f"Reeb system for Z{j} is inconsistent: {exc}") from exc
-        if sol.kernel:
+    rhs = [[0] * (2 * pair.dim + 2) for _ in (1, 2)]
+    rhs[0][0] = rhs[1][1] = 1
+    try:
+        sol = solve_linear_exact(system, *rhs)
+        nullity = len(sol.kernel)
+    except InconsistentSystemError as exc:
+        if not exc.column or not exc.nullity:
             raise ReebSolveError(
-                f"Reeb system for Z{j} has a {len(sol.kernel)}-dimensional kernel; "
-                "the Reeb field is not unique"
-            )
-        fields.append(VectorField(pair.space, sol.particular))
-    z1, z2 = fields
+                f"Reeb system for Z{exc.column + 1} is inconsistent: {exc}"
+            ) from exc
+        nullity = exc.nullity  # Z1 solves but is not unique, which comes first
+    if nullity:
+        raise ReebSolveError(
+            f"Reeb system for Z1 has a {nullity}-dimensional kernel; "
+            "the Reeb field is not unique"
+        )
+    z1, z2 = (VectorField._of(pair.space, x) for x in sol.particulars)
     commutator = bracket(z1, z2)
     if not commutator.is_zero():
         raise ReebSolveError(f"[Z1, Z2] = {commutator} is nonzero")
@@ -337,10 +352,13 @@ class DistributionFrame:
 
 
 def _kernel_frame_from_rows(
-    space: Space, rows: list[Sequence[RatFun]], label: str
+    space: Space, rows: list[tuple[RatFun, ...]], label: str
 ) -> DistributionFrame:
-    basis = kernel_basis(RfMatrix(space.dim, rows))
-    vectors = tuple(VectorField(space, [RatFun(p) for p in vec]) for vec in basis)
+    """The kernel basis of ``rows`` (canonical entries of length dim) as a
+    frame, built unchecked: on a Lie frame the rows are constant, and so is
+    every vector of their kernel basis."""
+    basis = kernel_basis(RfMatrix._of(space.dim, tuple(rows), space.dim))
+    vectors = tuple(VectorField._of(space, tuple(map(RatFun, vec))) for vec in basis)
     return DistributionFrame(space, vectors, label)
 
 
@@ -432,7 +450,9 @@ class VerifiedPair:
     @cached_property
     def _alpha_matrix(self) -> RfMatrix:
         """The 2 x n matrix A with rows alpha1, alpha2."""
-        return RfMatrix(self.dim, [one_form_row(self.pair.alpha1), one_form_row(self.pair.alpha2)])
+        return RfMatrix._of(
+            self.dim, (one_form_row(self.pair.alpha1), one_form_row(self.pair.alpha2)), self.dim
+        )
 
     @cached_property
     def _alpha_gram(self) -> RfMatrix:

@@ -1,6 +1,7 @@
 """Shared builders: the three reference geometries, random-input helpers,
-the textbook forms of the Levi-Civita connection, and the residual checks
-of the identities the package proves instead of computing."""
+the textbook forms of the Levi-Civita connection, the residual checks of
+the identities the package proves instead of computing, and the dense
+elimination the sparse one replaced."""
 
 import importlib.util
 import random
@@ -285,6 +286,64 @@ def leaf_mcp(mcp, i):
     return combine_verdicts(
         verdicts, detail=f"metric contact pair of type {degrees} induced on {label}"
     )
+
+
+# --- the retired dense elimination ----------------------------------------------
+# algebra._rref works on sparse rows; this is the dense elimination it
+# replaced, kept as it was, which the tests compare it with.
+
+
+def dense_rref(
+    rows: list[list[RatFun]], rhs: list[list[RatFun]] | None, nvars: int
+) -> tuple[list[list[RatFun]], list[list[RatFun]] | None, list[tuple[int, int]]]:
+    """Reduced row echelon form of ``[rows | rhs]`` over the function field,
+    with pivots in the columns of ``rows`` only; ``rhs`` holds one row of
+    right-hand sides per row, or is None.  Pivots are chosen by lowest
+    combined num/den degree, ties broken by column then row index.  Exact-zero
+    entries of the pivot row are skipped in the row operations, and each
+    updated entry ``row[j] - factor·b`` is one ``_dot``, one canonicalisation."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if rhs is not None:
+        rows = [row + extra for row, extra in zip(rows, rhs)]
+    pivots: list[tuple[int, int]] = []
+    used_cols: set[int] = set()
+    one = RatFun.one(nvars)
+    r = 0
+    while r < m:
+        best = None
+        for j in range(n):
+            if j in used_cols:
+                continue
+            for i in range(r, m):
+                e = rows[i][j]
+                if not e.is_zero():
+                    key = (e.degree_size(), j, i)
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        rows[pi], rows[r] = rows[r], rows[pi]
+        inv = rows[r][pj].inverse()
+        pivot_row = rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
+        nonzero = [(j, b) for j, b in enumerate(pivot_row) if not b.is_zero()]
+        for i in range(m):
+            if i == r:
+                continue
+            factor = rows[i][pj]
+            if factor.is_zero():
+                continue
+            minus = -factor
+            row = rows[i]
+            for j, b in nonzero:
+                row[j] = _dot(nvars, ((row[j], one), (minus, b)))
+        pivots.append((r, pj))
+        used_cols.add(pj)
+        r += 1
+    if rhs is None:
+        return rows, None, pivots
+    return [row[:n] for row in rows], [row[n:] for row in rows], pivots
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

@@ -30,6 +30,8 @@ from contactpairs.algebra import (
 )
 from contactpairs.exterior import EndoField, Space
 
+from conftest import dense_rref
+
 
 def P(nvars, terms):
     return Poly(nvars, {tuple(e): Fraction(c) for e, c in terms.items()})
@@ -486,6 +488,75 @@ def test_rank_plus_nullity(rows, seed):
     mat[i][j] = mat[i][j] + Poly.variable(nvars, rng.randrange(nvars))
     a = RfMatrix(nvars, mat)
     assert generic_rank(a) + len(kernel_basis(a)) == a.cols
+
+
+# Entries over Q(x, y): zero half the time, otherwise constants (which tie
+# on pivot weight 0), polynomials and rational functions.
+_RREF_POOL = [
+    RatFun.one(2), RatFun.const(2, -1), RatFun.const(2, 2), RatFun.const(2, Fraction(1, 2)),
+    RatFun(X), RatFun(Y), RatFun(X + 1), RatFun(X * Y - 1), RatFun(Y * Y),
+    RatFun(Poly.const(2, 1), X), RatFun(X + 1, Y), RatFun(Y, X - 1), RatFun(X, X + Y),
+]
+rref_entries = st.one_of(st.just(RatFun.zero(2)), st.sampled_from(_RREF_POOL))
+
+
+@st.composite
+def rref_systems(draw):
+    """Rows of [A | B] with A m×n and 0–2 right-hand-side columns B, with
+    optionally a zero row, a zero column of A, and a last row that is a
+    combination of the first two (rank deficiency)."""
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    rows = [[draw(rref_entries) for _ in range(n + k)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        c = draw(st.sampled_from(_RREF_POOL))
+        rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [RatFun.zero(2)] * (n + k)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = RatFun.zero(2)
+    return rows, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(rref_systems())
+def test_sparse_rref_matches_the_dense_reference(system):
+    """The sparse elimination takes the pivots of the dense one it replaced
+    (kept in conftest) and reduces every entry to the same value, with its
+    terms in the same order, and stores no zero."""
+    rows, n = system
+    width = len(rows[0])
+    rhs = [row[n:] for row in rows] if width > n else None
+    want_rows, want_rhs, want_pivots = dense_rref([row[:n] for row in rows], rhs, 2)
+    sparse = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in rows]
+    reduced, pivots = algebra._rref(sparse, n, 2)
+    assert pivots == want_pivots
+    assert all(not e.is_zero() for row in reduced for e in row.values())
+    dense = [[row.get(j, RatFun.zero(2)) for j in range(width)] for row in reduced]
+    assert [list(map(repr, row[:n])) for row in dense] == [list(map(repr, r)) for r in want_rows]
+    if rhs is not None:
+        assert [list(map(repr, row[n:])) for row in dense] == [
+            list(map(repr, r)) for r in want_rhs
+        ]
+
+
+def test_solve_several_right_hand_sides_in_one_elimination():
+    """Each right-hand side gets the particular solution of its own solve,
+    and the first inconsistent one is named by its index."""
+    x = RatFun.variable(2, 0)
+    a = RfMatrix(2, [[1, x, 0], [0, x, 1], [1, 0, -1]])
+    first, second = [x, 1, x - 1], [0, 1, -1]
+    sol = solve_linear_exact(a, first, second)
+    assert sol.particulars == (
+        solve_linear_exact(a, first).particular, solve_linear_exact(a, second).particular
+    )
+    assert sol.particular == sol.particulars[0]
+    assert sol.kernel == solve_linear_exact(a, first).kernel
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_linear_exact(a, first, [0, 0, 1])
+    assert info.value.column == 1 and info.value.nullity == 1
+    assert str(info.value) == "row 2 reduces to 0 = 1; system has no solution"
 
 
 def test_solution_substitutes_back():

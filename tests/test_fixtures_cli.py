@@ -639,7 +639,11 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
     two.  Their constructions prove compatibility, associatedness, and the
     per-block polarization's decomposability and orthogonality, so the only
     such checks left are the fixture phi's decomposability and the joint
-    polarization's two."""
+    polarization's two.
+
+    Eliminations (``_rref``): the Reeb system once, for both fields, the
+    frames TF1, TF2, TG1 and TG2 once each, and rank(phi); nilpotent_g6
+    also eliminates ker d alpha_i for each leaf index."""
     from contactpairs import algebra, metric, pair, structure
 
     chart = tmp_path / "chart_2_2.json"
@@ -653,6 +657,7 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
         "is_decomposable": structure,
         "generic_rank": algebra,
         "pfaffian_minor": algebra,
+        "_rref": algebra,
     }
     calls = {}
     for fn, home in homes.items():
@@ -665,8 +670,9 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted)
     checked = {
-        bundled_fixture_path("nilpotent_g6"): {"pfaffian_minor": 5},
+        bundled_fixture_path("nilpotent_g6"): {"pfaffian_minor": 5, "_rref": 8},
         chart: {
+            "_rref": 6,
             "is_associated": 0,
             "is_compatible": 0,
             "are_foliations_orthogonal": 1,

@@ -210,8 +210,31 @@ def test_reeb_inconsistent_system():
     s = build_flat2_space()
     dx = Form(s, 1, {(0,): 1})
     pair = ContactPair(s, dx, dx, 0, 0, tuple(FLAT2_SAMPLES))
-    with pytest.raises(ReebSolveError, match="inconsistent"):
+    with pytest.raises(ReebSolveError) as info:
         reeb_fields(pair)
+    assert str(info.value) == (
+        "Reeb system for Z1 is inconsistent: row 1 reduces to 0 = -1; system has no solution"
+    )
+
+
+def test_reeb_inconsistent_for_z2_only():
+    """alpha1 = da + c dd, alpha2 = db + b dc on R^4: i_Z d alpha2 = 0 forces
+    Z^b = Z^c = 0 and i_Z d alpha1 = 0 forces Z^d = 0, so Z1 = ∂a is the
+    unique solution of its system and alpha2(Z) = 1 has none."""
+    from fractions import Fraction as F
+
+    from contactpairs.exterior import Space
+
+    space = Space.chart(["a", "b", "c", "d"])
+    b, c = space.coordinate(1), space.coordinate(2)
+    alpha1 = Form(space, 1, {(0,): 1, (3,): c})
+    alpha2 = Form(space, 1, {(1,): 1, (2,): b})
+    pair = ContactPair(space, alpha1, alpha2, 0, 1, ((F(0),) * 4,))
+    with pytest.raises(ReebSolveError) as info:
+        reeb_fields(pair)
+    assert str(info.value) == (
+        "Reeb system for Z2 is inconsistent: row 8 reduces to 0 = -1; system has no solution"
+    )
 
 
 def test_reeb_non_unique_solution():
@@ -225,8 +248,28 @@ def test_reeb_non_unique_solution():
     alpha1 = Form(space, 1, {(0,): 1})
     alpha2 = Form(space, 1, {(1,): 1})
     pair = ContactPair(space, alpha1, alpha2, 0, 1, ((F(0),) * 4,))
-    with pytest.raises(ReebSolveError, match="kernel"):
+    with pytest.raises(ReebSolveError) as info:
         reeb_fields(pair)
+    assert str(info.value) == (
+        "Reeb system for Z1 has a 2-dimensional kernel; the Reeb field is not unique"
+    )
+
+
+def test_reeb_kernel_is_reported_before_an_inconsistent_z2():
+    """alpha1 = da, alpha2 = 0 on R^4: Z1's system is solvable with a
+    3-dimensional kernel and Z2's has no solution.  Z1 is solved first, so
+    its kernel is what the error names."""
+    from fractions import Fraction as F
+
+    from contactpairs.exterior import Space
+
+    space = Space.chart(["a", "b", "c", "d"])
+    pair = ContactPair(space, Form(space, 1, {(0,): 1}), Form(space, 1, {}), 0, 1, ((F(0),) * 4,))
+    with pytest.raises(ReebSolveError) as info:
+        reeb_fields(pair)
+    assert str(info.value) == (
+        "Reeb system for Z1 has a 3-dimensional kernel; the Reeb field is not unique"
+    )
 
 
 def test_frame_rank_mismatch_detected():

@@ -114,6 +114,21 @@ def test_matrix_kernels_match_the_dense_reference():
     assert cancelled  # some products summed to zero over a nonempty support
 
 
+def test_difference_keeps_the_shared_zero():
+    """a - b is the entrywise difference, and an entry that is zero in both
+    operands is the shared zero, not a fresh negation of it."""
+    rng = random.Random(29)
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _sparse_matrix(rng, n, m), _sparse_matrix(rng, n, m)
+        diff = a - b
+        assert diff.entries == _dense_elementwise(a, b, lambda x, y: x - y)
+        for i in range(n):
+            for j in range(m):
+                if a.at(i, j).is_zero() and b.at(i, j).is_zero():
+                    assert diff.at(i, j) is RatFun.zero(2)
+
+
 def test_matrix_kernels_on_empty_shapes():
     a = RfMatrix(2, [[], []])
     b = RfMatrix(2, [])
