@@ -1,5 +1,6 @@
 """The tooling around the package still fits it."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -14,6 +15,8 @@ import sys
 import traceback
 import types
 from pathlib import Path
+
+import pytest
 
 import contactpairs
 from contactpairs import algebra, cli, connection
@@ -34,24 +37,76 @@ def test_trace_boundaries_resolve():
     layertrace.check_boundaries()
 
 
-def test_bench_jobs_measure_their_smallest_case(tmp_path, monkeypatch):
-    """Each job of ``scripts/bench.py`` builds its cases and measures the
-    smallest one in-process on this tree, so a renamed function or a broken
-    import fails here rather than in a benchmark run."""
+def _bench(monkeypatch):
+    """``scripts/bench.py`` as a module; the ``sys.path`` entries it prepends
+    are dropped after the test."""
     spec = importlib.util.spec_from_file_location("bench_under_test", BENCH)
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)
-    monkeypatch.setattr(sys, "path", [*sys.path])  # the jobs prepend src/ and perfbench/
+    monkeypatch.setattr(sys, "path", [*sys.path])
     spec.loader.exec_module(bench)
-    for name, job in bench.JOBS.items():
-        workdir = tmp_path / name
-        workdir.mkdir()
-        case = {**min(job.cases(workdir), key=lambda c: c["dim"]), "calls": 1}
-        rows = job.measure(ROOT, case)
-        assert rows, name
-        for row in rows:
-            assert isinstance(row["seconds"], float) and row["seconds"] > 0, (name, row)
-            assert "result" in row, (name, row)
+    return bench
+
+
+@contextlib.contextmanager
+def _fresh_package():
+    """Inside the block ``contactpairs`` and the tracer import afresh, so the
+    tracer a measurement installs wraps a copy of the package that the block
+    drops; this test module's copy is back afterwards."""
+
+    def ours(name):
+        return name.split(".")[0] in ("contactpairs", "layertrace")
+
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
+    """``scripts/bench.py`` measures the smallest case of each family twice,
+    in-process on this tree.  The traced call's split has every layer of
+    perfbench's tracer, with the exact solve (and on the dense case the gcd)
+    among them; its counts repeat between the measurements, and tracing
+    leaves the report's digest as it was."""
+    bench = _bench(monkeypatch)
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    layers = {f"{layer}_{what}" for layer in layertrace.SPANS for what in ("s", "calls")}
+    cases = bench.build_cases(tmp_path)
+    for family in bench.FAMILIES:
+        smallest = min((c for c in cases if c["family"] == family), key=lambda c: c["dim"])
+        runs = []
+        for _ in range(2):
+            with _fresh_package():
+                runs.append(bench.measure(ROOT, {**smallest, "calls": 1}))
+        first, again = runs
+        assert isinstance(first["seconds"], float) and first["seconds"] > 0, family
+        assert layers <= first["layers"].keys(), family
+        assert first["layers"]["algebra.solve_calls"] > 0, family
+        if family == "dense":
+            assert first["layers"]["algebra.gcd_calls"] > 0
+        assert bench._counts(first) == bench._counts(again), family
+        assert {"algebra.ratfun_new", "cli.verdicts_reported"} <= bench._counts(first).keys()
+        assert first["traced_result"] == first["result"] == again["result"], family
+
+
+def test_bench_names_a_failed_child(tmp_path, monkeypatch):
+    """A child that fails stops ``scripts/bench.py`` with the case, the tree
+    and the end of the child's stderr, here the loader's error."""
+    bench = _bench(monkeypatch)
+    case = {**bench.build_cases(tmp_path)[0], "path": str(tmp_path / "missing.json")}
+    with pytest.raises(SystemExit) as stopped:
+        bench._measure_in_child("change", ROOT, case)
+    message = str(stopped.value)
+    assert f"{case['id']} (change)" in message
+    assert "FixtureError" in message
 
 
 def test_geodesy_inverts_no_metric(tmp_path, monkeypatch):
