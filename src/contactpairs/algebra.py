@@ -1285,16 +1285,6 @@ def clear_denominators(vector: Sequence[RatFun]) -> list[Poly]:
 
 def kernel_basis(matrix: RfMatrix) -> list[list[Poly]]:
     """Null-space basis with denominators cleared to primitive polynomial vectors."""
-    if matrix.cols == 0:
-        return []
-    nvars = matrix.nvars
-    if matrix.rows == 0:
-        basis = []
-        for j in range(matrix.cols):
-            v = [Poly.zero(nvars) for _ in range(matrix.cols)]
-            v[j] = Poly.const(nvars, 1)
-            basis.append(v)
-        return basis
-    rows, pivots = _rref(_sparse_rows(matrix), matrix.cols, nvars)
-    kernel = _kernel_from_rref(rows, pivots, matrix.cols, nvars)
+    rows, pivots = _rref(_sparse_rows(matrix), matrix.cols, matrix.nvars)
+    kernel = _kernel_from_rref(rows, pivots, matrix.cols, matrix.nvars)
     return [clear_denominators(v) for v in kernel]

@@ -403,8 +403,8 @@ def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str
     Nothing else about the two frames needs checking.  The Reeb equations
     alpha_j(Z_i) = 0 and i_{Z_l} d alpha_i = 0 put Z_i in TF_j and Z1, Z2 in
     ker d alpha_i = TF_i ⊕ R·Z_i; decomposable phi maps each TF_l into itself
-    and phi Z_i = 0, so phi maps both frames into their spans; and
-    :func:`kernel_frame` has the rank 2h' + 2k' + 2 of the induced type.
+    and phi Z_i = 0, so phi maps both frames into their spans; and the nest
+    checks :func:`kernel_frame`'s rank, 2h' + 2k' + 2 for the induced type.
 
     Only the restricted volume coefficient is computed, from alpha_l(F) and
     the tables F^T W_l F, with F the frame's column matrix and W_l the table

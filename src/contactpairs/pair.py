@@ -22,10 +22,11 @@ already quadratic and its minors grow with their order.  The leaf checks
 take the volume coefficient of the pair induced on the leaves of a frame
 from the restricted tables; its power conditions follow from the pair's own.
 
-A frame is its vectors.  The splittings TM = TF1 ⊕ TF2 and
-TF_i = TG_i ⊕ R·Z_j hold by construction once :func:`verified_pair` returns
-(:func:`verify_splittings` gives the proof), so no frame tests membership
-and no splitting takes a rank.
+A frame is its vectors; ker d alpha_i ⊃ TF_i ⊃ TG_i are one nest, built once
+by one elimination and two one-row kernels.  The splittings TM = TF1 ⊕ TF2
+and TF_i = TG_i ⊕ R·Z_j hold by construction once :func:`verified_pair`
+returns (:func:`verify_splittings` gives the proof), so no frame tests
+membership and no splitting takes a rank.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .algebra import (
     InconsistentSystemError,
     RatFun,
     RfMatrix,
+    _dot,
+    clear_denominators,
     kernel_basis,
     pfaffian_minor,
     solve_linear_exact,
@@ -176,6 +179,11 @@ class ContactPair:
         """The rows of Z -> i_Z d alpha_i: (i_Z d alpha_i)(e_b) = sum_a
         W_i[a][b] Z^a, so row b is column b of :meth:`dalpha_table`."""
         return list(self.dalpha_table(i).transpose().entries)
+
+    @cached_property
+    def _frames(self) -> tuple[tuple[DistributionFrame, ...], tuple[DistributionFrame, ...]]:
+        """The frame nests of both indices (:func:`_frame_nest`), built once."""
+        return _frame_nest(self, 1), _frame_nest(self, 2)
 
 
 def volume_coefficient(
@@ -351,59 +359,71 @@ class DistributionFrame:
         return column_matrix(self.space, self.vectors)
 
 
-def _kernel_frame_from_rows(
-    space: Space, rows: list[tuple[RatFun, ...]], label: str
-) -> DistributionFrame:
-    """The kernel basis of ``rows`` (canonical entries of length dim) as a
-    frame, built unchecked: on a Lie frame the rows are constant, and so is
-    every vector of their kernel basis."""
-    basis = kernel_basis(RfMatrix._of(space.dim, tuple(rows), space.dim))
-    vectors = tuple(VectorField._of(space, tuple(map(RatFun, vec))) for vec in basis)
-    return DistributionFrame(space, vectors, label)
+def _row_kernel(
+    row: Sequence[RatFun], basis: Sequence[tuple[RatFun, ...]], nvars: int
+) -> list[tuple[RatFun, ...]]:
+    """The vectors of span(``basis``) that ``row`` annihilates.  ``basis`` is
+    a cleared RREF kernel basis: k_t is primitive, zero at the free columns
+    but its own, f_t, and has a positive leading coefficient there.  With
+    r_t = row·k_t and p the least (degree_size(r_t), t) of the nonzero r_t,
+    r_p taken positive-leading, each t != p gives k_t if r_t = 0, else the
+    cleared r_p·k_t − r_t·k_p: the same form for the free columns but f_p."""
+    values = [_dot(nvars, zip(row, k)) for k in basis]
+    nonzero = [t for t, r in enumerate(values) if r.num.terms]
+    if not nonzero:
+        return list(basis)
+    p = min(nonzero, key=lambda t: (values[t].degree_size(), t))
+    if values[p].num.leading()[1] < 0:
+        values = [-r for r in values]
+    rp, kp = values.pop(p), basis[p]
+    kernel = [k for t, k in enumerate(basis) if t != p]
+    for t, r in enumerate(values):
+        if r.num.terms:
+            minus = -r
+            v = [_dot(nvars, ((rp, a), (minus, b))) for a, b in zip(kernel[t], kp)]
+            kernel[t] = tuple(map(RatFun, clear_denominators(v)))
+    return kernel
+
+
+def _frame_nest(pair: ContactPair, i: int) -> tuple[DistributionFrame, ...]:
+    """ker d alpha_i ⊃ TF_i ⊃ TG_i: the kernel basis of the contraction rows of
+    d alpha_i, then the kernels of the rows alpha_i and alpha_j inside it, of
+    ranks n − 2h_i, 2h_j + 1 and 2h_j (h_1 = h, h_2 = k) unless the input is
+    degenerate.  Built unchecked: on a Lie frame every vector is constant."""
+    n, (own, other) = pair.dim, (pair.h, pair.k) if i == 1 else (pair.k, pair.h)
+    rows = RfMatrix._of(n, tuple(pair.contraction_rows(i)), n)
+    k = [tuple(map(RatFun, v)) for v in kernel_basis(rows)]
+    tf = _row_kernel(one_form_row(pair.alpha(i)), k, n)
+    tg = _row_kernel(one_form_row(pair.alpha(3 - i)), tf, n)
+    got, want = (len(k), len(tf), len(tg)), (n - 2 * own, 2 * other + 1, 2 * other)
+    if got != want:
+        raise FrameRankError(f"ker d alpha{i}, TF{i}, TG{i} have ranks {got}, expected {want}")
+    return tuple(
+        DistributionFrame(pair.space, tuple(VectorField._of(pair.space, v) for v in vs), label)
+        for vs, label in ((k, f"KerDAlpha{i}"), (tf, f"TF{i}"), (tg, f"TG{i}"))
+    )
 
 
 def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
     """Frame of ker alpha_i ∩ ker d alpha_i (tangent to the characteristic
-    foliation of alpha_i).  Rank must be 2k+1 for which=1, 2h+1 for which=2."""
+    foliation of alpha_i), of rank 2k+1 for which=1 and 2h+1 for which=2."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    rows = [one_form_row(pair.alpha(which)), *pair.contraction_rows(which)]
-    frame = _kernel_frame_from_rows(pair.space, rows, f"TF{which}")
-    expected = 2 * pair.k + 1 if which == 1 else 2 * pair.h + 1
-    if frame.size != expected:
-        raise FrameRankError(
-            f"TF{which} has rank {frame.size}, expected {expected}; input is degenerate"
-        )
-    return frame
+    return pair._frames[which - 1][1]
 
 
 def g_frame(pair: ContactPair, i: int) -> DistributionFrame:
-    """Frame of ker d alpha_i ∩ ker alpha1 ∩ ker alpha2.  Rank 2k for i=1,
-    2h for i=2."""
+    """Frame of ker d alpha_i ∩ ker alpha1 ∩ ker alpha2 (rank 2k for i=1, 2h for i=2)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    rows = pair.contraction_rows(i) + [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
-    frame = _kernel_frame_from_rows(pair.space, rows, f"TG{i}")
-    expected = 2 * pair.k if i == 1 else 2 * pair.h
-    if frame.size != expected:
-        raise FrameRankError(
-            f"TG{i} has rank {frame.size}, expected {expected}; input is degenerate"
-        )
-    return frame
+    return pair._frames[i - 1][2]
 
 
 def kernel_frame(pair: ContactPair, i: int) -> DistributionFrame:
     """Frame of ker d alpha_i (the characteristic foliation of d alpha_i)."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    rows = pair.contraction_rows(i)
-    frame = _kernel_frame_from_rows(pair.space, rows, f"KerDAlpha{i}")
-    expected = pair.dim - (2 * pair.h if i == 1 else 2 * pair.k)
-    if frame.size != expected:
-        raise FrameRankError(
-            f"ker d alpha{i} has rank {frame.size}, expected {expected}"
-        )
-    return frame
+    return pair._frames[i - 1][0]
 
 
 @dataclass(frozen=True)
@@ -477,15 +497,8 @@ def verified_pair(pair: ContactPair) -> VerifiedPair:
         if not verdict.ok:
             raise PairValidationError(f"{name}: {verdict.witness or verdict.detail}")
     z1, z2 = reeb_fields(pair)
-    return VerifiedPair(
-        pair,
-        z1,
-        z2,
-        characteristic_frame(pair, 1),
-        characteristic_frame(pair, 2),
-        g_frame(pair, 1),
-        g_frame(pair, 2),
-    )
+    (_, tf1, tg1), (_, tf2, tg2) = pair._frames
+    return VerifiedPair(pair, z1, z2, tf1, tf2, tg1, tg2)
 
 
 def verify_splittings(vp: VerifiedPair) -> Verdict:
@@ -494,13 +507,9 @@ def verify_splittings(vp: VerifiedPair) -> Verdict:
 
     TF1 ∩ TF2 is the kernel of the Reeb system, whose rows are alpha_i and
     i_· d alpha_i for i = 1, 2, and :func:`reeb_fields` rejects a nontrivial
-    kernel; the frame ranks 2k + 1 and 2h + 1, which
-    :func:`characteristic_frame` enforces, sum to n.  The equations of TG_i
-    contain those of TF_i, so TG_i ⊂ TF_i; the Reeb equations
-    alpha_i(Z_j) = 0 and i_{Z_j} d alpha_i = 0 put Z_j in TF_i; and
-    alpha_j(Z_j) = 1 keeps Z_j out of TG_i, which lies in ker alpha_j.  So
-    TG_i ⊕ R·Z_j ⊂ TF_i, of rank size(TG_i) + 1 = size(TF_i) by
-    :func:`g_frame`."""
+    kernel; the ranks 2k + 1 and 2h + 1 the frame nest enforces sum to n.
+    TG_i is built as TF_i ∩ ker alpha_j, and the Reeb equations put Z_j in
+    TF_i with alpha_j(Z_j) = 1, so Z_j spans a complement of TG_i in TF_i."""
     return Verdict.verified(
         f"rank(TF1) + rank(TF2) = {vp.tf1.size} + {vp.tf2.size} = {vp.dim}"
     )

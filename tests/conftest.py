@@ -1,7 +1,8 @@
 """Shared builders: the three reference geometries, random-input helpers,
 the textbook forms of the Levi-Civita connection, the residual checks of
-the identities the package proves instead of computing, and the dense
-elimination the sparse one replaced."""
+the identities the package proves instead of computing, the dense
+elimination the sparse one replaced, and the direct frame eliminations the
+nested frames replaced."""
 
 import importlib.util
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from contactpairs.algebra import Poly, RatFun, RfMatrix, _dot
+from contactpairs.algebra import Poly, RatFun, RfMatrix, _dot, kernel_basis
 from contactpairs.exterior import (
     EndoField,
     Form,
@@ -25,6 +26,7 @@ from contactpairs.pair import (
     _reeb_gram,
     column_matrix,
     kernel_frame,
+    one_form_row,
     pair_axioms,
     volume_coefficient,
 )
@@ -344,6 +346,25 @@ def dense_rref(
     if rhs is None:
         return rows, None, pivots
     return [row[:n] for row in rows], [row[n:] for row in rows], pivots
+
+
+# --- the direct frame eliminations ---------------------------------------------
+# The package eliminates ker d alpha_i once and takes TF_i and TG_i as one-row
+# kernels inside it; these are the eliminations of each frame's own rows it
+# replaced, which the tests compare the nest with.
+
+
+def direct_frames(pair, i):
+    """The cleared kernel bases of i_· d alpha_i, of [alpha_i; i_· d alpha_i]
+    and of [i_· d alpha_i; alpha1; alpha2]: ker d alpha_i, TF_i and TG_i,
+    each as ``RatFun`` tuples."""
+    contractions = pair.contraction_rows(i)
+    alphas = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
+    systems = (contractions, [alphas[i - 1], *contractions], [*contractions, *alphas])
+    return tuple(
+        [tuple(map(RatFun, v)) for v in kernel_basis(RfMatrix(pair.dim, rows))]
+        for rows in systems
+    )
 
 
 # --- product-of-two-contact-manifolds chart on R^6 ---------------------------

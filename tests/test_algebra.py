@@ -454,6 +454,11 @@ def test_kernel_basis_matches_spec_examples():
     full = RfMatrix(1, [[1, 2], [0, 1]])
     assert kernel_basis(full) == []
 
+    # no rows: every column is free; no columns: nothing to span
+    units = [[Poly.const(2, int(a == b)) for b in range(3)] for a in range(3)]
+    assert kernel_basis(RfMatrix.zeros(0, 3, 2)) == units
+    assert kernel_basis(RfMatrix.zeros(2, 0, 2)) == []
+
 
 def test_kernel_vectors_are_primitive_polynomials():
     # row [x, x^2] has kernel direction (-x, 1); cleared and reduced

@@ -38,6 +38,8 @@ from contactpairs.verdicts import nonvanishing_verdict
 from conftest import (
     chart_rung,
     dense_chart_rung,
+    direct_frames,
+    lie_rung,
     FLAT2_SAMPLES,
     LOCAL_MODEL_SAMPLES,
     NILPOTENT_SAMPLES,
@@ -563,6 +565,35 @@ def test_leaf_axioms_match_frame_form_expansion(rung):
             w1, w2 = (FrameForm.two_form(t.entries) for t in leaf_tables)
             top = b1.wedge(w1.wedge_power(degrees[0])).wedge(b2.wedge(w2.wedge_power(degrees[1])))
             assert volume_coefficient(leaf_rows, leaf_tables, degrees) == top.top_coefficient()
+
+
+@pytest.mark.parametrize(
+    "family, h, k",
+    [pytest.param("fixtures", 0, 0, id="fixtures")]
+    + [
+        pytest.param(family, h, k, id=f"{family}_{h}_{k}")
+        for family, h, k in [("chart", 1, 1), ("chart", 2, 1), ("chart", 2, 2)]
+        + [(family, h, h) for family in ("lie", "dense") for h in (1, 2, 3)]
+    ],
+)
+def test_frame_nest_equals_the_direct_eliminations(family, h, k):
+    """ker d alpha_i, TF_i and TG_i, with TF_i and TG_i taken as one-row
+    kernels inside the one elimination of ker d alpha_i, are the kernel
+    bases of their own rows (:func:`conftest.direct_frames`) vector for
+    vector, in order and sign: on every verifiable fixture and on the chart,
+    Lie and dense rungs.  Dense (2,2) TF_2 and (3,3) TG_1 need the nest's
+    sign rule."""
+    if family == "fixtures":
+        pairs = [vp.pair for _, vp in _verifiable_fixtures()]
+    else:
+        rung = {"chart": chart_rung, "lie": lie_rung, "dense": dense_chart_rung}[family]
+        pairs = [rung(h, k).pair]
+    for pair in pairs:
+        for i in (1, 2):
+            nest = (kernel_frame(pair, i), characteristic_frame(pair, i), g_frame(pair, i))
+            assert [[v.components for v in f.vectors] for f in nest] == list(
+                direct_frames(pair, i)
+            ), (pair.space.names, i)
 
 
 @pytest.mark.parametrize("h, k", [(2, 2), (3, 3)])

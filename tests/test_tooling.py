@@ -71,9 +71,9 @@ def _fresh_package():
 def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
     """``scripts/bench.py`` measures the smallest case of each family twice,
     in-process on this tree.  The traced call's split has every layer of
-    perfbench's tracer, with the exact solve (and on the dense case the gcd)
-    among them; its counts repeat between the measurements, and tracing
-    leaves the report's digest as it was."""
+    perfbench's tracer, with the exact solve among them and, on the dense
+    case, one kernel basis per d alpha_i; its counts repeat between the
+    measurements, and tracing leaves the report's digest as it was."""
     bench = _bench(monkeypatch)
     spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
@@ -91,7 +91,7 @@ def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
         assert layers <= first["layers"].keys(), family
         assert first["layers"]["algebra.solve_calls"] > 0, family
         if family == "dense":
-            assert first["layers"]["algebra.gcd_calls"] > 0
+            assert first["layers"]["algebra.kernel_basis_calls"] == 2
         assert bench._counts(first) == bench._counts(again), family
         assert {"algebra.ratfun_new", "cli.verdicts_reported"} <= bench._counts(first).keys()
         assert first["traced_result"] == first["result"] == again["result"], family
