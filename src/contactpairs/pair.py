@@ -180,11 +180,6 @@ class ContactPair:
         W_i[a][b] Z^a, so row b is column b of :meth:`dalpha_table`."""
         return list(self.dalpha_table(i).transpose().entries)
 
-    @cached_property
-    def _frames(self) -> tuple[tuple[DistributionFrame, ...], tuple[DistributionFrame, ...]]:
-        """The frame nests of both indices (:func:`_frame_nest`), built once."""
-        return _frame_nest(self, 1), _frame_nest(self, 2)
-
 
 def volume_coefficient(
     rows: tuple[Sequence[RatFun], Sequence[RatFun]],
@@ -389,41 +384,45 @@ def _frame_nest(pair: ContactPair, i: int) -> tuple[DistributionFrame, ...]:
     """ker d alpha_i ⊃ TF_i ⊃ TG_i: the kernel basis of the contraction rows of
     d alpha_i, then the kernels of the rows alpha_i and alpha_j inside it, of
     ranks n − 2h_i, 2h_j + 1 and 2h_j (h_1 = h, h_2 = k) unless the input is
-    degenerate.  Built unchecked: on a Lie frame every vector is constant."""
+    degenerate.  Each index's nest is built once, kept in the pair's
+    ``__dict__`` as a cached property would be.  Built unchecked: on a Lie
+    frame every vector is constant."""
+    if i not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {i!r}")
+    nests = pair.__dict__.setdefault("_frame_nests", {})
+    if i in nests:
+        return nests[i]
     n, (own, other) = pair.dim, (pair.h, pair.k) if i == 1 else (pair.k, pair.h)
     rows = RfMatrix._of(n, tuple(pair.contraction_rows(i)), n)
     k = [tuple(map(RatFun, v)) for v in kernel_basis(rows)]
     tf = _row_kernel(one_form_row(pair.alpha(i)), k, n)
     tg = _row_kernel(one_form_row(pair.alpha(3 - i)), tf, n)
-    got, want = (len(k), len(tf), len(tg)), (n - 2 * own, 2 * other + 1, 2 * other)
-    if got != want:
-        raise FrameRankError(f"ker d alpha{i}, TF{i}, TG{i} have ranks {got}, expected {want}")
-    return tuple(
+    wrong = [f"{name} has rank {len(vs)}, expected {rank}" for name, vs, rank in (
+        (f"ker d alpha{i}", k, n - 2 * own), (f"TF{i}", tf, 2 * other + 1),
+        (f"TG{i}", tg, 2 * other)) if len(vs) != rank]
+    if wrong:
+        raise FrameRankError("; ".join(wrong) + "; input is degenerate")
+    nests[i] = tuple(
         DistributionFrame(pair.space, tuple(VectorField._of(pair.space, v) for v in vs), label)
         for vs, label in ((k, f"KerDAlpha{i}"), (tf, f"TF{i}"), (tg, f"TG{i}"))
     )
+    return nests[i]
 
 
 def characteristic_frame(pair: ContactPair, which: int) -> DistributionFrame:
     """Frame of ker alpha_i ∩ ker d alpha_i (tangent to the characteristic
     foliation of alpha_i), of rank 2k+1 for which=1 and 2h+1 for which=2."""
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    return pair._frames[which - 1][1]
+    return _frame_nest(pair, which)[1]
 
 
 def g_frame(pair: ContactPair, i: int) -> DistributionFrame:
     """Frame of ker d alpha_i ∩ ker alpha1 ∩ ker alpha2 (rank 2k for i=1, 2h for i=2)."""
-    if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
-    return pair._frames[i - 1][2]
+    return _frame_nest(pair, i)[2]
 
 
 def kernel_frame(pair: ContactPair, i: int) -> DistributionFrame:
     """Frame of ker d alpha_i (the characteristic foliation of d alpha_i)."""
-    if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
-    return pair._frames[i - 1][0]
+    return _frame_nest(pair, i)[0]
 
 
 @dataclass(frozen=True)
@@ -497,7 +496,7 @@ def verified_pair(pair: ContactPair) -> VerifiedPair:
         if not verdict.ok:
             raise PairValidationError(f"{name}: {verdict.witness or verdict.detail}")
     z1, z2 = reeb_fields(pair)
-    (_, tf1, tg1), (_, tf2, tg2) = pair._frames
+    (_, tf1, tg1), (_, tf2, tg2) = _frame_nest(pair, 1), _frame_nest(pair, 2)
     return VerifiedPair(pair, z1, z2, tf1, tf2, tg1, tg2)
 
 

@@ -282,8 +282,29 @@ def test_frame_rank_mismatch_detected():
     s = build_twisted_space()
     a1, a2 = build_twisted_forms(s)
     mislabelled = ContactPair(s, a1, a2, 1, 0, tuple(TWISTED_SAMPLES))
-    with pytest.raises(FrameRankError, match="TF1"):
+    with pytest.raises(FrameRankError, match="TF1 has rank 3, expected 1"):
         characteristic_frame(mislabelled, 1)
+
+
+def test_frame_rank_is_checked_per_index():
+    """On x, y, z, w with type (1, 0), alpha1 = dz + x dy has the frames of
+    its index, but d alpha2 = dz ∧ dx for alpha2 = dw + z dx has rank 2, not
+    2k = 0.  Index 1's frames are returned; index 2's error names each
+    frame whose rank is wrong."""
+    s = build_twisted_space()
+    x, z = s.coordinate(0), s.coordinate(2)
+    pair = ContactPair(
+        s, Form(s, 1, {(2,): 1, (1,): x}), Form(s, 1, {(3,): 1, (0,): z}), 1, 0,
+        tuple(TWISTED_SAMPLES),
+    )
+    assert (kernel_frame(pair, 1).size, characteristic_frame(pair, 1).size) == (2, 1)
+    assert g_frame(pair, 1).size == 0
+    with pytest.raises(FrameRankError) as info:
+        g_frame(pair, 2)
+    assert str(info.value) == (
+        "ker d alpha2 has rank 2, expected 4; TF2 has rank 1, expected 3; "
+        "TG2 has rank 0, expected 2; input is degenerate"
+    )
 
 
 # --- frames -----------------------------------------------------------------------

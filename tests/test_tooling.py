@@ -73,7 +73,9 @@ def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
     in-process on this tree.  The traced call's split has every layer of
     perfbench's tracer, with the exact solve among them and, on the dense
     case, one kernel basis per d alpha_i; its counts repeat between the
-    measurements, and tracing leaves the report's digest as it was."""
+    measurements, and tracing leaves the report's digest as it was.  No
+    family's case reduces a fraction, so ``reeb`` on ``twisted``, whose Reeb
+    field Z1 has the entry −y/x, shows that the gcd is traced."""
     bench = _bench(monkeypatch)
     spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
@@ -95,6 +97,9 @@ def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
         assert bench._counts(first) == bench._counts(again), family
         assert {"algebra.ratfun_new", "cli.verdicts_reported"} <= bench._counts(first).keys()
         assert first["traced_result"] == first["result"] == again["result"], family
+    twisted = {"verb": "reeb", "path": str(ROOT / "tests" / "fixtures" / "twisted.json")}
+    with _fresh_package():
+        assert bench.measure(ROOT, {**twisted, "calls": 1})["layers"]["algebra.gcd_calls"] > 0
 
 
 def test_bench_names_a_failed_child(tmp_path, monkeypatch):
