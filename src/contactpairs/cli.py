@@ -8,7 +8,7 @@ prerequisites only, and the report keeps what the named checks wrote plus
 every failed prerequisite.  ``theorems`` runs every check that applies;
 ``report`` does the same and emits the JSON document to stdout.  Exit codes:
 0 all Verified, 2 at least one SampleVerified and none Failed, 1 any Failed,
-3 fixture and usage errors.
+3 fixture, ``--out`` and usage errors.
 
 Every identity of the fixture data is checked exactly; only the RK4
 cross-check of the geodesy is numeric.  What ``build_compatible`` and
@@ -54,7 +54,6 @@ from .metric import (
     is_compatible,
     killing_agreement,
     killing_check,
-    polarization_precondition_violation,
     verify_restricted_contact_metric,
 )
 from .pair import (
@@ -96,10 +95,6 @@ _ORTHOGONAL = Verdict.verified(ORTHOGONAL_DETAIL)
 
 class VerbUsageError(ValueError):
     """The fixture lacks a field the requested verb needs."""
-
-
-class _NotApplicable(Exception):
-    """Raised by a check that does not apply to the fixture; the message says why."""
 
 
 class _Context:
@@ -294,9 +289,6 @@ def _built(ctx: _Context) -> None:
 
 def _polarized(ctx: _Context) -> None:
     vp, report = ctx.vp, ctx.report
-    violation = polarization_precondition_violation(vp)
-    if violation:
-        raise _NotApplicable(violation)
     for flag, prefix in ((False, "polarized"), (True, "polarized_decomposable")):
         try:
             phi, g = build_associated_by_polarization(vp, decomposable=flag)
@@ -347,8 +339,8 @@ class Check:
     A check that cannot run is skipped.  Behind a ``gate`` that did not pass
     it leaves no record, since the gate's verdicts or skip say why.  Otherwise
     it records "fixture has no <field>" for a missing field it ``needs``, else
-    its ``reason`` ("{}" is filled with the cause), else the reason its first
-    failed prerequisite gave; a prerequisite that was itself skipped gives none.
+    its ``reason``, else the reason its first failed prerequisite gave; a
+    prerequisite that was itself skipped gives none.
     """
 
     keys: tuple[str, ...]  # the report names it writes, each a name or a prefix
@@ -400,14 +392,7 @@ CHECKS: dict[str, Check] = {
         instead_of="metric",
         refusal="build-compatible needs a valid phi",
     ),
-    "polarized": Check(
-        ("polarized",),
-        _polarized,
-        ("reeb",),
-        reason="polarization not applicable: {}",
-        instead_of="metric",
-        refusal="polarize is not applicable: {}",
-    ),
+    "polarized": Check(("polarized",), _polarized, ("reeb",), instead_of="metric"),
 }
 
 # verb -> the checks it reports; None: every check that applies.
@@ -467,25 +452,18 @@ def _evaluate(ctx: _Context, verb: str) -> None:
         blocker = next((p for p in prereqs if p not in passed), None)
         if blocker is None:
             started = time.perf_counter()
-            try:
-                why = check.run(ctx)
-            except _NotApplicable as exc:
-                cause = str(exc)
+            why = check.run(ctx)
+            ctx.report.timings[f"check.{name}_s"] = time.perf_counter() - started
+            if why is None:
+                passed.add(name)
             else:
-                if why is None:
-                    passed.add(name)
-                else:
-                    failed[name] = why
-                continue
-            finally:
-                ctx.report.timings[f"check.{name}_s"] = time.perf_counter() - started
-        else:
-            cause = failed.get(blocker)
-        record = check.reason.format(cause) if check.reason else cause
+                failed[name] = why
+            continue
+        record = check.reason or failed.get(blocker)
         if record is None:
             continue  # the prerequisite's own skip record says why
         if targets is not None and name in targets and check.refusal:
-            raise VerbUsageError(check.refusal.format(cause))
+            raise VerbUsageError(check.refusal)
         ctx.report.skipped[name] = record
 
 
@@ -560,7 +538,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.samples < 0:
+        parser.error(f"argument --samples: {args.samples} is negative")
     try:
         report = run(args.verb, args.fixture, samples=args.samples, seed=args.seed)
     except (FixtureError, VerbUsageError) as exc:
@@ -568,7 +549,11 @@ def main(argv=None) -> int:
         return 3
     text = render_report(report)
     if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        try:
+            args.out.write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 3
     if args.verb == "report":
         print(text)
     else:

@@ -350,7 +350,7 @@ def load_fixture(path) -> FixtureDoc:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(f"cannot read {path}: {exc}")
     try:
         data = json.loads(text)

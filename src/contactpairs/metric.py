@@ -19,21 +19,25 @@ g(Z_i, Z_j) = delta_ij (proved in :func:`is_compatible`) and, on the leaves,
 every identity but the restricted volume (proved in
 :func:`verify_restricted_contact_metric`).
 
-The polarization construction is exact over the function field.  A
-symplectic (Darboux) basis B of d alpha1 + d alpha2 on TG1 ⊕ TG2, found by
-symplectic Gram–Schmidt in the frame coordinates of [TG1 | TG2], with the
-Reeb fields gives the frame (B, Z1, Z2) in which g is the identity and phi
-maps e_p to −f_p and f_p to e_p (McDuff–Salamon, *Introduction to
-Symplectic Topology*, linear symplectic bases; Blair, *Riemannian Geometry
-of Contact and Symplectic Manifolds*, associated metrics).  The inverse of
-that frame is read off its Darboux relations, so no matrix is inverted.
+The polarization construction and its proof hold over the function field,
+so they apply to every contact pair, whether or not d alpha_i has constant
+coefficients.  A symplectic (Darboux) basis B of d alpha1 + d alpha2 on
+TG1 ⊕ TG2, found by symplectic Gram–Schmidt in the frame coordinates of
+[TG1 | TG2], with the Reeb fields gives the frame (B, Z1, Z2) in which g is
+the identity and phi maps e_p to −f_p and f_p to e_p (McDuff–Salamon,
+*Introduction to Symplectic Topology*, linear symplectic bases; Blair,
+*Riemannian Geometry of Contact and Symplectic Manifolds*, associated
+metrics).  The inverse of that frame is read off its Darboux relations, so
+no matrix is inverted.
 Note that d alpha_i vanishes identically on TG_i, so the 2-form is
 block-diagonal on [TG1 | TG2]: a basis taken in frame order is per-block
 (decomposable phi), and one started from TG1[0] + TG2[0] mixes the blocks.
 The constructions prove their metrics compatible, resp. associated and, per
 block, phi decomposable and the foliations orthogonal.  Those verdicts, like
 the corollaries and the leaf identities, are reported from the proofs with
-the detail texts below, not recomputed.
+the detail texts below, not recomputed.  Only definiteness is evaluated at
+the sample points, and where g has a pole at one (a pole of B that does not
+cancel), its ``*_spd`` verdict is Failed.
 """
 
 from __future__ import annotations
@@ -229,16 +233,6 @@ def build_compatible(cps: ContactPairStructure, h_aux: MetricField) -> MetricFie
 # --- polarization ---------------------------------------------------------------
 
 
-def polarization_precondition_violation(vp: VerifiedPair) -> str | None:
-    """Polarization is restricted to constant-coefficient 2-forms: both
-    d alpha_i must have constant coefficients (always true on Lie frames;
-    true on Darboux-type charts)."""
-    for i in (1, 2):
-        if any(not c.is_constant() for c in vp.pair.dalpha(i).coeffs.values()):
-            return f"d alpha{i} has non-constant coefficients"
-    return None
-
-
 def _darboux_frame(s: RfMatrix) -> RfMatrix:
     """The columns e_1, f_1, e_2, f_2, … of a symplectic basis of the
     nondegenerate skew form ω(u, v) = uᵀ S v, so that DᵀSD = Ω with
@@ -291,9 +285,11 @@ def build_associated_by_polarization(
     otherwise, when both blocks are nonempty, the frame starts from
     e = TG1[0] + TG2[0], which mixes them.
 
-    phi needs no check as a structure: BᵀWB = Ω, AB = 0 and WZ = 0 give
-    phi²B = BΩBᵀWB = −B, phi Z = 0 and phi²Z = 0, and (−Id + ZA) takes the
-    same values on the basis [B | Z1 Z2], so phi² = −Id + ZA.
+    Every identity below is one of matrices over the function field, so it
+    needs no constant coefficients.  phi needs no check as a structure:
+    BᵀWB = Ω, AB = 0 and WZ = 0 give phi²B = BΩBᵀWB = −B, phi Z = 0 and
+    phi²Z = 0, and (−Id + ZA) takes the same values on the basis
+    [B | Z1 Z2], so phi² = −Id + ZA.
 
     Nor does g need a check of :func:`is_associated`.  AP = 0 gives
     G·phi = −WPWPW = −WBΩBᵀW, which is W on the basis [B | Z1 Z2]
@@ -305,9 +301,6 @@ def build_associated_by_polarization(
     identity in the frame [B1 | B2 | Z1 Z2], so TF1 ⊥ TF2
     (:func:`are_foliations_orthogonal`); and phi maps each Darboux pair to
     itself and Z_j to 0, so phi(TF_i) ⊂ TF_i (:func:`is_decomposable`)."""
-    reason = polarization_precondition_violation(vp)
-    if reason:
-        raise PolarizationError(reason)
     tg1, tg2 = vp.tg1.vectors, vp.tg2.vectors
     if not decomposable and tg1 and tg2:
         tg1 = (tg1[0] + tg2[0], *tg1[1:])

@@ -752,8 +752,13 @@ def test_witnesses_use_the_fixture_coordinate_names(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bogus", "f.json"], ["theorems"], ["theorems", "f.json", "--samples", "abc"]],
-    ids=["unknown verb", "missing fixture", "samples not an int"],
+    [
+        ["bogus", "f.json"],
+        ["theorems"],
+        ["theorems", "f.json", "--samples", "abc"],
+        ["theorems", "f.json", "--samples", "-2"],
+    ],
+    ids=["unknown verb", "missing fixture", "samples not an int", "negative samples"],
 )
 def test_usage_error_exits_3(argv, capsys):
     """Not argparse's 2, which a shell would read as SampleVerified."""
@@ -761,6 +766,23 @@ def test_usage_error_exits_3(argv, capsys):
         main(argv)
     assert info.value.code == 3
     assert capsys.readouterr().err.startswith("usage: contactpairs <verb> <fixture.json>")
+
+
+def test_unwritable_out_path_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify-pair", str(fixture_path("flat2_mcp.json")), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+def test_fixture_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FixtureError, match="cannot read"):
+        load_fixture(path)
+    assert main(["theorems", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
 
 
 def test_help_exits_0(capsys):
@@ -810,9 +832,9 @@ def test_report_structure():
     ids=["local_model_1_1", "degenerate_pair", "twisted", "rk4_pole", "flat2_mcp leaves"],
 )
 def test_timings_hold_one_entry_per_check_that_ran(monkeypatch, verb, path):
-    """Each check that ran, a not-applicable one included, has its time under
-    ``check.<name>_s`` beside ``total_s``; a skipped check has none, and none
-    of them enters the byte-stable part of the report."""
+    """Each check that ran has its time under ``check.<name>_s`` beside
+    ``total_s``; a skipped check has none, and none of them enters the
+    byte-stable part of the report."""
     ran = []
     for name, check in CHECKS.items():
 

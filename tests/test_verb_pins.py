@@ -1,7 +1,9 @@
 """What every verb reports on five fixtures: the exit code (or the usage
 error), each reported verdict with its status, and each skip with its reason.
 On ``oblique_g6``, whose characteristic foliations are not orthogonal, the
-``orthogonal`` and ``theorems`` reports are pinned with their witnesses too.
+``orthogonal`` and ``theorems`` reports are pinned with their witnesses too,
+and so is ``polarize`` on ``bent_model_1_1``, whose d alpha_i, like those of
+``twisted``, have non-constant coefficients.
 
 A verb reports the checks it names, with the skip record of each that could
 not run, and the failed checks they build on; the table pins that set for
@@ -133,7 +135,17 @@ PINS = {
     ("twisted", "associated"): "verb 'associated' needs a phi entry in the fixture",
     ("twisted", "orthogonal"): "verb 'orthogonal' needs a metric entry in the fixture",
     ("twisted", "build-compatible"): "verb 'build-compatible' needs a phi entry in the fixture",
-    ("twisted", "polarize"): "polarize is not applicable: d alpha2 has non-constant coefficients",
+    ("twisted", "polarize"): (
+        0,
+        {
+            "Verified": (
+                "polarized_agreement polarized_associated polarized_decomposable_agreement "
+                "polarized_decomposable_associated polarized_decomposable_check "
+                "polarized_decomposable_orthogonal polarized_decomposable_spd polarized_spd"
+            ),
+        },
+        {},
+    ),
     ("twisted", "geodesy"): "verb 'geodesy' needs a metric entry in the fixture",
     ("twisted", "killing"): "verb 'killing' needs a phi entry in the fixture",
     ("twisted", "leaves"): "verb 'leaves' needs a phi entry in the fixture",
@@ -141,17 +153,30 @@ PINS = {
         2,
         {
             "Verified": (
-                "dalpha1_power_zero dalpha2_power_zero reeb_commutation reeb_contraction "
-                "reeb_normalization splittings"
+                "dalpha1_power_zero dalpha2_power_zero polarized_agreement "
+                "polarized_associated polarized_decomposable_agreement "
+                "polarized_decomposable_associated polarized_decomposable_check "
+                "polarized_decomposable_orthogonal polarized_decomposable_spd polarized_spd "
+                "reeb_commutation reeb_contraction reeb_normalization splittings"
             ),
             "SampleVerified": "volume_form",
         },
         {
             "built_compatible": "fixture has no phi",
             "metric": "fixture has no metric",
-            "polarized": "polarization not applicable: d alpha2 has non-constant coefficients",
             "structure": "fixture has no phi",
         },
+    ),
+    ("bent_model_1_1", "polarize"): (
+        0,
+        {
+            "Verified": (
+                "polarized_agreement polarized_associated polarized_decomposable_agreement "
+                "polarized_decomposable_associated polarized_decomposable_check "
+                "polarized_decomposable_orthogonal polarized_decomposable_spd polarized_spd"
+            ),
+        },
+        {},
     ),
     ("r6_example", "verify-pair"): (
         0,
