@@ -21,11 +21,7 @@ from .exterior import (
     Space,
     VectorField,
     bracket,
-    ext_d,
-    eval_at,
-    interior,
     lie_derivative,
-    wedge,
 )
 from .pair import (
     ContactPair,
@@ -43,8 +39,6 @@ from .pair import (
 )
 from .structure import (
     ContactPairStructure,
-    SubbundleComplexStructure,
-    build_phi,
     is_decomposable,
     verify_induced_almost_contact,
     verify_structure,
@@ -78,14 +72,14 @@ __all__ = [
     "solve_linear_exact", "kernel_basis", "generic_rank", "InconsistentSystemError",
     # exterior
     "Space", "Form", "VectorField", "EndoField", "MetricField",
-    "wedge", "ext_d", "interior", "bracket", "lie_derivative", "eval_at",
+    "bracket", "lie_derivative",
     # pair
     "ContactPair", "VerifiedPair", "DistributionFrame", "Verdict", "Status",
     "verify_contact_pair", "reeb_fields", "characteristic_frame", "g_frame",
     "kernel_frame", "verified_pair", "verify_splittings",
     # structure
-    "ContactPairStructure", "SubbundleComplexStructure", "verify_structure",
-    "is_decomposable", "build_phi", "verify_induced_almost_contact",
+    "ContactPairStructure", "verify_structure", "is_decomposable",
+    "verify_induced_almost_contact",
     # metric
     "MetricContactPair", "AssociatedCheckReport", "is_compatible", "is_associated",
     "build_compatible", "build_associated_by_polarization", "are_foliations_orthogonal",

@@ -970,7 +970,9 @@ class RfMatrix:
 
     def det(self) -> RatFun:
         """det A = (−1)^{n(n−1)/2}·Pf([[0, A], [−Aᵀ, 0]]), by
-        :func:`pfaffian_minor`."""
+        :func:`pfaffian_minor`.  No verb calls it; it stays as a test
+        reference and a ``perfbench/layertrace.SPANS`` boundary until a
+        benchmark revision drops that span."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -984,7 +986,9 @@ class RfMatrix:
         """Exact inverse by one Gauss–Jordan pass over ``[A | I]``.
 
         Raises :class:`SingularMatrixError` when the matrix is singular over
-        the function field."""
+        the function field.  No verb calls it; it stays as a test reference
+        and a ``perfbench/layertrace.SPANS`` boundary until a benchmark
+        revision drops that span."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows

@@ -500,6 +500,8 @@ def run(verb: str, fixture, samples: int = 0, seed: int = 0) -> Report:
     """Programmatic entry point: load a fixture, run a verb, return the Report."""
     if verb not in VERBS:
         raise VerbUsageError(f"unknown verb {verb!r}; choose from {', '.join(VERBS)}")
+    if samples < 0:
+        raise VerbUsageError(f"samples is {samples}; the count of extra points cannot be negative")
     doc = load_fixture(fixture)
     if samples:
         doc = _with_samples(doc, samples, seed)

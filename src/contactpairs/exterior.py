@@ -48,12 +48,8 @@ __all__ = [
     "EndoField",
     "MetricField",
     "FrameForm",
-    "wedge",
-    "ext_d",
-    "interior",
     "bracket",
     "lie_derivative",
-    "eval_at",
     "directional_derivative",
 ]
 
@@ -115,10 +111,10 @@ def _wedge_power(tensor, unit, power: int):
 class Space:
     """A coordinate chart or a constant-coefficient Lie frame.
 
-    Lie frames are specified either by structure constants c^k_{ij} of the
-    brackets [X_i, X_j] = sum_k c^k_{ij} X_k, or by the differentials of the
-    frame covectors (lists of (i, j, coeff) with i < j, meaning
-    d w_k = sum coeff · w_i ∧ w_j); the two are related by c^k_{ij} = -coeff.
+    A Lie frame is specified by the differentials of its frame covectors
+    (lists of (i, j, coeff) with i < j, meaning d w_k = sum coeff · w_i ∧ w_j),
+    which give the structure constants of the brackets
+    [X_i, X_j] = sum_k c^k_{ij} X_k as c^k_{ij} = -coeff.
     Construction validates d∘d = 0 on every covector, which is the Jacobi
     identity.
     """
@@ -152,26 +148,16 @@ class Space:
     def lie_frame(
         cls,
         names: Sequence[str],
-        structure_constants: Mapping[tuple[int, int, int], Fraction] | None = None,
-        differentials: Mapping[int, Iterable[tuple[int, int, Fraction]]] | None = None,
+        differentials: Mapping[int, Iterable[tuple[int, int, Fraction]]],
     ) -> "Space":
-        if (structure_constants is None) == (differentials is None):
-            raise ValueError("give exactly one of structure_constants or differentials")
         n = len(names)
         sc: dict[tuple[int, int, int], Fraction] = {}
-        if structure_constants is not None:
-            for (i, j, k), c in structure_constants.items():
+        for k, pairs in differentials.items():
+            for i, j, coeff in pairs:
                 cls._check_frame_index(n, i, j, k)
-                c = _as_fraction(c)
+                c = _as_fraction(coeff)
                 if c:
-                    sc[(i, j, k)] = c
-        else:
-            for k, pairs in differentials.items():
-                for i, j, coeff in pairs:
-                    cls._check_frame_index(n, i, j, k)
-                    c = _as_fraction(coeff)
-                    if c:
-                        sc[(i, j, k)] = sc.get((i, j, k), Fraction(0)) - c
+                    sc[(i, j, k)] = sc.get((i, j, k), Fraction(0)) - c
         space = cls(cls.LIE, names, sc)
         space._validate_jacobi()
         return space
@@ -358,6 +344,9 @@ class Form:
         return Form(self.space, degree, coeffs)
 
     def wedge_power(self, power: int) -> "Form":
+        """``self`` wedged ``power`` times with itself.  No verb calls it; it
+        stays as a test reference and a ``perfbench/layertrace.SPANS``
+        boundary until a benchmark revision drops that span."""
         return _wedge_power(self, Form.function(self.space, 1), power)
 
     def d(self) -> "Form":
@@ -638,18 +627,6 @@ TensorLike = Union[Form, VectorField, EndoField, MetricField]
 # --- the exported operations -------------------------------------------------
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def ext_d(a: Form) -> Form:
-    return a.d()
-
-
-def interior(field: VectorField, a: Form) -> Form:
-    return a.contract(field)
-
-
 def _bracket_matrix(field: VectorField) -> RfMatrix:
     """B_X, whose column b is [X, e_b]: B[k][b] = -e_b X^k + sum_i X^i c^k_{ib},
     summed from the derivatives of the non-constant components of X and the
@@ -724,21 +701,15 @@ def lie_derivative(field: VectorField, tensor: TensorLike) -> TensorLike:
     raise TypeError(f"cannot take a Lie derivative of {type(tensor).__name__}")
 
 
-def eval_at(tensor: TensorLike, point: Sequence):
-    """Exact rational evaluation of every coefficient at a point."""
-    if isinstance(tensor, (Form, VectorField, EndoField, MetricField)):
-        if len(point) != tensor.space.dim:
-            raise ValueError(f"point has length {len(point)}, expected {tensor.space.dim}")
-        return tensor.eval_at(point)
-    raise TypeError(f"cannot evaluate {type(tensor).__name__}")
-
-
 class FrameForm:
     """Alternating tensor indexed by the vectors of a frame (not by the
     ambient basis); coefficients stay in the ambient scalar ring.  Its wedge
     expansion of forms restricted to a subbundle frame is the reference
     against which the tests check the Pfaffians of
-    :func:`contactpairs.pair.pair_axioms` on the restricted tables of a leaf."""
+    :func:`contactpairs.pair.pair_axioms` on the restricted tables of a leaf.
+    No verb uses it; it stays as a test reference and a
+    ``perfbench/layertrace.SPANS`` boundary until a benchmark revision drops
+    its spans."""
 
     __slots__ = ("size", "degree", "coeffs", "nvars")
 

@@ -1,5 +1,5 @@
-"""Fixture files: validation, construction of model objects, bundled
-reference geometries, and round-trip serialization.
+"""Fixture files: validation, construction of model objects, and bundled
+reference geometries.
 
 A fixture declares a backend (polynomial chart or constant Lie frame), the
 two one-forms as covector-indexed expression maps, the pair type, optional
@@ -67,57 +67,6 @@ class FixtureDoc:
     metric: MetricField | None
     aux_metric: MetricField | None
     raw: dict = field(repr=False)
-
-    @property
-    def has_phi(self) -> bool:
-        return self.phi is not None
-
-    @property
-    def has_metric(self) -> bool:
-        return self.metric is not None
-
-    def to_json_dict(self) -> dict:
-        """Serialize back to fixture JSON (round-trips to an equivalent model)."""
-        names = self.space.names
-        out: dict = {
-            "id": self.fixture_id,
-            "backend": self.backend,
-            "dimension": self.space.dim,
-            "type": [self.pair.h, self.pair.k],
-        }
-        if self.backend == "chart":
-            out["coordinates"] = list(names)
-        else:
-            out["frame"] = list(names)
-            equations: dict[str, list[dict]] = {}
-            for k in range(self.space.dim):
-                dform = self.space.covector_differential(k)
-                entries = [
-                    {"i": i + 1, "j": j + 1, "coeff": str(c.constant_value())}
-                    for (i, j), c in sorted(dform.coeffs.items())
-                ]
-                if entries:
-                    equations[names[k]] = entries
-            out["structure_equations"] = equations
-        for key, form in (("alpha1", self.pair.alpha1), ("alpha2", self.pair.alpha2)):
-            out[key] = {
-                names[idx[0]]: coeff.format(names)
-                for idx, coeff in sorted(form.coeffs.items())
-            }
-        for key, tensor in (
-            ("phi", self.phi),
-            ("metric", self.metric),
-            ("aux_metric", self.aux_metric),
-        ):
-            if tensor is not None:
-                out[key] = [
-                    [tensor.matrix.at(i, j).format(names) for j in range(self.space.dim)]
-                    for i in range(self.space.dim)
-                ]
-        out["sample_points"] = [
-            [str(x) for x in point] for point in self.pair.sample_points
-        ]
-        return out
 
 
 _REQUIRED = ("id", "backend", "dimension", "type", "alpha1", "alpha2", "sample_points")

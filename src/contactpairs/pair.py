@@ -47,7 +47,7 @@ from .algebra import (
     pfaffian_minor,
     solve_linear_exact,
 )
-from .exterior import Form, MetricField, Space, VectorField, bracket, ext_d
+from .exterior import Form, MetricField, Space, VectorField, bracket
 from .verdicts import Status, Verdict, nonvanishing_verdict
 
 __all__ = [
@@ -159,7 +159,7 @@ class ContactPair:
 
     @cached_property
     def _dalphas(self) -> tuple[Form, Form]:
-        return ext_d(self.alpha1), ext_d(self.alpha2)
+        return self.alpha1.d(), self.alpha2.d()
 
     @cached_property
     def axioms(self) -> AxiomVerdicts:
@@ -330,9 +330,8 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
 @dataclass(frozen=True)
 class DistributionFrame:
     """Polynomial vector fields spanning a distribution generically.  The
-    package's frames are RREF kernel bases, independent by construction; a
-    caller's frame is checked where it enters
-    (:class:`~contactpairs.structure.SubbundleComplexStructure`)."""
+    package's frames are RREF kernel bases, independent by construction, so
+    the class checks nothing."""
 
     space: Space
     vectors: tuple[VectorField, ...]

@@ -4,9 +4,11 @@ field phi satisfying
     phi^2 = -Id + alpha1 ⊗ Z1 + alpha2 ⊗ Z2,      phi(Z1) = phi(Z2) = 0,
 
 plus the derived identities (alpha_i ∘ phi = 0, rank phi = n - 2),
-decomposability with respect to the characteristic subbundles, the almost
-contact structures induced on the leaves, and the builder that extends a
-complex structure on TG1 ⊕ TG2 by zero on the Reeb fields.
+decomposability with respect to the characteristic subbundles, and the
+almost contact structures induced on the leaves.  phi is either declared
+by a fixture or built by
+:func:`contactpairs.metric.build_associated_by_polarization`, the package's
+one phi builder.
 
 Each identity is a matrix product, with Z = (Z1 Z2), A the rows alpha1,
 alpha2 and F the column matrix of a frame: phi^2 + Id - Z A, phi Z and
@@ -21,19 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import RatFun, RfMatrix, generic_rank
+from .algebra import RfMatrix, generic_rank
 from .exterior import EndoField
-from .pair import DistributionFrame, FrameRankError, VerifiedPair, column_matrix
+from .pair import VerifiedPair
 from .verdicts import Verdict, matrix_residual_entries, residual_verdict
 
 __all__ = [
     "ContactPairStructure",
-    "SubbundleComplexStructure",
     "StructureValidationError",
     "PreconditionError",
     "verify_structure",
     "is_decomposable",
-    "build_phi",
     "verify_induced_almost_contact",
 ]
 
@@ -146,61 +146,6 @@ def is_decomposable(cps: ContactPairStructure) -> Verdict:
                 for b, c in enumerate(contractions.column(idx))
             )
     return residual_verdict(residuals, vp, detail=DECOMPOSABLE_DETAIL)
-
-
-@dataclass(frozen=True)
-class SubbundleComplexStructure:
-    """Complex structure on a frame (of TG1 ⊕ TG2 or a single TG_i):
-    a square matrix in frame coordinates squaring to -Id exactly.  The frame
-    must be generically independent."""
-
-    frame: DistributionFrame
-    matrix: RfMatrix
-
-    def __post_init__(self):
-        m = self.frame.size
-        if (rank := generic_rank(self.frame.matrix)) != m:
-            raise FrameRankError(
-                f"frame {self.frame.label}: {m} vectors have generic rank {rank}"
-            )
-        if self.matrix.rows != m or self.matrix.cols != m:
-            raise ValueError(f"matrix must be {m} x {m} for a frame of size {m}")
-        eye = RfMatrix.identity(m, self.matrix.nvars)
-        if (self.matrix @ self.matrix) + eye != RfMatrix.zeros(m, m, self.matrix.nvars):
-            raise StructureValidationError("J^2 != -Id in frame coordinates")
-
-
-def build_phi(vp: VerifiedPair, j_structure: SubbundleComplexStructure) -> EndoField:
-    """Extend a complex structure on TG1 ⊕ TG2 by zero on the Reeb fields.
-
-    The frame need not be orthonormal or split along the TG blocks; any frame
-    that generically spans TG1 ⊕ TG2 works.  The result needs no check.  The
-    frame F is independent, of size n - 2, and A F = 0 for A the rows alpha1,
-    alpha2.  A Z = Id gives rank A = 2, so ker alpha1 ∩ ker alpha2 has rank
-    n - 2 and contains TG1 ⊕ TG2, of that rank: F spans TG1 ⊕ TG2.  With
-    B = [F | Z1 Z2], (-Id + Z A) B = [-F | 0] = B·diag(J^2, 0) = phi^2 B,
-    and phi Z_i = B·diag(J, 0)·e_{m+i} = 0."""
-    frame = j_structure.frame
-    if frame.space != vp.space:
-        raise ValueError("frame lives on a different space")
-    n = vp.dim
-    m = n - 2
-    if frame.size != m:
-        raise StructureValidationError(
-            f"frame has {frame.size} vectors; TG1 ⊕ TG2 needs {m}"
-        )
-    if not (vp._alpha_matrix @ frame.matrix).is_zero():
-        raise StructureValidationError("frame does not span TG1 ⊕ TG2 generically")
-
-    basis = column_matrix(vp.space, [*frame.vectors, vp.z1, vp.z2])
-    block = [
-        [
-            j_structure.matrix.at(i, j) if i < m and j < m else RatFun.zero(n)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return EndoField(vp.space, basis @ RfMatrix(n, block) @ basis.inverse())
 
 
 def verify_induced_almost_contact(cps: ContactPairStructure, i: int) -> Verdict:

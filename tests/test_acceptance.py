@@ -11,15 +11,7 @@ import pytest
 
 from contactpairs.cli import run
 from contactpairs.connection import christoffel, numeric_geodesic_residual, reeb_geodesy
-from contactpairs.exterior import (
-    MetricField,
-    Space,
-    bracket,
-    ext_d,
-    interior,
-    lie_derivative,
-    wedge,
-)
+from contactpairs.exterior import MetricField, Space, bracket, lie_derivative
 from contactpairs.fixtures import bundled_fixture_path, load_fixture
 from contactpairs.metric import (
     MetricContactPair,
@@ -259,25 +251,23 @@ def test_criterion_7_calculus_engine():
         dim = rng.choice([2, 3, 4])
         space = Space.chart([f"c{i}" for i in range(dim)])
         form = random_form(rng, space, rng.randrange(dim))
-        assert ext_d(ext_d(form)).is_zero()
+        assert form.d().d().is_zero()
 
     for _ in range(100):  # Cartan formula
         dim = rng.choice([2, 3])
         space = Space.chart([f"c{i}" for i in range(dim)])
         form = random_form(rng, space, rng.randrange(1, dim))
         field = random_vector_field(rng, space)
-        assert lie_derivative(field, form) == interior(field, ext_d(form)) + ext_d(
-            interior(field, form)
-        )
+        assert lie_derivative(field, form) == form.d().contract(field) + form.contract(field).d()
 
     for _ in range(100):  # Leibniz rule
         space = Space.chart(["u", "v", "w"])
         p = rng.choice([0, 1])
         a = random_form(rng, space, p)
         b = random_form(rng, space, 1)
-        signed = wedge(a, ext_d(b))
-        rhs = wedge(ext_d(a), b) + (signed if p % 2 == 0 else -signed)
-        assert ext_d(wedge(a, b)) == rhs
+        signed = a.wedge(b.d())
+        rhs = a.d().wedge(b) + (signed if p % 2 == 0 else -signed)
+        assert a.wedge(b).d() == rhs
 
     for trial in range(100):  # torsion-freeness and metric compatibility, exact
         space = Space.chart(["u", "v"])

@@ -301,7 +301,7 @@ def test_reeb_geodesy_gram_precondition(r6):
 def test_backends_agree_on_abelian_example():
     names = ["t1", "t2"]
     metric_rows = [[2, 1], [1, 3]]
-    lie = Space.lie_frame(names, structure_constants={})
+    lie = Space.lie_frame(names, differentials={})
     chart = Space.chart(names)
     gammas_lie = second_kind(christoffel(MetricField(lie, metric_rows)))
     gammas_chart = second_kind(christoffel(MetricField(chart, metric_rows)))

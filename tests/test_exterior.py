@@ -18,11 +18,7 @@ from contactpairs.exterior import (
     VectorField,
     bracket,
     directional_derivative,
-    ext_d,
-    eval_at,
-    interior,
     lie_derivative,
-    wedge,
 )
 
 from conftest import (
@@ -49,29 +45,29 @@ def basis(space, i):
 def test_wedge_basic():
     s = Space.chart(["x", "y"])
     dx, dy = covector(s, 0), covector(s, 1)
-    w = wedge(dx, dy)
+    w = dx.wedge(dy)
     assert w.coefficient((0, 1)) == RatFun.one(2)
-    assert wedge(dy, dx).coefficient((0, 1)) == -RatFun.one(2)
+    assert dy.wedge(dx).coefficient((0, 1)) == -RatFun.one(2)
 
 
 def test_wedge_repeated_factor_vanishes():
     s = Space.chart(["x1", "y1", "x2", "y2"])
-    a = wedge(covector(s, 0), covector(s, 1))  # dx1^dy1
-    b = wedge(covector(s, 0), covector(s, 3))  # dx1^dy2
-    assert wedge(a, b).is_zero()
+    a = covector(s, 0).wedge(covector(s, 1))  # dx1^dy1
+    b = covector(s, 0).wedge(covector(s, 3))  # dx1^dy2
+    assert a.wedge(b).is_zero()
 
 
 def test_wedge_overflows_dimension_to_zero():
     s = Space.chart(["x", "y"])
-    vol = wedge(covector(s, 0), covector(s, 1))
-    cube = wedge(vol, vol)
+    vol = covector(s, 0).wedge(covector(s, 1))
+    cube = vol.wedge(vol)
     assert cube.is_zero() and cube.degree == 4
 
 
 def test_r6_volume_coefficient_is_one():
     s = build_r6_space()
     a1, a2 = build_r6_forms(s)
-    vol = wedge(wedge(a1, ext_d(a1)), wedge(a2, ext_d(a2)))
+    vol = a1.wedge(a1.d()).wedge(a2.wedge(a2.d()))
     assert vol.degree == 6
     assert vol.coefficient(tuple(range(6))) == s.one()
 
@@ -83,7 +79,7 @@ def test_wedge_against_shuffle_oracle(rng):
         a = random_form(rng, s, 1)
         b = random_form(rng, s, 2)
         fields = [random_vector_field(rng, s) for _ in range(3)]
-        lhs = wedge(a, b)(*fields)
+        lhs = a.wedge(b)(*fields)
         total = RatFun.zero(3)
         for perm in permutations(range(3)):
             sign = _perm_sign(perm)
@@ -109,8 +105,8 @@ def test_graded_anticommutativity_randomized(rng):
         q = rng.choice([1, 2])
         a = random_form(rng, s, p)
         b = random_form(rng, s, q)
-        lhs = wedge(a, b)
-        rhs = wedge(b, a)
+        lhs = a.wedge(b)
+        rhs = b.wedge(a)
         if (p * q) % 2:
             rhs = -rhs
         assert lhs == rhs
@@ -196,22 +192,22 @@ def test_pairing_is_the_det_of_minors_on_nilpotent_g6(case):
 def test_d_of_contact_form():
     s = build_r6_space()
     a1, _ = build_r6_forms(s)
-    da1 = ext_d(a1)
+    da1 = a1.d()
     # d(dz1 - x1 dy1) = -dx1 ^ dy1
     assert da1 == Form(s, 2, {(0, 1): -1})
 
 
 def test_d_of_constant_is_zero():
     s = Space.chart(["x", "y"])
-    assert ext_d(Form.function(s, 7)).is_zero()
+    assert Form.function(s, 7).d().is_zero()
 
 
 def test_lie_frame_differential_matches_structure_equation():
     s = build_nilpotent_space()
-    dw2 = ext_d(covector(s, 1))
+    dw2 = covector(s, 1).d()
     assert dw2 == Form(s, 2, {(4, 5): 1})
-    assert ext_d(covector(s, 0)).is_zero()
-    assert ext_d(covector(s, 5)).is_zero()
+    assert covector(s, 0).d().is_zero()
+    assert covector(s, 5).d().is_zero()
 
 
 def test_d_squared_zero_randomized(rng):
@@ -220,7 +216,7 @@ def test_d_squared_zero_randomized(rng):
         s = Space.chart([f"c{i}" for i in range(dim)])
         p = rng.randrange(dim)
         a = random_form(rng, s, p)
-        assert ext_d(ext_d(a)).is_zero()
+        assert a.d().d().is_zero()
 
 
 def test_jacobi_violation_rejected():
@@ -239,20 +235,13 @@ def test_lie_frame_rejects_non_constant_coefficients():
 
 
 def test_structure_constants_and_differentials_agree():
-    """Both ingestion routes (brackets and covector differentials) define the
-    same space; they are related by c^k_{ij} = -dw_k(X_i, X_j)."""
-    from_differentials = build_nilpotent_space()
-    from_brackets = Space.lie_frame(
-        ["w1", "w2", "w3", "w4", "w5", "w6"],
-        structure_constants={
-            (4, 5, 1): Fraction(-1),  # [X5, X6] = -X2
-            (0, 3, 2): Fraction(-1),  # [X1, X4] = -X3
-            (0, 4, 3): Fraction(-1),  # [X1, X5] = -X4
-            (0, 5, 4): Fraction(-1),  # [X1, X6] = -X5
-        },
-    )
-    assert from_differentials == from_brackets
-    assert from_brackets.covector_differential(1) == Form(from_brackets, 2, {(4, 5): 1})
+    """The covector differentials define the brackets by
+    c^k_{ij} = -dw_k(X_i, X_j), and d of a covector gives them back."""
+    s = build_nilpotent_space()
+    for i, j, k in ((4, 5, 1), (0, 3, 2), (0, 4, 3), (0, 5, 4)):  # [X5, X6] = -X2, ...
+        assert bracket(basis(s, i), basis(s, j)) == -basis(s, k)
+    assert dict(s.nonzero_brackets())[(5, 4)] == {1: Fraction(1)}
+    assert s.covector_differential(1) == Form(s, 2, {(4, 5): 1})
 
 
 # --- interior product -----------------------------------------------------------
@@ -260,21 +249,21 @@ def test_structure_constants_and_differentials_agree():
 
 def test_interior_basic():
     s = Space.chart(["x1", "y1"])
-    a = wedge(covector(s, 0), covector(s, 1))
-    assert interior(basis(s, 0), a) == covector(s, 1)
+    a = covector(s, 0).wedge(covector(s, 1))
+    assert a.contract(basis(s, 0)) == covector(s, 1)
 
 
 def test_interior_of_reeb_field_kills_differential():
     s = build_r6_space()
     a1, _ = build_r6_forms(s)
     z1 = basis(s, 4)  # ∂z1
-    assert interior(z1, ext_d(a1)).is_zero()
+    assert a1.d().contract(z1).is_zero()
 
 
 def test_interior_pairs_with_coefficients():
     s = build_r6_space()
     a1, _ = build_r6_forms(s)
-    got = interior(basis(s, 1), a1)  # ∂y1
+    got = a1.contract(basis(s, 1))  # ∂y1
     assert got.degree == 0
     assert got.coefficient(()) == -s.coordinate(0)
 
@@ -282,7 +271,7 @@ def test_interior_pairs_with_coefficients():
 def test_interior_rejects_degree_zero():
     s = Space.chart(["x", "y"])
     with pytest.raises(ValueError):
-        interior(basis(s, 0), Form.function(s, 1))
+        Form.function(s, 1).contract(basis(s, 0))
 
 
 # --- brackets --------------------------------------------------------------------
@@ -388,7 +377,7 @@ def test_cartan_formula_randomized(rng):
         a = random_form(rng, s, p)
         x = random_vector_field(rng, s)
         got = lie_derivative(x, a)
-        expected = interior(x, ext_d(a)) + ext_d(interior(x, a))
+        expected = a.d().contract(x) + a.contract(x).d()
         assert got == expected
 
 
@@ -398,9 +387,9 @@ def test_leibniz_randomized(rng):
         p = rng.choice([0, 1])
         a = random_form(rng, s, p)
         b = random_form(rng, s, 1)
-        lhs = ext_d(wedge(a, b))
-        rhs = wedge(ext_d(a), b)
-        signed = wedge(a, ext_d(b))
+        lhs = a.wedge(b).d()
+        rhs = a.d().wedge(b)
+        signed = a.wedge(b.d())
         rhs = rhs + (signed if p % 2 == 0 else -signed)
         assert lhs == rhs
 
@@ -414,7 +403,7 @@ def test_two_form_identity_randomized(rng):
         a = random_form(rng, s, 1)
         x = random_vector_field(rng, s)
         y = random_vector_field(rng, s)
-        lhs = ext_d(a)(x, y)
+        lhs = a.d()(x, y)
         rhs = (
             directional_derivative(x, a(y))
             - directional_derivative(y, a(x))
@@ -524,7 +513,7 @@ def test_eval_at_form():
     s = build_r6_space()
     a1, _ = build_r6_forms(s)
     point = [2, 0, 0, 0, 0, 0]
-    values = eval_at(a1, point)
+    values = a1.eval_at(point)
     assert values[(1,)] == Fraction(-2)
     assert values[(4,)] == Fraction(1)
     # pairing with ∂y1 at the point
@@ -535,7 +524,7 @@ def test_eval_at_reports_offending_entry():
     s = Space.chart(["x", "y"])
     f = Form(s, 1, {(0,): RatFun.one(2) / RatFun.variable(2, 0)})
     with pytest.raises(ZeroDivisionError, match="coefficient"):
-        eval_at(f, [0, 1])
+        f.eval_at([0, 1])
 
 
 @pytest.mark.parametrize(
@@ -566,7 +555,7 @@ def test_pole_is_named_in_the_chart_coordinates(point, den, first):
 def test_eval_constant_form_anywhere():
     s = build_nilpotent_space()
     w = Form(s, 2, {(4, 5): Fraction(3, 2)})
-    assert eval_at(w, [0] * 6) == {(4, 5): Fraction(3, 2)}
+    assert w.eval_at([0] * 6) == {(4, 5): Fraction(3, 2)}
 
 
 def test_metric_positive_definite_check():

@@ -425,7 +425,7 @@ def test_polarization_with_empty_blocks():
     from contactpairs.pair import ContactPair, verified_pair
     from contactpairs.exterior import Form
 
-    space = Space.lie_frame(["w1", "w2"], structure_constants={})
+    space = Space.lie_frame(["w1", "w2"], differentials={})
     alpha1 = Form(space, 1, {(0,): 1})
     alpha2 = Form(space, 1, {(1,): 1})
     vp = verified_pair(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactpairs.algebra import Poly, RatFun, RfMatrix, generic_rank, pfaffian_minor
-from contactpairs.exterior import Form, FrameForm, Space, VectorField, ext_d
+from contactpairs.exterior import Form, FrameForm, Space, VectorField
 from contactpairs.fixtures import (
     FixtureError,
     bundled_fixture_names,
@@ -460,7 +460,7 @@ def test_dalpha_is_computed_once_on_first_use():
     pair = make_r6_pair()
     assert "_dalphas" not in vars(pair)  # constructing the pair differentiates nothing
     assert pair.dalpha(1) is pair.dalpha(1)
-    assert pair.dalpha(2) == ext_d(pair.alpha2)
+    assert pair.dalpha(2) == pair.alpha2.d()
 
 
 # --- the pair axioms by Pfaffians, against the exterior products ---------------------

@@ -1,35 +1,23 @@
-"""Structure identities, decomposability, and the extension builder."""
+"""Structure identities, decomposability, and the induced almost contact structures."""
 
 import pytest
 
-from contactpairs.algebra import RatFun, RfMatrix, generic_rank
-from contactpairs.exterior import EndoField, VectorField
-from contactpairs.pair import (
-    ContactPair,
-    DistributionFrame,
-    FrameRankError,
-    Status,
-    column_matrix,
-    verified_pair,
-)
+from contactpairs.algebra import generic_rank
+from contactpairs.exterior import EndoField
+from contactpairs.pair import ContactPair, Status, column_matrix, verified_pair
 from contactpairs.structure import (
     ContactPairStructure,
     PreconditionError,
     StructureValidationError,
-    SubbundleComplexStructure,
-    build_phi,
     is_decomposable,
     verify_induced_almost_contact,
     verify_structure,
 )
 
 from conftest import (
-    FLAT2_SAMPLES,
     LOCAL_MODEL_SAMPLES,
     NILPOTENT_SAMPLES,
     R6_SAMPLES,
-    build_flat2_forms,
-    build_flat2_space,
     build_local_model_forms,
     build_local_model_phi,
     build_local_model_space,
@@ -138,107 +126,6 @@ def test_decomposable_preserves_tg_spans(nilpotent, local_model):
             for v in tg.vectors:
                 spanned = column_matrix(vp.space, [*tg.vectors, EndoField.apply(phi, v)])
                 assert generic_rank(spanned) == tg.size
-
-
-# --- build_phi -------------------------------------------------------------------
-
-
-def block_complex_structure(vp):
-    """Block-diagonal J on the frame [TG1 | TG2]: rotation in each block."""
-    frame = DistributionFrame(
-        vp.space, vp.tg1.vectors + vp.tg2.vectors, "TG1+TG2"
-    )
-    m = frame.size
-    nvars = vp.dim
-    mat = [[RatFun.zero(nvars) for _ in range(m)] for _ in range(m)]
-    offset = 0
-    for tg in (vp.tg1, vp.tg2):
-        for p in range(0, tg.size, 2):
-            a, b = offset + p, offset + p + 1
-            mat[b][a] = RatFun.one(nvars)
-            mat[a][b] = -RatFun.one(nvars)
-        offset += tg.size
-    return SubbundleComplexStructure(frame, RfMatrix(nvars, mat))
-
-
-def test_build_phi_local_model(local_model):
-    vp, _ = local_model
-    phi = build_phi(vp, block_complex_structure(vp))
-    verdicts = verify_structure(vp, phi)
-    assert all(v.status is Status.VERIFIED for v in verdicts.values())
-    cps = ContactPairStructure(vp, phi)
-    assert is_decomposable(cps).status is Status.VERIFIED
-
-
-def test_build_phi_nilpotent_reproduces_reference(nilpotent):
-    """J(X1) = -X4, J(X5) = -X6 on [TG1 | TG2] extends to the reference phi."""
-    vp, phi_ref = nilpotent
-    phi = build_phi(vp, block_complex_structure(vp))
-    # TG frames come out of the kernel solver as ±basis vectors, so the
-    # extension can differ from the reference by the block orientation; the
-    # squared identity and decomposability pin it down to that ambiguity.
-    assert is_decomposable(ContactPairStructure(vp, phi)).status is Status.VERIFIED
-    for col in range(6):
-        for row in range(6):
-            got = phi.matrix.at(row, col)
-            want = phi_ref.matrix.at(row, col)
-            assert got == want or got == -want
-
-
-def test_build_phi_cross_block_is_not_decomposable(local_model):
-    """A J that swaps TG1 and TG2 satisfies the structure identities but
-    mixes the characteristic subbundles."""
-    vp, _ = local_model
-    frame = DistributionFrame(vp.space, vp.tg1.vectors + vp.tg2.vectors, "TG1+TG2")
-    m = frame.size
-    nvars = vp.dim
-    mat = [[RatFun.zero(nvars) for _ in range(m)] for _ in range(m)]
-    half = m // 2
-    for p in range(half):
-        mat[half + p][p] = RatFun.one(nvars)
-        mat[p][half + p] = -RatFun.one(nvars)
-    phi = build_phi(vp, SubbundleComplexStructure(frame, RfMatrix(nvars, mat)))
-    verdicts = verify_structure(vp, phi)
-    assert all(v.status is Status.VERIFIED for v in verdicts.values())
-    assert is_decomposable(ContactPairStructure(vp, phi)).status is Status.FAILED
-
-
-def test_build_phi_rejects_bad_j(local_model):
-    vp, _ = local_model
-    frame = DistributionFrame(vp.space, vp.tg1.vectors + vp.tg2.vectors, "TG1+TG2")
-    with pytest.raises(StructureValidationError):
-        SubbundleComplexStructure(frame, RfMatrix.identity(frame.size, vp.dim))
-
-
-def test_build_phi_rejects_non_spanning_frame(local_model):
-    vp, _ = local_model
-    s = vp.space
-    one, zero = RatFun.one(s.dim), RatFun.zero(s.dim)
-    rotation = RfMatrix(s.dim, [
-        [zero, -one, zero, zero],
-        [one, zero, zero, zero],
-        [zero, zero, zero, -one],
-        [zero, zero, one, zero],
-    ])
-    # TG1 ∪ 2·TG1 is dependent: rejected when the complex structure is built
-    doubled = tuple(v * s.scalar(2) for v in vp.tg1.vectors)
-    with pytest.raises(FrameRankError, match=r"^frame bad: 4 vectors have generic rank 2$"):
-        SubbundleComplexStructure(DistributionFrame(s, vp.tg1.vectors + doubled, "bad"), rotation)
-    # TG1 ∪ {Z1, Z2} is independent and of the right size, but misses TG2
-    frame = DistributionFrame(s, vp.tg1.vectors + (vp.z1, vp.z2), "TG1+Z")
-    with pytest.raises(StructureValidationError, match="^frame does not span TG1 ⊕ TG2 generically$"):
-        build_phi(vp, SubbundleComplexStructure(frame, rotation))
-
-
-def test_build_phi_on_the_empty_frame():
-    """On a type (0, 0) pair TG1 ⊕ TG2 = 0: the empty frame has rank 0 and
-    A·F = 0 holds vacuously, and phi is zero on the Reeb basis."""
-    s = build_flat2_space()
-    vp = verified_pair(ContactPair(s, *build_flat2_forms(s), 0, 0, tuple(FLAT2_SAMPLES)))
-    j = SubbundleComplexStructure(DistributionFrame(s, (), "empty"), RfMatrix(s.dim, []))
-    phi = build_phi(vp, j)
-    assert phi.matrix.is_zero()
-    assert ContactPairStructure(vp, phi).phi is phi
 
 
 # --- induced almost contact structures -----------------------------------------------

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from contactpairs.algebra import RatFun, RfMatrix
 from contactpairs.cli import run
 from contactpairs.exterior import Form, MetricField, Space
 from contactpairs.fixtures import load_fixture_dict
@@ -17,13 +16,7 @@ from contactpairs.metric import (
     is_compatible,
 )
 from contactpairs.pair import ContactPair, Status, verified_pair, verify_contact_pair, verify_splittings
-from contactpairs.structure import (
-    ContactPairStructure,
-    SubbundleComplexStructure,
-    build_phi,
-    is_decomposable,
-)
-from contactpairs.pair import DistributionFrame
+from contactpairs.structure import ContactPairStructure, is_decomposable
 
 
 @pytest.fixture(scope="module")
@@ -65,24 +58,9 @@ def test_2_1_reeb_and_frames(model_2_1):
     assert verify_splittings(vp).status is Status.VERIFIED
 
 
-def block_j(vp):
-    frame = DistributionFrame(vp.space, vp.tg1.vectors + vp.tg2.vectors, "TG1+TG2")
-    m = frame.size
-    nvars = vp.dim
-    mat = [[RatFun.zero(nvars) for _ in range(m)] for _ in range(m)]
-    offset = 0
-    for tg in (vp.tg1, vp.tg2):
-        for p in range(0, tg.size, 2):
-            a, b = offset + p, offset + p + 1
-            mat[b][a] = RatFun.one(nvars)
-            mat[a][b] = -RatFun.one(nvars)
-        offset += tg.size
-    return SubbundleComplexStructure(frame, RfMatrix(nvars, mat))
-
-
 def test_2_1_structure_and_metric_constructions(model_2_1):
     vp = model_2_1
-    phi = build_phi(vp, block_j(vp))
+    phi, _ = build_associated_by_polarization(vp, decomposable=True)
     cps = ContactPairStructure(vp, phi)
     assert is_decomposable(cps).status is Status.VERIFIED
 
