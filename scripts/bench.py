@@ -33,10 +33,11 @@ that tree runs no larger case of the family afterwards.  A case whose result
 or counts (every entry of the layer split but its seconds) differ between
 rounds stops the script, so every count in the record repeats.  A child that
 fails stops it too, with the end of the child's stderr.  The record keeps
-each tree's seconds of every round, their median, and the medians of the
-check and layer splits.  The log-log slope of the median time against the
-dimension is fitted by least squares, for each tree over the dims from
-``SLOPE_FROM_DIM`` up that it finished.
+each tree's seconds of every round, their median and their minimum (the
+least disturbed round), and the medians of the check and layer splits.  The
+log-log slope of the median time against the dimension is fitted by least
+squares, for each tree over the dims from ``SLOPE_FROM_DIM`` up that it
+finished.
 
 With ``--pairs N`` the script then runs ``perfbench/run.py --trace 0`` N
 times per workload in each tree, in alternating order, on seeds
@@ -73,9 +74,9 @@ STDERR_LINES = 20  # of a failed child, in the message that stops the script
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import bench; bench._child(*sys.argv[2:])"
 WHAT = (
     "seconds per in-process cli.run call (theorems; reeb on the dense family), fixture load "
-    "included (median over rounds, every round kept, trees alternating within each round), "
-    "parent vs change, with the check.<name>_s split and the layer split of one more, traced "
-    "call; null: stopped at the cap"
+    "included (median and minimum over rounds, every round kept, trees alternating within "
+    "each round), parent vs change, with the check.<name>_s split and the layer split of one "
+    "more, traced call; null: stopped at the cap"
 )
 
 
@@ -301,9 +302,9 @@ def _medians(done: list[dict], key: str) -> dict:
 
 def _row(case: dict, runs: dict) -> dict:
     """A case's row: each tree's seconds of every round (null: stopped at the
-    cap) and, unless a round was stopped, their median and the medians of the
-    check and layer splits; the result, and whether both trees agree on it
-    and on the counts."""
+    cap) and, unless a round was stopped, their median and minimum and the
+    medians of the check and layer splits; the result, and whether both
+    trees agree on it and on the counts."""
     row = {"case": case["id"], "dim": case["dim"]}
     results, counts = {}, {}
     for side in SIDES:
@@ -314,6 +315,7 @@ def _row(case: dict, runs: dict) -> dict:
         row[f"{side}_s"] = (
             round(statistics.median(r["seconds"] for r in done), 6) if complete else None
         )
+        row[f"{side}_min_s"] = round(min(r["seconds"] for r in done), 6) if complete else None
         row[f"{side}_checks"] = _medians(done, "checks") if complete else None
         row[f"{side}_layers"] = _medians(done, "layers") if complete else None
         results[side] = done[0]["result"] if done else None

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .algebra import format_point
-from .connection import numeric_geodesic_residual, reeb_geodesy
+from .connection import RK4_DT, RK4_T_END, numeric_geodesic_residual, reeb_geodesy
 from .exterior import MetricField
 from .fixtures import FixtureDoc, FixtureError, load_fixture, load_fixture_dict
 from .metric import (
@@ -66,6 +66,7 @@ from .pair import (
 from .report import Report, render_report
 from .structure import (
     DECOMPOSABLE_DETAIL,
+    DEFINING_IDENTITIES,
     ContactPairStructure,
     PreconditionError,
     verify_induced_almost_contact,
@@ -76,8 +77,6 @@ from .verdicts import Verdict, combine_verdicts
 __all__ = ["CHECKS", "VERBS", "run", "main", "VerbUsageError"]
 
 RK4_TOLERANCE = 1e-8
-RK4_DT = 1e-3
-RK4_T_END = 1.0
 
 
 # The verdicts the constructions prove in their docstrings: what
@@ -117,16 +116,8 @@ class _Context:
         return verified_pair(self.doc.pair)
 
     @cached_property
-    def structure_verdicts(self):
-        return verify_structure(self.vp, self.doc.phi)
-
-    @cached_property
     def cps(self):
         return ContactPairStructure._of(self.vp, self.doc.phi)
-
-    @cached_property
-    def associated(self):
-        return is_associated(self.cps, self.doc.metric)
 
     @cached_property
     def mcp(self):
@@ -135,10 +126,6 @@ class _Context:
     @cached_property
     def orthogonal(self):
         return are_foliations_orthogonal(self.vp, self.doc.metric)
-
-    @cached_property
-    def aux(self):
-        return self.doc.aux_metric or MetricField.euclidean(self.vp.space)
 
 
 # --- the checks ----------------------------------------------------------------------
@@ -176,9 +163,9 @@ def _reeb(ctx: _Context) -> str | None:
 
 
 def _structure(ctx: _Context) -> str | None:
-    verdicts = ctx.structure_verdicts
+    verdicts = verify_structure(ctx.vp, ctx.doc.phi)
     ctx.report.verdicts.update({f"structure_{k}": v for k, v in verdicts.items()})
-    failed = [f"structure_{k}" for k in ("phi_squared", "phi_reeb") if not verdicts[k].ok]
+    failed = [f"structure_{k}" for k in DEFINING_IDENTITIES if not verdicts[k].ok]
     if failed:
         return f"structure identities failed: {', '.join(failed)}"
     return None
@@ -207,9 +194,10 @@ def _compatible(ctx: _Context) -> str | None:
 
 
 def _associated(ctx: _Context) -> str | None:
-    ctx.report.verdicts["associated"] = ctx.associated.verdict
-    ctx.report.verdicts["associated_skew"] = ctx.associated.verdicts["skew"]
-    return None if ctx.associated.ok else "requires an associated metric"
+    associated = is_associated(ctx.cps, ctx.doc.metric)
+    ctx.report.verdicts["associated"] = associated.verdict
+    ctx.report.verdicts["associated_skew"] = associated.verdicts["skew"]
+    return None if associated.ok else "requires an associated metric"
 
 
 def _orthogonal(ctx: _Context) -> None:
@@ -252,9 +240,7 @@ def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
     start = ctx.vp.sample_points[0]
     try:
         residuals = [
-            numeric_geodesic_residual(
-                g, ctx.vp.z(i), start, t_end=RK4_T_END, dt=RK4_DT, data=geo.christoffel
-            )
+            numeric_geodesic_residual(g, ctx.vp.z(i), start, data=geo.christoffel)
             for i in (1, 2)
         ]
     except ZeroDivisionError as exc:  # a pole on the trajectory, between sample points
@@ -274,8 +260,9 @@ def _geodesy_of(ctx: _Context, g: MetricField, prefix: str) -> None:
 
 
 def _built(ctx: _Context) -> None:
+    aux = ctx.doc.aux_metric or MetricField.euclidean(ctx.vp.space)
     try:
-        built = build_compatible(ctx.cps, ctx.aux)
+        built = build_compatible(ctx.cps, aux)
     except MetricValidationError as exc:
         ctx.report.verdicts["built_compatible"] = Verdict.failed(str(exc))
         return

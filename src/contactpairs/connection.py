@@ -2,8 +2,9 @@
 fixed-step RK4 cross-check of the geodesic equation.
 
 The connection of a frame e_1, ..., e_n (a chart or a Lie frame, see
-:mod:`contactpairs.exterior`) is held by its Christoffel symbols of the first
-kind L_{ab,k} = g(∇_{e_a} e_b, e_k), the Koszul formula
+:mod:`contactpairs.exterior`) is held by its nonzero Christoffel symbols of
+the first kind L_{ab,k} = g(∇_{e_a} e_b, e_k), keyed (a, b, k), the Koszul
+formula
 
     2 g(∇_{e_a} e_b, e_k) = e_a g_bk + e_b g_ak - e_k g_ab
                             + g([e_a,e_b], e_k) - g([e_b,e_k], e_a)
@@ -18,10 +19,10 @@ two sources: the nonzero derivatives e_a g_pq of the non-constant metric
 entries, and the nonzero values g([e_i, e_j], e_k) of the brackets of the
 indexed structure constants.  Each such term enters three symbols with
 weight ±½, at its place in the formula above, and each symbol is one
-``algebra._dot`` over its terms; a symbol that gets no term is the shared
-zero.  Torsion-freeness and metric compatibility are this formula's own
-algebra, so they are not re-checked on every run: the tests hold them as
-the oracle of the kernel.
+``algebra._dot`` over its terms; a symbol that gets no term, or whose terms
+cancel, is not stored.  Torsion-freeness and metric compatibility are this
+formula's own algebra, so they are not re-checked on every run: the tests
+hold them as the oracle of the kernel.
 
 The geodesy theorems are zero tests, so they are decided on covectors:
 (∇_X Y)♭_k = g(X(Y), e_k) + Σ X^a Y^b L_{ab,k} vanishes exactly when
@@ -80,35 +81,26 @@ class DegenerateMetricError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ChristoffelData:
-    """Christoffel symbols of the first kind: symbols[a][b][k] is
-    g(∇_{e_a} e_b, e_k)."""
+    """Christoffel symbols of the first kind L_{ab,k} = g(∇_{e_a} e_b, e_k):
+    ``symbols`` maps (a, b, k) to each nonzero symbol, in lexicographic
+    order, and every other symbol is zero."""
 
     space: Space
     metric: MetricField
-    symbols: tuple[tuple[tuple[RatFun, ...], ...], ...]
+    symbols: dict[tuple[int, int, int], RatFun]
 
     def gamma(self, a: int, b: int, k: int) -> RatFun:
-        return self.symbols[a][b][k]
+        return self.symbols.get((a, b, k)) or self.space.zero()
 
     def nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
-        """Every (a, b, k, L_{ab,k}) with a nonzero symbol, found once."""
-        return self._nonzero
-
-    @cached_property
-    def _nonzero(self) -> tuple[tuple[int, int, int, RatFun], ...]:
-        n = self.space.dim
-        return tuple(
-            (a, b, k, self.symbols[a][b][k])
-            for a in range(n)
-            for b in range(n)
-            for k in range(n)
-            if not self.symbols[a][b][k].is_zero()
-        )
+        """Every (a, b, k, L_{ab,k}) with a nonzero symbol, in (a, b, k) order."""
+        return tuple((*key, symbol) for key, symbol in self.symbols.items())
 
     def raised(self, a: int, b: int) -> tuple[RatFun, ...]:
         """Γ^·_ab, the vector g⁻¹ L_{ab,·}, by one exact solve, memoised."""
         if (a, b) not in self._raised:
-            self._raised[a, b] = _raised(self.metric, self.symbols[a][b])
+            covector = [self.gamma(a, b, k) for k in range(self.space.dim)]
+            self._raised[a, b] = _raised(self.metric, covector)
         return self._raised[a, b]
 
     @cached_property
@@ -120,15 +112,15 @@ def christoffel(g: MetricField) -> ChristoffelData:
     """The Christoffel symbols of the first kind of ``g``, exact."""
     space = g.space
     n = space.dim
-    # terms[a, b][k][slot] is the slot-th term of the Koszul formula for
+    # terms[a, b, k][slot] is the slot-th term of the Koszul formula for
     # g(∇_a e_b, e_k), in the order e_a g_bk, e_b g_ak, e_k g_ab,
     # g([e_a,e_b],e_k), g([e_b,e_k],e_a), g([e_k,e_a],e_b); each derivative
     # D = e_a g_pq and each bracket value B = g([e_i,e_j],e_k) fills one slot
     # of three symbols
-    terms: dict[tuple[int, int], dict[int, list]] = {}
+    terms: dict[tuple[int, int, int], list] = {}
 
     def enter(a: int, b: int, k: int, slot: int, value: RatFun) -> None:
-        terms.setdefault((a, b), {}).setdefault(k, [None] * 6)[slot] = value
+        terms.setdefault((a, b, k), [None] * 6)[slot] = value
 
     for p, row in enumerate(g.matrix.entries):
         for q, entry in enumerate(row):
@@ -148,14 +140,14 @@ def christoffel(g: MetricField) -> ChristoffelData:
 
     half, minus_half = space.scalar(Fraction(1, 2)), space.scalar(Fraction(-1, 2))
     weights = (half, half, minus_half, half, minus_half, half)
-    zero = space.zero()
-    symbols = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for (a, b), slots in terms.items():
-        for k, values in slots.items():
-            symbols[a][b][k] = _dot(n, (
-                (term, weight) for term, weight in zip(values, weights) if term is not None
-            ))
-    return ChristoffelData(space, g, tuple(tuple(tuple(row) for row in plane) for plane in symbols))
+    symbols = {}
+    for key in sorted(terms):
+        symbol = _dot(n, (
+            (term, weight) for term, weight in zip(terms[key], weights) if term is not None
+        ))
+        if not symbol.is_zero():
+            symbols[key] = symbol
+    return ChristoffelData(space, g, symbols)
 
 
 def _column(space: Space, coeffs: Mapping[int, Fraction]) -> list[RatFun]:
@@ -267,23 +259,19 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
         ij: VectorField(space, _raised(g, second_flats.column(col)))
         for col, ij in enumerate(lowered)
     }
+    # one residual row per (i, j), in the order of ``lowered``
+    pairs, names = list(lowered), space.names
     geodesic = residual_verdict(
-        [
-            (f"(∇_Z{i} Z{j})[{space.names[a]}]", c)
-            for (i, j), nabla in derivatives.items()
-            for a, c in enumerate(nabla.components)
-        ],
+        RfMatrix(space.dim, [nabla.components for nabla in derivatives.values()]),
         vp,
-        detail="∇_{Z_i} Z_j = 0 for i, j = 1, 2",
+        "∇_{Z_i} Z_j = 0 for i, j = 1, 2",
+        lambda r, a: "(∇_Z{} Z{})[{}]".format(*pairs[r], names[a]),
     )
     totally_geodesic = residual_verdict(
-        [
-            (f"B(Z{i}, Z{j})[{space.names[a]}]", c)
-            for (i, j), b_form in second.items()
-            for a, c in enumerate(b_form.components)
-        ],
+        RfMatrix(space.dim, [b_form.components for b_form in second.values()]),
         vp,
-        detail="the Reeb orbits are totally geodesic",
+        "the Reeb orbits are totally geodesic",
+        lambda r, a: "B(Z{}, Z{})[{}]".format(*pairs[r], names[a]),
     )
 
     return GeodesyReport(
@@ -295,6 +283,10 @@ def reeb_geodesy(vp: VerifiedPair, g: MetricField) -> GeodesyReport:
 
 
 # --- numeric cross-check -----------------------------------------------------------
+
+# The default step and horizon of the RK4 cross-check.
+RK4_DT = 1e-3
+RK4_T_END = 1.0
 
 # A float program: one (float coefficient, ((var, power), ...)) per term of a
 # Poly, in the order of ``Poly.terms``, with the zero powers left out.
@@ -419,8 +411,8 @@ def numeric_geodesic_residual(
     g: MetricField,
     field: VectorField,
     start: Sequence,
-    t_end: float = 1.0,
-    dt: float = 1e-3,
+    t_end: float = RK4_T_END,
+    dt: float = RK4_DT,
     data: ChristoffelData | None = None,
 ) -> float:
     """Integrate the flow of ``field`` with classical fixed-step RK4 and

@@ -49,13 +49,7 @@ from .algebra import RatFun, RfMatrix, _dot, format_point
 from .exterior import EndoField, MetricField, lie_derivative
 from .pair import VerifiedPair, column_matrix, kernel_frame, volume_coefficient
 from .structure import ContactPairStructure, PreconditionError
-from .verdicts import (
-    Verdict,
-    combine_verdicts,
-    matrix_residual_entries,
-    nonvanishing_verdict,
-    residual_verdict,
-)
+from .verdicts import Verdict, combine_verdicts, nonvanishing_verdict, residual_verdict
 
 __all__ = [
     "MetricContactPair",
@@ -114,7 +108,7 @@ def is_compatible(cps: ContactPairStructure, g: MetricField) -> Verdict:
         raise ValueError("metric lives on a different space")
     phi = cps.phi.matrix
     residual = phi.transpose() @ g.matrix @ phi - g.matrix + vp._alpha_gram
-    return residual_verdict(matrix_residual_entries(residual), vp, detail=COMPATIBLE_DETAIL)
+    return residual_verdict(residual, vp, detail=COMPATIBLE_DETAIL)
 
 
 @dataclass(frozen=True)
@@ -143,22 +137,17 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     pairing = g_phi - a_matrix
     skew = g_phi.transpose() + g_phi  # Φᵀ G = (G Φ)ᵀ, as G is symmetric
     duality = vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix  # Z^T G - α
-
-    residuals = {
-        "pairing": matrix_residual_entries(pairing),
-        "reeb": [
-            (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
-            for i in (1, 2)
-            for b in range(vp.dim)
-        ],
-        "skew": matrix_residual_entries(skew),
-    }
-    return AssociatedCheckReport(
-        {
-            key: residual_verdict(residuals[key], vp, detail=detail)
-            for key, detail in ASSOCIATED_DETAILS.items()
-        }
-    )
+    names = vp.space.names
+    return AssociatedCheckReport({
+        "pairing": residual_verdict(pairing, vp, ASSOCIATED_DETAILS["pairing"]),
+        "reeb": residual_verdict(
+            duality,
+            vp,
+            ASSOCIATED_DETAILS["reeb"],
+            lambda i, b: f"g(Z{i + 1}, e_{names[b]}) - alpha{i + 1}[{b}]",
+        ),
+        "skew": residual_verdict(skew, vp, ASSOCIATED_DETAILS["skew"]),
+    })
 
 
 @dataclass(frozen=True)
@@ -318,12 +307,9 @@ def build_associated_by_polarization(
 def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField) -> Verdict:
     """g(u, v) = 0 for every u in the TF1 frame and v in the TF2 frame."""
     table = vp.tf1.matrix.transpose() @ g.matrix @ vp.tf2.matrix
-    residuals = [
-        (f"g(TF1[{p}], TF2[{q}])", table.at(p, q))
-        for p in range(table.rows)
-        for q in range(table.cols)
-    ]
-    return residual_verdict(residuals, vp, detail=ORTHOGONAL_DETAIL)
+    return residual_verdict(
+        table, vp, ORTHOGONAL_DETAIL, lambda p, q: f"g(TF1[{p}], TF2[{q}])"
+    )
 
 
 def killing_check(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:
@@ -332,18 +318,12 @@ def killing_check(mcp: MetricContactPair, i: int) -> dict[str, Verdict]:
     phi is Z_i-invariant exactly when Z_i is a Killing field."""
     vp = mcp.vp
     z = vp.z(i)
-    lie_g = lie_derivative(z, mcp.g)
-    lie_phi = lie_derivative(z, mcp.phi)
     return {
         "lie_g_zero": residual_verdict(
-            matrix_residual_entries(lie_g.matrix),
-            vp,
-            detail=f"L_Z{i} g = 0 (Z{i} is Killing)",
+            lie_derivative(z, mcp.g).matrix, vp, detail=f"L_Z{i} g = 0 (Z{i} is Killing)"
         ),
         "lie_phi_zero": residual_verdict(
-            matrix_residual_entries(lie_phi.matrix),
-            vp,
-            detail=f"L_Z{i} phi = 0",
+            lie_derivative(z, mcp.phi).matrix, vp, detail=f"L_Z{i} phi = 0"
         ),
     }
 

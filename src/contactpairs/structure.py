@@ -12,10 +12,13 @@ one phi builder.
 
 Each identity is a matrix product, with Z = (Z1 Z2), A the rows alpha1,
 alpha2 and F the column matrix of a frame: phi^2 + Id - Z A, phi Z and
-A phi; and A (phi F) and W_i^T (phi F), W_i the table of d alpha_i, for
-decomposability.  The almost contact structures induced on the leaves are
-not recomputed: once phi is decomposable, phi^2 = -Id + Z A and the frame
-equations prove them (:func:`verify_induced_almost_contact`).
+A phi; and W_i^T (phi F), W_i the table of d alpha_i, for decomposability,
+since the two defining identities give A phi = 0 (:func:`is_decomposable`).
+Each is decided on its residual matrix as computed
+(:func:`~contactpairs.verdicts.residual_verdict`).  The almost contact
+structures induced on the leaves are not recomputed: once phi is
+decomposable, phi^2 = -Id + Z A and the frame equations prove them
+(:func:`verify_induced_almost_contact`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 from .algebra import RfMatrix, generic_rank
 from .exterior import EndoField
 from .pair import VerifiedPair
-from .verdicts import Verdict, matrix_residual_entries, residual_verdict
+from .verdicts import Verdict, residual_verdict
 
 __all__ = [
     "ContactPairStructure",
@@ -36,6 +39,11 @@ __all__ = [
     "is_decomposable",
     "verify_induced_almost_contact",
 ]
+
+
+# The verify_structure keys of the two defining identities, which a
+# structure must satisfy; the others are derived from them.
+DEFINING_IDENTITIES = ("phi_squared", "phi_reeb")
 
 
 class StructureValidationError(ValueError):
@@ -60,21 +68,18 @@ def verify_structure(vp: VerifiedPair, phi: EndoField) -> dict[str, Verdict]:
     squared_residual = phi.matrix @ phi.matrix + RfMatrix.identity(n, n) - reeb @ alphas
     out = {
         "phi_squared": residual_verdict(
-            matrix_residual_entries(squared_residual),
-            vp,
-            detail="phi^2 = -Id + alpha1⊗Z1 + alpha2⊗Z2",
+            squared_residual, vp, detail="phi^2 = -Id + alpha1⊗Z1 + alpha2⊗Z2"
         )
     }
 
     # phi Z_i and alpha_i ∘ phi, each as row i - 1 of a 2 x n table
     for key, table, label, detail in (
-        ("phi_reeb", (phi.matrix @ reeb).transpose(), "(phi Z{})", "phi(Z1) = phi(Z2) = 0"),
-        ("alpha_phi", alphas @ phi.matrix, "(alpha{} ∘ phi)", "alpha_i ∘ phi = 0"),
+        ("phi_reeb", (phi.matrix @ reeb).transpose(), "(phi Z{})[{}]", "phi(Z1) = phi(Z2) = 0"),
+        ("alpha_phi", alphas @ phi.matrix, "(alpha{} ∘ phi)[{}]", "alpha_i ∘ phi = 0"),
     ):
-        residuals = [
-            (f"{label.format(i)}[{names[b]}]", table.at(i - 1, b)) for i in (1, 2) for b in range(n)
-        ]
-        out[key] = residual_verdict(residuals, vp, detail=detail)
+        out[key] = residual_verdict(
+            table, vp, detail, lambda i, b, label=label: label.format(i + 1, names[b])
+        )
 
     rank = generic_rank(phi.matrix)
     if rank == n - 2:
@@ -95,7 +100,7 @@ class ContactPairStructure:
 
     def __post_init__(self):
         verdicts = verify_structure(self.vp, self.phi)
-        for key in ("phi_squared", "phi_reeb"):
+        for key in DEFINING_IDENTITIES:
             if not verdicts[key].ok:
                 raise StructureValidationError(
                     f"{key}: {verdicts[key].witness or verdicts[key].detail}"
@@ -130,22 +135,27 @@ DECOMPOSABLE_DETAIL = "phi(TF_i) ⊂ TF_i for i = 1, 2"
 
 def is_decomposable(cps: ContactPairStructure) -> Verdict:
     """phi preserves both characteristic subbundles: for every frame vector v
-    of TF_i, alpha_i(phi v) = 0 and i_{phi v} d alpha_i = 0 (equivalently phi
-    maps each TG_i onto itself)."""
-    vp = cps.vp
-    residuals = []
+    of TF_i, i_{phi v} d alpha_i = 0 (equivalently phi maps each TG_i onto
+    itself).  With W_i the table of d alpha_i and F_i the column matrix of
+    the TF_i frame, the residual is (W_i^T (phi F_i))^T, one row per frame
+    vector.
+
+    alpha_i(phi v) = 0 needs no check, as A phi = 0 for every structure:
+    phi Z = 0 gives phi^3 = phi (-Id + Z A) = -phi, and phi^2 = -Id + Z A
+    gives phi^3 = -phi + Z A phi, so Z A phi = 0, and A Z = Id, the Reeb
+    normalization, gives A phi = A Z A phi = 0."""
+    vp, names = cps.vp, cps.space.names
     for i in (1, 2):
-        images = cps.phi.matrix @ vp.tf(i).matrix
-        alpha_images = (vp._alpha_matrix @ images).row(i - 1)
-        # column p of W_i^T (phi F_i) is i_{phi v_p} d alpha_i
-        contractions = vp.pair.dalpha_table(i).transpose() @ images
-        for idx in range(images.cols):
-            residuals.append((f"alpha{i}(phi TF{i}[{idx}])", alpha_images[idx]))
-            residuals.extend(
-                (f"(i_(phi TF{i}[{idx}]) d alpha{i})[{vp.space.names[b]}]", c)
-                for b, c in enumerate(contractions.column(idx))
-            )
-    return residual_verdict(residuals, vp, detail=DECOMPOSABLE_DETAIL)
+        contractions = vp.pair.dalpha_table(i).transpose() @ (cps.phi.matrix @ vp.tf(i).matrix)
+        verdict = residual_verdict(
+            contractions.transpose(),
+            vp,
+            DECOMPOSABLE_DETAIL,
+            lambda p, b, i=i: f"(i_(phi TF{i}[{p}]) d alpha{i})[{names[b]}]",
+        )
+        if not verdict.ok:
+            return verdict
+    return verdict
 
 
 def verify_induced_almost_contact(cps: ContactPairStructure, i: int) -> Verdict:

@@ -4,15 +4,19 @@ Exact checks come back Verified or Failed.  Checks that cannot be decided
 globally (positivity of a non-constant polynomial) degrade honestly to
 SampleVerified, recording how many sample points were inspected.  Every
 Failed verdict carries a reproducible witness.
+
+An identity is decided by :func:`residual_verdict` on its residual matrix
+as computed: the first nonzero entry in row order is the witness, and only
+it is labelled.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .algebra import RatFun, format_point
+from .algebra import RatFun, RfMatrix, format_point
 
 
 class Status(str, enum.Enum):
@@ -81,17 +85,26 @@ def combine_verdicts(verdicts: Iterable[Verdict], detail: str | None = None) -> 
     return Verdict(status, detail, points_checked=points)
 
 
+def entry_label(i: int, j: int) -> str:
+    """The default witness label of a residual matrix: the entry's place."""
+    return f"entry ({i},{j})"
+
+
 def residual_verdict(
-    residuals: Sequence[tuple[str, RatFun]], pair, detail: str = ""
+    matrix: RfMatrix, pair, detail: str = "", label: Callable[[int, int], str] = entry_label
 ) -> Verdict:
-    """Verified when every labelled residual is identically zero, otherwise
-    Failed with the first nonzero one as witness, printed in the coordinate
-    names of ``pair``'s space (a pair, verified pair or structure)."""
-    for label, r in residuals:
-        if not r.is_zero():
-            return Verdict.failed(
-                f"{label} = {r.format(pair.space.names)}", detail or "nonzero symbolic residual"
-            )
+    """Verified when every entry of the residual matrix is identically zero,
+    otherwise Failed with the first nonzero entry in row order as witness,
+    ``label(i, j)`` = its value printed in the coordinate names of ``pair``'s
+    space (a pair, verified pair or structure).  Only the witness is
+    labelled."""
+    for i, row in enumerate(matrix.entries):
+        for j, r in enumerate(row):
+            if not r.is_zero():
+                return Verdict.failed(
+                    f"{label(i, j)} = {r.format(pair.space.names)}",
+                    detail or "nonzero symbolic residual",
+                )
     return Verdict.verified(detail)
 
 
@@ -119,12 +132,3 @@ def nonvanishing_verdict(
     return Verdict.sample_verified(
         len(sample_points), f"{label} non-constant; nonzero at all sample points"
     )
-
-
-def matrix_residual_entries(matrix) -> list[tuple[str, RatFun]]:
-    """Label every entry of a residual matrix for use with residual_verdict."""
-    return [
-        (f"entry ({i},{j})", matrix.at(i, j))
-        for i in range(matrix.rows)
-        for j in range(matrix.cols)
-    ]

@@ -107,10 +107,13 @@ def dense_chart_rung(h, k):
 
 
 def second_kind(data):
-    """Γ^c_ab = Σ_k g^ck L_ab,k, by the inverse of g: symbols[a][b][c]."""
+    """Γ^c_ab = Σ_k g^ck L_ab,k, by the inverse of g: gammas[a][b][c]."""
     n = data.space.dim
     g_inv = data.metric.matrix.inverse()
-    return tuple(tuple(g_inv.apply(data.symbols[a][b]) for b in range(n)) for a in range(n))
+    return tuple(
+        tuple(g_inv.apply([data.gamma(a, b, k) for k in range(n)]) for b in range(n))
+        for a in range(n)
+    )
 
 
 def covariant_derivative(gammas, x, y):
@@ -180,22 +183,16 @@ def compatible_corollaries(cps, g):
     gram = _reeb_gram(vp, g) - RfMatrix.identity(2, vp.dim)
     return {
         "reeb_duality": residual_verdict(
-            [
-                (f"g(Z{i}, e_{vp.space.names[b]}) - alpha{i}[{b}]", duality.at(i - 1, b))
-                for i in (1, 2)
-                for b in range(vp.dim)
-            ],
+            duality,
             vp,
-            detail="g(Z_i, X) = alpha_i(X)",
+            "g(Z_i, X) = alpha_i(X)",
+            lambda i, b: f"g(Z{i + 1}, e_{vp.space.names[b]}) - alpha{i + 1}[{b}]",
         ),
         "reeb_orthonormality": residual_verdict(
-            [
-                (f"g(Z{i}, Z{j}) - {int(i == j)}", gram.at(i - 1, j - 1))
-                for i in (1, 2)
-                for j in (1, 2)
-            ],
+            gram,
             vp,
-            detail="g(Z_i, Z_j) = delta_ij",
+            "g(Z_i, Z_j) = delta_ij",
+            lambda i, j: f"g(Z{i + 1}, Z{j + 1}) - {int(i == j)}",
         ),
     }
 
@@ -209,45 +206,48 @@ def _leaf_square_residual(cps, f, i):
 
 
 def induced_almost_contact(cps, i):
-    """phi^2 v = -v + alpha_i(v) Z_i on the TF_j frame (j != i)."""
+    """phi^2 v = -v + alpha_i(v) Z_i on the TF_j frame (j != i), one
+    residual row per frame vector."""
     vp = cps.vp
     leaf = vp.tf(2 if i == 1 else 1)
     square = _leaf_square_residual(cps, leaf.matrix, i)
     return residual_verdict(
-        [
-            (f"(phi^2 - (-Id + alpha{i}⊗Z{i}))({leaf.label}[{p}])[{vp.space.names[a]}]", c)
-            for p in range(square.cols)
-            for a, c in enumerate(square.column(p))
-        ],
+        square.transpose(),
         vp,
-        detail=f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf.label}",
+        f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf.label}",
+        lambda p, a: (
+            f"(phi^2 - (-Id + alpha{i}⊗Z{i}))({leaf.label}[{p}])[{vp.space.names[a]}]"
+        ),
     )
 
 
 def leaf_contact_metric(mcp, i):
     """On the TF_j frame F (j != i): F^T G phi F = F^T W_i F, row i of
-    (Z^T G - A) F vanishes and phi^2 F + F - Z_i alpha_i F = 0."""
+    (Z^T G - A) F vanishes and phi^2 F + F - Z_i alpha_i F = 0, one residual
+    row per frame vector F[p]: row p of the first, entry p of the second
+    and column p of the third."""
     vp, frame = mcp.vp, mcp.vp.tf(2 if i == 1 else 1)
-    label, f = frame.label, frame.matrix
+    label, f, m = frame.label, frame.matrix, frame.size
     f_t = f.transpose()
     pairing = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - f_t @ vp.pair.dalpha_table(i) @ f
     duality = (vp._reeb_matrix.transpose() @ mcp.g.matrix - vp._alpha_matrix) @ f
     square = _leaf_square_residual(mcp.cps, f, i)
-    residuals = []
-    for p in range(frame.size):
-        residuals.extend(
-            (f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}", pairing.at(p, q))
-            for q in range(frame.size)
-        )
-        residuals.append((f"g({label}[{p}], Z{i}) - alpha{i}", duality.at(i - 1, p)))
-        residuals.extend(
-            (f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{a}]", c)
-            for a, c in enumerate(square.column(p))
-        )
+    rows = RfMatrix(vp.dim, [
+        (*pairing.row(p), duality.at(i - 1, p), *square.column(p)) for p in range(m)
+    ])
+
+    def entry(p, q):
+        if q < m:
+            return f"g({label}[{p}], phi {label}[{q}]) - d alpha{i}"
+        if q == m:
+            return f"g({label}[{p}], Z{i}) - alpha{i}"
+        return f"(phi^2 + Id - alpha{i}⊗Z{i})({label}[{p}])[{q - m - 1}]"
+
     return residual_verdict(
-        residuals,
+        rows,
         vp,
-        detail=f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
+        f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {label}",
+        entry,
     )
 
 
@@ -270,21 +270,15 @@ def leaf_mcp(mcp, i):
         verdicts.insert(0, nonvanishing_verdict(volume, vp.sample_points, volume_label))
     associated = f_t @ mcp.g.matrix @ (mcp.phi.matrix @ f) - (tables[0] + tables[1])
     duality = (vp._reeb_matrix.transpose() @ mcp.g.matrix - vp._alpha_matrix) @ f
-    residuals = [
-        (f"(G phi - d alpha)|{label} ({p},{q})", associated.at(p, q))
-        for p in range(frame.size)
-        for q in range(frame.size)
-    ]
-    residuals.extend(
-        (f"g({label}[{p}], Z{l}) - alpha{l}", duality.at(l - 1, p))
-        for l in (1, 2)
-        for p in range(frame.size)
-    )
-    verdicts.append(
+    detail = "restricted metric is associated to the restricted pair"
+    verdicts += [
         residual_verdict(
-            residuals, vp, detail="restricted metric is associated to the restricted pair"
-        )
-    )
+            associated, vp, detail, lambda p, q: f"(G phi - d alpha)|{label} ({p},{q})"
+        ),
+        residual_verdict(
+            duality, vp, detail, lambda l, p: f"g({label}[{p}], Z{l + 1}) - alpha{l + 1}"
+        ),
+    ]
     return combine_verdicts(
         verdicts, detail=f"metric contact pair of type {degrees} induced on {label}"
     )

@@ -196,12 +196,11 @@ def test_random_chart_metrics_validate(rng):
 
 
 def _perturbed(data: ChristoffelData, changes) -> ChristoffelData:
-    symbols = [[list(row) for row in plane] for plane in data.symbols]
-    for (a, b, k), delta in changes:
-        symbols[a][b][k] = symbols[a][b][k] + delta
-    return ChristoffelData(
-        data.space, data.metric, tuple(tuple(tuple(row) for row in plane) for plane in symbols)
-    )
+    symbols = dict(data.symbols)
+    for key, delta in changes:
+        symbols[key] = symbols.get(key, data.space.zero()) + delta
+    nonzero = {key: symbols[key] for key in sorted(symbols) if not symbols[key].is_zero()}
+    return ChristoffelData(data.space, data.metric, nonzero)
 
 
 def test_validate_connection_rejects_a_perturbed_symbol(r6):

@@ -1,6 +1,7 @@
 """Compatible/associated metrics, the two constructions, orthogonality,
 Killing fields, and leafwise restriction."""
 
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from contactpairs.algebra import (
     pfaffian_minor,
     solve_linear_exact,
 )
-from contactpairs.exterior import EndoField, Form, MetricField, VectorField
+from contactpairs.exterior import EndoField, Form, MetricField, Space, VectorField
 from contactpairs.fixtures import FixtureError, bundled_fixture_names
 from contactpairs.metric import (
     MetricContactPair,
@@ -34,7 +35,7 @@ from contactpairs.metric import (
 )
 from contactpairs.pair import ContactPair, Status, column_matrix, kernel_frame, verified_pair
 from contactpairs.structure import ContactPairStructure, PreconditionError, is_decomposable
-from contactpairs.verdicts import Verdict, combine_verdicts
+from contactpairs.verdicts import Verdict, combine_verdicts, residual_verdict
 
 from conftest import (
     FLAT2_SAMPLES,
@@ -111,6 +112,14 @@ def test_euclidean_fails_compatibility_on_r6(r6):
     assert "(1,1)" in verdict.witness
 
 
+def test_associated_reeb_witness_pinned(r6):
+    """On 2g, g(Z_i, ·) = alpha_i fails at the first nonzero entry of
+    Z^T G - α in row order, named by its Reeb field and coordinate."""
+    cps, g = r6
+    report = is_associated(cps, MetricField(cps.space, g.matrix.scaled(2)))
+    assert report.verdicts["reeb"].witness == "g(Z1, e_y1) - alpha1[1] = -x1"
+
+
 def test_compatible_corollaries_hold(r6, nilpotent, flat2):
     """The residuals of the corollaries is_compatible proves vanish
     (``compatible_corollaries`` is the test-side reference)."""
@@ -177,6 +186,27 @@ def test_combine_verdicts():
         Status.FAILED, "c", witness="w"
     )
     assert combine_verdicts([]) == Verdict(Status.VERIFIED)
+
+
+def test_residual_verdict_labels_only_its_witness():
+    """A residual matrix is scanned in row order: the first nonzero entry is
+    the witness, printed in the coordinate names, and ``label`` is called for
+    it alone, and not at all when every entry is zero."""
+    space = Space.chart(["x", "y"])
+    zero, x, y = space.zero(), space.coordinate(0), space.coordinate(1)
+    pair = types.SimpleNamespace(space=space)
+    calls = []
+
+    def label(i, j):
+        calls.append((i, j))
+        return f"r[{i}][{j}]"
+
+    residual = RfMatrix(2, [[zero, zero, zero], [zero, y, x], [x, zero, y]])
+    assert residual_verdict(residual, pair, "d", label) == Verdict.failed("r[1][1] = y", "d")
+    assert calls == [(1, 1)]
+    assert residual_verdict(residual, pair).witness == "entry (1,1) = y"
+    assert residual_verdict(RfMatrix.zeros(2, 3, 2), pair, "d", label) == Verdict.verified("d")
+    assert calls == [(1, 1)]
 
 
 # --- build_compatible -----------------------------------------------------------------

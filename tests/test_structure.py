@@ -27,6 +27,7 @@ from conftest import (
     build_r6_forms,
     build_r6_phi,
     build_r6_space,
+    fixture_doc,
 )
 
 
@@ -95,6 +96,29 @@ def test_zero_endomorphism_fails_squared_identity(r6):
     assert verdicts["rank"].status is Status.FAILED
 
 
+def test_structure_witnesses_pinned(r6):
+    """A failed structure identity names the first nonzero entry of its
+    residual in row order, in the coordinate names: phi^2 + Id - Z A for
+    2 phi on r6, and the rows (phi Z_i)^T and alpha_i ∘ phi for the phi of
+    ``bad_phi``, which squares to -Id + Z A = 0."""
+    vp, phi = r6
+    doubled = verify_structure(vp, EndoField(vp.space, phi.matrix.scaled(2)))
+    assert {key: v.witness for key, v in doubled.items()} == {
+        "phi_squared": "entry (0,0) = -3",
+        "phi_reeb": None,
+        "alpha_phi": None,
+        "rank": None,
+    }
+    doc = fixture_doc("bad_phi")
+    verdicts = verify_structure(verified_pair(doc.pair), doc.phi)
+    assert {key: v.witness for key, v in verdicts.items()} == {
+        "phi_squared": None,
+        "phi_reeb": "(phi Z2)[x] = 1",
+        "alpha_phi": "(alpha1 ∘ phi)[y] = 1",
+        "rank": "rank(phi) = 1",
+    }
+
+
 def test_structure_constructor_enforces_identities(r6):
     vp, phi = r6
     ContactPairStructure(vp, phi)  # fine
@@ -106,7 +130,8 @@ def test_r6_not_decomposable(r6):
     vp, phi = r6
     verdict = is_decomposable(ContactPairStructure(vp, phi))
     assert verdict.status is Status.FAILED
-    assert verdict.witness is not None
+    # the first nonzero entry of W_1^T (phi F_1), F_1 the TF1 frame
+    assert verdict.witness == "(i_(phi TF1[0]) d alpha1)[y1] = 1"
 
 
 def test_nilpotent_decomposable(nilpotent):

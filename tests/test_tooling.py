@@ -73,9 +73,10 @@ def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
     in-process on this tree.  The traced call's split has every layer of
     perfbench's tracer, with the exact solve among them and, on the dense
     case, one kernel basis per d alpha_i; its counts repeat between the
-    measurements, and tracing leaves the report's digest as it was.  No
-    family's case reduces a fraction, so ``reeb`` on ``twisted``, whose Reeb
-    field Z1 has the entry −y/x, shows that the gcd is traced."""
+    measurements, and tracing leaves the report's digest as it was.  A row
+    over the two measurements keeps each tree's median and minimum seconds.
+    No family's case reduces a fraction, so ``reeb`` on ``twisted``, whose
+    Reeb field Z1 has the entry −y/x, shows that the gcd is traced."""
     bench = _bench(monkeypatch)
     spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
@@ -97,6 +98,10 @@ def test_bench_measures_the_smallest_case_of_each_family(tmp_path, monkeypatch):
         assert bench._counts(first) == bench._counts(again), family
         assert {"algebra.ratfun_new", "cli.verdicts_reported"} <= bench._counts(first).keys()
         assert first["traced_result"] == first["result"] == again["result"], family
+        row = bench._row(smallest, {(smallest["id"], side): runs for side in bench.SIDES})
+        seconds = [run["seconds"] for run in runs]
+        for side in bench.SIDES:
+            assert row[f"{side}_min_s"] == round(min(seconds), 6) <= row[f"{side}_s"], family
     twisted = {"verb": "reeb", "path": str(ROOT / "tests" / "fixtures" / "twisted.json")}
     with _fresh_package():
         assert bench.measure(ROOT, {**twisted, "calls": 1})["layers"]["algebra.gcd_calls"] > 0
