@@ -56,13 +56,7 @@ from .metric import (
     killing_check,
     verify_restricted_contact_metric,
 )
-from .pair import (
-    FrameRankError,
-    PairValidationError,
-    ReebSolveError,
-    verified_pair,
-    verify_splittings,
-)
+from .pair import PairValidationError, ReebSolveError, verified_pair, verify_splittings
 from .report import Report, render_report
 from .structure import (
     DECOMPOSABLE_DETAIL,
@@ -98,14 +92,14 @@ class VerbUsageError(ValueError):
 
 class _Context:
     """One run: the fixture, the report, and the intermediates the checks
-    share, each computed at most once.  The pair memoises its axiom verdicts
-    and ``d alpha_i``, the structure its decomposable verdict.  The structure
-    and the metric contact pair are built with ``_of``, unchecked: every
-    check that reads ``cps`` runs after ``structure`` has passed, and every
-    one that reads ``mcp`` after ``associated`` has, so they pass exactly
-    when the public constructors would accept.  Each metric's Christoffel
-    symbols of the first kind travel inside its geodesy report to its RK4
-    cross-check."""
+    share, each computed at most once.  The pair memoises its axiom verdicts,
+    ``d alpha_i`` and frame nests, the structure its decomposable verdict.
+    The structure and the metric contact pair are built with ``_of``,
+    unchecked: every check that reads ``cps`` runs after ``structure`` has
+    passed, and every one that reads ``mcp`` after ``associated`` has, so
+    they pass exactly when the public constructors would accept.  Each
+    metric's Christoffel symbols of the first kind travel inside its geodesy
+    report to its RK4 cross-check."""
 
     def __init__(self, doc: FixtureDoc, verb: str):
         self.doc = doc
@@ -143,7 +137,7 @@ def _pair(ctx: _Context) -> str | None:
 def _reeb(ctx: _Context) -> str | None:
     try:
         vp = ctx.vp
-    except (ReebSolveError, FrameRankError, PairValidationError) as exc:
+    except (ReebSolveError, PairValidationError) as exc:
         ctx.report.verdicts["reeb_solve"] = Verdict.failed(str(exc))
         return str(exc)
     # reeb_fields, inside verified_pair, solved the first two identities

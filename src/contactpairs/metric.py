@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .algebra import RatFun, RfMatrix, _dot, format_point
 from .exterior import EndoField, MetricField, lie_derivative
-from .pair import VerifiedPair, column_matrix, kernel_frame, volume_coefficient
+from .pair import VerifiedPair, _other, column_matrix, kernel_frame, volume_coefficient
 from .structure import ContactPairStructure, PreconditionError
 from .verdicts import Verdict, combine_verdicts, nonvanishing_verdict, residual_verdict
 
@@ -132,9 +132,8 @@ def is_associated(cps: ContactPairStructure, g: MetricField) -> AssociatedCheckR
     vp = cps.vp
     if g.space != vp.space:
         raise ValueError("metric lives on a different space")
-    a_matrix = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
     g_phi = g.matrix @ cps.phi.matrix
-    pairing = g_phi - a_matrix
+    pairing = g_phi - vp.pair.dalpha_sum_table
     skew = g_phi.transpose() + g_phi  # Φᵀ G = (G Φ)ᵀ, as G is symmetric
     duality = vp._reeb_matrix.transpose() @ g.matrix - vp._alpha_matrix  # Z^T G - α
     names = vp.space.names
@@ -290,11 +289,11 @@ def build_associated_by_polarization(
     identity in the frame [B1 | B2 | Z1 Z2], so TF1 ⊥ TF2
     (:func:`are_foliations_orthogonal`); and phi maps each Darboux pair to
     itself and Z_j to 0, so phi(TF_i) ⊂ TF_i (:func:`is_decomposable`)."""
-    tg1, tg2 = vp.tg1.vectors, vp.tg2.vectors
+    tg1, tg2 = vp.tg(1).vectors, vp.tg(2).vectors
     if not decomposable and tg1 and tg2:
         tg1 = (tg1[0] + tg2[0], *tg1[1:])
     frame = column_matrix(vp.space, [*tg1, *tg2])
-    w = vp.pair.dalpha_table(1) + vp.pair.dalpha_table(2)
+    w = vp.pair.dalpha_sum_table
     darboux = frame @ _darboux_frame(frame.transpose() @ w @ frame)
     phi = darboux @ (darboux.transpose() @ w)
     g = vp._alpha_gram - w @ phi
@@ -306,7 +305,7 @@ def build_associated_by_polarization(
 
 def are_foliations_orthogonal(vp: VerifiedPair, g: MetricField) -> Verdict:
     """g(u, v) = 0 for every u in the TF1 frame and v in the TF2 frame."""
-    table = vp.tf1.matrix.transpose() @ g.matrix @ vp.tf2.matrix
+    table = vp.tf(1).matrix.transpose() @ g.matrix @ vp.tf(2).matrix
     return residual_verdict(
         table, vp, ORTHOGONAL_DETAIL, lambda p, q: f"g(TF1[{p}], TF2[{q}])"
     )
@@ -398,7 +397,7 @@ def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str
             "restriction to the characteristic leaves needs decomposable phi"
         )
     vp = mcp.vp
-    leaf, kernel = vp.tf(2 if i == 1 else 1), kernel_frame(vp.pair, i)
+    kernel = kernel_frame(vp.pair, i)
     f = kernel.matrix
     tables = tuple(f.transpose() @ vp.pair.dalpha_table(l) @ f for l in (1, 2))
     alphas = vp._alpha_matrix @ f
@@ -410,7 +409,7 @@ def verify_restricted_contact_metric(mcp: MetricContactPair, i: int) -> dict[str
     )
     return {
         "leaf_contact_metric": Verdict.verified(
-            f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on {leaf.label}"
+            f"contact metric structure induced by (alpha{i}, Z{i}, phi, g) on TF{_other(i)}"
         ),
         "leaf_mcp": combine_verdicts(
             [volume],

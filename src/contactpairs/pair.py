@@ -22,11 +22,11 @@ already quadratic and its minors grow with their order.  The leaf checks
 take the volume coefficient of the pair induced on the leaves of a frame
 from the restricted tables; its power conditions follow from the pair's own.
 
-A frame is its vectors; ker d alpha_i ⊃ TF_i ⊃ TG_i are one nest, built once
-by one elimination and two one-row kernels.  The splittings TM = TF1 ⊕ TF2
-and TF_i = TG_i ⊕ R·Z_j hold by construction once :func:`verified_pair`
-returns (:func:`verify_splittings` gives the proof), so no frame tests
-membership and no splitting takes a rank.
+A frame is its vectors; ker d alpha_i ⊃ TF_i ⊃ TG_i are one nest, built on
+the pair by one elimination and two one-row kernels when a frame of index i
+is first read.  Once :func:`verified_pair` returns, every nest has the ranks
+of the type (:func:`_frame_nest`), so the splittings need no frame
+(:func:`verify_splittings`), no frame tests membership and none takes a rank.
 """
 
 from __future__ import annotations
@@ -82,6 +82,18 @@ class ReebSolveError(RuntimeError):
 
 class FrameRankError(RuntimeError):
     """A distribution frame does not have the rank the pair type dictates."""
+
+
+def _position(i: int) -> int:
+    """Position 0 or 1 of index 1 or 2, the index rule of every accessor."""
+    if i not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {i!r}")
+    return i - 1
+
+
+def _other(i: int) -> int:
+    """The other index j != i."""
+    return 2 - _position(i)
 
 
 def one_form_row(form: Form) -> tuple[RatFun, ...]:
@@ -151,11 +163,11 @@ class ContactPair:
         return self.space.dim
 
     def alpha(self, i: int) -> Form:
-        return self.alpha1 if i == 1 else self.alpha2
+        return (self.alpha1, self.alpha2)[_position(i)]
 
     def dalpha(self, i: int) -> Form:
         """d alpha_i; both differentials are computed once, on first use."""
-        return self._dalphas[0 if i == 1 else 1]
+        return self._dalphas[_position(i)]
 
     @cached_property
     def _dalphas(self) -> tuple[Form, Form]:
@@ -169,16 +181,16 @@ class ContactPair:
     def dalpha_table(self, i: int) -> RfMatrix:
         """The value table W_i[a][b] = d alpha_i(e_a, e_b); both tables are
         formed once, on first use."""
-        return self._dalpha_tables[0 if i == 1 else 1]
+        return self._dalpha_tables[_position(i)]
 
     @cached_property
     def _dalpha_tables(self) -> tuple[RfMatrix, RfMatrix]:
         return two_form_matrix(self.dalpha(1)), two_form_matrix(self.dalpha(2))
 
-    def contraction_rows(self, i: int) -> list[tuple[RatFun, ...]]:
-        """The rows of Z -> i_Z d alpha_i: (i_Z d alpha_i)(e_b) = sum_a
-        W_i[a][b] Z^a, so row b is column b of :meth:`dalpha_table`."""
-        return list(self.dalpha_table(i).transpose().entries)
+    @cached_property
+    def dalpha_sum_table(self) -> RfMatrix:
+        """W = W_1 + W_2, the table of d alpha1 + d alpha2, formed once."""
+        return self.dalpha_table(1) + self.dalpha_table(2)
 
 
 def volume_coefficient(
@@ -280,11 +292,11 @@ def verify_contact_pair(pair: ContactPair) -> AxiomVerdicts:
 
 def _reeb_system(pair: ContactPair) -> RfMatrix:
     """The rows alpha1, alpha2 and the contraction rows of d alpha1 and
-    d alpha2, read from the pair's canonical coefficients as they are (on a
-    Lie frame every entry is constant)."""
+    d alpha2, the rows of W_iᵀ as (i_Z d alpha_i)(e_b) = sum_a W_i[a][b] Z^a,
+    read from the canonical coefficients as they are (constant on a Lie frame)."""
     rows = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     for i in (1, 2):
-        rows.extend(pair.contraction_rows(i))
+        rows.extend(pair.dalpha_table(i).transpose().entries)
     return RfMatrix._of(pair.dim, tuple(rows), pair.dim)
 
 
@@ -331,7 +343,7 @@ def reeb_fields(pair: ContactPair) -> tuple[VectorField, VectorField]:
 class DistributionFrame:
     """Polynomial vector fields spanning a distribution generically.  The
     package's frames are RREF kernel bases, independent by construction, so
-    the class checks nothing."""
+    the class checks only that each vector lives on its space."""
 
     space: Space
     vectors: tuple[VectorField, ...]
@@ -381,21 +393,28 @@ def _row_kernel(
 
 def _frame_nest(pair: ContactPair, i: int) -> tuple[DistributionFrame, ...]:
     """ker d alpha_i ⊃ TF_i ⊃ TG_i: the kernel basis of the contraction rows of
-    d alpha_i, then the kernels of the rows alpha_i and alpha_j inside it, of
-    ranks n − 2h_i, 2h_j + 1 and 2h_j (h_1 = h, h_2 = k) unless the input is
-    degenerate.  Each index's nest is built once, kept in the pair's
-    ``__dict__`` as a cached property would be.  Built unchecked: on a Lie
-    frame every vector is constant."""
-    if i not in (1, 2):
-        raise ValueError(f"index must be 1 or 2, got {i!r}")
+    d alpha_i, then the kernels of the rows alpha_i and alpha_j inside it,
+    built unchecked on first read (on a Lie frame every vector is constant)
+    and kept in the pair's ``__dict__`` as a cached property would be.
+
+    Once the axioms pass and the Reeb system solves (:func:`verified_pair`),
+    no nest can have a wrong rank (h_1 = h, h_2 = k):
+
+    - (d alpha_i)^{h_i+1} = 0 gives rank W_i ≤ 2h_i.
+    - A volume coefficient that is not identically zero gives
+      (d alpha_i)^{h_i} ≠ 0, so ker d alpha_i has rank exactly n − 2h_i.
+    - Z_i ∈ ker d alpha_i with alpha_i(Z_i) = 1, so TF_i has rank 2h_j + 1.
+    - Z_j ∈ TF_i with alpha_j(Z_j) = 1, so TG_i has rank 2h_j.
+
+    The rank check guards a pair that was never verified: it raises
+    :class:`FrameRankError` naming each wrong rank."""
     nests = pair.__dict__.setdefault("_frame_nests", {})
     if i in nests:
         return nests[i]
-    n, (own, other) = pair.dim, (pair.h, pair.k) if i == 1 else (pair.k, pair.h)
-    rows = RfMatrix._of(n, tuple(pair.contraction_rows(i)), n)
-    k = [tuple(map(RatFun, v)) for v in kernel_basis(rows)]
+    n, (own, other) = pair.dim, ((pair.h, pair.k), (pair.k, pair.h))[_position(i)]
+    k = [tuple(map(RatFun, v)) for v in kernel_basis(pair.dalpha_table(i).transpose())]
     tf = _row_kernel(one_form_row(pair.alpha(i)), k, n)
-    tg = _row_kernel(one_form_row(pair.alpha(3 - i)), tf, n)
+    tg = _row_kernel(one_form_row(pair.alpha(_other(i))), tf, n)
     wrong = [f"{name} has rank {len(vs)}, expected {rank}" for name, vs, rank in (
         (f"ker d alpha{i}", k, n - 2 * own), (f"TF{i}", tf, 2 * other + 1),
         (f"TG{i}", tg, 2 * other)) if len(vs) != rank]
@@ -426,15 +445,12 @@ def kernel_frame(pair: ContactPair, i: int) -> DistributionFrame:
 
 @dataclass(frozen=True)
 class VerifiedPair:
-    """A contact pair together with its solved Reeb fields and frames."""
+    """A contact pair and its solved Reeb fields.  :meth:`tf` and :meth:`tg`
+    read the pair's frame nests, each built by the first check reading it."""
 
     pair: ContactPair
     z1: VectorField
     z2: VectorField
-    tf1: DistributionFrame
-    tf2: DistributionFrame
-    tg1: DistributionFrame
-    tg2: DistributionFrame
 
     @property
     def space(self) -> Space:
@@ -449,16 +465,13 @@ class VerifiedPair:
         return self.pair.sample_points
 
     def z(self, i: int) -> VectorField:
-        return self.z1 if i == 1 else self.z2
+        return (self.z1, self.z2)[_position(i)]
 
     def tf(self, i: int) -> DistributionFrame:
-        return self.tf1 if i == 1 else self.tf2
+        return characteristic_frame(self.pair, i)
 
     def tg(self, i: int) -> DistributionFrame:
-        return self.tg1 if i == 1 else self.tg2
-
-    def alpha(self, i: int) -> Form:
-        return self.pair.alpha(i)
+        return g_frame(self.pair, i)
 
     @cached_property
     def _reeb_matrix(self) -> RfMatrix:
@@ -486,28 +499,21 @@ def _reeb_gram(vp: VerifiedPair, g: MetricField) -> RfMatrix:
 
 
 def verified_pair(pair: ContactPair) -> VerifiedPair:
-    """Run the axiom checks (:attr:`ContactPair.axioms`), solve the Reeb
-    system, and build all frames.
-
-    Raises :class:`PairValidationError` when any defining condition Fails
-    (SampleVerified volume coefficients are accepted)."""
+    """Run the axiom checks (:attr:`ContactPair.axioms`) and solve the Reeb
+    system; no frame is built.  Raises :class:`PairValidationError` when any
+    defining condition Fails (SampleVerified volume coefficients pass)."""
     for name, verdict in pair.axioms.items():
         if not verdict.ok:
             raise PairValidationError(f"{name}: {verdict.witness or verdict.detail}")
-    z1, z2 = reeb_fields(pair)
-    (_, tf1, tg1), (_, tf2, tg2) = _frame_nest(pair, 1), _frame_nest(pair, 2)
-    return VerifiedPair(pair, z1, z2, tf1, tf2, tg1, tg2)
+    return VerifiedPair(pair, *reeb_fields(pair))
 
 
 def verify_splittings(vp: VerifiedPair) -> Verdict:
-    """TM = TF1 ⊕ TF2 and TF_i = TG_i ⊕ R·Z_j (j != i), read off the
-    construction of ``vp``; nothing is recomputed.
-
-    TF1 ∩ TF2 is the kernel of the Reeb system, whose rows are alpha_i and
-    i_· d alpha_i for i = 1, 2, and :func:`reeb_fields` rejects a nontrivial
-    kernel; the ranks 2k + 1 and 2h + 1 the frame nest enforces sum to n.
-    TG_i is built as TF_i ∩ ker alpha_j, and the Reeb equations put Z_j in
-    TF_i with alpha_j(Z_j) = 1, so Z_j spans a complement of TG_i in TF_i."""
-    return Verdict.verified(
-        f"rank(TF1) + rank(TF2) = {vp.tf1.size} + {vp.tf2.size} = {vp.dim}"
-    )
+    """TM = TF1 ⊕ TF2 and TF_i = TG_i ⊕ R·Z_j (j != i), read off the type of
+    ``vp``.  TF1 ∩ TF2 is the kernel of the Reeb system, which
+    :func:`reeb_fields` rejects when nontrivial, and the ranks 2k + 1 and
+    2h + 1 of :func:`_frame_nest`'s proof sum to n; there, Z_j ∈ TF_i with
+    alpha_j(Z_j) = 1 and TG_i = TF_i ∩ ker alpha_j, so Z_j spans a
+    complement of TG_i in TF_i."""
+    h, k = vp.pair.h, vp.pair.k
+    return Verdict.verified(f"rank(TF1) + rank(TF2) = {2 * k + 1} + {2 * h + 1} = {vp.dim}")

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .algebra import RfMatrix, generic_rank
 from .exterior import EndoField
-from .pair import VerifiedPair
+from .pair import VerifiedPair, _other
 from .verdicts import Verdict, residual_verdict
 
 __all__ = [
@@ -177,7 +177,6 @@ def verify_induced_almost_contact(cps: ContactPairStructure, i: int) -> Verdict:
             f"phi is not decomposable ({decomposable.witness}); "
             "the restriction to the leaves is not defined"
         )
-    leaf = cps.vp.tf(2 if i == 1 else 1)
     return Verdict.verified(
-        f"almost contact structure induced by (alpha{i}, Z{i}, phi) on {leaf.label}"
+        f"almost contact structure induced by (alpha{i}, Z{i}, phi) on TF{_other(i)}"
     )

@@ -352,7 +352,7 @@ def direct_frames(pair, i):
     """The cleared kernel bases of i_· d alpha_i, of [alpha_i; i_· d alpha_i]
     and of [i_· d alpha_i; alpha1; alpha2]: ker d alpha_i, TF_i and TG_i,
     each as ``RatFun`` tuples."""
-    contractions = pair.contraction_rows(i)
+    contractions = list(pair.dalpha_table(i).transpose().entries)
     alphas = [one_form_row(pair.alpha1), one_form_row(pair.alpha2)]
     systems = (contractions, [alphas[i - 1], *contractions], [*contractions, *alphas])
     return tuple(

@@ -676,6 +676,53 @@ def test_theorems_computes_each_shared_verdict_once(monkeypatch, tmp_path):
         assert calls == {**dict.fromkeys(homes, 1), **counts}, path
 
 
+FRAMELESS_VERBS = (
+    "reeb", "verify-structure", "compatible", "associated", "build-compatible", "geodesy", "killing"
+)
+
+
+def test_each_frame_nest_is_built_by_the_first_check_that_reads_it(monkeypatch):
+    """verified_pair solves the Reeb system and builds no frame, and the
+    splittings verdict reads its ranks off the type, so the verbs whose
+    checks read no frame of the characteristic foliations make no kernel
+    elimination (a verb whose fixture lacks a field it needs is refused and
+    left out).  theorems reads every frame and builds each index's nest
+    exactly once, on its first read."""
+    from contactpairs import pair
+
+    eliminations, built = [], []
+    kernel_basis, frame_nest = pair.kernel_basis, pair._frame_nest
+
+    def counted(matrix):
+        eliminations.append(matrix.rows)
+        return kernel_basis(matrix)
+
+    def spied(candidate, i):
+        before = len(eliminations)
+        nest = frame_nest(candidate, i)
+        if len(eliminations) > before:
+            built.append(i)
+        return nest
+
+    monkeypatch.setattr(pair, "kernel_basis", counted)
+    monkeypatch.setattr(pair, "_frame_nest", spied)
+    ran = set()
+    for name in ("local_model_1_1", "nilpotent_g6"):
+        path = bundled_fixture_path(name)
+        for verb in FRAMELESS_VERBS:
+            try:
+                run(verb, path)
+            except VerbUsageError:
+                continue
+            ran.add(verb)
+            assert (eliminations, built) == ([], []), (name, verb)
+        assert run("theorems", path).exit_code() == 0
+        assert len(eliminations) == 2 and sorted(built) == [1, 2], name
+        eliminations.clear()
+        built.clear()
+    assert ran == set(FRAMELESS_VERBS)
+
+
 @pytest.mark.parametrize("name", ["local_model_1_1", "nilpotent_g6", "chart_2_2", "lie_3_3"])
 def test_constructed_verdicts_equal_their_checks(name, tmp_path):
     """What build-compatible and polarize report with no check run, by the

@@ -543,8 +543,8 @@ def test_leaf_invariance_membership_agrees_with_frame_solve():
             assert _solves(kernel.matrix, vp._reeb_matrix), (name, i)
             for frame in (leaf, kernel):
                 assert _solves(frame.matrix, phi @ frame.matrix), (name, frame.label)
-        if vp.tg2.size:
-            control = column_matrix(vp.space, [vp.z1, vp.tg2.vectors[0]])
+        if vp.tg(2).size:
+            control = column_matrix(vp.space, [vp.z1, vp.tg(2).vectors[0]])
             assert not _solves(control, phi @ control), name
         checked.append(name)
     assert {"local_model_1_1", "nilpotent_g6", "chart_1_1", "lie_3_3"} <= set(checked), checked
@@ -591,5 +591,5 @@ def test_leaf_tables_are_formed_once(nilpotent, monkeypatch):
     for i in (1, 2):
         assert all(v.ok for v in verify_restricted_contact_metric(mcp, i).values())
         assert calls == {"value": 0, "apply": 0, "__call__": 0}
-    for frame in (cps.vp.tf1, cps.vp.tf2):
+    for frame in (cps.vp.tf(1), cps.vp.tf(2)):
         assert isinstance(frame.matrix, RfMatrix) and frame.matrix is frame.matrix

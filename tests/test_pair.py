@@ -377,11 +377,11 @@ def test_verified_pair_and_splittings(factory):
 
     # rank bookkeeping from the pair type
     n = vp.dim
-    assert vp.tf1.size + vp.tf2.size == n
-    assert vp.tg1.size + vp.tg2.size + 2 == n
+    assert vp.tf(1).size + vp.tf(2).size == n
+    assert vp.tg(1).size + vp.tg(2).size + 2 == n
 
     # each Reeb field lies in the other characteristic distribution
-    for tf, z in ((vp.tf1, vp.z2), (vp.tf2, vp.z1)):
+    for tf, z in ((vp.tf(1), vp.z2), (vp.tf(2), vp.z1)):
         assert generic_rank(column_matrix(vp.space, [*tf.vectors, z])) == tf.size
 
 
@@ -404,30 +404,42 @@ def _verifiable_fixtures():
     for doc in docs:
         try:
             out.append((doc, verified_pair(doc.pair)))
-        except (PairValidationError, ReebSolveError, FrameRankError):
+        except (PairValidationError, ReebSolveError):
             continue
     return out
 
 
 def test_splittings_hold_on_every_verifiable_fixture():
-    """The splittings verify_splittings reads off the construction, by rank
-    on every verifiable bundled and test fixture: rank(TF1 ∪ TF2) = n, and
-    rank([TG_i | Z_j]) = rank([TF_i | TG_i | Z_j]) = size(TF_i), so TG_i and
-    Z_j are independent and span TF_i."""
-    checked = 0
-    for doc, vp in _verifiable_fixtures():
-        space, n = vp.space, vp.dim
-        assert generic_rank(column_matrix(space, vp.tf1.vectors + vp.tf2.vectors)) == n
-        for i, j in ((1, 2), (2, 1)):
-            tf, tg, z = vp.tf(i), vp.tg(i), vp.z(j)
-            split = generic_rank(column_matrix(space, [*tg.vectors, z]))
-            spanned = generic_rank(column_matrix(space, [*tf.vectors, *tg.vectors, z]))
-            assert split == spanned == tf.size, (doc.fixture_id, i)
+    """The oracle of the ranks :func:`contactpairs.pair._frame_nest` proves
+    for a verified pair, on every verifiable bundled and test fixture and on
+    the chart, Lie and dense (1,1) rungs.  rank W_i = 2h_i, the nest sizes
+    are (n − 2h_i, 2h_j + 1, 2h_j) and equal the numbers the splittings
+    verdict prints from the type.  The splittings hold by rank:
+    rank(TF1 ∪ TF2) = n, and rank([TG_i | Z_j]) = rank([TF_i | TG_i | Z_j])
+    = size(TF_i), so TG_i and Z_j are independent and span TF_i."""
+    verified = [(doc.fixture_id, vp) for doc, vp in _verifiable_fixtures()]
+    for rung in (chart_rung, lie_rung, dense_chart_rung):
+        doc = rung(1, 1)
+        verified.append((doc.fixture_id, verified_pair(doc.pair)))
+    for name, vp in verified:
+        space, n, degrees = vp.space, vp.dim, (vp.pair.h, vp.pair.k)
+        assert "_frame_nests" not in vars(vp.pair), name  # verified_pair builds no nest
         verdict = verify_splittings(vp)
         assert verdict.status is Status.VERIFIED
-        assert verdict.detail == f"rank(TF1) + rank(TF2) = {vp.tf1.size} + {vp.tf2.size} = {n}"
-        checked += 1
-    assert checked >= 10
+        sizes = {}
+        for i, j in ((1, 2), (2, 1)):
+            own, other = degrees[i - 1], degrees[j - 1]
+            assert generic_rank(vp.pair.dalpha_table(i)) == 2 * own, (name, i)
+            nest = (kernel_frame(vp.pair, i), vp.tf(i), vp.tg(i))
+            assert [f.size for f in nest] == [n - 2 * own, 2 * other + 1, 2 * other], (name, i)
+            sizes[i] = nest[1].size
+            tf, tg, z = nest[1], nest[2], vp.z(j)
+            split = generic_rank(column_matrix(space, [*tg.vectors, z]))
+            spanned = generic_rank(column_matrix(space, [*tf.vectors, *tg.vectors, z]))
+            assert split == spanned == tf.size, (name, i)
+        assert generic_rank(column_matrix(space, vp.tf(1).vectors + vp.tf(2).vectors)) == n
+        assert verdict.detail == f"rank(TF1) + rank(TF2) = {sizes[1]} + {sizes[2]} = {n}", name
+    assert len(verified) >= 13
 
 
 @pytest.mark.parametrize(
@@ -454,6 +466,42 @@ def test_verified_pair_rejects_degenerate():
     dx = Form(s, 1, {(0,): 1})
     with pytest.raises(PairValidationError):
         verified_pair(ContactPair(s, dx, dx, 0, 0, tuple(FLAT2_SAMPLES)))
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_every_per_index_accessor_refuses_an_index_but_1_and_2(i):
+    """Every accessor by index, of the pair, of the verified pair and of the
+    checks by index, reads index 1 or 2 and raises the nest's error for any
+    other: no index falls through to index 2, so no verdict of Z2 is
+    labelled Z3."""
+    from contactpairs.metric import (
+        MetricContactPair,
+        killing_check,
+        verify_restricted_contact_metric,
+    )
+    from contactpairs.structure import ContactPairStructure, verify_induced_almost_contact
+
+    doc = load_fixture(bundled_fixture_path("nilpotent_g6"))
+    vp = verified_pair(doc.pair)
+    cps = ContactPairStructure(vp, doc.phi)
+    mcp = MetricContactPair(cps, doc.metric)
+    pair = vp.pair
+    accessors = {
+        "alpha": pair.alpha,
+        "dalpha": pair.dalpha,
+        "dalpha_table": pair.dalpha_table,
+        "z": vp.z,
+        "tf": vp.tf,
+        "tg": vp.tg,
+        "kernel_frame": lambda i: kernel_frame(pair, i),
+        "killing_check": lambda i: killing_check(mcp, i),
+        "induced_almost_contact": lambda i: verify_induced_almost_contact(cps, i),
+        "leaves": lambda i: verify_restricted_contact_metric(mcp, i),
+    }
+    for name, accessor in accessors.items():
+        with pytest.raises(ValueError) as info:
+            accessor(i)
+        assert str(info.value) == f"index must be 1 or 2, got {i}", name
 
 
 def test_dalpha_is_computed_once_on_first_use():

@@ -176,7 +176,7 @@ def test_induced_identity_trivial_on_reeb(nilpotent):
     """For v = Z_i the identity collapses to 0 = -Z_i + Z_i."""
     vp, phi = nilpotent
     image = phi.apply(phi.apply(vp.z1))
-    target = (-1) * vp.z1 + vp.alpha(1)(vp.z1) * vp.z1
+    target = (-1) * vp.z1 + vp.pair.alpha(1)(vp.z1) * vp.z1
     assert (image - target).is_zero()
 
 

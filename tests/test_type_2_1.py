@@ -51,10 +51,10 @@ def test_2_1_reeb_and_frames(model_2_1):
 
     assert vp.z1 == VectorField.basis(s, 4)  # ∂x5
     assert vp.z2 == VectorField.basis(s, 7)  # ∂y3
-    assert vp.tf1.size == 3   # 2k + 1
-    assert vp.tf2.size == 5   # 2h + 1
-    assert vp.tg1.size == 2   # 2k
-    assert vp.tg2.size == 4   # 2h
+    assert vp.tf(1).size == 3   # 2k + 1
+    assert vp.tf(2).size == 5   # 2h + 1
+    assert vp.tg(1).size == 2   # 2k
+    assert vp.tg(2).size == 4   # 2h
     assert verify_splittings(vp).status is Status.VERIFIED
 
 
